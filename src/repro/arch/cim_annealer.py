@@ -9,8 +9,9 @@ Wires the pieces together end-to-end:
   decisions are made on the sensed (quantized, noisy, device-limited)
   ``E_inc`` — not on ideal arithmetic;
 * every iteration's hardware activity (ADC conversions, mux slots, driver
-  toggles, settle time, BG DAC updates, controller logic) is booked into a
-  :class:`~repro.arch.ledger.Ledger`.
+  toggles, settle time, BG DAC updates, controller logic) is recorded in
+  per-iteration counter arrays and booked into a
+  :class:`~repro.arch.ledger.Ledger` once per run.
 
 The programming pass (layout race → quantize → program) is factored out as
 :func:`compile_cim_program`, which returns an immutable :class:`CimProgram`
@@ -43,7 +44,7 @@ from repro.core.reorder import (
     Permutation,
     graph_bandwidth,
 )
-from repro.core.schedule import Schedule, VbgStepSchedule
+from repro.core.schedule import Schedule
 from repro.devices.variability import VariationModel
 from repro.ising.model import IsingModel
 from repro.ising.sparse import SparseIsingModel, dense_couplings
@@ -290,6 +291,12 @@ class InSituCimAnnealer:
         and every programming-time knob (``config``, ``backend``,
         ``variation``, ``tile_size``, ``reorder``, ``permutation``) —
         those were fixed when the program was compiled.
+
+    Costs are recorded from the crossbar evaluator, which the inner
+    :class:`~repro.core.annealer.InSituAnnealer` calls exactly once per
+    iteration; the machine sets no ``iteration_hook``.  Each run books its
+    counters into a fresh :class:`~repro.arch.ledger.Ledger` once, at the
+    end, with totals equal to booking every iteration in order.
     """
 
     def __init__(
@@ -356,6 +363,8 @@ class InSituCimAnnealer:
         self.schedule = schedule
         self.flips_per_iteration = int(flips_per_iteration)
         self.record_cost_trace = bool(record_cost_trace)
+        # Costs are booked from the evaluator alone (no `iteration_hook`):
+        # the annealer calls it exactly once per iteration, in order.
         self._annealer = InSituAnnealer(
             self._annealer_model,
             flips_per_iteration=flips_per_iteration,
@@ -365,15 +374,12 @@ class InSituCimAnnealer:
             acceptance_scale=acceptance_scale,
             evaluator=self._evaluate,
             proposal=proposal,
-            iteration_hook=self._book_iteration,
             permutation=self.permutation,
             record_trace=record_trace,
             seed=rng,
         )
-        self._ledger: Ledger | None = None
-        self._iter_energy: list[float] | None = None
-        self._iter_time: list[float] | None = None
-        self._pending: dict | None = None
+        self._counters: tuple[np.ndarray, ...] = ()
+        self._step = 0
         self._last_vbg: float | None = None
 
     @property
@@ -389,101 +395,91 @@ class InSituCimAnnealer:
         value, stats = self.crossbar.compute_increment(
             sigma_r, sigma_c, v_bg, validate=False
         )
-        cfg = self.config
-        energy = (
-            stats.adc_conversions * cfg.adc.energy_per_conversion
-            + stats.sa_codes * cfg.shift_add.energy_per_code
-            + stats.fg_toggles * cfg.fg_driver.energy_per_toggle
-            + stats.dl_toggles * cfg.dl_driver.energy_per_toggle
-        )
-        time = stats.mux_slots * cfg.adc.time_per_conversion + stats.settle_time
-        bg_updates = 0
+        it = self._step
+        self._step = it + 1
+        conversions, slots, codes, fg, dl, settle, bg_update = self._counters
+        conversions[it] = stats.adc_conversions
+        slots[it] = stats.mux_slots
+        codes[it] = stats.sa_codes
+        fg[it] = stats.fg_toggles
+        dl[it] = stats.dl_toggles
+        settle[it] = stats.settle_time
         if self._last_vbg is None or abs(v_bg - self._last_vbg) > 1e-12:
-            bg_updates = 1
-            energy += cfg.bg_dac.energy_per_update
-            time += cfg.bg_dac.time_per_update
+            bg_update[it] = True
             self._last_vbg = v_bg
-        self._pending = {
-            "adc_energy": stats.adc_conversions * cfg.adc.energy_per_conversion,
-            "adc_time": stats.mux_slots * cfg.adc.time_per_conversion,
-            "sa_energy": stats.sa_codes * cfg.shift_add.energy_per_code,
-            "driver_energy": stats.fg_toggles * cfg.fg_driver.energy_per_toggle
-            + stats.dl_toggles * cfg.dl_driver.energy_per_toggle,
-            "settle_time": stats.settle_time,
-            "bg_updates": bg_updates,
-            "conversions": stats.adc_conversions,
-            "total_energy": energy,
-            "total_time": time,
-        }
         return value
 
-    def _book_iteration(self, iteration, delta_e, accepted, temperature) -> None:
-        assert self._ledger is not None
+    def _book_run(self, ledger: Ledger):
+        """Book the run's per-iteration counters, one series per entry.
+
+        Entries are booked in the order a per-iteration booking creates
+        them (the first iteration always sets the BG rail), and every
+        series sums strictly in iteration order, so the totals equal
+        one ``Ledger.add`` per entry per iteration bit for bit.  Returns
+        the cumulative ``(energy, time)`` after every iteration.
+        """
         cfg = self.config
-        pend = self._pending or {
-            "adc_energy": 0.0,
-            "adc_time": 0.0,
-            "sa_energy": 0.0,
-            "driver_energy": 0.0,
-            "settle_time": 0.0,
-            "bg_updates": 0,
-            "conversions": 0,
-            "total_energy": 0.0,
-            "total_time": 0.0,
-        }
-        ledger = self._ledger
-        ledger.add("adc", pend["adc_energy"], pend["adc_time"], pend["conversions"])
-        ledger.add("shift_add", pend["sa_energy"], 0.0)
-        ledger.add("drivers", pend["driver_energy"], pend["settle_time"])
-        if pend["bg_updates"]:
-            ledger.add(
-                "bg_dac",
-                cfg.bg_dac.energy_per_update * pend["bg_updates"],
-                cfg.bg_dac.time_per_update * pend["bg_updates"],
-                pend["bg_updates"],
-            )
-        ledger.add("logic", cfg.logic_energy, cfg.logic_time)
-        if self._iter_energy is not None:
-            total_e = pend["total_energy"] + cfg.logic_energy
-            total_t = pend["total_time"] + cfg.logic_time
-            prev_e = self._iter_energy[-1] if self._iter_energy else 0.0
-            prev_t = self._iter_time[-1] if self._iter_time else 0.0
-            self._iter_energy.append(prev_e + total_e)
-            self._iter_time.append(prev_t + total_t)
-        self._pending = None
+        conversions, slots, codes, fg, dl, settle, bg_update = self._counters
+        iterations = conversions.size
+        adc_energy = conversions * cfg.adc.energy_per_conversion
+        adc_time = slots * cfg.adc.time_per_conversion
+        sa_energy = codes * cfg.shift_add.energy_per_code
+        fg_energy = fg * cfg.fg_driver.energy_per_toggle
+        dl_energy = dl * cfg.dl_driver.energy_per_toggle
+        updates = int(np.count_nonzero(bg_update))
+        ledger.add_series("adc", adc_energy, adc_time, conversions)
+        ledger.add_series("shift_add", sa_energy, np.zeros(iterations))
+        ledger.add_series("drivers", fg_energy + dl_energy, settle)
+        ledger.add_series(
+            "bg_dac",
+            np.full(updates, cfg.bg_dac.energy_per_update),
+            np.full(updates, cfg.bg_dac.time_per_update),
+        )
+        ledger.add_series(
+            "logic",
+            np.full(iterations, cfg.logic_energy),
+            np.full(iterations, cfg.logic_time),
+        )
+        energy = adc_energy + sa_energy + fg_energy + dl_energy
+        time = adc_time + settle
+        energy[bg_update] += cfg.bg_dac.energy_per_update
+        time[bg_update] += cfg.bg_dac.time_per_update
+        return (
+            np.add.accumulate(energy + cfg.logic_energy),
+            np.add.accumulate(time + cfg.logic_time),
+        )
 
     # ------------------------------------------------------------------
     def run(self, iterations: int, initial=None) -> CimRunResult:
         """Anneal for ``iterations`` and return solution + cost books."""
-        # Validated at the machine boundary: the ledger and the default
-        # V_BG schedule consume `iterations` before the inner annealer
-        # would reject a bool/float count.
+        # Validated at the machine boundary: the per-iteration counters
+        # are sized by `iterations` before the inner annealer would
+        # reject a bool/float count.
         iterations = check_count(
             "iterations", iterations,
             hint="the machine needs at least one proposal/accept step",
         )
-        self._ledger = Ledger()
-        self._last_vbg = None
+        ledger = Ledger()
         # Shared-program machines reuse one crossbar across runs; clear
         # the driver-toggle memory so every run books costs like a cold
         # array (trajectories never depended on it).
         self.crossbar.reset_drive_state()
-        self._iter_energy = [] if self.record_cost_trace else None
-        self._iter_time = [] if self.record_cost_trace else None
+        self._last_vbg = None
+        self._step = 0
+        self._counters = (
+            *(np.zeros(iterations, dtype=np.int64) for _ in range(5)),
+            np.zeros(iterations),
+            np.zeros(iterations, dtype=bool),
+        )
         # One-time programming cost, amortised across the run.
         prog = self.crossbar.programming_summary()
-        self._ledger.add("program", prog["energy"], 0.0, int(prog["write_pulses"]))
-        if self._annealer.schedule is None and self.schedule is None:
-            # Build the default V_BG walk for this run length.
-            self._annealer.schedule = VbgStepSchedule(iterations, factor=self.factor)
+        ledger.add("program", prog["energy"], 0.0, int(prog["write_pulses"]))
         anneal = self._annealer.run(iterations, initial=initial)
-        self._annealer.schedule = self.schedule  # reset for reuse
-        result = CimRunResult(
+        energy_trace, time_trace = self._book_run(ledger)
+        return CimRunResult(
             label=self.label,
             anneal=anneal,
-            ledger=self._ledger,
-            energy_trace=np.asarray(self._iter_energy) if self.record_cost_trace else None,
-            time_trace=np.asarray(self._iter_time) if self.record_cost_trace else None,
+            ledger=ledger,
+            energy_trace=energy_trace if self.record_cost_trace else None,
+            time_trace=time_trace if self.record_cost_trace else None,
         )
-        self._ledger = None
-        return result

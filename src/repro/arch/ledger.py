@@ -10,6 +10,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.utils.tables import render_table
 from repro.utils.units import format_energy, format_time
 
@@ -42,6 +44,27 @@ class Ledger:
         entry.energy += energy
         entry.time += time
         entry.count += count
+
+    def add_series(self, component: str, energy, time, count=None) -> None:
+        """Book one :meth:`add` per element of ``energy``/``time``, in order.
+
+        ``count`` is the per-element op count (default one each).
+        ``np.add.accumulate`` is a strictly sequential running sum, so the
+        totals equal the element-by-element :meth:`add` calls bit for bit,
+        whatever the values.  An empty series books nothing.
+        """
+        energy = np.asarray(energy, dtype=np.float64)
+        time = np.asarray(time, dtype=np.float64)
+        if energy.ndim != 1 or energy.shape != time.shape:
+            raise ValueError("energy and time must be matching 1-D series")
+        if energy.size == 0:
+            return
+        if np.any(energy < 0) or np.any(time < 0):
+            raise ValueError("ledger amounts must be non-negative")
+        entry = self.entries[component]
+        entry.energy = float(np.add.accumulate(np.append(entry.energy, energy))[-1])
+        entry.time = float(np.add.accumulate(np.append(entry.time, time))[-1])
+        entry.count += energy.size if count is None else int(np.sum(count))
 
     def merge(self, other: "Ledger") -> None:
         """Fold another ledger's entries into this one."""

@@ -22,7 +22,10 @@ independent DG FeFET arrays:
   tiles operate in parallel and their partial sums are combined digitally
   (one extra adder-tree level);
 * activity counters sum across tiles while the critical path takes the
-  *maximum* slot count of any tile.
+  *maximum* slot count of any tile;
+* the grid owns the FG/DL drive state of every tile, so one evaluation is
+  a few array operations over the active tiles rather than a call per
+  tile.
 
 The interface mirrors :class:`~repro.circuits.crossbar.DgFefetCrossbar`
 (``matrix_hat``, ``factor``, ``compute_increment``, ``programming_summary``)
@@ -39,6 +42,7 @@ from repro.circuits.crossbar import (
     PROGRAM_PULSE_ENERGY,
     ActivationStats,
     DgFefetCrossbar,
+    check_drive,
 )
 from repro.circuits.quantize import MatrixQuantizer
 from repro.devices.constants import VBG_MAX
@@ -71,6 +75,10 @@ class TiledCrossbar:
         Physical array rows/columns per tile (the block side ``s``).
     bits / backend / wire / shift_add / variation / seed:
         Forwarded to every tile.
+
+    The grid, not its tiles, owns the FG/DL line state that driver
+    toggles are counted against (:meth:`reset_drive_state` parks it), and
+    :meth:`compute_increment` derives every tile's counters from it.
     """
 
     def __init__(
@@ -121,12 +129,6 @@ class TiledCrossbar:
             for key, block in self._iter_nonzero_blocks(matrix)
         }
 
-        # Column-block → sorted row-blocks holding a tile: the activation
-        # index compute_increment walks.
-        self._col_rows: dict[int, list[int]] = {}
-        for bi, bj in sorted(self._tiles):
-            self._col_rows.setdefault(bj, []).append(bi)
-
         # The factor curve is a nominal-cell property, identical across
         # tiles; an all-zero matrix has no tile, so keep a 2×2 reference.
         if self._tiles:
@@ -136,6 +138,48 @@ class TiledCrossbar:
                 np.zeros((2, 2)), lsb=self.lsb, seed=rng, **tile_kwargs
             )
         self._matrix_hat: np.ndarray | None = None
+        self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._build_tile_index()
+
+    def _build_tile_index(self) -> None:
+        """Per-tile arrays the vectorised :meth:`compute_increment` reads.
+
+        Tile id ``k`` is the ``k``-th tile in (column block, row block)
+        order, the order in which the per-tile path draws its noise.
+        """
+        s = self.tile_size
+        order = sorted(self._tiles, key=lambda key: (key[1], key[0]))
+        self._by_id = [self._tiles[key] for key in order]
+        tile_row = np.array([bi for bi, _ in order], dtype=np.intp)
+        self._tile_col = np.array([bj for _, bj in order], dtype=np.intp)
+        # Columns one driven spin selects (bits × planes) and the ADCs
+        # serving the tile (DgFefetCrossbar._activation_stats).
+        group = [tile.bits * tile.planes for tile in self._by_id]
+        self._group = np.array(group, dtype=np.intp)
+        self._adcs = np.array(
+            [max(1, s * g // tile.adc.mux_ratio)
+             for tile, g in zip(self._by_id, group)],
+            dtype=np.intp,
+        )
+        self._settle = self._ref.wire.settle_time(s)
+        # Gather indices of each tile's zero-padded row and column slices;
+        # the slots past n in a ragged last block are masked to zero.
+        slots = np.arange(self.grid * s).reshape(self.grid, s)
+        clipped = np.minimum(slots, max(self.n - 1, 0))
+        self._row_slots = clipped[tile_row]
+        self._col_slots = clipped[self._tile_col]
+        self._row_live: np.ndarray | None = None
+        self._col_live: np.ndarray | None = None
+        if self.n % s:
+            self._row_live = (slots < self.n)[tile_row]
+            self._col_live = (slots < self.n)[self._tile_col]
+        # FG (row) and DL (column) lines of every tile as last driven.
+        self._fg = np.zeros((len(order), s), dtype=np.int8)
+        self._dl = np.zeros((len(order), s), dtype=np.int8)
+        # Device reads and varied cells stay a read per tile, in id order.
+        self._per_tile = (
+            self.backend == "device" or not self._ref.variation.is_ideal
+        )
 
     def _block_bounds(self) -> list[tuple[int, int]]:
         return [
@@ -220,8 +264,14 @@ class TiledCrossbar:
         Collects each tile's dequantized nonzeros back into global COO
         coordinates — O(nnz + tiles · s²) work, never an ``(n, n)`` array.
         Quantization is element-wise on a symmetric matrix, so the image is
-        symmetric and the canonical upper triangle is complete.
+        symmetric and the canonical upper triangle is complete.  The CSR
+        arrays are built on the first call and shared by every later
+        model and by :meth:`compute_increment`.
         """
+        if self._csr is not None:
+            return SparseIsingModel(
+                *self._csr, None, offset=offset, name=name
+            )
         rows = [np.zeros(0, dtype=np.intp)]
         cols = [np.zeros(0, dtype=np.intp)]
         vals = [np.zeros(0, dtype=np.float64)]
@@ -238,7 +288,7 @@ class TiledCrossbar:
             rows.append(lr + r0)
             cols.append(lc + c0)
             vals.append(hat[lr, lc])
-        return SparseIsingModel.from_edges(
+        model = SparseIsingModel.from_edges(
             self.n,
             np.concatenate(rows),
             np.concatenate(cols),
@@ -247,6 +297,8 @@ class TiledCrossbar:
             offset=offset,
             name=name,
         )
+        self._csr = model.csr_arrays()
+        return model
 
     def factor(self, v_bg: float) -> float:
         """Shared-rail factor (all tiles see the same back-gate voltage)."""
@@ -257,11 +309,11 @@ class TiledCrossbar:
 
         Mirrors :meth:`DgFefetCrossbar.reset_drive_state` across the
         grid so repeat anneals on one programmed plan bill their first
-        activation like a cold machine.
+        activation like a cold machine: a parked line reads 0, so the
+        first activation counts every driven line as a toggle.
         """
-        for tile in self._tiles.values():
-            tile.reset_drive_state()
-        self._ref.reset_drive_state()
+        self._fg.fill(0)
+        self._dl.fill(0)
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -283,56 +335,101 @@ class TiledCrossbar:
         tiled and monolithic values agree bit for bit.  The device backend
         keeps the factor inside every tile's analog read, as the physical
         rail does.
+
+        The cost is a few array operations over the active tiles: their
+        padded row/column slices are gathered into ``(tiles, s)`` blocks,
+        compared against the grid's drive state for the toggle counts,
+        and reduced to each tile's counters.  Ideal behavioral tiles read
+        their partial sums off the stored image's CSR rows; device tiles
+        and tiles with variation keep one read per tile.
         """
         r = np.asarray(sigma_r, dtype=np.float64)
         c = np.asarray(sigma_c, dtype=np.float64)
-        if validate and (r.shape != (self.n,) or c.shape != (self.n,)):
-            raise ValueError(f"input vectors must have shape ({self.n},)")
-        driven = np.flatnonzero(c)
-        total = 0.0
-        phases = 0
-        conversions = sa_codes = fg_toggles = dl_toggles = active_cells = 0
-        max_slots = 0
-        max_settle = 0.0
-        if driven.size == 0:
-            return total, _ZERO_STATS
+        if validate:
+            check_drive(r, c, self.n, v_bg)
+        driven = (c != 0.0).nonzero()[0]
+        # Driven columns per tile, via the column block each tile sits in.
+        per_tile = np.bincount(
+            driven // self.tile_size, minlength=self.grid
+        ).take(self._tile_col)
+        ids = per_tile.nonzero()[0]
+        if ids.size == 0:
+            # Nothing driven, or only structurally empty column blocks:
+            # no tile activates.
+            return 0.0, _ZERO_STATS
+        # Ids run column-major, so the tiles of one driven column block
+        # form a range: index it with a slice (views, not copies).
+        first, last = int(ids[0]), int(ids[-1])
+        tiles = slice(first, last + 1) if last - first < ids.size else ids
+        fg = r.take(self._row_slots[tiles]).astype(np.int8)
+        dl = c.take(self._col_slots[tiles]).astype(np.int8)
+        if self._row_live is not None:
+            fg *= self._row_live[tiles]
+            dl *= self._col_live[tiles]
+        stats = self._activate(tiles, fg, dl, per_tile[tiles])
         behavioral = self.backend == "behavioral"
-        tile_vbg = VBG_MAX if behavioral else v_bg
-        pad = self.tile_size
-        for bj in np.unique(driven // pad):
-            row_blocks = self._col_rows.get(int(bj))
-            if row_blocks is None:
-                continue  # the whole column block is structurally zero
-            c0, c1 = self._bounds[bj]
-            c_slice = np.zeros(pad)
-            c_slice[: c1 - c0] = c[c0:c1]
-            for bi in row_blocks:
-                r0, r1 = self._bounds[bi]
-                r_slice = np.zeros(pad)
-                r_slice[: r1 - r0] = r[r0:r1]
-                value, stats = self._tiles[(bi, bj)].compute_increment(
-                    r_slice, c_slice, tile_vbg, validate=validate
-                )
-                total += value
-                phases = max(phases, stats.phases)
-                conversions += stats.adc_conversions
-                sa_codes += stats.sa_codes
-                fg_toggles += stats.fg_toggles
-                dl_toggles += stats.dl_toggles
-                active_cells += stats.active_cells
-                max_slots = max(max_slots, stats.mux_slots)
-                max_settle = max(max_settle, stats.settle_time)
+        if self._per_tile:
+            tile_vbg = VBG_MAX if behavioral else v_bg
+            total = 0.0
+            for k, r_slice, c_slice in zip(
+                ids.tolist(), fg.astype(np.float64), dl.astype(np.float64)
+            ):
+                total += self._by_id[k].sense(r_slice, c_slice, tile_vbg)
+        else:
+            total = self._stored_value(r, c, driven)
         if behavioral:
             total *= self.factor(v_bg)
-        return total, ActivationStats(
-            phases=phases,
+        return total, stats
+
+    def _stored_value(self, r, c, driven) -> float:
+        """``σ_rᵀ Ĵ σ_c`` summed over the active tiles' stored cells.
+
+        ``Ĵ`` is symmetric, so driven column ``j`` is CSR row ``j`` of the
+        stored image.  Sorted by row index, that row is the segments the
+        active tiles hold of column ``j``, in row-block order: one
+        contiguous read per driven column (``t`` per proposal).
+        """
+        if self._csr is None:
+            self.stored_model()
+        indptr, indices, data = self._csr
+        total = 0.0
+        for j, c_j in zip(driven.tolist(), c.take(driven).tolist()):
+            lo, hi = indptr[j], indptr[j + 1]
+            total += c_j * float(data[lo:hi] @ r.take(indices[lo:hi]))
+        return total
+
+    def _activate(self, tiles, fg, dl, driven) -> ActivationStats:
+        """Counters of ``tiles`` driven with ``fg`` rows and ``dl`` columns.
+
+        ``driven`` counts the driven columns of each tile.  Per tile the
+        counters are the closed forms of
+        :meth:`DgFefetCrossbar._activation_stats`; the tiles sense in
+        parallel, so conversions, codes, toggles and cells add up while
+        phases, slots and settling take the slowest tile.  Toggles are
+        counted against the grid's drive state, which then takes the new
+        drive.
+        """
+        fg_toggles = int(np.count_nonzero(fg != self._fg[tiles]))
+        dl_toggles = int(np.count_nonzero(dl != self._dl[tiles]))
+        self._fg[tiles] = fg
+        self._dl[tiles] = dl
+        rows_on = np.add.reduce(fg != 0, axis=1)
+        # One phase per row sign present; both signs iff |Σ σ_r| < rows_on.
+        phases = 1 + (np.abs(np.add.reduce(fg, axis=1)) < rows_on)
+        columns = driven * self._group[tiles]
+        # At least one column is driven, so every tile needs ≥ 1 slot.
+        slots = phases * -(-columns // self._adcs[tiles])
+        conversions = int(phases @ columns)
+        top = int(phases.max())
+        return ActivationStats(
+            phases=top,
             adc_conversions=conversions,
-            mux_slots=max_slots,
-            sa_codes=sa_codes,
+            mux_slots=int(slots.max()),
+            sa_codes=conversions,
             fg_toggles=fg_toggles,
             dl_toggles=dl_toggles,
-            active_cells=active_cells,
-            settle_time=max_settle,
+            active_cells=int(rows_on @ columns),
+            settle_time=top * self._settle,
         )
 
     def matvec(self, x, validate: bool = True) -> np.ndarray:

@@ -53,6 +53,21 @@ from repro.utils.validation import check_in_range
 PROGRAM_PULSE_ENERGY = 1.0e-14
 
 
+def check_drive(r: np.ndarray, c: np.ndarray, n: int, v_bg: float) -> None:
+    """Validate one array activation: ±1/0 drive vectors of length ``n``.
+
+    Shared by the monolithic and the tiled array, which check the whole
+    vectors once at their boundary.
+    """
+    if r.shape != (n,) or c.shape != (n,):
+        raise ValueError(f"input vectors must have shape ({n},)")
+    if not np.all(np.isin(r, (-1.0, 0.0, 1.0))) or not np.all(
+        np.isin(c, (-1.0, 0.0, 1.0))
+    ):
+        raise ValueError("inputs must take values in {-1, 0, +1}")
+    check_in_range("v_bg", v_bg, VBG_MIN - 1e-9, VBG_MAX + 1e-9)
+
+
 @dataclass(frozen=True)
 class ActivationStats:
     """Hardware activity counters for one crossbar evaluation.
@@ -254,20 +269,22 @@ class DgFefetCrossbar:
         r = np.asarray(sigma_r, dtype=np.float64)
         c = np.asarray(sigma_c, dtype=np.float64)
         if validate:
-            if r.shape != (self.n,) or c.shape != (self.n,):
-                raise ValueError(f"input vectors must have shape ({self.n},)")
-            if not np.all(np.isin(r, (-1.0, 0.0, 1.0))) or not np.all(
-                np.isin(c, (-1.0, 0.0, 1.0))
-            ):
-                raise ValueError("inputs must take values in {-1, 0, +1}")
-            check_in_range("v_bg", v_bg, VBG_MIN - 1e-9, VBG_MAX + 1e-9)
-
-        if self.backend == "behavioral":
-            value = self._behavioral_value(r, c, v_bg)
-        else:
-            value = self._device_value(r, c, v_bg)
+            check_drive(r, c, self.n, v_bg)
+        value = self.sense(r, c, v_bg)
         stats = self._activation_stats(r, c)
         return value, stats
+
+    def sense(self, r: np.ndarray, c: np.ndarray, v_bg: float) -> float:
+        """The sensed value of :meth:`compute_increment` alone.
+
+        No input checks and no activity accounting: a
+        :class:`~repro.arch.tiling.TiledCrossbar` keeps the drive state
+        and counters of its tiles itself and asks each tile only for its
+        analog read.
+        """
+        if self.backend == "behavioral":
+            return self._behavioral_value(r, c, v_bg)
+        return self._device_value(r, c, v_bg)
 
     def compute_quadratic(self, sigma, v_bg: float = VBG_MAX) -> tuple[float, ActivationStats]:
         """Evaluate the full quadratic form ``σᵀ Ĵ σ`` (direct-E baselines).

@@ -69,7 +69,11 @@ class InSituAnnealer:
     evaluator:
         Optional hardware hook ``evaluator(sigma, flips, sigma_r, sigma_c,
         v_bg) -> sensed value`` replacing the exact ``σ_rᵀJσ_c · f``
-        computation (used by the CiM machine).
+        computation (used by the CiM machine).  It is called exactly once
+        per iteration.  ``sigma_r``/``sigma_c`` are scratch buffers the
+        annealer owns and patches in O(t) per proposal: they are valid
+        only during the call, and the hook must neither keep nor modify
+        them.
     proposal:
         ``"scan"`` (default) walks a per-sweep random permutation — the
         hardware-natural sequential address counter, which guarantees every
@@ -78,8 +82,8 @@ class InSituAnnealer:
         ablation bench quantifies the difference.
     iteration_hook:
         Optional callable ``hook(iteration, delta_e, accepted, temperature)``
-        fired after each accept decision; the hardware machines use it to
-        book per-iteration costs.
+        fired after each accept decision.  The in-situ CiM machine does not
+        use it: it records its costs from the ``evaluator`` calls.
     permutation:
         Optional :class:`~repro.core.reorder.Permutation` (or raw
         ``forward`` array) declaring that ``model`` is a relabelled view of
@@ -156,6 +160,38 @@ class InSituAnnealer:
             return self.encoder.realized_factor(temperature)
         return float(self.factor.value(np.asarray(temperature)))
 
+    def _vbg_at(self, temperature: float) -> float:
+        # The BG encoder picks the rail level realising f(T) on the
+        # physical transfer curve (paper Fig 3c); without one, fall back
+        # to the linear T → V_BG map.
+        if self.encoder is not None:
+            return self.encoder.encode(temperature)
+        return float(self.factor.vbg_for_temperature(temperature))
+
+    def _drive_profile(self, schedule: Schedule):
+        """Per-iteration ``(temperature, factor, V_BG)`` as Python lists.
+
+        Temperatures come from ``schedule.profile()``, bit-identical to
+        the per-iteration ``temperature(it)`` calls (the stacked lanes of
+        :mod:`repro.core.blockstack` rely on the same contract); the
+        factor and the rail level are evaluated once per distinct
+        temperature.  A schedule with its own ``vbg`` walk supplies the
+        rail level directly when no encoder is set.  ``V_BG`` is only
+        needed with an evaluator, and is ``None`` otherwise.
+        """
+        temps = schedule.profile()
+        levels, level_of = np.unique(temps, return_inverse=True)
+        factors = np.array([self._factor_at(T) for T in levels])[level_of]
+        vbgs = None
+        if self.evaluator is not None:
+            vbg_fn = getattr(schedule, "vbg", None)
+            if self.encoder is None and vbg_fn is not None:
+                vbgs = [float(vbg_fn(it)) for it in range(len(temps))]
+            else:
+                by_level = np.array([self._vbg_at(T) for T in levels])
+                vbgs = by_level[level_of].tolist()
+        return temps.tolist(), factors.tolist(), vbgs
+
     # ------------------------------------------------------------------
     def run(self, iterations: int, initial=None) -> AnnealResult:
         """Execute the annealing flow and return the result.
@@ -196,13 +232,20 @@ class InSituAnnealer:
         uphill_proposals = 0
         trace = np.empty(iterations, dtype=np.float64) if self.record_trace else None
         best_trace = np.empty(iterations, dtype=np.float64) if self.record_trace else None
-        vbg_fn = getattr(schedule, "vbg", None)
         has_fields = self.model.has_fields
         selector = FlipSelector(self.n, t, self.proposal, rng, index_map=self._fwd)
+        temperatures, factors, vbgs = self._drive_profile(schedule)
+        evaluator = self.evaluator
+        if evaluator is not None:
+            # σ_r = σ with the flipped rows deselected, σ_c = −σ on the
+            # flipped columns (`incremental_vectors`), kept between
+            # proposals and patched only at the flips.
+            sigma_r = sigma.copy()
+            sigma_c = np.zeros(self.n, dtype=np.float64)
 
         for it in range(iterations):
-            temperature = schedule.temperature(it)
-            f_value = self._factor_at(temperature)
+            temperature = temperatures[it]
+            f_value = factors[it]
             flips = selector.next()
 
             # σ_rᵀ J σ_c through the cached local fields: for each flipped
@@ -212,23 +255,11 @@ class InSituAnnealer:
             field_term = float(-(h[flips] * sig_f).sum()) if has_fields else 0.0
             delta_e = 4.0 * cross + 2.0 * field_term
 
-            if self.evaluator is not None:
-                # σ_r/σ_c built in place (no validation — sigma is ±1 by
-                # construction); equivalent to `incremental_vectors`.
-                sigma_c = np.zeros(self.n, dtype=np.float64)
+            if evaluator is not None:
                 sigma_c[flips] = -sig_f
-                sigma_r = sigma.copy()
                 sigma_r[flips] = 0.0
-                # The BG encoder picks the rail level realising f(T) on the
-                # physical transfer curve (paper Fig 3c); without one, fall
-                # back to the schedule's raw V_BG walk / linear map.
-                if self.encoder is not None:
-                    v_bg = self.encoder.encode(temperature)
-                elif vbg_fn is not None:
-                    v_bg = float(vbg_fn(it))
-                else:
-                    v_bg = float(self.factor.vbg_for_temperature(temperature))
-                sensed = self.evaluator(sigma, flips, sigma_r, sigma_c, v_bg)
+                sensed = evaluator(sigma, flips, sigma_r, sigma_c, vbgs[it])
+                sigma_c[flips] = 0.0
                 # Field contribution scaled like the sensed part (a field is
                 # physically an ancilla row passing through the same array).
                 e_inc = (sensed + field_term / 2.0 * f_value) * self.acceptance_scale
@@ -249,6 +280,8 @@ class InSituAnnealer:
                 if self.track_best and energy < best_energy:
                     best_energy = energy
                     best_sigma = sigma.copy()
+            if evaluator is not None:
+                sigma_r[flips] = sigma[flips]
             if self.iteration_hook is not None:
                 self.iteration_hook(it, delta_e, accept, temperature)
             if trace is not None:

@@ -11,6 +11,7 @@ from repro.core import (
     InSituAnnealer,
     MesaAnnealer,
     estimate_temperature_range,
+    incremental_vectors,
     solve_ising,
     solve_maxcut,
 )
@@ -99,6 +100,29 @@ class TestInSituAnnealer:
         annealer.run(50)
         assert len(calls) == 50
         assert calls[0][0] == 0
+
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_evaluator_sees_incremental_vectors(self, small_model, t):
+        """The scratch σ_r/σ_c buffers equal `incremental_vectors` per call.
+
+        The annealer patches them in O(t) between proposals, so a flip
+        left behind after an accepted or rejected proposal would show up
+        here.  The evaluator is called exactly once per iteration.
+        """
+        calls = []
+
+        def evaluator(sigma, flips, sigma_r, sigma_c, v_bg):
+            _, want_r, want_c = incremental_vectors(sigma, flips)
+            assert np.array_equal(sigma_r, want_r)
+            assert np.array_equal(sigma_c, want_c)
+            calls.append(v_bg)
+            return float(sigma_r @ small_model.J @ sigma_c)
+
+        result = InSituAnnealer(
+            small_model, flips_per_iteration=t, evaluator=evaluator, seed=3
+        ).run(200)
+        assert len(calls) == 200
+        assert 0 < result.accepted < 200  # both branches were exercised
 
     def test_acceptance_scale_validation(self, small_model):
         with pytest.raises(ValueError):

@@ -42,6 +42,20 @@ class TestLedger:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             Ledger().add("x", energy=-1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            Ledger().add_series("x", [1.0, -1.0], [0.0, 0.0])
+
+    def test_add_series_shapes_and_counts(self):
+        led = Ledger()
+        with pytest.raises(ValueError, match="matching 1-D"):
+            led.add_series("x", [1.0, 2.0], [0.0])
+        led.add_series("x", [], [])
+        assert "x" not in led.entries  # no add() call, no entry
+        led.add_series("x", [1.0, 2.0], [0.5, 0.5])
+        led.add_series("y", [1.0, 2.0], [0.0, 0.0], count=[3, 4])
+        assert led.entries["x"].count == 2
+        assert led.entries["y"].count == 7
+        assert list(led.entries) == ["x", "y"]
 
     def test_breakdown_and_share(self):
         led = Ledger()
@@ -160,6 +174,26 @@ class TestInSituMachine:
         machine = InSituCimAnnealer(problem.to_ising(), backend="device", seed=1)
         result = machine.run(50)
         assert result.anneal.iterations == 50
+
+    @pytest.mark.parametrize("tile_size", [None, 8])
+    def test_rejected_run_leaves_machine_usable(self, problem, tile_size):
+        """A run refused at the annealer boundary must not leak state.
+
+        The default V_BG walk used to be pinned onto the inner annealer
+        for the refused run's length, so the next run of another length
+        failed with a schedule-length mismatch.
+        """
+        model = problem.to_ising()
+        machine = InSituCimAnnealer(model, tile_size=tile_size, seed=3)
+        with pytest.raises(ValueError, match="±1"):
+            machine.run(100, initial=np.zeros(model.num_spins))
+        result = machine.run(200)
+        # The refused run drew nothing: the next one is a fresh run.
+        fresh = InSituCimAnnealer(model, tile_size=tile_size, seed=3).run(200)
+        assert result.anneal.iterations == 200
+        assert result.anneal.best_energy == fresh.anneal.best_energy
+        assert result.energy == fresh.energy
+        assert result.time == fresh.time
 
     def test_per_iteration_cost_flat_in_n(self):
         """The O(n) claim: per-iteration sensing cost ≈ independent of n."""

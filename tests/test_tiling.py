@@ -9,15 +9,33 @@ pad cells, not empty blocks.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.arch import CrossbarMapping, InSituCimAnnealer, TiledCrossbar
-from repro.circuits import DgFefetCrossbar
+from repro.arch import (
+    CimRunResult,
+    CrossbarMapping,
+    InSituCimAnnealer,
+    Ledger,
+    TiledCrossbar,
+)
+from repro.arch.cim_annealer import compile_cim_program
+from repro.circuits import ActivationStats, DgFefetCrossbar
 from repro.core import graph_bandwidth, solve_ising, solve_maxcut
-from repro.ising import IsingModel, MaxCutProblem, SparseIsingModel
+from repro.core.annealer import InSituAnnealer
+from repro.core.factors import FractionalFactor, VbgEncoder
+from repro.devices.constants import VBG_MAX
+from repro.devices.variability import VariationModel
+from repro.ising import (
+    IsingModel,
+    MaxCutProblem,
+    SparseIsingModel,
+    scattered_circulant_maxcut,
+)
 from repro.utils.rng import ensure_rng
 
 relaxed = settings(
@@ -201,6 +219,39 @@ class TestIncrementEquivalence:
         assert value == mono_value == 0.0
         assert stats.adc_conversions == 0  # no tile was activated
 
+    @pytest.mark.parametrize("vector", ["r", "c"])
+    def test_validation_checks_whole_vectors(self, vector):
+        """A non-spin entry outside the active tiles is still rejected.
+
+        Only block (0, 0) holds a tile; the bad entry sits in a block no
+        tile covers (row 20, or an extra driven column 30), with the
+        monolithic array's message.
+        """
+        n = 32
+        J = np.zeros((n, n))
+        J[0, 1] = J[1, 0] = 0.25
+        r = np.ones(n)
+        r[1] = 0.0
+        c = np.zeros(n)
+        c[1] = -1.0
+        if vector == "r":
+            r[20] = 0.5
+        else:
+            c[30] = 0.5
+        message = re.escape("inputs must take values in {-1, 0, +1}")
+        with pytest.raises(ValueError, match=message):
+            DgFefetCrossbar(J, seed=0).compute_increment(r, c, 0.6)
+        with pytest.raises(ValueError, match=message):
+            TiledCrossbar(J, tile_size=8, seed=0).compute_increment(r, c, 0.6)
+
+    def test_validation_checks_shape_and_rail(self):
+        tiled = TiledCrossbar(np.eye(6)[::-1] * 0.5, tile_size=4, seed=0)
+        ok = np.ones(6)
+        with pytest.raises(ValueError, match=re.escape("shape (6,)")):
+            tiled.compute_increment(ok[:-1], ok, 0.6)
+        with pytest.raises(ValueError, match="v_bg"):
+            tiled.compute_increment(ok, ok, 0.9)
+
 
 class TestSharedLsb:
     def test_tiles_quantize_on_the_whole_matrix_scale(self):
@@ -361,3 +412,345 @@ class TestSolveApiRouting:
             TiledCrossbar(np.zeros((4, 5)), tile_size=2)
         with pytest.raises(ValueError, match="tile_size"):
             TiledCrossbar(np.zeros((4, 4)), tile_size=1)
+
+
+# ----------------------------------------------------------------------
+# Per-tile reference harness
+# ----------------------------------------------------------------------
+def per_tile_increment(tiled, r, c, v_bg):
+    """The per-tile loop of ``TiledCrossbar.compute_increment``, as oracle.
+
+    Every active tile is evaluated through its own
+    ``DgFefetCrossbar.compute_increment``, against that tile's own drive
+    state, in (column block, row block) order; partial sums and counters
+    are combined as the grid combines them.  The grid never touches its
+    tiles' drive state, so one crossbar can serve as both the system
+    under test and (through its tiles) the oracle.
+    """
+    s, n = tiled.tile_size, tiled.n
+    r = np.asarray(r, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    driven = np.flatnonzero(c)
+    total = 0.0
+    phases = conversions = codes = fg = dl = cells = slots = 0
+    settle = 0.0
+    behavioral = tiled.backend == "behavioral"
+    tile_vbg = VBG_MAX if behavioral else v_bg
+    for bj in np.unique(driven // s):
+        c_slice = np.zeros(s)
+        c_slice[: min(s, n - bj * s)] = c[bj * s:(bj + 1) * s]
+        for bi in range(tiled.grid):
+            tile = tiled.tile_at(bi, int(bj))
+            if tile is None:
+                continue
+            r_slice = np.zeros(s)
+            r_slice[: min(s, n - bi * s)] = r[bi * s:(bi + 1) * s]
+            value, stats = tile.compute_increment(
+                r_slice, c_slice, tile_vbg, validate=False
+            )
+            total += value
+            phases = max(phases, stats.phases)
+            conversions += stats.adc_conversions
+            codes += stats.sa_codes
+            fg += stats.fg_toggles
+            dl += stats.dl_toggles
+            cells += stats.active_cells
+            slots = max(slots, stats.mux_slots)
+            settle = max(settle, stats.settle_time)
+    if driven.size == 0:
+        return 0.0, ActivationStats(0, 0, 0, 0, 0, 0, 0, 0.0)
+    if behavioral:
+        total *= tiled.factor(v_bg)
+    return total, ActivationStats(
+        phases, conversions, slots, codes, fg, dl, cells, settle
+    )
+
+
+def park_tiles(tiled) -> None:
+    """Reset every tile's own drive state (the oracle's line memory)."""
+    for bi in range(tiled.grid):
+        for bj in range(tiled.grid):
+            tile = tiled.tile_at(bi, bj)
+            if tile is not None:
+                tile.reset_drive_state()
+
+
+class ReferenceMachine:
+    """The ledgered tiled machine as it booked costs per iteration.
+
+    Proposals are sensed through :func:`per_tile_increment`; an
+    ``iteration_hook`` books one ``Ledger.add`` per entry per iteration
+    and appends the cumulative cost traces, as the machine did before it
+    booked whole runs.  Same annealer flow and RNG use as
+    :class:`InSituCimAnnealer` with ``program=``.
+    """
+
+    def __init__(self, program, flips_per_iteration=1, seed=None):
+        self.program = program
+        factor = FractionalFactor()
+        self.annealer = InSituAnnealer(
+            program.annealer_model,
+            flips_per_iteration=flips_per_iteration,
+            factor=factor,
+            encoder=VbgEncoder(factor, transfer=program.crossbar.factor),
+            evaluator=self._evaluate,
+            iteration_hook=self._book,
+            permutation=program.permutation,
+            seed=seed,
+        )
+
+    def _evaluate(self, sigma, flips, sigma_r, sigma_c, v_bg):
+        # The drive vectors are rebuilt from σ and the flips, as the
+        # annealer built them per proposal (its buffers are not trusted).
+        sigma_c = np.zeros(sigma.size)
+        sigma_c[flips] = -sigma[flips]
+        sigma_r = sigma.copy()
+        sigma_r[flips] = 0.0
+        cfg = self.program.config
+        v_bg = cfg.bg_dac.snap(v_bg)
+        value, stats = per_tile_increment(
+            self.program.crossbar, sigma_r, sigma_c, v_bg
+        )
+        energy = (
+            stats.adc_conversions * cfg.adc.energy_per_conversion
+            + stats.sa_codes * cfg.shift_add.energy_per_code
+            + stats.fg_toggles * cfg.fg_driver.energy_per_toggle
+            + stats.dl_toggles * cfg.dl_driver.energy_per_toggle
+        )
+        time = stats.mux_slots * cfg.adc.time_per_conversion + stats.settle_time
+        update = self.last_vbg is None or abs(v_bg - self.last_vbg) > 1e-12
+        if update:
+            energy += cfg.bg_dac.energy_per_update
+            time += cfg.bg_dac.time_per_update
+            self.last_vbg = v_bg
+        self.pending = (stats, update, energy, time)
+        return value
+
+    def _book(self, iteration, delta_e, accepted, temperature):
+        cfg = self.program.config
+        stats, update, energy, time = self.pending
+        ledger = self.ledger
+        ledger.add(
+            "adc",
+            stats.adc_conversions * cfg.adc.energy_per_conversion,
+            stats.mux_slots * cfg.adc.time_per_conversion,
+            stats.adc_conversions,
+        )
+        ledger.add("shift_add", stats.sa_codes * cfg.shift_add.energy_per_code, 0.0)
+        ledger.add(
+            "drivers",
+            stats.fg_toggles * cfg.fg_driver.energy_per_toggle
+            + stats.dl_toggles * cfg.dl_driver.energy_per_toggle,
+            stats.settle_time,
+        )
+        if update:
+            ledger.add(
+                "bg_dac", cfg.bg_dac.energy_per_update, cfg.bg_dac.time_per_update
+            )
+        ledger.add("logic", cfg.logic_energy, cfg.logic_time)
+        prev_e = self.energy_trace[-1] if self.energy_trace else 0.0
+        prev_t = self.time_trace[-1] if self.time_trace else 0.0
+        self.energy_trace.append(prev_e + (energy + cfg.logic_energy))
+        self.time_trace.append(prev_t + (time + cfg.logic_time))
+
+    def run(self, iterations) -> CimRunResult:
+        crossbar = self.program.crossbar
+        park_tiles(crossbar)
+        self.ledger = Ledger()
+        prog = crossbar.programming_summary()
+        self.ledger.add("program", prog["energy"], 0.0, int(prog["write_pulses"]))
+        self.last_vbg = None
+        self.energy_trace, self.time_trace = [], []
+        anneal = self.annealer.run(iterations)
+        return CimRunResult(
+            label="reference", anneal=anneal, ledger=self.ledger,
+            energy_trace=np.asarray(self.energy_trace),
+            time_trace=np.asarray(self.time_trace),
+        )
+
+
+def assert_same_run(got, want, rel=0.0):
+    """Equal trajectories and books; floats to ``rel`` (0: bit for bit)."""
+    a, b = got.anneal, want.anneal
+    assert np.array_equal(a.sigma, b.sigma)
+    assert np.array_equal(a.best_sigma, b.best_sigma)
+    assert (a.accepted, a.uphill_accepted, a.uphill_proposals) == (
+        b.accepted, b.uphill_accepted, b.uphill_proposals
+    )
+    assert a.best_energy == pytest.approx(b.best_energy, rel=rel, abs=0)
+    assert a.energy == pytest.approx(b.energy, rel=rel, abs=0)
+    assert list(got.ledger.entries) == list(want.ledger.entries)
+    for name, entry in got.ledger.entries.items():
+        ref = want.ledger.entries[name]
+        assert entry.count == ref.count
+        assert entry.energy == pytest.approx(ref.energy, rel=rel, abs=0)
+        assert entry.time == pytest.approx(ref.time, rel=rel, abs=0)
+    for trace in ("energy_trace", "time_trace"):
+        np.testing.assert_allclose(
+            getattr(got, trace), getattr(want, trace), rtol=rel, atol=0
+        )
+
+
+class TestPerTileReference:
+    @relaxed
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(20, 60),
+        tile=st.sampled_from([5, 7, 8, 16]),
+        t=st.integers(1, 4),
+    )
+    def test_increment_matches_per_tile_loop(self, seed, n, tile, t):
+        """Value and every counter, over a sequence of proposals.
+
+        Ragged edges (n rarely divides the tile), empty column blocks,
+        tiles with and without a negative plane, repeated activations and
+        a mid-sequence reset of the drive state.
+        """
+        model = block_sparse_model(seed, n=n, tile=tile)
+        tiled = TiledCrossbar(model, tile_size=tile, seed=0)
+        rng = ensure_rng(seed + 1)
+        sigma = rng.choice([-1.0, 1.0], n)
+        for step in range(24):
+            if step == 12:
+                tiled.reset_drive_state()
+                park_tiles(tiled)
+            flips = rng.choice(n, size=t, replace=False)
+            c = np.zeros(n)
+            c[flips] = -sigma[flips]
+            r = sigma.copy()
+            r[flips] = 0.0
+            v_bg = float(rng.uniform(0.05, 0.7))
+            for _ in range(1 + (step % 3 == 0)):  # some repeated activations
+                got = tiled.compute_increment(r, c, v_bg)
+                assert got == per_tile_increment(tiled, r, c, v_bg)
+            if rng.random() < 0.5:
+                sigma[flips] *= -1.0
+
+    @relaxed
+    @given(
+        seed=st.integers(0, 1000),
+        t=st.integers(1, 4),
+        reorder=st.sampled_from(["none", "rcm", "auto"]),
+    )
+    def test_machine_runs_match_reference(self, seed, t, reorder):
+        """Cold, repeated and warm runs: trajectory and books bit for bit."""
+        problem, _ = scattered_circulant_maxcut(90, seed=seed)
+        model = problem.to_ising(backend="sparse")
+        cold = InSituCimAnnealer(
+            model, tile_size=16, reorder=reorder, flips_per_iteration=t,
+            seed=seed, record_cost_trace=True,
+        )
+        program = cold.program
+        reference = ReferenceMachine(program, flips_per_iteration=t, seed=seed)
+        for iterations in (120, 70):  # the second run reuses the array
+            assert_same_run(cold.run(iterations), reference.run(iterations))
+        warm = InSituCimAnnealer(
+            program=program, flips_per_iteration=t, seed=seed + 1,
+            record_cost_trace=True,
+        )
+        assert_same_run(
+            warm.run(100),
+            ReferenceMachine(program, flips_per_iteration=t, seed=seed + 1).run(100),
+        )
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"variation": VariationModel(vth_sigma=0.02, read_noise_sigma=0.01)},
+            {"backend": "device"},
+        ],
+        ids=["variation", "device"],
+    )
+    def test_noisy_tiles_reproduce_and_match_reference(self, knobs):
+        """Per-tile reads keep their draw order: same seed, same run.
+
+        Two flips per proposal, so reads span several column blocks and
+        the (column block, row block) read order shows in the draws.
+        """
+        model = MaxCutProblem.random(20, 50, seed=6).to_ising(backend="sparse")
+        cold = [
+            InSituCimAnnealer(
+                model, tile_size=8, flips_per_iteration=2, seed=4,
+                record_cost_trace=True, **knobs
+            ).run(60)
+            for _ in range(2)
+        ]
+        assert_same_run(cold[0], cold[1])
+        programs = [
+            compile_cim_program(model, tile_size=8, seed=11, **knobs)
+            for _ in range(2)
+        ]
+        warm = InSituCimAnnealer(
+            program=programs[0], flips_per_iteration=2, seed=2,
+            record_cost_trace=True,
+        ).run(60)
+        reference = ReferenceMachine(
+            programs[1], flips_per_iteration=2, seed=2
+        ).run(60)
+        assert_same_run(warm, reference, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"variation": VariationModel(vth_sigma=0.02, read_noise_sigma=0.01)},
+            {"backend": "device"},
+        ],
+        ids=["variation", "device"],
+    )
+    def test_noisy_increments_match_per_tile_loop(self, knobs):
+        """Sensed values to 1e-12 and exact counters, read by read.
+
+        Twin grids built from one seed hold the same tiles and noise
+        streams; flip sets of up to four spins span several column
+        blocks, so the per-tile read order shows in every noisy value.
+        """
+        model = block_sparse_model(3, n=30, tile=8)
+        tiled, oracle = (
+            TiledCrossbar(model, tile_size=8, seed=7, **knobs) for _ in range(2)
+        )
+        rng = ensure_rng(5)
+        sigma = rng.choice([-1.0, 1.0], 30)
+        for step in range(16):
+            flips = rng.choice(30, size=1 + step % 4, replace=False)
+            c = np.zeros(30)
+            c[flips] = -sigma[flips]
+            r = sigma.copy()
+            r[flips] = 0.0
+            value, stats = tiled.compute_increment(r, c, 0.45)
+            ref_value, ref_stats = per_tile_increment(oracle, r, c, 0.45)
+            assert stats == ref_stats
+            assert value == pytest.approx(ref_value, rel=1e-12, abs=0)
+            sigma[flips] *= -1.0
+
+
+class TestLedgerSeries:
+    @relaxed
+    @given(
+        start=st.floats(0, 1e3),
+        amounts=st.lists(
+            st.tuples(
+                st.floats(0, 1), st.integers(-20, 20), st.floats(0, 1),
+                st.integers(-20, 20),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_series_equals_repeated_add(self, start, amounts):
+        """Values spanning 40 decades, where the sum order shows."""
+        energy = [m * 10.0**e for m, e, _, _ in amounts]
+        time = [m * 10.0**e for _, _, m, e in amounts]
+        one_by_one, series = Ledger(), Ledger()
+        for ledger in (one_by_one, series):
+            ledger.add("x", start, start, 3)
+        for e, t in zip(energy, time):
+            one_by_one.add("x", e, t)
+        series.add_series("x", energy, time)
+        assert series.entries == one_by_one.entries
+
+    def test_series_is_not_a_pairwise_sum(self):
+        """A pairwise sum would keep the small terms a left fold drops."""
+        amounts = [1e16] + [1.0] * 8
+        ledger = Ledger()
+        ledger.add_series("x", amounts, amounts)
+        assert ledger.entries["x"].energy == 1e16
+        assert float(np.sum(amounts)) == 1e16 + 8
