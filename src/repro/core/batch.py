@@ -131,9 +131,11 @@ class BatchMaxCutResult(CutNormalization):
 class _BatchEngine:
     """Shared vectorised state machine for the batch annealers.
 
-    Subclasses provide the per-iteration accept mask through
-    :meth:`_accept`; everything else (state, local-field caching, rank-t
-    proposal generation, best tracking, permutation mapping) is common.
+    Subclasses provide the accept rule: :meth:`_accept_coefficients` turns
+    the schedule into one accept coefficient per iteration, once per run,
+    and :meth:`_accept` applies the rule with that coefficient.  Everything
+    else (state, local-field caching, rank-t proposal generation, best
+    tracking, permutation mapping) is common.
     """
 
     def _init_common(
@@ -181,7 +183,12 @@ class _BatchEngine:
         ]
         return np.stack(streams, axis=1)
 
-    def _accept(self, cross, field_term, delta_e, temperature, u) -> np.ndarray:
+    def _accept_coefficients(self, schedule: Schedule) -> np.ndarray:
+        """The accept rule's per-iteration coefficient, length ``iterations``."""
+        raise NotImplementedError
+
+    def _accept(self, cross, field_term, delta_e, coefficient, u) -> np.ndarray:
+        """Per-replica accept mask, given this iteration's coefficient."""
         raise NotImplementedError
 
     def _initial_sigma(self, initial, rng) -> np.ndarray:
@@ -221,6 +228,10 @@ class _BatchEngine:
             Optional ±1 start configuration, shape (n,) (broadcast to all
             replicas) or (R, n) (one per replica), in the caller's original
             spin space when a permutation is set.
+
+        The schedule is evaluated once, into one accept coefficient per
+        iteration (:meth:`_accept_coefficients`); the loop itself only
+        touches replica state.
         """
         iterations = check_count(
             "iterations", iterations,
@@ -229,6 +240,7 @@ class _BatchEngine:
         schedule = self._build_schedule(iterations)
         if schedule.iterations != iterations:
             raise ValueError("schedule length does not match iterations")
+        coefficients = self._accept_coefficients(schedule)
         rng = self._rng
         ops = coupling_ops(self.model)
         h = self.model.h
@@ -243,11 +255,10 @@ class _BatchEngine:
             # cached-field scatter updates alias instead of copying.
             sigma = np.ascontiguousarray(sigma[:, self._bwd])
         # The replica spin tensor's layout is the backend's business:
-        # FloatBatchState keeps the historical float (R, n) tensor
-        # (dense/sparse trajectories byte-for-byte unchanged),
-        # PackedBatchState holds uint64 words with XOR flips.  The
-        # initial-energy einsum runs on the float draw before any flip,
-        # so it is valid for every state layout.
+        # FloatBatchState holds int8 spins, PackedBatchState uint64 words
+        # with XOR flips; both gather float64 ±1.0.  The fields and the
+        # initial-energy einsum come from the float draw, so they are the
+        # same for every state layout.
         state = ops.make_batch_state(sigma)
         g = state.fields  # (R, n)
         energy = np.einsum("rn,rn->r", sigma, g) + sigma @ h + self.model.offset
@@ -259,15 +270,13 @@ class _BatchEngine:
             proposals = self._fwd[proposals]
         rows = np.arange(R)[:, None]
 
-        for it in range(iterations):
-            temperature = schedule.temperature(it)
-            idx = proposals[it]  # (R, t)
+        for idx, coefficient in zip(proposals, coefficients):  # idx: (R, t)
             sig_f = state.gather(rows, idx)
             cross = ops.batch_cross_term(g, idx, sig_f)
             field_term = -(h[idx] * sig_f).sum(axis=1) if has_fields else 0.0
             delta_e = 4.0 * cross + 2.0 * field_term
             u = rng.random(R)
-            accept = self._accept(cross, field_term, delta_e, temperature, u)
+            accept = self._accept(cross, field_term, delta_e, coefficient, u)
             if accept.any():
                 acc = np.flatnonzero(accept)
                 cols = idx[acc]
@@ -347,14 +356,26 @@ class BatchInSituAnnealer(_BatchEngine):
     def _build_schedule(self, iterations: int) -> Schedule:
         return self.schedule or VbgStepSchedule(iterations, factor=self.factor)
 
-    def _accept(self, cross, field_term, delta_e, temperature, u) -> np.ndarray:
-        # Same association as the sequential rule — (x · f) · scale, not
-        # x · (f · scale) — so accept decisions match the sequential
-        # annealer to the last ulp at the comparison boundary.
-        f_value = self._factor_at(temperature)
+    def _accept_coefficients(self, schedule: Schedule) -> np.ndarray:
+        """``f(T)`` per iteration, each entry equal to ``_factor_at(T)``.
+
+        Temperatures come from ``schedule.profile()``, bit-identical to the
+        per-iteration ``temperature(it)`` calls; ``_factor_at`` (encoder
+        included) runs once per distinct temperature, as in
+        :meth:`~repro.core.annealer.InSituAnnealer._drive_profile`.
+        """
+        temps = schedule.profile()
+        levels, level_of = np.unique(temps, return_inverse=True)
+        return np.array([self._factor_at(T) for T in levels])[level_of]
+
+    def _accept(self, cross, field_term, delta_e, coefficient, u) -> np.ndarray:
+        # ``coefficient`` is this iteration's f(T).  Same association as
+        # the sequential rule — (x · f) · scale, not x · (f · scale) — so
+        # accept decisions match the sequential annealer to the last ulp
+        # at the comparison boundary.
         e_inc = (
             (cross + np.asarray(field_term) / 2.0)
-            * f_value
+            * coefficient
             * self.acceptance_scale
         )
         return (e_inc <= 0.0) | (e_inc <= u)
@@ -395,6 +416,12 @@ class BatchDirectEAnnealer(_BatchEngine):
         )
         return GeometricSchedule(iterations, t_start, t_end)
 
-    def _accept(self, cross, field_term, delta_e, temperature, u) -> np.ndarray:
-        t = max(float(temperature), 1e-12)
-        return (delta_e <= 0.0) | (u < np.exp(-np.maximum(delta_e, 0.0) / t))
+    def _accept_coefficients(self, schedule: Schedule) -> np.ndarray:
+        """The temperature per iteration, floored like ``max(T, 1e-12)``."""
+        return np.maximum(schedule.profile(), 1e-12)
+
+    def _accept(self, cross, field_term, delta_e, coefficient, u) -> np.ndarray:
+        # ``coefficient`` is this iteration's floored temperature.
+        return (delta_e <= 0.0) | (
+            u < np.exp(-np.maximum(delta_e, 0.0) / coefficient)
+        )

@@ -197,9 +197,9 @@ class StackedLane:
     sigma0: np.ndarray          # (R, n) float ±1, the solo initial draw
     proposals: np.ndarray       # (iterations, R, t) local spin indices
     uniforms: np.ndarray        # (iterations, R) accept draws
-    factors: np.ndarray | None          # insitu: f(T) per iteration
+    coefficients: np.ndarray    # accept coefficient per iteration:
+                                # insitu f(T), sa floored T
     acceptance_scale: float | None      # insitu: the engine's gain
-    temperatures: np.ndarray | None     # sa: floored T per iteration
 
 
 def compile_lane(
@@ -221,7 +221,9 @@ def compile_lane(
     iterations, seed=seed, replicas=replicas,
     flips_per_iteration=flips_per_iteration)`` bit-for-bit.
     ``initial`` follows the engine contract (shape ``(n,)`` or ``(R, n)``,
-    entries ±1; validated with the engine's own message).
+    entries ±1; validated with the engine's own message).  The accept
+    coefficients come from the engine's own ``_accept_coefficients``,
+    the array its solo ``run`` indexes.
     """
     check_choice("method", method, PACK_METHODS)
     iterations = check_count(
@@ -246,29 +248,20 @@ def compile_lane(
     schedule = engine._build_schedule(iterations)
     if schedule.iterations != iterations:
         raise ValueError("schedule length does not match iterations")
-    temps = schedule.profile()
+    coefficients = engine._accept_coefficients(schedule)
     sigma0 = engine._initial_sigma(initial, rng)
     proposals = engine._proposal_tensor(iterations)
     # Stream-equivalent to `iterations` successive rng.random(R) calls:
     # Generator.random fills C-order, one bit-stream draw per double.
     uniforms = rng.random((iterations, replicas))
-    if method == "insitu":
-        # factor.value is an elementwise ufunc expression, so evaluating
-        # the whole profile matches the solo per-iteration scalar calls.
-        factors = np.asarray(engine.factor.value(temps), dtype=np.float64)
-        acceptance_scale = float(engine.acceptance_scale)
-        temperatures = None
-    else:
-        factors = None
-        acceptance_scale = None
-        # The solo accept rule floors each scalar: max(T, 1e-12).
-        temperatures = np.maximum(temps, 1e-12)
     return StackedLane(
         model=model, method=method, iterations=iterations,
         replicas=replicas, flips_per_iteration=engine.flips_per_iteration,
         sigma0=sigma0, proposals=proposals, uniforms=uniforms,
-        factors=factors, acceptance_scale=acceptance_scale,
-        temperatures=temperatures,
+        coefficients=coefficients,
+        acceptance_scale=(
+            float(engine.acceptance_scale) if method == "insitu" else None
+        ),
     )
 
 
@@ -335,19 +328,13 @@ def run_stacked(lanes) -> list[BatchAnnealResult]:
     # columns, uniforms / accept parameters laid out per job column.
     props = np.empty((iterations, R, k, t), dtype=np.intp)
     uniforms = np.empty((iterations, R, k), dtype=np.float64)
+    coefficients = np.empty((iterations, k), dtype=np.float64)
     for j, (lane, b) in enumerate(zip(lanes, blocks)):
         props[:, :, j, :] = lane.proposals + b.start
         uniforms[:, :, j] = lane.uniforms
+        coefficients[:, j] = lane.coefficients
     if method == "insitu":
-        factors = np.empty((iterations, k), dtype=np.float64)
-        scales = np.empty(k, dtype=np.float64)
-        for j, lane in enumerate(lanes):
-            factors[:, j] = lane.factors
-            scales[j] = lane.acceptance_scale
-    else:
-        temperatures = np.empty((iterations, k), dtype=np.float64)
-        for j, lane in enumerate(lanes):
-            temperatures[:, j] = lane.temperatures
+        scales = np.array([lane.acceptance_scale for lane in lanes])
 
     h_union = stack.model.h
     fielded = np.array(
@@ -375,11 +362,13 @@ def run_stacked(lanes) -> list[BatchAnnealResult]:
         u = uniforms[it]
         if method == "insitu":
             # Same association as the engines: ((x · f) · scale).
-            e_inc = (cross + np.asarray(field) / 2.0) * factors[it] * scales
+            e_inc = (
+                (cross + np.asarray(field) / 2.0) * coefficients[it] * scales
+            )
             accept = (e_inc <= 0.0) | (e_inc <= u)
         else:
             accept = (delta <= 0.0) | (
-                u < np.exp(-np.maximum(delta, 0.0) / temperatures[it])
+                u < np.exp(-np.maximum(delta, 0.0) / coefficients[it])
             )
         if accept.any():
             acc_r, acc_j = np.nonzero(accept)

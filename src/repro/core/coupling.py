@@ -50,27 +50,30 @@ from repro.ising.sparse import SparseIsingModel
 
 
 class FloatBatchState:
-    """Replica spin state as the historical float ±1 ``(R, n)`` tensor.
+    """Replica spin state as an int8 ±1 ``(R, n)`` tensor.
 
-    The batch engine's spin-state protocol: ``fields`` caches the
-    ``(R, n)`` local fields, ``gather``/``flip`` read and toggle proposed
-    spins, ``record_best`` snapshots improved replicas, and the readout
-    methods return int8 configurations (optionally permutation-mapped).
-    Each operation is expression-for-expression the engine's historical
-    inline code, so dense/sparse fixed-seed trajectories — and the golden
-    rows pinned on them — are unchanged by the state abstraction.
+    The batch engine's spin-state protocol for the dense and sparse
+    backends: ``fields`` caches the ``(R, n)`` float local fields,
+    ``gather``/``flip`` read and toggle proposed spins, ``record_best``
+    snapshots improved replicas, and the readout methods return int8
+    configurations (optionally permutation-mapped).  The spins and the
+    best snapshots are int8, an eighth of the traffic of float rows;
+    ``gather`` hands the engine float64 ±1.0, and the fields come from
+    the float draw, so every value the engine computes with is unchanged.
     """
 
     def __init__(self, ops, sigma: np.ndarray) -> None:
-        self._sigma = sigma
         #: Cached ``(R, n)`` local fields ``g_r = J σ_r`` (C-contiguous
         #: per the batch_local_fields producer contract).
         self.fields = ops.batch_local_fields(sigma)
-        self._best = sigma.copy()
+        # order="C": record_best_blocks aliases both tensors through
+        # reshape(-1).
+        self._sigma = sigma.astype(np.int8, order="C")
+        self._best = self._sigma.copy()
 
     def gather(self, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Current values of spins ``idx[r]`` per replica (±1.0 float)."""
-        return self._sigma[rows, idx]
+        """Current values of spins ``idx[r]`` per replica (±1.0 float64)."""
+        return self._sigma[rows, idx].astype(np.float64)
 
     def flip(self, acc: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
         """Negate spins ``cols[a]`` of accepted replicas ``acc``."""
@@ -103,14 +106,12 @@ class FloatBatchState:
             np.repeat(rows * n + starts - offsets, widths)
             + np.arange(total)
         )
-        # Aliasing audited: _sigma enters C-contiguous (the engine
-        # re-contiguates permutation gathers) and _best is its .copy().
+        # Aliasing audited: _sigma is built in C order and _best is its
+        # .copy().
         self._best.reshape(-1)[flat] = self._sigma.reshape(-1)[flat]  # repro-lint: disable=RPL004
 
     def _readout(self, sigma: np.ndarray, fwd: np.ndarray | None) -> np.ndarray:
-        if fwd is not None:
-            sigma = sigma[:, fwd]
-        return sigma.astype(np.int8)
+        return sigma.copy() if fwd is None else sigma[:, fwd]
 
     def final_sigmas(self, fwd: np.ndarray | None) -> np.ndarray:
         """The current replica spins as ``(R, n)`` int8."""
@@ -228,7 +229,7 @@ class DenseCouplingOps:
         return np.abs(self._J[~np.eye(n, dtype=bool)])
 
     def make_batch_state(self, sigma: np.ndarray) -> FloatBatchState:
-        """Replica spin-state adapter for the batch engine (float layout)."""
+        """Replica spin-state adapter for the batch engine (int8 spins)."""
         return FloatBatchState(self, sigma)
 
     def memory_bytes(self) -> int:
@@ -244,6 +245,7 @@ class SparseCouplingOps:
     def __init__(self, model: SparseIsingModel) -> None:
         self._model = model
         self._indptr, self._indices, self._data = model.csr_arrays()
+        self._degree = np.diff(self._indptr)
         self._diag = model.coupling_diagonal()
         self._n = model.num_spins
 
@@ -266,10 +268,18 @@ class SparseCouplingOps:
         return self._model._matvec(x)
 
     def batch_matvec(self, x: np.ndarray) -> np.ndarray:
-        """``(R, n)`` products ``J x_r`` per replica (O(R·nnz))."""
-        # Same per-replica bincount kernel (and C-order guarantee) as
-        # batch_local_fields — see _batch_local_fields_loop.
-        return self._batch_local_fields_loop(x)
+        """``(R, n)`` products ``J x_r``: one CSR SpMV per replica (O(R·nnz)).
+
+        Returns a C-contiguous tensor whatever the layout of ``x``:
+        ``zeros_like`` would inherit e.g. the F order of a
+        permutation-gathered ``x[:, bwd]``, and an F-ordered field cache
+        turns the ``reshape(-1)`` in :meth:`batch_update_fields` into a
+        silent copy that drops the scatter-update.
+        """
+        out = np.zeros(x.shape, dtype=np.float64)
+        for r in range(x.shape[0]):
+            out[r] = self._model._matvec(x[r])
+        return out
 
     def _gather_rows(self, spins: np.ndarray):
         """Concatenated neighbour lists of ``spins`` without a Python loop.
@@ -278,14 +288,16 @@ class SparseCouplingOps:
         flat column-index / value arrays of all their CSR rows, in order.
         O(Σ degree) time and memory.
         """
-        starts = self._indptr[spins]
-        counts = self._indptr[spins + 1] - starts
-        total = int(counts.sum())
+        counts = self._degree[spins]
+        ends = np.cumsum(counts)
+        total = int(ends[-1]) if ends.size else 0
         if total == 0:
             empty = np.empty(0, dtype=np.intp)
             return counts, empty, np.empty(0, dtype=np.float64)
-        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        pos = np.repeat(starts - offsets, counts) + np.arange(total)
+        # Row k's slots start at indptr[spins[k]] and land at output
+        # offset ends[k] - counts[k].
+        shift = self._indptr[spins] - ends + counts
+        pos = np.repeat(shift, counts) + np.arange(total)
         return counts, self._indices[pos], self._data[pos]
 
     def cross_term(self, g: np.ndarray, flips: np.ndarray, sig_f: np.ndarray) -> float:
@@ -318,50 +330,10 @@ class SparseCouplingOps:
     def batch_local_fields(self, sigma: np.ndarray) -> np.ndarray:
         """``(R, n)`` local fields for a replica batch (O(R·nnz)).
 
-        Dispatches to the per-replica ``bincount`` kernel.  Benchmarked
-        against the one-shot segmented reduction
-        (:meth:`batch_local_fields_reduction`,
-        ``benchmarks/bench_batch_fields.py``): the loop's cache-resident
-        per-replica working set (one ``n``-vector and the shared CSR
-        arrays) wins 3-7× at every measured size up to R=100 / n=10k,
-        because the reduction materialises — then re-reads — an
-        ``(R, nnz)`` intermediate that is pure extra memory traffic.
+        The per-replica SpMV of :meth:`batch_matvec` on ±1 rows, so the
+        field cache is C-contiguous.
         """
-        return self._batch_local_fields_loop(sigma)
-
-    def batch_local_fields_reduction(self, sigma: np.ndarray) -> np.ndarray:
-        """``(R, n)`` local fields via one segmented reduction.
-
-        A single prefix-sum difference over the ``(R, nnz)`` gather — no
-        Python-level replica loop.  Empty rows subtract equal prefix
-        values and come out exactly 0; for dyadic couplings every partial
-        sum is exact, so the result is bit-identical to the looped kernel
-        (asserted by the bench and the equivalence tests).  Kept as the
-        measured alternative: on current numpy/hardware the looped kernel
-        is faster, so :meth:`batch_local_fields` does not dispatch here.
-        """
-        if self._data.size == 0:
-            return np.zeros_like(sigma, dtype=np.float64)
-        contrib = sigma[:, self._indices] * self._data
-        prefix = np.zeros((sigma.shape[0], self._data.size + 1), dtype=np.float64)
-        np.cumsum(contrib, axis=1, out=prefix[:, 1:])
-        # ascontiguousarray: mixed basic+advanced indexing returns an
-        # F-ordered array, whose .reshape(-1) in batch_update_fields would
-        # silently copy instead of aliasing g.
-        return np.ascontiguousarray(
-            prefix[:, self._indptr[1:]] - prefix[:, self._indptr[:-1]]
-        )
-
-    def _batch_local_fields_loop(self, sigma: np.ndarray) -> np.ndarray:
-        """Per-replica bincount kernel (the measured-fastest path)."""
-        # Explicit C order: zeros_like would inherit the layout of e.g. a
-        # permutation-gathered sigma ([:, bwd] returns F order), and an
-        # F-ordered g turns the reshape(-1) in batch_update_fields into a
-        # silent copy that drops the scatter-update.
-        g = np.zeros(sigma.shape, dtype=np.float64)
-        for r in range(sigma.shape[0]):
-            g[r] = self._model._matvec(sigma[r])
-        return g
+        return self.batch_matvec(sigma)
 
     def batch_cross_term(
         self, g: np.ndarray, idx: np.ndarray, sig_f: np.ndarray
@@ -435,8 +407,7 @@ class SparseCouplingOps:
             # `rows` are distinct replicas and neighbour lists have unique
             # columns, so the flat indices are unique and fancy -= is safe.
             # Aliasing audited: every producer of g returns C order
-            # (_batch_local_fields_loop zeros in C order explicitly;
-            # the reduction kernel runs through ascontiguousarray).
+            # (batch_matvec and the packed popcount kernel allocate it).
             g.reshape(-1)[flat] -= 2.0 * w * np.repeat(vals, counts)  # repro-lint: disable=RPL004
             return
         t = cols.shape[1]
@@ -458,7 +429,7 @@ class SparseCouplingOps:
         return self._model.offdiag_abs_values()
 
     def make_batch_state(self, sigma: np.ndarray) -> FloatBatchState:
-        """Replica spin-state adapter for the batch engine (float layout)."""
+        """Replica spin-state adapter for the batch engine (int8 spins)."""
         return FloatBatchState(self, sigma)
 
     def memory_bytes(self) -> int:

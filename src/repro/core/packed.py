@@ -15,11 +15,13 @@ and replaces the two places the full spin state is traversed:
 * ``make_batch_state`` hands the batch engine a
   :class:`PackedBatchState` holding the replica spin tensor as uint64
   words — flips become XOR masks and best-state snapshots copy word
-  rows, cutting the engine's per-iteration state traffic 64×.  (PR 4
-  profiling: at n=100k, R=100 the float engine spends ~6.5 of 8.4
-  seconds per 500 iterations on ``best_sigma[improved] = sigma[...]``
-  row copies and the float gathers around them, not in the coupling
-  kernels.)
+  rows, 8× less state traffic than the int8 rows of
+  :class:`~repro.core.coupling.FloatBatchState`.  Best-state row copies
+  dominate the replica engine at scale: when the float state still held
+  float64 rows, they took ~6.5 of 8.4 seconds per 500 iterations at
+  n=100k, R=100.  With int8 rows the float engine runs that protocol
+  ~8× faster, and the packed state keeps a ~2× lead
+  (``benchmarks/bench_batch_multiflip.py``).
 
 Both replacements compute exactly the floats the sparse kernels compute
 (every value is a small-integer multiple of the shared dyadic magnitude
@@ -50,8 +52,8 @@ class PackedBatchState:
     ``gather`` reads proposed spins (as ±1.0 float64, the exact values
     the float state would hand over), ``flip`` toggles accepted spins
     with XOR masks, ``record_best`` snapshots improved replicas by
-    copying word rows (64× less traffic than float rows), and the
-    readout methods unpack to the engine's int8 contract.
+    copying word rows (8× less traffic than the float twin's int8
+    rows), and the readout methods unpack to the engine's int8 contract.
     """
 
     def __init__(self, model: PackedIsingModel, sigma: np.ndarray) -> None:

@@ -176,11 +176,8 @@ def job_request(
                 f"{sorted(PACK_METHODS)}; method='sb' integrates every "
                 f"position each step"
             )
-        if seed is not None and not isinstance(seed, (int, np.integer)):
-            raise ValueError(
-                f"seed must be an integer or None for served jobs "
-                f"(kept serializable/replayable), got {type(seed).__name__}"
-            )
+        if seed is not None:
+            seed = check_count("seed", seed, minimum=0)
         if backend is not None:
             backend = check_choice(
                 "backend", backend, ("auto", "dense", "sparse", "packed")
@@ -214,8 +211,7 @@ def job_request(
     return SolveJob(
         job_id=job_id, model=model, method=method, iterations=iterations,
         replicas=replicas, flips_per_iteration=flips_per_iteration,
-        seed=None if seed is None else int(seed), initial=initial,
-        backend=backend,
+        seed=seed, initial=initial, backend=backend,
     )
 
 

@@ -13,6 +13,8 @@ from typing import TypeAlias
 
 import numpy as np
 
+from repro.utils.validation import check_count
+
 #: Anything :func:`ensure_rng` accepts.  A real union (not a string
 #: constant) so type checkers resolve it through the package's
 #: ``py.typed`` marker.
@@ -27,16 +29,17 @@ def ensure_rng(seed: RngLike = None) -> np.random.Generator:
     Parameters
     ----------
     seed:
-        ``None`` for OS entropy, an ``int`` seed, a ``SeedSequence``, or an
-        existing ``Generator`` (returned unchanged so callers can share
-        streams).
+        ``None`` for OS entropy, a non-negative ``int`` seed (bools are
+        rejected by :func:`~repro.utils.validation.check_count`), a
+        ``SeedSequence``, or an existing ``Generator`` (returned unchanged
+        so callers can share streams).
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, np.random.SeedSequence):
+    if seed is None or isinstance(seed, np.random.SeedSequence):
         return np.random.default_rng(seed)
-    if seed is None or isinstance(seed, (int, np.integer)):
-        return np.random.default_rng(seed)
+    if isinstance(seed, (int, np.integer)):
+        return np.random.default_rng(check_count("seed", seed, minimum=0))
     raise TypeError(f"cannot build a Generator from {type(seed).__name__!r}")
 
 

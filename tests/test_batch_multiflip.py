@@ -24,11 +24,23 @@ from hypothesis import strategies as st
 from repro.core import (
     BatchDirectEAnnealer,
     BatchInSituAnnealer,
+    FloatBatchState,
+    PackedBatchState,
     coupling_ops,
     solve_ising,
 )
+from repro.core.factors import FractionalFactor, VbgEncoder
 from repro.core.reorder import reorder_permutation
+from repro.core.schedule import (
+    ConstantSchedule,
+    GeometricSchedule,
+    LinearSchedule,
+    ReverseVbgSchedule,
+    Schedule,
+    VbgStepSchedule,
+)
 from repro.ising import IsingModel, MaxCutProblem, SparseIsingModel
+from repro.ising.packed import PackedIsingModel
 from repro.utils.rng import ensure_rng
 
 relaxed = settings(
@@ -130,6 +142,20 @@ def reference_batch_run(engine, iterations: int):
     return best_energies, best_sigmas, final_energies, final_sigmas, accepted
 
 
+def assert_matches_reference(result, ref) -> None:
+    best_e, best_s, final_e, final_s, accepted = ref
+    assert np.array_equal(result.best_energies, best_e)
+    assert np.array_equal(result.final_energies, final_e)
+    assert np.array_equal(result.best_sigmas, best_s.astype(np.int8))
+    assert np.array_equal(result.final_sigmas, final_s.astype(np.int8))
+    assert np.array_equal(result.accepted, accepted)
+
+
+def nonlinear_transfer(v_bg: float) -> float:
+    """A convex, non-decreasing stand-in for a device transfer curve."""
+    return (v_bg / 0.7) ** 2
+
+
 class TestBitIdentityAgainstReferenceLoop:
     @relaxed
     @given(
@@ -149,12 +175,28 @@ class TestBitIdentityAgainstReferenceLoop:
         )
         result = engine_cls(model, **kwargs).run(120)
         ref = reference_batch_run(engine_cls(model, **kwargs), 120)
-        best_e, best_s, final_e, final_s, accepted = ref
-        assert np.array_equal(result.best_energies, best_e)
-        assert np.array_equal(result.final_energies, final_e)
-        assert np.array_equal(result.best_sigmas, best_s.astype(np.int8))
-        assert np.array_equal(result.final_sigmas, final_s.astype(np.int8))
-        assert np.array_equal(result.accepted, accepted)
+        assert_matches_reference(result, ref)
+
+    @relaxed
+    @given(
+        seed=st.integers(0, 10_000),
+        t=st.integers(1, 4),
+        backend=st.sampled_from(["dense", "sparse"]),
+        transfer=st.sampled_from([None, nonlinear_transfer]),
+    )
+    def test_encoder_batch_matches_per_replica_reference(
+        self, seed, t, backend, transfer
+    ):
+        """The encoder's realised factor reaches the batch accept rule."""
+        dense, sparse = dyadic_pair(seed)
+        model = dense if backend == "dense" else sparse
+        encoder = VbgEncoder(FractionalFactor(), transfer=transfer)
+        kwargs = dict(
+            replicas=4, flips_per_iteration=t, encoder=encoder, seed=seed
+        )
+        result = BatchInSituAnnealer(model, **kwargs).run(120)
+        ref = reference_batch_run(BatchInSituAnnealer(model, **kwargs), 120)
+        assert_matches_reference(result, ref)
 
     @relaxed
     @given(seed=st.integers(0, 10_000), t=st.integers(1, 5))
@@ -205,7 +247,7 @@ class TestAcceptanceParity:
         e_inc = cross * f_value * scale
         # u exactly at, just below, and far from the threshold
         u = np.array([0.0, 0.0, e_inc[2], np.nextafter(e_inc[3], -1.0), 1.0, 0.0])
-        got = engine._accept(cross, field, 4.0 * cross, temperature, u)
+        got = engine._accept(cross, field, 4.0 * cross, f_value, u)
         expected = [
             bool(e <= 0.0 or e <= uu) for e, uu in zip(e_inc, u)
         ]
@@ -228,7 +270,7 @@ class TestAcceptanceParity:
         field = rng.integers(-64, 65, size=512) / 64.0
         e_inc_seq = (cross + field / 2.0) * f_value * scale
         u = np.abs(e_inc_seq)  # exact threshold for every row
-        got = engine._accept(cross, field, 4.0 * cross + 2.0 * field, temperature, u)
+        got = engine._accept(cross, field, 4.0 * cross + 2.0 * field, f_value, u)
         expected = (e_inc_seq <= 0.0) | (e_inc_seq <= u)
         assert np.array_equal(got, expected)
 
@@ -240,7 +282,7 @@ class TestAcceptanceParity:
         u = np.array([1.0 - 1e-12, 1.0 - 1e-12, threshold,
                       np.nextafter(threshold, 0.0), 0.0])
         got = engine._accept(
-            delta_e / 4.0, np.zeros(5), delta_e, temperature, u
+            delta_e / 4.0, np.zeros(5), delta_e, max(temperature, 1e-12), u
         )
         expected = [
             bool(d <= 0.0 or uu < np.exp(-d / max(temperature, 1e-12)))
@@ -250,6 +292,133 @@ class TestAcceptanceParity:
         assert got[1]          # ΔE == 0 accepted downhill-style
         assert not got[2]      # u == exp(-ΔE/T) rejected (strict <)
         assert got[3]          # one ulp below accepted
+
+
+class _SawtoothSchedule(Schedule):
+    """A third-party schedule: only ``temperature`` is defined, so
+    ``profile()`` is the base class's per-iteration loop."""
+
+    def temperature(self, iteration: int) -> float:
+        return 600.0 * (1.0 - (iteration % 7) / 7.0)
+
+
+COEFFICIENT_SCHEDULES = [
+    ConstantSchedule(40, 250.0),
+    ConstantSchedule(5, 0.0),            # SA floors T = 0 at 1e-12
+    GeometricSchedule(300, 600.0, 0.5),
+    LinearSchedule(150, 650.0, 0.0),
+    VbgStepSchedule(400),                # default hold: the full grid
+    VbgStepSchedule(9),                  # compressed grid
+    VbgStepSchedule(120, hold=3),        # explicit hold, truncated walk
+    ReverseVbgSchedule(200),
+    _SawtoothSchedule(50),
+]
+
+
+class TestAcceptCoefficients:
+    """Each run derives one accept coefficient per iteration up front;
+    every entry must equal the per-iteration scalar path bit for bit."""
+
+    @pytest.mark.parametrize("curve", ["no-encoder", "ideal", "nonlinear"])
+    @pytest.mark.parametrize(
+        "schedule", COEFFICIENT_SCHEDULES,
+        ids=lambda s: f"{type(s).__name__}-{s.iterations}",
+    )
+    def test_insitu_matches_scalar_factor(self, small_model, schedule, curve):
+        factor = FractionalFactor()
+        encoder = {
+            "no-encoder": None,
+            "ideal": VbgEncoder(factor),
+            "nonlinear": VbgEncoder(factor, transfer=nonlinear_transfer),
+        }[curve]
+        engine = BatchInSituAnnealer(
+            small_model, replicas=2, factor=factor, schedule=schedule,
+            encoder=encoder, seed=0,
+        )
+        scalar = np.array([
+            engine._factor_at(schedule.temperature(it))
+            for it in range(schedule.iterations)
+        ])
+        got = engine._accept_coefficients(schedule)
+        assert got.dtype == np.float64
+        assert got.tobytes() == scalar.tobytes()
+
+    @pytest.mark.parametrize(
+        "schedule", COEFFICIENT_SCHEDULES,
+        ids=lambda s: f"{type(s).__name__}-{s.iterations}",
+    )
+    def test_sa_matches_floored_temperature(self, small_model, schedule):
+        engine = BatchDirectEAnnealer(
+            small_model, replicas=2, schedule=schedule, seed=0
+        )
+        scalar = np.array([
+            max(float(schedule.temperature(it)), 1e-12)
+            for it in range(schedule.iterations)
+        ])
+        got = engine._accept_coefficients(schedule)
+        assert got.dtype == np.float64
+        assert got.tobytes() == scalar.tobytes()
+
+
+def zero_field_ring():
+    """Dense / sparse / packed twins of a ±1/4 ring on spins 0-11.
+
+    Spins 12-15 are isolated, so their local field is exactly 0.0 and a
+    single-flip cross term there is ±0 (the sign follows the spin).
+    """
+    n = 16
+    J = np.zeros((n, n))
+    signs = ensure_rng(5).choice(np.array([-0.25, 0.25]), size=12)
+    for i in range(12):
+        j = (i + 1) % 12
+        J[i, j] = J[j, i] = signs[i]
+    dense = IsingModel(J, name="ring-12+4")
+    sparse = SparseIsingModel.from_ising(dense)
+    return dense, sparse, PackedIsingModel.from_sparse(sparse)
+
+
+class TestCrossTermKernels:
+    """``batch_cross_term`` is byte-equal to summing its per-slot kernel,
+    including at t=1, where that sum turns -0.0 slots into +0.0."""
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    @pytest.mark.parametrize("backend", ["dense", "sparse", "packed"])
+    def test_batch_cross_term_equals_summed_slots(self, backend, t):
+        models = dict(zip(("dense", "sparse", "packed"), zero_field_ring()))
+        ops = coupling_ops(models[backend])
+        rng = ensure_rng(11)
+        R, n = 24, 16
+        sigma = rng.choice(np.array([-1.0, 1.0]), size=(R, n))
+        sigma[:, 12:] = 1.0
+        sigma[::2, 12:] = -1.0
+        state = ops.make_batch_state(sigma)
+        g = state.fields
+        idx = np.stack([rng.permutation(n)[:t] for _ in range(R)])
+        idx[:8, 0] = 12 + np.arange(8) % 4     # isolated: cross term ±0
+        rows = np.arange(R)[:, None]
+        sig_f = state.gather(rows, idx)
+        slots = ops.batch_cross_term_slots(g, idx, sig_f)
+        got = ops.batch_cross_term(g, idx, sig_f)
+        assert got.tobytes() == slots.sum(axis=1).tobytes()
+        if t == 1:
+            zero = slots[:, 0] == 0.0
+            assert np.signbit(slots[zero, 0]).any()
+            assert not np.signbit(slots[zero, 0]).all()
+
+    @pytest.mark.parametrize("backend", ["sparse", "packed"])
+    def test_gather_returns_float64_spins(self, backend):
+        _, sparse, packed = zero_field_ring()
+        model = sparse if backend == "sparse" else packed
+        sigma = ensure_rng(2).choice(np.array([-1.0, 1.0]), size=(3, 16))
+        state = coupling_ops(model).make_batch_state(sigma)
+        assert isinstance(
+            state, FloatBatchState if backend == "sparse" else PackedBatchState
+        )
+        rows = np.arange(3)[:, None]
+        idx = np.array([[0, 5], [12, 15], [3, 9]])
+        got = state.gather(rows, idx)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, sigma[rows, idx])
 
 
 class TestRankTValidation:

@@ -295,6 +295,17 @@ class TestSolveBoundaryValidation:
         with pytest.raises(ValueError, match="replicas must be an integer"):
             solve_ising(model, replicas=2.5)
 
+    def test_seed_validated_at_boundary(self, model):
+        """``seed=True`` used to run as seed 1; ``seed=-1`` failed inside
+        numpy with a message that named no parameter."""
+        with pytest.raises(ValueError, match="seed must be an integer, got True"):
+            solve_ising(model, iterations=10, seed=True)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            solve_ising(model, iterations=10, seed=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            solve_ising(model, iterations=10, seed=-1, replicas=2)
+        assert solve_ising(model, iterations=10, seed=0).iterations == 10
+
     def test_reference_cut_validated_at_boundary(self, problem):
         """Non-numeric reference cuts fail at the API, not downstream.
 

@@ -77,6 +77,16 @@ class TestJobBoundary:
         job = job_request("j", member(8, 1), seed=np.int64(5))
         assert job.seed == 5 and isinstance(job.seed, int)
 
+    def test_bool_and_negative_seeds_name_the_job(self):
+        """``seed=True`` used to pass as seed 1; ``seed=-1`` passed the
+        boundary and failed later on the worker thread, unprefixed."""
+        with pytest.raises(
+            ValueError, match="job 'b': seed must be an integer, got True"
+        ):
+            job_request("b", member(8, 1), seed=True)
+        with pytest.raises(ValueError, match="job 'n': seed must be >= 0, got -1"):
+            job_request("n", member(8, 1), seed=-1)
+
 
 class TestService:
     def test_results_bit_identical_and_grouped(self):
@@ -295,6 +305,19 @@ class TestProtocolAndCli:
                 "iterations": 0,
             }, port=server.port)
             assert not invalid["ok"] and "job 'broken'" in invalid["error"]
+
+    def test_negative_seed_rejected_at_submit(self):
+        """The live service refuses ``seed: -1`` before queueing the job."""
+        with _ServerThread() as server:
+            neg = request({
+                "op": "solve", "job_id": "neg", "gset": GSET_TEXT,
+                "method": "sa", "iterations": 20, "seed": -1,
+            }, port=server.port)
+            assert not neg["ok"]
+            assert neg["error"] == "job 'neg': seed must be >= 0, got -1"
+            stats = request({"op": "stats"}, port=server.port)
+            assert stats["stats"]["jobs"] == 0
+            assert stats["stats"]["failed_jobs"] == 0
 
     def test_cli_submit_and_stats(self, tmp_path, capsys):
         path = tmp_path / "toy.gset"

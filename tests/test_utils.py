@@ -47,6 +47,15 @@ class TestRng:
         with pytest.raises(TypeError):
             ensure_rng("seed")
 
+    def test_rejects_bool_and_negative_seeds(self):
+        for bad in (True, False):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                ensure_rng(bad)
+        for bad in (-1, np.int64(-3)):
+            with pytest.raises(ValueError, match="seed must be >= 0"):
+                ensure_rng(bad)
+        assert ensure_rng(np.int64(7)).integers(1000) == ensure_rng(7).integers(1000)
+
     def test_spawn_produces_independent_children(self):
         children = spawn_rng(ensure_rng(3), 4)
         assert len(children) == 4
