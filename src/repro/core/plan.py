@@ -61,7 +61,7 @@ from repro.core.sa import DirectEAnnealer
 from repro.ising.model import IsingModel
 from repro.ising.packed import PackedIsingModel
 from repro.ising.sparse import SparseIsingModel, as_backend
-from repro.utils.validation import check_choice, check_count
+from repro.utils.validation import check_choice, check_count, check_model
 
 _SOLVERS = {
     "insitu": InSituAnnealer,
@@ -94,21 +94,8 @@ def _check_solve_args(model, method: str, iterations) -> int:
         "iterations", iterations,
         hint="the annealers need at least one proposal/accept step",
     )
-    _check_model(model)
+    check_model(model)
     return iterations
-
-
-def _check_model(model) -> None:
-    num_spins = getattr(model, "num_spins", None)
-    if num_spins is None:
-        raise ValueError(
-            f"model must be an IsingModel or SparseIsingModel, got "
-            f"{type(model).__name__}"
-        )
-    if num_spins < 1:
-        raise ValueError(
-            "model has no spins; build it from a non-empty problem"
-        )
 
 
 def _strip_ancilla(result: AnnealResult) -> AnnealResult:
@@ -406,7 +393,7 @@ def compile_plan(
     (``variation=`` or ``crossbar_backend="device"``).
     """
     check_choice("method", method, SOLVE_METHODS)
-    _check_model(model)
+    check_model(model)
     reorder = check_choice(
         "reorder", "none" if reorder is None else reorder, REORDER_MODES
     )

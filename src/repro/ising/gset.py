@@ -62,18 +62,19 @@ def parse_gset(source, name: str = "gset") -> MaxCutProblem:
                 text = candidate.read_text()
 
     lines = [
-        ln.strip()
-        for ln in text.splitlines()
+        (number, ln.strip())
+        for number, ln in enumerate(text.splitlines(), start=1)
         if ln.strip() and not ln.lstrip().startswith(("#", "%"))
     ]
     if not lines:
         raise ValueError("empty Gset input")
-    header = lines[0].split()
-    if len(header) < 2:
-        raise ValueError(f"bad Gset header: {lines[0]!r}")
-    n, m = int(header[0]), int(header[1])
-    edges = np.zeros((m, 2), dtype=np.intp)
-    weights = np.ones(m, dtype=np.float64)
+    number, header = lines[0]
+    try:
+        n, m = (int(tok) for tok in header.split()[:2])
+    except ValueError:
+        raise ValueError(
+            f"bad Gset header on line {number}: {header!r} (expected 'n m')"
+        ) from None
     body = len(lines) - 1
     if body != m:
         # Truncating at m used to silently drop trailing edge lines, so a
@@ -83,14 +84,23 @@ def parse_gset(source, name: str = "gset") -> MaxCutProblem:
             f"m={m} but the body has {body} non-comment lines"
             + (" (trailing lines would be silently ignored)" if body > m else "")
         )
-    for i, ln in enumerate(lines[1 : m + 1]):
+    edges = np.zeros((m, 2), dtype=np.intp)
+    weights = np.ones(m, dtype=np.float64)
+    for i, (number, ln) in enumerate(lines[1:]):
         parts = ln.split()
-        if len(parts) < 2:
-            raise ValueError(f"bad edge line: {ln!r}")
-        edges[i, 0] = int(parts[0]) - 1
-        edges[i, 1] = int(parts[1]) - 1
-        if len(parts) >= 3:
-            weights[i] = float(parts[2])
+        try:
+            if len(parts) < 2:
+                raise ValueError("expected 'u v [w]'")
+            u, v = int(parts[0]), int(parts[1])
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ValueError(f"endpoints must be in [1, {n}]")
+            edges[i] = u - 1, v - 1
+            if len(parts) >= 3:
+                weights[i] = float(parts[2])
+        except ValueError as exc:
+            raise ValueError(
+                f"bad edge line {number}: {ln!r} ({exc})"
+            ) from None
     return MaxCutProblem(n, edges, weights, name=name)
 
 

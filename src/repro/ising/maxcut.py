@@ -72,6 +72,13 @@ class MaxCutProblem:
                 raise ValueError(
                     f"weights must have shape ({e.shape[0]},), got {w.shape}"
                 )
+            bad = np.flatnonzero(~np.isfinite(w))
+            if bad.size:
+                k = int(bad[0])
+                raise ValueError(
+                    f"weights must be finite, got {float(w[k])} on edge {k} "
+                    f"({e[k, 0]}, {e[k, 1]})"
+                )
         self.num_nodes = n
         self._edges = e
         self._weights = w

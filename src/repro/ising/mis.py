@@ -51,14 +51,18 @@ class MaxIndependentSetProblem:
         self._edges = e
 
     def to_qubo(self) -> QuboModel:
-        """Build the penalty QUBO of the module docstring (minimisation)."""
-        n = self.num_nodes
-        Q = np.zeros((n, n), dtype=np.float64)
-        for u, v in self._edges:
-            Q[u, v] += self.penalty / 2.0
-            Q[v, u] += self.penalty / 2.0
-        q = -np.ones(n, dtype=np.float64)
-        return QuboModel(Q, q, name=self.name)
+        """Build the penalty QUBO of the module docstring (minimisation).
+
+        One ``P/2`` pair per edge (repeated edges sum), ``q = −1``; O(n + m).
+        """
+        return QuboModel.from_pairs(
+            self.num_nodes,
+            self._edges[:, 0],
+            self._edges[:, 1],
+            np.full(self._edges.shape[0], self.penalty / 2.0),
+            linear=-np.ones(self.num_nodes, dtype=np.float64),
+            name=self.name,
+        )
 
     def is_independent(self, x) -> bool:
         """Whether the selected vertices form an independent set."""

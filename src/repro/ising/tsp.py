@@ -68,50 +68,32 @@ class TravellingSalesmanProblem:
 
     # ------------------------------------------------------------------
     def to_qubo(self) -> QuboModel:
-        """Lucas encoding: distance objective + two one-hot penalty families."""
+        """Lucas encoding: distance objective + two one-hot penalty families.
+
+        Built as a pair list in O(n³): ``A`` on every pair of one city's
+        positions and of one position's cities, ``D[u, v]/2`` on
+        ``(x[u, p], x[v, p+1])``.  For ``n ≥ 3`` every pair occurs once.
+        """
         n = self.num_cities
-        nv = self.num_variables
         A = float(self.penalty)
-        Q = np.zeros((nv, nv), dtype=np.float64)
-        q = np.zeros(nv, dtype=np.float64)
-        offset = 0.0
-
-        def add_pair(i: int, j: int, w: float) -> None:
-            Q[i, j] += w / 2.0
-            Q[j, i] += w / 2.0
-
-        # A · Σ_v (1 − Σ_p x_vp)² and A · Σ_p (1 − Σ_v x_vp)².
-        for v in range(n):
-            offset += A
-            for p in range(n):
-                q[self.variable_index(v, p)] += -A
-            for p1 in range(n):
-                for p2 in range(p1 + 1, n):
-                    add_pair(
-                        self.variable_index(v, p1), self.variable_index(v, p2), 2 * A
-                    )
-        for p in range(n):
-            offset += A
-            for v in range(n):
-                q[self.variable_index(v, p)] += -A
-            for v1 in range(n):
-                for v2 in range(v1 + 1, n):
-                    add_pair(
-                        self.variable_index(v1, p), self.variable_index(v2, p), 2 * A
-                    )
+        var = np.arange(self.num_variables).reshape(n, n)  # var[city, position]
+        # A · Σ_v (1 − Σ_p x_vp)² and A · Σ_p (1 − Σ_v x_vp)²: each square
+        # expands to A − A Σ x + 2A Σ_{pairs} x x', so q = −2A, offset = 2nA.
+        a, b = np.triu_indices(n, 1)
         # Σ_p Σ_{u≠v} D_uv x_up x_v(p+1).
-        for p in range(n):
-            p_next = (p + 1) % n
-            for u in range(n):
-                for v in range(n):
-                    if u == v:
-                        continue
-                    add_pair(
-                        self.variable_index(u, p),
-                        self.variable_index(v, p_next),
-                        self._D[u, v],
-                    )
-        return QuboModel(Q, q, offset=offset, name=self.name)
+        u, v = np.nonzero(~np.eye(n, dtype=bool))
+        next_var = np.roll(var, -1, axis=1)  # next_var[city, p] = var[city, p+1]
+        rows = np.concatenate([var[:, a].ravel(), var[a].ravel(), var[u].ravel()])
+        cols = np.concatenate([var[:, b].ravel(), var[b].ravel(), next_var[v].ravel()])
+        values = np.concatenate([
+            np.full(2 * n * a.size, A), np.repeat(self._D[u, v] / 2.0, n)
+        ])
+        return QuboModel.from_pairs(
+            self.num_variables, rows, cols, values,
+            linear=np.full(self.num_variables, -2.0 * A),
+            offset=2.0 * n * A,
+            name=self.name,
+        )
 
     # ------------------------------------------------------------------
     def decode(self, x) -> np.ndarray | None:

@@ -25,6 +25,7 @@ from repro.core.blockstack import PACK_METHODS
 from repro.utils.validation import (
     check_choice,
     check_count,
+    check_model,
     check_spin_vector,
 )
 
@@ -105,19 +106,6 @@ class JobResult:
         return self.best_sigmas[self.best_replica]
 
 
-def _check_model(model) -> None:
-    num_spins = getattr(model, "num_spins", None)
-    if num_spins is None:
-        raise ValueError(
-            f"model must be an IsingModel or SparseIsingModel, got "
-            f"{type(model).__name__}"
-        )
-    if num_spins < 1:
-        raise ValueError(
-            "model has no spins; build it from a non-empty problem"
-        )
-
-
 def job_request(
     job_id: str,
     model,
@@ -146,7 +134,7 @@ def job_request(
         )
     try:
         method = check_choice("method", method, SERVE_METHODS)
-        _check_model(model)
+        check_model(model)
         iterations = check_count(
             "iterations", iterations,
             hint="the annealers need at least one proposal/accept step",

@@ -19,14 +19,18 @@ Operations
     ``flips``, ``seed``, ``backend``.  The response reports the best
     replica's energy, cut value and ±1 configuration.
 
-Errors return ``{"ok": false, "error": "..."}`` with the job id inside
-the message (the boundary validators prefix it).
+Errors return ``{"ok": false, "error": "..."}``.  A failed ``solve``
+answers exactly once with a message that starts ``job '<id>':`` —
+parse and model-building errors, boundary rejections and unexpected
+failures (``internal error (<Type>): ...``) alike.  Request lines are
+capped at :data:`MAX_REQUEST_BYTES`.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import socket
 
 from repro.ising.gset import parse_gset
@@ -35,6 +39,14 @@ from repro.serve.service import SolverService
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 7421
+
+#: Longest request line the server reads (newline excluded).  An inline
+#: 3000-node / 12 000-edge G-set is about 150 KB; a longer line gets one
+#: protocol error and is skipped through its newline, and the connection
+#: stays open.
+MAX_REQUEST_BYTES = 4 * 1024 * 1024
+
+_log = logging.getLogger(__name__)
 
 
 async def handle_request(service: SolverService, payload: dict) -> dict:
@@ -53,20 +65,21 @@ async def handle_request(service: SolverService, payload: dict) -> dict:
 
 
 async def _handle_solve(service: SolverService, payload: dict) -> dict:
+    """Solve one request; every failure becomes one ``job '<id>':`` error."""
     job_id = payload.get("job_id")
+    name = None if job_id is None else str(job_id)
+    prefix = f"job {name!r}: "
     try:
         source = payload.get("gset")
         if not isinstance(source, str) or not source.strip():
             raise ValueError(
-                f"job {job_id!r}: 'gset' must carry the instance text "
-                f"(first line 'n m', then 'u v w' edge lines)"
+                "'gset' must carry the instance text "
+                "(first line 'n m', then 'u v w' edge lines)"
             )
-        problem = parse_gset(
-            source, name=str(job_id) if job_id is not None else "gset"
-        )
+        problem = parse_gset(source, name="gset" if name is None else name)
         model = problem.to_ising(backend=payload.get("backend", "auto"))
         job = job_request(
-            str(job_id) if job_id is not None else "",
+            "" if name is None else name,
             model,
             method=payload.get("method", "insitu"),
             iterations=payload.get("iterations", 1000),
@@ -75,23 +88,30 @@ async def _handle_solve(service: SolverService, payload: dict) -> dict:
             seed=payload.get("seed"),
         )
         result = await service.submit(job)
+        best = result.best_replica
+        best_energy = float(result.best_energies[best])
+        return {
+            "ok": True,
+            "job_id": result.job_id,
+            "best_energy": best_energy,
+            "best_cut": float(problem.cut_from_energy(best_energy)),
+            "best_sigma": [int(s) for s in result.best_sigmas[best]],
+            "replicas": int(result.best_energies.shape[0]),
+            "accepted": [int(a) for a in result.accepted],
+            "iterations": result.iterations,
+            "packed": result.packed,
+            "batch_size": result.batch_size,
+        }
     except (ValueError, RuntimeError) as exc:
-        return {"ok": False, "error": str(exc), "job_id": job_id}
-    best = result.best_replica
-    return {
-        "ok": True,
-        "job_id": result.job_id,
-        "best_energy": float(result.best_energies[best]),
-        "best_cut": float(
-            problem.cut_from_energy(float(result.best_energies[best]))
-        ),
-        "best_sigma": [int(s) for s in result.best_sigmas[best]],
-        "replicas": int(result.best_energies.shape[0]),
-        "accepted": [int(a) for a in result.accepted],
-        "iterations": result.iterations,
-        "packed": result.packed,
-        "batch_size": result.batch_size,
-    }
+        message = str(exc)
+    except Exception as exc:  # noqa: BLE001 — every request gets one answer
+        # Cancellation is a BaseException, so it still propagates.
+        _log.exception("job %r: internal error", name)
+        message = f"internal error ({type(exc).__name__}): {exc}"
+    # job_request and the service already prefix their own messages.
+    if not message.startswith(prefix):
+        message = prefix + message
+    return {"ok": False, "error": message, "job_id": job_id}
 
 
 async def _handle_connection(
@@ -111,9 +131,21 @@ async def _handle_connection(
 
     try:
         while True:
-            raw = await reader.readline()
-            if not raw:
-                break
+            try:
+                raw = await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError as exc:
+                raw = exc.partial  # a last line without newline, or EOF
+                if not raw:
+                    break
+            except asyncio.LimitOverrunError:
+                await respond_error(
+                    writer, write_lock,
+                    f"request line exceeds the {MAX_REQUEST_BYTES}-byte "
+                    f"limit (MAX_REQUEST_BYTES); the line was discarded",
+                )
+                if not await _discard_line(reader):
+                    break
+                continue
             raw = raw.strip()
             if not raw:
                 continue
@@ -145,6 +177,22 @@ async def _handle_connection(
             pass
 
 
+async def _discard_line(reader: asyncio.StreamReader) -> bool:
+    """Drop buffered input through the next newline; False at EOF.
+
+    Reads at most one limit's worth at a time, so an oversized line
+    never grows the buffer past :data:`MAX_REQUEST_BYTES`.
+    """
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return True
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+        except asyncio.IncompleteReadError:
+            return False
+
+
 async def respond_error(
     writer: asyncio.StreamWriter, write_lock: asyncio.Lock, message: str
 ) -> None:
@@ -162,7 +210,8 @@ async def start_server(
 ) -> asyncio.AbstractServer:
     """Bind the JSON-lines endpoint (service must already be started)."""
     return await asyncio.start_server(
-        lambda r, w: _handle_connection(service, r, w), host, port
+        lambda r, w: _handle_connection(service, r, w), host, port,
+        limit=MAX_REQUEST_BYTES,
     )
 
 
@@ -184,6 +233,7 @@ def request(payload: dict, host: str = DEFAULT_HOST, port: int = DEFAULT_PORT) -
 __all__ = [
     "DEFAULT_HOST",
     "DEFAULT_PORT",
+    "MAX_REQUEST_BYTES",
     "handle_request",
     "request",
     "start_server",

@@ -114,6 +114,25 @@ def check_choice(name: str, value, choices) -> str:
     return value
 
 
+def check_model(model) -> None:
+    """Validate that ``model`` is a non-empty Ising model of any backend.
+
+    Duck-typed on ``num_spins`` (dense, sparse and packed models all carry
+    it), so this module stays free of model imports.  Shared by the solve
+    API's plan compiler and the service's request boundary.
+    """
+    num_spins = getattr(model, "num_spins", None)
+    if num_spins is None:
+        raise ValueError(
+            f"model must be an IsingModel or SparseIsingModel, got "
+            f"{type(model).__name__}"
+        )
+    if num_spins < 1:
+        raise ValueError(
+            "model has no spins; build it from a non-empty problem"
+        )
+
+
 def check_permutation(perm, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Validate a spin permutation and return ``(forward, backward)`` arrays.
 

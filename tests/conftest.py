@@ -14,7 +14,14 @@ _REPO_ROOT = str(Path(__file__).resolve().parent.parent)
 if _REPO_ROOT not in sys.path:
     sys.path.insert(0, _REPO_ROOT)
 
-from repro.ising import IsingModel, MaxCutProblem
+from repro.ising import (
+    IsingModel,
+    MaxCutProblem,
+    PackedIsingModel,
+    SparseIsingModel,
+    recommended_backend,
+)
+from repro.ising.packed import dyadic_uniform_scale
 from repro.utils.rng import ensure_rng
 
 
@@ -54,3 +61,42 @@ def brute_force_maxcut(problem: MaxCutProblem) -> float:
                 sigma[i + 1] = -1
         best = max(best, problem.cut_value(sigma))
     return best
+
+
+def dense_qubo_to_ising(Q, q, offset, backend="auto", name="qubo"):
+    """Reference QUBO → Ising conversion on the dense ``(n, n)`` matrix.
+
+    The matrix formulas ``J = Q/4``, ``h = −(rowsum(Q) + q)/2`` and
+    ``const = offset + sum(Q)/4 + sum(q)/2`` with numpy's dense sums, and
+    the ``auto`` backend decided from the nonzero count of ``Q``: the
+    oracle that :meth:`repro.ising.QuboModel.to_ising` must match.
+    """
+    Q = np.asarray(Q, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    J = Q / 4.0
+    h = -(Q.sum(axis=1) + q) / 2.0
+    const = offset + float(Q.sum()) / 4.0 + float(q.sum()) / 2.0
+    if backend == "auto":
+        backend = recommended_backend(
+            Q.shape[0],
+            int(np.count_nonzero(Q)) // 2,
+            uniform_signs=dyadic_uniform_scale(J[J != 0.0]) is not None,
+        )
+    if backend == "dense":
+        return IsingModel(J, h, offset=const, name=name)
+    model = SparseIsingModel.from_dense(J, h, offset=const, name=name)
+    return PackedIsingModel.from_sparse(model) if backend == "packed" else model
+
+
+def model_bytes(model) -> dict:
+    """Every stored number of an Ising model as raw bytes, per field."""
+    out = {
+        "type": type(model).__name__,
+        "offset": np.float64(model.offset).tobytes(),
+        "h": model.h.tobytes(),
+    }
+    if hasattr(model, "csr_arrays"):
+        out["csr"] = [a.tobytes() for a in model.csr_arrays()]
+    else:
+        out["J"] = model.J.tobytes()
+    return out

@@ -17,6 +17,52 @@ from repro.ising import (
     QuboModel,
 )
 from repro.utils.rng import ensure_rng
+from tests.conftest import dense_qubo_to_ising, model_bytes
+
+BACKENDS = ("dense", "sparse", "auto")
+
+
+def dense_coloring_qubo(prob):
+    """The matrix-filling colouring builder: the oracle for ``to_qubo``."""
+    nv, k = prob.num_variables, prob.num_colors
+    Q = np.zeros((nv, nv), dtype=np.float64)
+    q = np.zeros(nv, dtype=np.float64)
+    offset = 0.0
+    A, B = float(prob.one_hot_weight), float(prob.conflict_weight)
+    for v in range(prob.num_nodes):
+        offset += A
+        for c in range(k):
+            q[prob.variable_index(v, c)] += -A
+        for c in range(k):
+            for c2 in range(c + 1, k):
+                i, j = prob.variable_index(v, c), prob.variable_index(v, c2)
+                Q[i, j] += A
+                Q[j, i] += A
+    for u, v in np.asarray(prob.edges).reshape(-1, 2):
+        for c in range(k):
+            i, j = prob.variable_index(int(u), c), prob.variable_index(int(v), c)
+            Q[i, j] += B / 2.0
+            Q[j, i] += B / 2.0
+    return Q, q, offset
+
+
+@st.composite
+def coloring_instances(draw):
+    """Small colourings with repeated and reversed edges, dyadic A and B."""
+    n = draw(st.integers(2, 8))
+    node = st.integers(0, n - 1)
+    edges = draw(
+        st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=20)
+    )
+    edges += [(v, u) for u, v in edges[: draw(st.integers(0, len(edges)))]]
+    edges = draw(st.permutations(edges))
+    return GraphColoringProblem(
+        n,
+        np.array(edges, dtype=np.intp).reshape(-1, 2),
+        draw(st.integers(1, 5)),
+        one_hot_weight=draw(st.integers(1, 64)) / 8.0,
+        conflict_weight=draw(st.integers(1, 64)) / 16.0,
+    )
 
 
 class TestColoring:
@@ -84,6 +130,38 @@ class TestColoring:
             GraphColoringProblem(0, np.zeros((0, 2)), 2)
         with pytest.raises(ValueError):
             GraphColoringProblem(3, np.array([[0, 0]]), 2)
+
+
+class TestColoringPairParity:
+    """The pair builder against the matrix-filling loops it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(prob=coloring_instances(), seed=st.integers(0, 2**32 - 1))
+    def test_to_ising_byte_equal_to_dense_loops(self, prob, seed):
+        Q, q, offset = dense_coloring_qubo(prob)
+        qubo = prob.to_qubo()
+        for backend in BACKENDS:
+            assert model_bytes(qubo.to_ising(backend=backend)) == model_bytes(
+                dense_qubo_to_ising(Q, q, offset, backend, name=prob.name)
+            )
+        x = ensure_rng(seed).integers(0, 2, prob.num_variables).astype(float)
+        assert qubo.value(x) == pytest.approx(x @ Q @ x + q @ x + offset, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "weights, kind", [((4.0, 2.0), "SparseIsingModel"), ((1.0, 2.0), "PackedIsingModel")]
+    )
+    def test_auto_backend_decision_matches(self, weights, kind):
+        """600 spins: ``auto`` goes sparse, or packed when every |J| is one value."""
+        rng = ensure_rng(21)
+        edges = np.unique(np.sort(rng.integers(0, 150, (400, 2)), axis=1), axis=0)
+        edges = edges[edges[:, 0] != edges[:, 1]][:300]
+        prob = GraphColoringProblem(150, edges, 4, *weights)
+        model = prob.to_qubo().to_ising()
+        assert type(model).__name__ == kind
+        Q, q, offset = dense_coloring_qubo(prob)
+        assert model_bytes(model) == model_bytes(
+            dense_qubo_to_ising(Q, q, offset, "auto", name=prob.name)
+        )
 
 
 class TestKnapsack:

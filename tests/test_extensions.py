@@ -6,6 +6,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch import InSituCimAnnealer, TiledCrossbar
 from repro.circuits import DgFefetCrossbar
@@ -18,6 +20,83 @@ from repro.ising import (
     TravellingSalesmanProblem,
 )
 from repro.utils.rng import ensure_rng
+from tests.conftest import dense_qubo_to_ising, model_bytes
+
+BACKENDS = ("dense", "sparse", "auto")
+
+
+def dense_tsp_qubo(tsp):
+    """The matrix-filling Lucas builder: the oracle for ``to_qubo``."""
+    n, nv, A = tsp.num_cities, tsp.num_variables, float(tsp.penalty)
+    D = tsp.distances
+    Q = np.zeros((nv, nv), dtype=np.float64)
+    q = np.zeros(nv, dtype=np.float64)
+    offset = 0.0
+
+    def add_pair(i, j, w):
+        Q[i, j] += w / 2.0
+        Q[j, i] += w / 2.0
+
+    for v in range(n):
+        offset += A
+        for p in range(n):
+            q[tsp.variable_index(v, p)] += -A
+        for p1 in range(n):
+            for p2 in range(p1 + 1, n):
+                add_pair(tsp.variable_index(v, p1), tsp.variable_index(v, p2), 2 * A)
+    for p in range(n):
+        offset += A
+        for v in range(n):
+            q[tsp.variable_index(v, p)] += -A
+        for v1 in range(n):
+            for v2 in range(v1 + 1, n):
+                add_pair(tsp.variable_index(v1, p), tsp.variable_index(v2, p), 2 * A)
+    for p in range(n):
+        for u in range(n):
+            for v in range(n):
+                if u != v:
+                    add_pair(
+                        tsp.variable_index(u, p),
+                        tsp.variable_index(v, (p + 1) % n),
+                        float(D[u, v]),
+                    )
+    return Q, q, offset
+
+
+def dense_mis_qubo(prob):
+    """The matrix-filling MIS builder: the oracle for ``to_qubo``."""
+    Q = np.zeros((prob.num_nodes, prob.num_nodes), dtype=np.float64)
+    for u, v in np.asarray(prob.edges).reshape(-1, 2):
+        Q[u, v] += prob.penalty / 2.0
+        Q[v, u] += prob.penalty / 2.0
+    return Q, -np.ones(prob.num_nodes, dtype=np.float64), 0.0
+
+
+@st.composite
+def integer_tsps(draw):
+    n = draw(st.integers(3, 6))
+    D = np.array(
+        draw(st.lists(st.integers(0, 20), min_size=n * n, max_size=n * n)),
+        dtype=np.float64,
+    ).reshape(n, n)
+    D = np.triu(D, 1)
+    penalty = draw(st.one_of(st.none(), st.integers(1, 100)))
+    return TravellingSalesmanProblem(D + D.T, penalty=penalty)
+
+
+@st.composite
+def mis_instances(draw):
+    n = draw(st.integers(2, 10))
+    node = st.integers(0, n - 1)
+    edges = draw(
+        st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=25)
+    )
+    edges += [(v, u) for u, v in edges[: draw(st.integers(0, len(edges)))]]
+    return MaxIndependentSetProblem(
+        n,
+        np.array(edges, dtype=np.intp).reshape(-1, 2),
+        penalty=draw(st.integers(9, 64)) / 8.0,
+    )
 
 
 class TestTsp:
@@ -97,6 +176,53 @@ class TestTsp:
         assert best_tour is not None
         _, optimal = tsp.brute_force_tour()
         assert tsp.tour_length(best_tour) <= 1.5 * optimal
+
+
+class TestTspPairParity:
+    """The pair builder against the matrix-filling loops it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(tsp=integer_tsps(), seed=st.integers(0, 2**32 - 1))
+    def test_integer_distances_byte_equal(self, tsp, seed):
+        Q, q, offset = dense_tsp_qubo(tsp)
+        qubo = tsp.to_qubo()
+        for backend in BACKENDS:
+            assert model_bytes(qubo.to_ising(backend=backend)) == model_bytes(
+                dense_qubo_to_ising(Q, q, offset, backend, name=tsp.name)
+            )
+        x = ensure_rng(seed).integers(0, 2, tsp.num_variables).astype(float)
+        assert qubo.value(x) == pytest.approx(x @ Q @ x + q @ x + offset, abs=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(3, 7), seed=st.integers(0, 10_000))
+    def test_float_distances_agree_to_rounding(self, n, seed):
+        """Float sums run in another order: J is exact, h/offset to 1e-12."""
+        tsp = TravellingSalesmanProblem.random_euclidean(n, seed=seed)
+        Q, q, offset = dense_tsp_qubo(tsp)
+        for backend in ("dense", "sparse"):
+            got = tsp.to_qubo().to_ising(backend=backend)
+            ref = dense_qubo_to_ising(Q, q, offset, backend)
+            if backend == "dense":
+                assert got.J.tobytes() == ref.J.tobytes()
+            else:
+                for a, b in zip(got.csr_arrays(), ref.csr_arrays()):
+                    assert a.tobytes() == b.tobytes()
+            np.testing.assert_allclose(got.h, ref.h, rtol=1e-12, atol=0.0)
+            assert got.offset == pytest.approx(ref.offset, rel=1e-12)
+
+
+class TestMisPairParity:
+    @settings(max_examples=40, deadline=None)
+    @given(prob=mis_instances(), seed=st.integers(0, 2**32 - 1))
+    def test_to_ising_byte_equal_to_dense_loops(self, prob, seed):
+        Q, q, offset = dense_mis_qubo(prob)
+        qubo = prob.to_qubo()
+        for backend in BACKENDS:
+            assert model_bytes(qubo.to_ising(backend=backend)) == model_bytes(
+                dense_qubo_to_ising(Q, q, offset, backend, name=prob.name)
+            )
+        x = ensure_rng(seed).integers(0, 2, prob.num_nodes).astype(float)
+        assert qubo.value(x) == pytest.approx(x @ Q @ x + q @ x + offset, abs=1e-9)
 
 
 class TestMis:

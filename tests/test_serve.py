@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
 
 import numpy as np
@@ -25,7 +26,12 @@ from repro.serve import (
     job_request,
     service_config,
 )
-from repro.serve.protocol import request, start_server
+from repro.serve.protocol import (
+    MAX_REQUEST_BYTES,
+    handle_request,
+    request,
+    start_server,
+)
 from repro.serve.service import ServiceOverloadedError
 
 
@@ -344,3 +350,102 @@ class TestProtocolAndCli:
     def test_cli_submit_requires_instance_or_stats(self, capsys):
         assert main(["submit", "--port", "1"]) == 2
         assert "instance" in capsys.readouterr().err
+
+
+def _exchange(port: int, lines: list[bytes], replies: int) -> list[dict]:
+    """Send raw request lines on ONE connection and read ``replies`` lines."""
+    with socket.create_connection(("127.0.0.1", port), timeout=60) as conn:
+        conn.sendall(b"".join(lines))
+        with conn.makefile("rb") as stream:
+            return [json.loads(stream.readline()) for _ in range(replies)]
+
+
+def _line(payload: dict) -> bytes:
+    return json.dumps(payload).encode() + b"\n"
+
+
+class TestProtocolErrors:
+    """Every failed solve gets exactly one answer that names its job."""
+
+    @pytest.mark.parametrize(
+        "fields, expected",
+        [
+            ({"gset": "3"}, "bad Gset header on line 1: '3'"),
+            ({"gset": "3 1\n1 x 1"}, "bad edge line 2: '1 x 1'"),
+            ({"gset": "3 1\n\n1 7 1"}, "bad edge line 3: '1 7 1' (endpoints must be"),
+            ({"gset": "0 0"}, "num_nodes must be positive"),
+            ({"gset": GSET_TEXT, "backend": "bogus"}, "unknown backend 'bogus'"),
+            ({"gset": "2 1\n1 2 nan"}, "weights must be finite, got nan on edge 0"),
+            ({"gset": "2 1\n1 2 inf"}, "weights must be finite, got inf on edge 0"),
+            ({"gset": ""}, "'gset' must carry the instance text"),
+            # 10**15 × 64 draws exceed any address space, so the first
+            # allocation fails at once rather than paging in memory.
+            (
+                {"gset": GSET_TEXT, "iterations": 10**15, "replicas": 64},
+                "internal error (MemoryError): ",
+            ),
+        ],
+    )
+    def test_error_is_prefixed_with_the_job_id(self, fields, expected):
+        async def run():
+            async with SolverService() as svc:
+                return await handle_request(
+                    svc, {"op": "solve", "job_id": "bad", **fields}
+                )
+
+        response = asyncio.run(run())
+        assert response["ok"] is False
+        assert response["job_id"] == "bad"
+        assert response["error"].startswith("job 'bad': ")
+        assert response["error"].count("job 'bad'") == 1
+        assert expected in response["error"]
+
+    def test_cancellation_is_not_swallowed(self, monkeypatch):
+        async def cancelled(job):
+            raise asyncio.CancelledError
+
+        async def run():
+            async with SolverService() as svc:
+                monkeypatch.setattr(svc, "submit", cancelled)
+                with pytest.raises(asyncio.CancelledError):
+                    await handle_request(
+                        svc, {"op": "solve", "job_id": "c", "gset": GSET_TEXT}
+                    )
+
+        asyncio.run(run())
+
+    def test_bad_request_then_ping_on_one_connection(self):
+        bad = {"op": "solve", "job_id": "inf", "gset": "2 1\n1 2 inf"}
+        with _ServerThread() as server:
+            replies = _exchange(server.port, [_line(bad), _line({"op": "ping"})], 2)
+        assert {"ok": True} in replies
+        (error,) = [r for r in replies if not r["ok"]]
+        assert error["error"].startswith("job 'inf': weights must be finite")
+
+
+class TestRequestSizeLimit:
+    def test_large_inline_gset_is_served(self):
+        text = write_gset(generate_random(3000, 12_000, seed=5))
+        payload = {"op": "solve", "job_id": "big", "gset": text, "iterations": 10}
+        # Over the 64 KiB asyncio default that used to reset the connection.
+        assert len(_line(payload)) > 140 * 1024
+        with _ServerThread() as server:
+            reply = request(payload, port=server.port)
+        assert reply["ok"] is True
+        assert reply["job_id"] == "big"
+        assert len(reply["best_sigma"]) == 3000
+
+    def test_oversized_line_gets_one_error_and_is_skipped(self):
+        at_limit = b"x" * MAX_REQUEST_BYTES + b"\n"
+        over = b"y" * (MAX_REQUEST_BYTES + 1) + b"\n"
+        with _ServerThread() as server:
+            replies = _exchange(
+                server.port, [at_limit, over, _line({"op": "ping"})], 3
+            )
+        # A line of exactly the limit is read whole (and is not JSON).
+        assert replies[0]["error"].startswith("invalid JSON line")
+        assert replies[1]["ok"] is False
+        assert f"exceeds the {MAX_REQUEST_BYTES}-byte limit" in replies[1]["error"]
+        # The next reply is the ping's: no second error for the rest of
+        # the oversized line, and the connection is still served.
+        assert replies[2] == {"ok": True}
