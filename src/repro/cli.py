@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="how long to gather more jobs after the first "
                             "before launching a batch")
     serve.add_argument("--plan-cache-size", type=int, default=32, metavar="N",
-                       help="LRU slots of the solo-path plan cache")
+                       help="LRU slots of the sb jobs' plan cache")
     serve.set_defaults(func=_cmd_serve)
 
     submit = sub.add_parser(

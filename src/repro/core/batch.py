@@ -24,6 +24,18 @@ declaring the model a relabelled view of the caller's problem: proposals
 and initial configurations are drawn in the caller's original spin space
 and mapped through the permutation, and all returned configurations are
 mapped back — so reordered replica solves are layout-independent.
+
+There is one replica loop, :func:`run_lanes`.  A *lane*
+(:class:`StackedLane`) is one run's draws — start state, proposal
+tensor, accept coefficients — plus the generator, positioned at the
+accept uniforms.  An engine's ``run`` draws one lane and runs it;
+:func:`~repro.core.blockstack.run_stacked` runs many jobs' lanes
+(:func:`compile_lane`) together on the block-diagonal union of their
+models.  The accept rule is the only per-method code.  The loop draws
+the uniforms per lane in chunks of :data:`CHUNK_ITERATIONS`:
+``rng.random((C, R))`` consumes the stream exactly like ``C`` calls of
+``rng.random(R)``, so no ``(iterations, R)`` array of uniforms is held
+and the chunk size never changes a result.
 """
 
 from __future__ import annotations
@@ -40,7 +52,11 @@ from repro.core.schedule import Schedule, VbgStepSchedule
 from repro.ising.model import IsingModel
 from repro.ising.sparse import SparseIsingModel
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_count, check_permutation
+from repro.utils.validation import check_choice, check_count, check_permutation
+
+#: Iterations per chunk that :func:`run_lanes` lays out at once: accept
+#: uniforms and coefficients, and for several lanes the offset proposals.
+CHUNK_ITERATIONS = 1024
 
 
 @dataclass
@@ -128,14 +144,164 @@ class BatchMaxCutResult(CutNormalization):
         )
 
 
-class _BatchEngine:
-    """Shared vectorised state machine for the batch annealers.
+@dataclass
+class StackedLane:
+    """One replica batch with its random draws made, ready to run.
 
-    Subclasses provide the accept rule: :meth:`_accept_coefficients` turns
-    the schedule into one accept coefficient per iteration, once per run,
-    and :meth:`_accept` applies the rule with that coefficient.  Everything
-    else (state, local-field caching, rank-t proposal generation, best
-    tracking, permutation mapping) is common.
+    Produced by :func:`compile_lane` or a batch engine's ``run`` from one
+    generator, in the solo engine's order: (SA only) the temperature-range
+    probe, the start state, the proposal tensor.  The accept uniforms come
+    last, so the lane keeps the generator positioned at them and
+    :func:`run_lanes` draws them as it goes.  A lane therefore runs once.
+    """
+
+    model: IsingModel | SparseIsingModel
+    method: str
+    sigma0: np.ndarray          # (R, n) int8 ±1, in the model's spin order
+    proposals: np.ndarray       # (iterations, R, t), in the model's spin order
+    coefficients: np.ndarray    # accept coefficient per iteration:
+                                # insitu f(T), sa floored T
+    gain: float                 # insitu acceptance scale; 1.0 for sa
+    rng: np.random.Generator | None     # at the accept uniforms; None once run
+
+
+def run_lanes(model, lanes, starts=None) -> list[BatchAnnealResult]:
+    """Advance ``k`` lanes together on ``model``: the one replica loop.
+
+    The lanes share ``(method, iterations, replicas,
+    flips_per_iteration)``.  One lane runs on its own model.  Several
+    lanes run on the block-diagonal union of their models
+    (:func:`~repro.core.blockstack.stack_models`), lane ``j`` owning
+    columns ``starts[j]`` to ``starts[j] + n_j``.  Energies, accept masks
+    and counts are flat ``R·k`` vectors with the lane index varying
+    fastest, so one lane does exactly the solo engine's ``(R,)``
+    operations.  Returns one result per lane, in the model's spin order.
+    """
+    first, k = lanes[0], len(lanes)
+    iterations, R, t = first.proposals.shape
+    rngs = []
+    for lane in lanes:
+        if lane.rng is None:
+            raise ValueError("a lane runs once; compile a fresh lane to run again")
+        rngs.append(lane.rng)
+        lane.rng = None
+    accept_rule = BATCH_ENGINES[first.method]._accept
+    starts = np.asarray([0] if starts is None else starts, dtype=np.intp)
+    stops = starts + [lane.model.num_spins for lane in lanes]
+    ops = coupling_ops(model)
+
+    if k == 1:
+        sigma = first.sigma0.astype(np.float64)
+    else:
+        # Each lane's start state in its block; padding spins stay +1.
+        sigma = np.ones((R, model.num_spins))
+        for lane, a, b in zip(lanes, starts, stops):
+            sigma[:, a:b] = lane.sigma0
+    # The replica spin tensor's layout is the backend's business:
+    # FloatBatchState holds int8 spins, PackedBatchState uint64 words
+    # with XOR flips; both gather float64 ±1.0.  The fields and the
+    # initial-energy einsum come from the float start state, so they are
+    # the same for every state layout.
+    state = ops.make_batch_state(sigma)
+    g = state.fields
+    energy = np.empty(R * k)
+    for j, (lane, a, b) in enumerate(zip(lanes, starts, stops)):
+        # Each lane's own arrays: contiguous slices reproduce the solo
+        # einsum's memory walk.
+        sigma_j = np.ascontiguousarray(sigma[:, a:b])
+        energy[j::k] = (
+            np.einsum("rn,rn->r", sigma_j, np.ascontiguousarray(g[:, a:b]))
+            + sigma_j @ lane.model.h
+            + lane.model.offset
+        )
+    del sigma, sigma_j  # the state owns the replica spins from here on
+    best_energy = energy.copy()
+    accepted = np.zeros(R * k, dtype=np.int64)
+    gains = np.tile([lane.gain for lane in lanes], R)
+    fielded = np.tile([lane.model.has_fields for lane in lanes], R)
+    h = model.h if fielded.any() else None
+    field_free = None if fielded.all() else ~fielded
+    rows = np.arange(R)[:, None]
+
+    for c0 in range(0, iterations, CHUNK_ITERATIONS):
+        c1 = min(c0 + CHUNK_ITERATIONS, iterations)
+        # rng.random((C, R)) consumes the stream like C calls of
+        # rng.random(R), so the chunk size never changes a result.
+        if k == 1:
+            proposals = first.proposals[c0:c1]
+            uniforms = rngs[0].random((c1 - c0, R))
+        else:
+            proposals = np.stack(
+                [lane.proposals[c0:c1] + a for lane, a in zip(lanes, starts)],
+                axis=2,
+            ).reshape(c1 - c0, R, k * t)
+            uniforms = np.stack(
+                [rng.random((c1 - c0, R)) for rng in rngs], axis=2
+            ).reshape(c1 - c0, R * k)
+        coefficients = np.tile(
+            np.stack([lane.coefficients[c0:c1] for lane in lanes], axis=1),
+            (1, R),
+        )
+        for idx, coefficient, u in zip(proposals, coefficients, uniforms):
+            sig_f = state.gather(rows, idx)  # idx: (R, k·t)
+            # Each lane's t slots sum in solo slot order.
+            cross = ops.batch_cross_term_slots(g, idx, sig_f).reshape(-1, t).sum(axis=1)
+            if h is None:
+                field_term = 0.0
+            else:
+                field_term = -(h[idx] * sig_f).reshape(-1, t).sum(axis=1)
+                if field_free is not None:
+                    # Field-free lanes use the solo scalar 0.0 exactly
+                    # (their union column is a sum of signed zeros).
+                    field_term[field_free] = 0.0
+            delta_e = 4.0 * cross + 2.0 * field_term
+            accept = accept_rule(cross, field_term, delta_e, coefficient, gains, u)
+            if accept.any():
+                acc = np.flatnonzero(accept)
+                replica = acc if k == 1 else acc // k
+                cols = idx.reshape(-1, t)[acc]
+                vals = sig_f.reshape(-1, t)[acc]
+                # Repeated replica rows are safe on the union: different
+                # lanes' flips land in disjoint column blocks.
+                ops.batch_update_fields(g, replica, cols, vals)
+                state.flip(replica, cols, vals)
+                energy[acc] += delta_e[acc]
+                accepted[acc] += 1
+                improved = acc[energy[acc] < best_energy[acc]]
+                if improved.size:
+                    best_energy[improved] = energy[improved]
+                    if k == 1:
+                        state.record_best(improved)
+                    else:
+                        # A lane's best is its column block, not the row.
+                        lane_of = improved % k
+                        state.record_best_blocks(
+                            improved // k, starts[lane_of], stops[lane_of]
+                        )
+
+    best_sigmas, final_sigmas = state.best_sigmas(), state.final_sigmas()
+    return [
+        BatchAnnealResult(
+            best_energies=best_energy[j::k].copy(),
+            best_sigmas=best_sigmas[:, a:b].copy(),
+            final_energies=energy[j::k].copy(),
+            final_sigmas=final_sigmas[:, a:b].copy(),
+            accepted=accepted[j::k].copy(),
+            iterations=iterations,
+        )
+        for j, (a, b) in enumerate(zip(starts, stops))
+    ]
+
+
+class _BatchEngine:
+    """Shared draws of the batch annealers; :func:`run_lanes` runs them.
+
+    Subclasses name their ``method`` (the :data:`BATCH_ENGINES` key) and
+    provide the accept rule: ``_accept_coefficients`` turns the schedule
+    into one accept coefficient per iteration, once per run, and the
+    static ``_accept`` applies the rule with that coefficient and the
+    engine's gain.  Everything else (start state, rank-t proposal
+    generation, permutation mapping) is common.
     """
 
     def _init_common(
@@ -166,9 +332,9 @@ class _BatchEngine:
         Indices are unique within each ``(iteration, replica)`` flip set
         and drawn in the caller's original spin space (mirroring
         :class:`~repro.core.proposal.FlipSelector` semantics, including the
-        straddle-safe per-sweep carry); :meth:`run` maps them through the
-        permutation.  For ``t == 1`` the RNG stream is identical to the
-        historical single-flip engine.
+        straddle-safe per-sweep carry); :meth:`_draw_lane` maps them
+        through the permutation.  For ``t == 1`` the RNG stream is
+        identical to the historical single-flip engine.
         """
         rng = self._rng
         R, t = self.replicas, self.flips_per_iteration
@@ -183,13 +349,9 @@ class _BatchEngine:
         ]
         return np.stack(streams, axis=1)
 
-    def _accept_coefficients(self, schedule: Schedule) -> np.ndarray:
-        """The accept rule's per-iteration coefficient, length ``iterations``."""
-        raise NotImplementedError
-
-    def _accept(self, cross, field_term, delta_e, coefficient, u) -> np.ndarray:
-        """Per-replica accept mask, given this iteration's coefficient."""
-        raise NotImplementedError
+    def _gain(self) -> float:
+        """The accept rule's gain (only the in-situ rule has one)."""
+        return 1.0
 
     def _initial_sigma(self, initial, rng) -> np.ndarray:
         """Validated (R, n) ±1 start state, in the caller's original space."""
@@ -200,10 +362,7 @@ class _BatchEngine:
         if base.shape == (n,):
             sigma = np.tile(base, (R, 1))
         elif base.shape == (R, n):
-            # C order even for an F-ordered caller array: the sparse
-            # field-update scatter aliases g through reshape(-1).
-            sigma = np.ascontiguousarray(base)
-            sigma = sigma.copy() if sigma is base else sigma
+            sigma = base
         else:
             raise ValueError(f"initial must have shape ({n},) or ({R}, {n})")
         bad = ~np.isin(sigma, (-1.0, 1.0))
@@ -215,6 +374,28 @@ class _BatchEngine:
                 f"the cached local fields and return wrong energies)"
             )
         return sigma
+
+    def _draw_lane(self, iterations: int, initial) -> StackedLane:
+        """One run's draws (schedule, start state, proposals) as a lane."""
+        schedule = self._build_schedule(iterations)
+        if schedule.iterations != iterations:
+            raise ValueError("schedule length does not match iterations")
+        coefficients = self._accept_coefficients(schedule)
+        sigma0 = self._initial_sigma(initial, self._rng)
+        if self._bwd is not None:
+            # Drawn (or given) in the original spin space.
+            sigma0 = sigma0[:, self._bwd]
+        # Held as int8 like the replica state: an eighth of the float
+        # draw's memory while the proposals are drawn and the lane runs.
+        sigma0 = sigma0.astype(np.int8, order="C")
+        proposals = self._proposal_tensor(iterations)
+        if self._fwd is not None:
+            proposals = self._fwd[proposals]
+        return StackedLane(
+            model=self.model, method=self.method, sigma0=sigma0,
+            proposals=proposals, coefficients=coefficients,
+            gain=self._gain(), rng=self._rng,
+        )
 
     def run(self, iterations: int, initial=None) -> BatchAnnealResult:
         """Advance all replicas for ``iterations`` steps.
@@ -229,77 +410,20 @@ class _BatchEngine:
             replicas) or (R, n) (one per replica), in the caller's original
             spin space when a permutation is set.
 
-        The schedule is evaluated once, into one accept coefficient per
-        iteration (:meth:`_accept_coefficients`); the loop itself only
-        touches replica state.
+        The run is one lane (:meth:`_draw_lane`) through :func:`run_lanes`;
+        the schedule is evaluated once, into one accept coefficient per
+        iteration, so the loop itself only touches replica state.
         """
         iterations = check_count(
             "iterations", iterations,
             hint="the annealers need at least one proposal/accept step",
         )
-        schedule = self._build_schedule(iterations)
-        if schedule.iterations != iterations:
-            raise ValueError("schedule length does not match iterations")
-        coefficients = self._accept_coefficients(schedule)
-        rng = self._rng
-        ops = coupling_ops(self.model)
-        h = self.model.h
-        has_fields = self.model.has_fields
-        R, n = self.replicas, self.n
-
-        sigma = self._initial_sigma(initial, rng)
-        if self._bwd is not None:
-            # The random draw and a caller-supplied `initial` are in the
-            # original spin space; gather into the internal ordering.  The
-            # gather returns an F-ordered view — restore C order so the
-            # cached-field scatter updates alias instead of copying.
-            sigma = np.ascontiguousarray(sigma[:, self._bwd])
-        # The replica spin tensor's layout is the backend's business:
-        # FloatBatchState holds int8 spins, PackedBatchState uint64 words
-        # with XOR flips; both gather float64 ±1.0.  The fields and the
-        # initial-energy einsum come from the float draw, so they are the
-        # same for every state layout.
-        state = ops.make_batch_state(sigma)
-        g = state.fields  # (R, n)
-        energy = np.einsum("rn,rn->r", sigma, g) + sigma @ h + self.model.offset
-        best_energy = energy.copy()
-        accepted = np.zeros(R, dtype=np.int64)
-        del sigma  # the state owns the replica spins from here on
-        proposals = self._proposal_tensor(iterations)
+        (result,) = run_lanes(self.model, [self._draw_lane(iterations, initial)])
         if self._fwd is not None:
-            proposals = self._fwd[proposals]
-        rows = np.arange(R)[:, None]
-
-        for idx, coefficient in zip(proposals, coefficients):  # idx: (R, t)
-            sig_f = state.gather(rows, idx)
-            cross = ops.batch_cross_term(g, idx, sig_f)
-            field_term = -(h[idx] * sig_f).sum(axis=1) if has_fields else 0.0
-            delta_e = 4.0 * cross + 2.0 * field_term
-            u = rng.random(R)
-            accept = self._accept(cross, field_term, delta_e, coefficient, u)
-            if accept.any():
-                acc = np.flatnonzero(accept)
-                cols = idx[acc]
-                vals = sig_f[acc]
-                ops.batch_update_fields(g, acc, cols, vals)
-                state.flip(acc, cols, vals)
-                energy[acc] += delta_e[acc]
-                accepted[acc] += 1
-                improved = acc[energy[acc] < best_energy[acc]]
-                if improved.size:
-                    best_energy[improved] = energy[improved]
-                    state.record_best(improved)
-
-        # Readouts hand configurations back in the caller's original
-        # ordering (the state applies the forward permutation, if any).
-        return BatchAnnealResult(
-            best_energies=best_energy,
-            best_sigmas=state.best_sigmas(self._fwd),
-            final_energies=energy,
-            final_sigmas=state.final_sigmas(self._fwd),
-            accepted=accepted,
-            iterations=iterations,
-        )
+            # Readouts go back to the caller's original ordering.
+            result.best_sigmas = result.best_sigmas[:, self._fwd]
+            result.final_sigmas = result.final_sigmas[:, self._fwd]
+        return result
 
 
 class BatchInSituAnnealer(_BatchEngine):
@@ -321,6 +445,8 @@ class BatchInSituAnnealer(_BatchEngine):
         array) declaring ``model`` a relabelled view; proposals and
         configurations stay in the caller's original spin space.
     """
+
+    method = "insitu"
 
     def __init__(
         self,
@@ -368,16 +494,16 @@ class BatchInSituAnnealer(_BatchEngine):
         levels, level_of = np.unique(temps, return_inverse=True)
         return np.array([self._factor_at(T) for T in levels])[level_of]
 
-    def _accept(self, cross, field_term, delta_e, coefficient, u) -> np.ndarray:
-        # ``coefficient`` is this iteration's f(T).  Same association as
-        # the sequential rule — (x · f) · scale, not x · (f · scale) — so
-        # accept decisions match the sequential annealer to the last ulp
-        # at the comparison boundary.
-        e_inc = (
-            (cross + np.asarray(field_term) / 2.0)
-            * coefficient
-            * self.acceptance_scale
-        )
+    def _gain(self) -> float:
+        return self.acceptance_scale
+
+    @staticmethod
+    def _accept(cross, field_term, delta_e, coefficient, gain, u) -> np.ndarray:
+        # ``coefficient`` is this iteration's f(T), ``gain`` the acceptance
+        # scale.  Same association as the sequential rule — (x · f) · gain,
+        # not x · (f · gain) — so accept decisions match the sequential
+        # annealer to the last ulp at the comparison boundary.
+        e_inc = (cross + np.asarray(field_term) / 2.0) * coefficient * gain
         return (e_inc <= 0.0) | (e_inc <= u)
 
 
@@ -389,6 +515,8 @@ class BatchDirectEAnnealer(_BatchEngine):
     :class:`~repro.core.sa.DirectEAnnealer` (plus ``replicas`` and
     ``permutation`` as in :class:`BatchInSituAnnealer`).
     """
+
+    method = "sa"
 
     def __init__(
         self,
@@ -420,8 +548,50 @@ class BatchDirectEAnnealer(_BatchEngine):
         """The temperature per iteration, floored like ``max(T, 1e-12)``."""
         return np.maximum(schedule.profile(), 1e-12)
 
-    def _accept(self, cross, field_term, delta_e, coefficient, u) -> np.ndarray:
-        # ``coefficient`` is this iteration's floored temperature.
+    @staticmethod
+    def _accept(cross, field_term, delta_e, coefficient, gain, u) -> np.ndarray:
+        # ``coefficient`` is this iteration's floored temperature; the
+        # Metropolis rule takes no gain.
         return (delta_e <= 0.0) | (
             u < np.exp(-np.maximum(delta_e, 0.0) / coefficient)
         )
+
+
+#: The batch engines by method name: the accept rule is the only
+#: per-method code of a replica run.
+BATCH_ENGINES = {
+    cls.method: cls for cls in (BatchInSituAnnealer, BatchDirectEAnnealer)
+}
+
+
+def compile_lane(
+    model,
+    method: str = "insitu",
+    iterations: int = 1000,
+    replicas: int = 1,
+    flips_per_iteration: int = 1,
+    seed=None,
+    initial=None,
+) -> StackedLane:
+    """Make one job's solo random draws into a :class:`StackedLane`.
+
+    The draws happen in exactly the solo engine's order against
+    ``ensure_rng(seed)``, so the lane run through
+    :func:`~repro.core.blockstack.run_stacked` (alone or stacked with
+    others) reproduces ``solve_ising(model, method, iterations,
+    seed=seed, replicas=replicas,
+    flips_per_iteration=flips_per_iteration)`` bit for bit.  ``initial``
+    follows the engine contract (shape ``(n,)`` or ``(R, n)``, entries
+    ±1), ``replicas`` and ``flips_per_iteration`` are validated with the
+    engine's own messages.
+    """
+    check_choice("method", method, BATCH_ENGINES)
+    iterations = check_count(
+        "iterations", iterations,
+        hint="the annealers need at least one proposal/accept step",
+    )
+    engine = BATCH_ENGINES[method](
+        model, replicas=replicas, flips_per_iteration=flips_per_iteration,
+        seed=seed,
+    )
+    return engine._draw_lane(iterations, initial)

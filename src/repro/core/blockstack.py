@@ -9,24 +9,23 @@ iteration advances all ``k`` tenants simultaneously, and per-job results
 slice back out *bit-identically* to ``k`` solo ``solve_ising`` calls.
 
 Bit-identity is the load-bearing contract (the service bench asserts it
-before timing anything), and it holds because the stacked runner
-replicates each job's solo run exactly:
+before timing anything), and it holds because a stacked job runs through
+the same loop as its solo run:
 
-* :func:`compile_lane` performs a job's RNG draws in the precise order
-  the solo batch engine performs them — (SA only) the temperature-range
-  probe, the initial ±1 configuration, the proposal tensor, then the
-  per-iteration uniforms (``rng.random((iterations, R))`` consumes the
-  bit stream exactly like ``iterations`` successive ``rng.random(R)``
-  calls) — against the job's own ``ensure_rng(seed)`` stream;
-* :func:`run_stacked` re-evaluates the engine's per-iteration formulas
-  with per-*(replica, job)* accept decisions: per-block cross terms come
-  from the new unsummed
+* :func:`compile_lane` (defined in :mod:`repro.core.batch`, next to the
+  engines' draws) makes a job's lane: the solo engine's draws against
+  the job's own ``ensure_rng(seed)`` stream — (SA only) the
+  temperature-range probe, the initial ±1 configuration, the proposal
+  tensor — with the generator left at the accept uniforms;
+* :func:`run_stacked` hands the lanes to
+  :func:`~repro.core.batch.run_lanes`, the one replica loop.  One lane
+  runs on its own model, exactly its solo run.  Several lanes run on the
+  union: per-lane cross terms come from the unsummed
   :meth:`~repro.core.coupling.SparseCouplingOps.batch_cross_term_slots`
   kernel (cross-block couplings are structurally zero, so each block's
   slot group carries exactly the solo contributions), field terms and
-  energies are regrouped the same way, and best-state snapshots copy
-  *column blocks* (:meth:`record_best_blocks`) instead of whole replica
-  rows.
+  energies regroup the same way, and best-state snapshots copy *column
+  blocks* (``record_best_blocks``) instead of whole replica rows.
 
 Every block is padded to a 64-spin boundary with isolated, never-proposed
 padding spins so the packed backend's word layout slices cleanly; the
@@ -46,29 +45,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.batch import (
+    BATCH_ENGINES,
     BatchAnnealResult,
-    BatchDirectEAnnealer,
-    BatchInSituAnnealer,
+    StackedLane,
+    compile_lane,
+    run_lanes,
 )
-from repro.core.coupling import coupling_ops
 from repro.ising.packed import PackedIsingModel
 from repro.ising.sparse import SparseIsingModel
-from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_choice, check_count
+from repro.utils.validation import check_count
 
 #: Methods the block-diagonal union can pack: the two flip-proposal batch
 #: engines.  SB integrates all positions through one matvec per step and
 #: MESA has no batch engine — those run solo (see ``repro.serve``).
-PACK_METHODS = ("insitu", "sa")
+PACK_METHODS = tuple(BATCH_ENGINES)
 
 #: Blocks are padded to this boundary so packed spin words never straddle
 #: two jobs (a word-granular best-snapshot then cannot leak across).
 BLOCK_ALIGN = 64
-
-_LANE_ENGINES = {
-    "insitu": BatchInSituAnnealer,
-    "sa": BatchDirectEAnnealer,
-}
 
 
 @dataclass(frozen=True)
@@ -96,11 +90,6 @@ class BlockStack:
 
     model: SparseIsingModel
     blocks: tuple[BlockSlice, ...]
-
-    @property
-    def num_members(self) -> int:
-        """Number of stacked member models."""
-        return len(self.blocks)
 
 
 def stack_models(models, align: int = BLOCK_ALIGN) -> BlockStack:
@@ -179,231 +168,36 @@ def stack_models(models, align: int = BLOCK_ALIGN) -> BlockStack:
     return BlockStack(model=model, blocks=tuple(blocks))
 
 
-@dataclass
-class StackedLane:
-    """One job's compiled slot in a stacked run: model + frozen RNG draws.
-
-    Produced by :func:`compile_lane`; all stochastic inputs of the solo
-    engine run (initial state, proposal tensor, per-iteration uniforms,
-    SA temperature schedule) are materialised here from the job's own
-    seed stream, so :func:`run_stacked` is deterministic given its lanes.
-    """
-
-    model: SparseIsingModel
-    method: str
-    iterations: int
-    replicas: int
-    flips_per_iteration: int
-    sigma0: np.ndarray          # (R, n) float ±1, the solo initial draw
-    proposals: np.ndarray       # (iterations, R, t) local spin indices
-    uniforms: np.ndarray        # (iterations, R) accept draws
-    coefficients: np.ndarray    # accept coefficient per iteration:
-                                # insitu f(T), sa floored T
-    acceptance_scale: float | None      # insitu: the engine's gain
-
-
-def compile_lane(
-    model,
-    method: str = "insitu",
-    iterations: int = 1000,
-    replicas: int = 1,
-    flips_per_iteration: int = 1,
-    seed=None,
-    initial=None,
-) -> StackedLane:
-    """Freeze one job's solo RNG draws into a :class:`StackedLane`.
-
-    The draws happen in exactly the solo engine's order against
-    ``ensure_rng(seed)`` — construct engine (SA's default schedule probes
-    ``estimate_temperature_range`` on this stream), initial configuration,
-    proposal tensor, then the accept uniforms — so a lane executed through
-    :func:`run_stacked` reproduces ``solve_ising(model, method,
-    iterations, seed=seed, replicas=replicas,
-    flips_per_iteration=flips_per_iteration)`` bit-for-bit.
-    ``initial`` follows the engine contract (shape ``(n,)`` or ``(R, n)``,
-    entries ±1; validated with the engine's own message).  The accept
-    coefficients come from the engine's own ``_accept_coefficients``,
-    the array its solo ``run`` indexes.
-    """
-    check_choice("method", method, PACK_METHODS)
-    iterations = check_count(
-        "iterations", iterations,
-        hint="the annealers need at least one proposal/accept step",
-    )
-    replicas = check_count(
-        "replicas", replicas,
-        hint="each replica is one independent trajectory",
-    )
-    flips_per_iteration = check_count(
-        "flips_per_iteration", flips_per_iteration
-    )
-    rng = ensure_rng(seed)
-    # The engine is the source of truth for schedule/scale derivation and
-    # the draw order; its internal hooks are reused on purpose so lane
-    # compilation can never drift from the solo run() sequence.
-    engine = _LANE_ENGINES[method](
-        model, replicas=replicas,
-        flips_per_iteration=flips_per_iteration, seed=rng,
-    )
-    schedule = engine._build_schedule(iterations)
-    if schedule.iterations != iterations:
-        raise ValueError("schedule length does not match iterations")
-    coefficients = engine._accept_coefficients(schedule)
-    sigma0 = engine._initial_sigma(initial, rng)
-    proposals = engine._proposal_tensor(iterations)
-    # Stream-equivalent to `iterations` successive rng.random(R) calls:
-    # Generator.random fills C-order, one bit-stream draw per double.
-    uniforms = rng.random((iterations, replicas))
-    return StackedLane(
-        model=model, method=method, iterations=iterations,
-        replicas=replicas, flips_per_iteration=engine.flips_per_iteration,
-        sigma0=sigma0, proposals=proposals, uniforms=uniforms,
-        coefficients=coefficients,
-        acceptance_scale=(
-            float(engine.acceptance_scale) if method == "insitu" else None
-        ),
-    )
-
-
 def run_stacked(lanes) -> list[BatchAnnealResult]:
-    """Advance every lane simultaneously on the block-diagonal union.
+    """Advance every lane in one :func:`~repro.core.batch.run_lanes` loop.
 
     All lanes must share ``(method, iterations, replicas,
     flips_per_iteration)`` — the serve scheduler groups jobs by exactly
-    this key.  Returns one :class:`~repro.core.batch.BatchAnnealResult`
-    per lane, bit-identical to the lane's solo solve for every backend
-    whose solo kernels agree with the union's sparse/packed kernels
-    (always true sparse→sparse and packed→packed; dense members require
-    exactly-representable dyadic couplings, the usual backend contract).
+    this key.  One lane runs on its own model and backend, exactly its
+    solo engine run.  Several lanes run on their block-diagonal union
+    (:func:`stack_models`).  Returns one
+    :class:`~repro.core.batch.BatchAnnealResult` per lane, bit-identical
+    to the lane's solo solve for every backend whose solo kernels agree
+    with the union's sparse/packed kernels (always true sparse→sparse
+    and packed→packed; dense members require exactly-representable
+    dyadic couplings, the usual backend contract).
     """
     lanes = list(lanes)
     if not lanes:
         raise ValueError("run_stacked needs at least one lane")
-    first = lanes[0]
-    key = (
-        first.method, first.iterations, first.replicas,
-        first.flips_per_iteration,
-    )
-    for lane in lanes[1:]:
-        lane_key = (
-            lane.method, lane.iterations, lane.replicas,
-            lane.flips_per_iteration,
-        )
-        if lane_key != key:
+    # (method, iterations, replicas, flips_per_iteration) of each lane.
+    keys = [(lane.method, *lane.proposals.shape) for lane in lanes]
+    for key in keys[1:]:
+        if key != keys[0]:
             raise ValueError(
                 "stacked lanes must share (method, iterations, replicas, "
-                f"flips_per_iteration); got {lane_key} alongside {key} — "
+                f"flips_per_iteration); got {key} alongside {keys[0]} — "
                 "group jobs by these knobs before packing"
             )
-    k = len(lanes)
-    method, iterations, R, t = key
+    if len(lanes) == 1:
+        return run_lanes(lanes[0].model, lanes)
     stack = stack_models([lane.model for lane in lanes])
-    ops = coupling_ops(stack.model)
-    blocks = stack.blocks
-    starts = np.array([b.start for b in blocks], dtype=np.intp)
-    stops = np.array([b.stop for b in blocks], dtype=np.intp)
-
-    # Union initial state: each job's solo draw in its block, padding +1.
-    sigma = np.ones((R, stack.model.num_spins), dtype=np.float64)
-    for lane, b in zip(lanes, blocks):
-        sigma[:, b.start:b.stop] = lane.sigma0
-    state = ops.make_batch_state(sigma)
-    g = state.fields
-    del sigma  # the state owns the replica spins from here on
-
-    # Per-job energies from each job's own arrays (the contiguous field
-    # slice reproduces the solo einsum's memory walk).
-    energy = np.empty((R, k), dtype=np.float64)
-    for j, (lane, b) in enumerate(zip(lanes, blocks)):
-        g_j = np.ascontiguousarray(g[:, b.start:b.stop])
-        energy[:, j] = (
-            np.einsum("rn,rn->r", lane.sigma0, g_j)
-            + lane.sigma0 @ lane.model.h
-            + lane.model.offset
-        )
-    best_energy = energy.copy()
-    accepted = np.zeros((R, k), dtype=np.int64)
-
-    # Pre-assembled per-iteration tensors: proposals offset into union
-    # columns, uniforms / accept parameters laid out per job column.
-    props = np.empty((iterations, R, k, t), dtype=np.intp)
-    uniforms = np.empty((iterations, R, k), dtype=np.float64)
-    coefficients = np.empty((iterations, k), dtype=np.float64)
-    for j, (lane, b) in enumerate(zip(lanes, blocks)):
-        props[:, :, j, :] = lane.proposals + b.start
-        uniforms[:, :, j] = lane.uniforms
-        coefficients[:, j] = lane.coefficients
-    if method == "insitu":
-        scales = np.array([lane.acceptance_scale for lane in lanes])
-
-    h_union = stack.model.h
-    fielded = np.array(
-        [lane.model.has_fields for lane in lanes], dtype=bool
-    )
-    any_fields = bool(fielded.any())
-    all_fields = bool(fielded.all())
-
-    rows = np.arange(R)[:, None]
-    for it in range(iterations):
-        idx = props[it].reshape(R, k * t)
-        sig_f = state.gather(rows, idx)
-        slots = ops.batch_cross_term_slots(g, idx, sig_f)
-        # Per-job regroup: each block's t slots sum in solo slot order.
-        cross = slots.reshape(R, k, t).sum(axis=2)
-        if any_fields:
-            field = -(h_union[idx] * sig_f).reshape(R, k, t).sum(axis=2)
-            if not all_fields:
-                # Field-free jobs use the solo scalar 0.0 exactly (their
-                # union column is a sum of signed zeros otherwise).
-                field[:, ~fielded] = 0.0
-        else:
-            field = 0.0
-        delta = 4.0 * cross + 2.0 * field
-        u = uniforms[it]
-        if method == "insitu":
-            # Same association as the engines: ((x · f) · scale).
-            e_inc = (
-                (cross + np.asarray(field) / 2.0) * coefficients[it] * scales
-            )
-            accept = (e_inc <= 0.0) | (e_inc <= u)
-        else:
-            accept = (delta <= 0.0) | (
-                u < np.exp(-np.maximum(delta, 0.0) / coefficients[it])
-            )
-        if accept.any():
-            acc_r, acc_j = np.nonzero(accept)
-            cols = props[it][acc_r, acc_j]                 # (A, t)
-            vals = sig_f.reshape(R, k, t)[acc_r, acc_j]    # (A, t)
-            # Duplicate replica rows are safe on the sparse/packed union:
-            # different jobs' flips land in disjoint column blocks, so
-            # every flat scatter index is unique (and the rank-t path
-            # collapses shared-neighbour duplicates via bincount anyway).
-            ops.batch_update_fields(g, acc_r, cols, vals)
-            state.flip(acc_r, cols, vals)
-            energy[acc_r, acc_j] += delta[acc_r, acc_j]
-            accepted[acc_r, acc_j] += 1
-            improved = energy[acc_r, acc_j] < best_energy[acc_r, acc_j]
-            if improved.any():
-                imp_r = acc_r[improved]
-                imp_j = acc_j[improved]
-                best_energy[imp_r, imp_j] = energy[imp_r, imp_j]
-                state.record_best_blocks(
-                    imp_r, starts[imp_j], stops[imp_j]
-                )
-
-    best_sigmas = state.best_sigmas(None)
-    final_sigmas = state.final_sigmas(None)
-    return [
-        BatchAnnealResult(
-            best_energies=best_energy[:, j].copy(),
-            best_sigmas=best_sigmas[:, b.start:b.stop].copy(),
-            final_energies=energy[:, j].copy(),
-            final_sigmas=final_sigmas[:, b.start:b.stop].copy(),
-            accepted=accepted[:, j].copy(),
-            iterations=iterations,
-        )
-        for j, b in enumerate(blocks)
-    ]
+    return run_lanes(stack.model, lanes, [b.start for b in stack.blocks])
 
 
 __all__ = [

@@ -56,7 +56,7 @@ class FloatBatchState:
     backends: ``fields`` caches the ``(R, n)`` float local fields,
     ``gather``/``flip`` read and toggle proposed spins, ``record_best``
     snapshots improved replicas, and the readout methods return int8
-    configurations (optionally permutation-mapped).  The spins and the
+    configurations in the model's spin order.  The spins and the
     best snapshots are int8, an eighth of the traffic of float rows;
     ``gather`` hands the engine float64 ±1.0, and the fields come from
     the float draw, so every value the engine computes with is unchanged.
@@ -110,16 +110,13 @@ class FloatBatchState:
         # .copy().
         self._best.reshape(-1)[flat] = self._sigma.reshape(-1)[flat]  # repro-lint: disable=RPL004
 
-    def _readout(self, sigma: np.ndarray, fwd: np.ndarray | None) -> np.ndarray:
-        return sigma.copy() if fwd is None else sigma[:, fwd]
+    def final_sigmas(self) -> np.ndarray:
+        """A copy of the current replica spins as ``(R, n)`` int8."""
+        return self._sigma.copy()
 
-    def final_sigmas(self, fwd: np.ndarray | None) -> np.ndarray:
-        """The current replica spins as ``(R, n)`` int8."""
-        return self._readout(self._sigma, fwd)
-
-    def best_sigmas(self, fwd: np.ndarray | None) -> np.ndarray:
-        """The per-replica best snapshots as ``(R, n)`` int8."""
-        return self._readout(self._best, fwd)
+    def best_sigmas(self) -> np.ndarray:
+        """A copy of the per-replica best snapshots as ``(R, n)`` int8."""
+        return self._best.copy()
 
     def memory_bytes(self) -> int:
         """Bytes held by the spin tensors and the field cache."""

@@ -126,17 +126,13 @@ class PackedBatchState:
         # in-place |=, C-contiguous by construction) and _best is its copy.
         self._best.reshape(-1)[flat] = self._words.reshape(-1)[flat]  # repro-lint: disable=RPL004
 
-    def _readout(self, words: np.ndarray, fwd: np.ndarray | None) -> np.ndarray:
-        sigma = unpack_spin_rows(words, self._n)
-        return sigma if fwd is None else sigma[:, fwd]
-
-    def final_sigmas(self, fwd: np.ndarray | None) -> np.ndarray:
+    def final_sigmas(self) -> np.ndarray:
         """Unpack the current replica spins to ``(R, n)`` int8."""
-        return self._readout(self._words, fwd)
+        return unpack_spin_rows(self._words, self._n)
 
-    def best_sigmas(self, fwd: np.ndarray | None) -> np.ndarray:
+    def best_sigmas(self) -> np.ndarray:
         """Unpack the per-replica best snapshots to ``(R, n)`` int8."""
-        return self._readout(self._best, fwd)
+        return unpack_spin_rows(self._best, self._n)
 
     def memory_bytes(self) -> int:
         """Bytes held by the packed spin tensors and the field cache."""

@@ -49,11 +49,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.core.annealer import InSituAnnealer
-from repro.core.batch import (
-    BatchAnnealResult,
-    BatchDirectEAnnealer,
-    BatchInSituAnnealer,
-)
+from repro.core.batch import BATCH_ENGINES, BatchAnnealResult
 from repro.core.mesa import MesaAnnealer
 from repro.core.reorder import REORDER_MODES, Permutation, reorder_permutation
 from repro.core.results import AnnealResult
@@ -67,11 +63,6 @@ _SOLVERS = {
     "insitu": InSituAnnealer,
     "sa": DirectEAnnealer,
     "mesa": MesaAnnealer,
-}
-
-_BATCH_SOLVERS = {
-    "insitu": BatchInSituAnnealer,
-    "sa": BatchDirectEAnnealer,
 }
 
 #: Every accepted ``method=`` spelling: the sequential flip solvers plus
@@ -330,7 +321,7 @@ class SolvePlan:
                 replicas=self.replicas, **self.run_kwargs
             )
         if self.replicas is not None:
-            engine = _BATCH_SOLVERS[self.method](
+            engine = BATCH_ENGINES[self.method](
                 self._engine_model, replicas=self.replicas, seed=seed,
                 **self.run_kwargs
             )
@@ -414,10 +405,10 @@ def compile_plan(
             "replicas", replicas,
             hint="each replica is one independent trajectory",
         )
-        if method != "sb" and method not in _BATCH_SOLVERS:
+        if method != "sb" and method not in BATCH_ENGINES:
             raise ValueError(
                 f"replicas only applies to methods "
-                f"{sorted([*_BATCH_SOLVERS, 'sb'])}, got method={method!r} "
+                f"{sorted([*BATCH_ENGINES, 'sb'])}, got method={method!r} "
                 f"(MESA has no batch engine)"
             )
         if tile_size is not None and method != "sb":

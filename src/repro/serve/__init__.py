@@ -17,8 +17,8 @@ Layer map
     id) — plus the :class:`SolveJob`/:class:`JobResult` dataclasses.
 :mod:`repro.serve.service`
     :class:`SolverService` — bounded ``asyncio`` queue, gather-window
-    batching scheduler, single-worker solve executor, solo fallback via
-    a shared (thread-safe) :class:`~repro.core.plan.PlanCache`, and a
+    batching scheduler, single-worker solve executor, ``sb`` jobs via a
+    shared (thread-safe) :class:`~repro.core.plan.PlanCache`, and a
     stats surface.
 :mod:`repro.serve.protocol`
     JSON-lines TCP front end (``repro serve``) and the tiny client used

@@ -15,8 +15,10 @@
   (``run_in_executor``) so the event loop keeps accepting submissions —
   jobs arriving *during* a batch run accumulate into the next batch,
   which is what makes packing effective under sustained load;
-* jobs that cannot pack (method ``sb``, or a group of one) fall back to
-  solo execution through a shared thread-safe
+* every packable job runs as a lane: a group of one runs unstacked on
+  its own model, and when a stacked run raises, each of its jobs reruns
+  alone, so only a job whose own run fails reports an error;
+* ``sb`` jobs (which do not pack) run solo through a shared thread-safe
   :class:`~repro.core.plan.PlanCache`, so repeat instances skip
   compilation; the cache's hit/miss/eviction counters surface in
   :meth:`SolverService.stats`.
@@ -30,6 +32,7 @@ flips_per_iteration=…)`` call — the packing contract
 from __future__ import annotations
 
 import asyncio
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -40,6 +43,7 @@ from repro.serve.jobs import JobResult, SolveJob
 from repro.utils.validation import check_count, check_real
 
 _STOP = object()
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -64,7 +68,7 @@ def service_config(
     depth), ``max_batch_jobs`` caps one batch run, ``gather_window`` is
     how long (seconds) the scheduler waits for more jobs after the first
     before launching a batch, and ``plan_cache_size`` sizes the shared
-    solo-path :class:`~repro.core.plan.PlanCache`.
+    :class:`~repro.core.plan.PlanCache` of the ``sb`` jobs.
     """
     max_queue = check_count(
         "max_queue", max_queue,
@@ -254,40 +258,45 @@ class SolverService:
             else:
                 solo.append(i)
         for idxs in groups.values():
-            if len(idxs) == 1 and jobs[idxs[0]].initial is None:
-                # A group of one gains nothing from stacking; run it
-                # through the plan cache so repeat instances hit.
-                solo.append(idxs[0])
-                continue
-            lanes = []
-            lane_idxs = []
+            lanes = {}
             for i in idxs:
                 try:
-                    lanes.append(self._compile_lane(jobs[i]))
-                    lane_idxs.append(i)
+                    lanes[i] = self._compile_lane(jobs[i])
                 except Exception as exc:  # noqa: BLE001 — reported per job
                     outcomes[i] = exc
-            if not lanes:
+            if len(lanes) < 2:
+                # A group of one (or whose peers failed compile) runs
+                # unstacked, on its own model and backend.
+                for i, lane in lanes.items():
+                    outcomes[i] = self._attempt(self._solve_alone, jobs[i], lane)
                 continue
             try:
-                results = run_stacked(lanes)
-            except Exception as exc:  # noqa: BLE001 — reported per job
-                for i in lane_idxs:
-                    outcomes[i] = exc
+                results = run_stacked(list(lanes.values()))
+            except Exception:  # noqa: BLE001 — each job reruns alone
+                # The failed run may have drawn from these lanes: rerun each
+                # job from a fresh one, so only a job whose own run fails
+                # reports an error.
+                _log.exception(
+                    "stacked run of %d jobs failed; rerunning each alone",
+                    len(lanes),
+                )
+                for i in lanes:
+                    outcomes[i] = self._attempt(self._solve_alone, jobs[i])
                 continue
-            for i, res in zip(lane_idxs, results):
-                # A group that degenerated to one lane (peers failed
-                # compile, or a warm-started singleton) is not "packed".
+            for i, res in zip(lanes, results):
                 outcomes[i] = self._as_result(
-                    jobs[i], res, packed=len(lanes) > 1,
-                    batch_size=len(lanes),
+                    jobs[i], res, packed=True, batch_size=len(lanes)
                 )
         for i in solo:
-            try:
-                outcomes[i] = self._solve_solo(jobs[i])
-            except Exception as exc:  # noqa: BLE001 — reported per job
-                outcomes[i] = exc
+            outcomes[i] = self._attempt(self._solve_solo, jobs[i])
         return outcomes
+
+    @staticmethod
+    def _attempt(solve, *args):
+        try:
+            return solve(*args)
+        except Exception as exc:  # noqa: BLE001 — reported per job
+            return exc
 
     def _compile_lane(self, job: SolveJob):
         model = job.model
@@ -300,18 +309,17 @@ class SolverService:
             seed=job.seed, initial=job.initial,
         )
 
+    def _solve_alone(self, job: SolveJob, lane=None) -> JobResult:
+        lane = self._compile_lane(job) if lane is None else lane
+        return self._as_result(
+            job, run_stacked([lane])[0], packed=False, batch_size=1
+        )
+
     def _solve_solo(self, job: SolveJob) -> JobResult:
-        if job.initial is not None:
-            # Plans replay fixed run kwargs and carry no initial state;
-            # a single-lane stacked run makes the same engine draws.
-            res = run_stacked([self._compile_lane(job)])[0]
-            return self._as_result(job, res, packed=False, batch_size=1)
-        solver_kwargs = {}
-        if job.method != "sb":
-            solver_kwargs["flips_per_iteration"] = job.flips_per_iteration
+        # Only sb jobs get here: their repeat instances hit the plan cache.
         plan = self.plan_cache.get_or_compile(
             job.model, method=job.method, backend=job.backend,
-            replicas=job.replicas, **solver_kwargs
+            replicas=job.replicas,
         )
         res = plan.execute(job.iterations, seed=job.seed)
         return self._as_result(job, res, packed=False, batch_size=1)

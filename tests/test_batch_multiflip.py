@@ -26,6 +26,7 @@ from repro.core import (
     BatchInSituAnnealer,
     FloatBatchState,
     PackedBatchState,
+    batch,
     coupling_ops,
     solve_ising,
 )
@@ -225,6 +226,46 @@ class TestBitIdentityAgainstReferenceLoop:
             assert np.array_equal(permuted.final_sigmas, ref[3].astype(np.int8))
 
 
+def pm_quarter_triple(seed: int, n: int = 18):
+    """Dense / sparse / packed twins of a ±1/4 model with dyadic fields."""
+    base = SparseIsingModel.random(n, degree=5.0, seed=seed)
+    indptr, indices, data = base.csr_arrays()
+    h = ensure_rng(seed).integers(-4, 5, size=n) / 4.0
+    sparse = SparseIsingModel(
+        indptr, indices, np.sign(data) * 0.25, h, 0.5, f"pm-{n}-{seed}"
+    )
+    return sparse.to_dense(), sparse, PackedIsingModel.from_sparse(sparse)
+
+
+class TestChunkBoundaries:
+    """The loop draws uniforms (and lays out coefficients) in chunks; a
+    run spanning several chunks and a ragged last one must still replay
+    the straight-line reference on every backend, with and without a
+    permutation."""
+
+    @pytest.mark.parametrize("permuted", [False, True])
+    @pytest.mark.parametrize("t", [1, 3])
+    @pytest.mark.parametrize("backend", ["dense", "sparse", "packed"])
+    @pytest.mark.parametrize("engine_cls", ENGINES)
+    def test_run_matches_reference_across_chunks(
+        self, monkeypatch, engine_cls, backend, t, permuted
+    ):
+        chunk = 7
+        monkeypatch.setattr(batch, "CHUNK_ITERATIONS", chunk)
+        iterations = 3 * chunk + 2
+        models = dict(zip(("dense", "sparse", "packed"), pm_quarter_triple(t)))
+        model = models[backend]
+        kwargs = dict(replicas=4, flips_per_iteration=t, seed=31 + t)
+        if permuted:
+            perm = ensure_rng(7).permutation(model.num_spins)
+            model = model.permuted(perm)
+            kwargs["permutation"] = perm
+        result = engine_cls(model, **kwargs).run(iterations)
+        ref = reference_batch_run(engine_cls(model, **kwargs), iterations)
+        assert_matches_reference(result, ref)
+        assert result.accepted.sum() > 0
+
+
 class TestAcceptanceParity:
     """Satellite audit: batch accept rules == sequential rules at boundaries.
 
@@ -247,7 +288,7 @@ class TestAcceptanceParity:
         e_inc = cross * f_value * scale
         # u exactly at, just below, and far from the threshold
         u = np.array([0.0, 0.0, e_inc[2], np.nextafter(e_inc[3], -1.0), 1.0, 0.0])
-        got = engine._accept(cross, field, 4.0 * cross, f_value, u)
+        got = engine._accept(cross, field, 4.0 * cross, f_value, scale, u)
         expected = [
             bool(e <= 0.0 or e <= uu) for e, uu in zip(e_inc, u)
         ]
@@ -270,7 +311,9 @@ class TestAcceptanceParity:
         field = rng.integers(-64, 65, size=512) / 64.0
         e_inc_seq = (cross + field / 2.0) * f_value * scale
         u = np.abs(e_inc_seq)  # exact threshold for every row
-        got = engine._accept(cross, field, 4.0 * cross + 2.0 * field, f_value, u)
+        got = engine._accept(
+            cross, field, 4.0 * cross + 2.0 * field, f_value, scale, u
+        )
         expected = (e_inc_seq <= 0.0) | (e_inc_seq <= u)
         assert np.array_equal(got, expected)
 
@@ -282,7 +325,7 @@ class TestAcceptanceParity:
         u = np.array([1.0 - 1e-12, 1.0 - 1e-12, threshold,
                       np.nextafter(threshold, 0.0), 0.0])
         got = engine._accept(
-            delta_e / 4.0, np.zeros(5), delta_e, max(temperature, 1e-12), u
+            delta_e / 4.0, np.zeros(5), delta_e, max(temperature, 1e-12), 1.0, u
         )
         expected = [
             bool(d <= 0.0 or uu < np.exp(-d / max(temperature, 1e-12)))

@@ -24,12 +24,13 @@ from hypothesis import strategies as st
 
 from repro.core import (
     BLOCK_ALIGN,
+    batch,
     compile_lane,
     run_stacked,
     solve_ising,
     stack_models,
 )
-from repro.ising import PackedIsingModel, SparseIsingModel
+from repro.ising import IsingModel, PackedIsingModel, SparseIsingModel
 from repro.utils.rng import ensure_rng
 
 relaxed = settings(
@@ -180,12 +181,64 @@ def test_compile_lane_validates_at_the_boundary():
         compile_lane(m, replicas=True)
 
 
-def test_single_lane_stacked_run_matches_solo():
-    # Degenerate stack of one: still bit-identical (the serve solo
-    # fallback for warm-started jobs relies on this).
-    m = make_member(10, seed=6, with_fields=True)
-    lane = compile_lane(
-        m, method="insitu", iterations=50, replicas=2, seed=42
+def non_dyadic_dense(n, seed):
+    """A dense model whose couplings and fields are not dyadic."""
+    rng = ensure_rng(seed)
+    upper = np.triu(rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.3), k=1)
+    return IsingModel(
+        upper + upper.T, rng.normal(size=n), offset=0.3, name=f"dense-{seed}"
     )
-    solo = solve_ising(m, method="insitu", iterations=50, seed=42, replicas=2)
-    assert_bit_identical(solo, run_stacked([lane])[0], "single lane")
+
+
+def test_single_lane_stacked_run_matches_solo():
+    # Degenerate stack of one: the lane runs on its own model and backend,
+    # which is its solo run (serve runs every group of one this way).  On
+    # the dense non-dyadic models a sparse union would sum differently.
+    cases = [(make_member(10, seed=6, with_fields=True), 42,
+              dict(iterations=50, replicas=2))]
+    cases += [
+        (non_dyadic_dense(24, seed), seed,
+         dict(iterations=300, replicas=3, flips_per_iteration=2))
+        for seed in range(20)
+    ]
+    for method in ("insitu", "sa"):
+        for m, seed, knobs in cases:
+            lane = compile_lane(m, method=method, seed=seed, **knobs)
+            solo = solve_ising(m, method=method, seed=seed, **knobs)
+            assert_bit_identical(
+                solo, run_stacked([lane])[0], f"{m.name} method={method}"
+            )
+
+
+@pytest.mark.parametrize("flips", [1, 3])
+@pytest.mark.parametrize("method", ["insitu", "sa"])
+def test_three_lanes_across_chunk_boundaries(monkeypatch, method, flips):
+    """Offset proposals, uniforms and coefficients are laid out per chunk;
+    three full chunks plus a ragged one still give every solo result."""
+    chunk = 7
+    monkeypatch.setattr(batch, "CHUNK_ITERATIONS", chunk)
+    members = [
+        make_member(9, seed=3, backend="dense", with_fields=True),
+        make_member(12, seed=4, backend="sparse"),
+        make_member(7, seed=5, backend="packed", with_fields=True, offset=0.5),
+    ]
+    knobs = dict(
+        method=method, iterations=3 * chunk + 2, replicas=3,
+        flips_per_iteration=flips,
+    )
+    lanes = [compile_lane(m, seed=60 + j, **knobs) for j, m in enumerate(members)]
+    for j, (m, served) in enumerate(zip(members, run_stacked(lanes))):
+        solo = solve_ising(m, seed=60 + j, **knobs)
+        assert_bit_identical(solo, served, m.name)
+
+
+def test_a_lane_runs_once():
+    m = make_member(8, seed=4)
+    lane = compile_lane(m, iterations=10, seed=0)
+    run_stacked([lane])
+    with pytest.raises(ValueError, match="a lane runs once"):
+        run_stacked([lane])
+    # The same lane twice in one stack would draw its uniforms twice.
+    twice = compile_lane(m, iterations=10, seed=1)
+    with pytest.raises(ValueError, match="a lane runs once"):
+        run_stacked([twice, twice])

@@ -470,6 +470,23 @@ class TestPlanOwnership:
         })
         assert codes(findings) == ["RPL000"]
 
+    def test_batch_state_protocol_owned_by_the_batch_module(self, tmp_path):
+        # A second replica loop outside repro/core/batch.py is flagged;
+        # the owner, tests and benchmarks drive the protocol freely.
+        loop = (
+            "state = ops.make_batch_state(sigma)\n"
+            "ops.batch_update_fields(g, acc, cols, vals)\n"
+        )
+        findings = lint_tree(tmp_path, {
+            "src/repro/core/blockstack.py": loop,
+            "src/repro/core/batch.py": loop,
+            "tests/test_loop.py": loop,
+            "benchmarks/bench_loop.py": loop,
+        })
+        assert codes(findings) == ["RPL007", "RPL007"]
+        assert {f.path for f in findings} == {"src/repro/core/blockstack.py"}
+        assert "run_lanes" in findings[0].message
+
 
 # ------------------------------------------------------------ engine/API
 

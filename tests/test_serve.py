@@ -17,9 +17,16 @@ import threading
 import numpy as np
 import pytest
 
+import repro.serve.service as service_module
 from repro.cli import main
-from repro.core import solve_ising
-from repro.ising import SparseIsingModel, generate_random, parse_gset, write_gset
+from repro.core import BatchDirectEAnnealer, BatchInSituAnnealer, solve_ising
+from repro.ising import (
+    IsingModel,
+    SparseIsingModel,
+    generate_random,
+    parse_gset,
+    write_gset,
+)
 from repro.serve import (
     MAX_JOB_REPLICAS,
     SolverService,
@@ -33,6 +40,7 @@ from repro.serve.protocol import (
     start_server,
 )
 from repro.serve.service import ServiceOverloadedError
+from repro.utils.rng import ensure_rng
 
 
 def member(n, seed, offset=0.0):
@@ -173,19 +181,93 @@ class TestService:
         assert cache["size"] == 1
 
     def test_warm_start_runs_solo_with_initial(self):
-        m = member(10, 6)
-        initial = np.ones(10)
-        job = job_request(
-            "warm", m, method="sa", iterations=30, seed=4, initial=initial
-        )
+        """A warm-started job runs as one lane on its own backend, so it
+        equals the engine's warm-started run — also on a dense model with
+        non-dyadic couplings, which a sparse union would sum differently."""
+        rng = ensure_rng(3)
+        upper = np.triu(rng.normal(size=(24, 24)) * (rng.random((24, 24)) < 0.3), 1)
+        dense = IsingModel(upper + upper.T, rng.normal(size=24), name="dense")
+        initial = rng.choice(np.array([-1.0, 1.0]), size=(3, 24))
+        jobs = [job_request(
+            "warm", member(10, 6), method="sa", iterations=30, seed=4,
+            initial=np.ones(10),
+        )] + [
+            job_request(
+                f"{method}-{seed}", dense, method=method, iterations=300,
+                replicas=3, flips_per_iteration=2, seed=seed, initial=initial,
+            )
+            for method in ("insitu", "sa") for seed in range(4)
+        ]
 
         async def run():
             async with SolverService() as svc:
-                return await svc.submit(job)
+                return [await svc.submit(job) for job in jobs]
 
-        res = asyncio.run(run())
-        assert not res.packed
-        assert res.best_energies.shape == (1,)
+        results = asyncio.run(run())
+        assert results[0].best_energies.shape == (1,)
+        engines = {"insitu": BatchInSituAnnealer, "sa": BatchDirectEAnnealer}
+        for job, res in zip(jobs, results):
+            assert not res.packed
+            solo = engines[job.method](
+                job.model, replicas=job.replicas,
+                flips_per_iteration=job.flips_per_iteration, seed=job.seed,
+            ).run(job.iterations, initial=job.initial)
+            assert np.array_equal(solo.best_energies, res.best_energies)
+            assert np.array_equal(solo.best_sigmas, res.best_sigmas)
+            assert np.array_equal(solo.final_energies, res.final_energies)
+            assert np.array_equal(solo.final_sigmas, res.final_sigmas)
+            assert np.array_equal(solo.accepted, res.accepted)
+
+    def test_failed_stacked_run_reruns_each_job_alone(self, monkeypatch):
+        """One failing stacked group no longer fails all its jobs: each
+        reruns alone from a fresh lane, and only a job whose own run
+        raises reports an error."""
+        stacked = service_module.run_stacked
+
+        def flaky(lanes):
+            if len(lanes) > 1:
+                raise RuntimeError("stacked run failed")
+            if lanes[0].model.name == "m9s64":
+                raise RuntimeError("this job's own run failed")
+            return stacked(lanes)
+
+        monkeypatch.setattr(service_module, "run_stacked", flaky)
+
+        def serve(seeds):
+            jobs = [
+                job_request(
+                    f"sa-{s}", member(9, s), method="sa", iterations=60,
+                    replicas=2, seed=s,
+                )
+                for s in seeds
+            ]
+
+            async def run():
+                async with SolverService(service_config(gather_window=0.05)) as svc:
+                    out = await asyncio.gather(
+                        *(svc.submit(j) for j in jobs), return_exceptions=True
+                    )
+                    return out, svc.stats()
+
+            return jobs, *asyncio.run(run())
+
+        jobs, results, stats = serve(range(60, 64))
+        assert stats["failed_jobs"] == 0 and stats["batches"] == 1
+        for job, res in zip(jobs, results):
+            solo = solve_ising(
+                job.model, method="sa", iterations=60, seed=job.seed, replicas=2
+            )
+            assert np.array_equal(solo.best_energies, res.best_energies)
+            assert np.array_equal(solo.final_sigmas, res.final_sigmas)
+            assert np.array_equal(solo.accepted, res.accepted)
+            assert not res.packed and res.batch_size == 1
+
+        jobs, results, stats = serve(range(62, 66))
+        assert stats["failed_jobs"] == 1
+        assert [type(r).__name__ for r in results] == [
+            "JobResult", "JobResult", "RuntimeError", "JobResult"
+        ]
+        assert "own run failed" in str(results[2])
 
     def test_invalid_job_fails_its_future_only(self):
         good = job_request("fine", member(9, 7), method="sa", iterations=20,

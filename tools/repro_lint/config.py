@@ -110,11 +110,18 @@ PLAN_SETUP_CALLS: frozenset[str] = frozenset(
     }
 )
 
-#: Modules allowed to call the plan-setup primitives (RPL007).  Only the
-#: owner today — the rule flags *calls*, so the defining methods in
-#: ``model.py``/``sparse.py``/``reorder.py`` need no entry.
-PLAN_SETUP_ALLOWLIST: tuple[str, ...] = (
-    "src/repro/core/plan.py",
+#: RPL007 ownership table: ``(owner module, owned calls, the route for
+#: every other library module)``.  The rule flags *calls*, so the
+#: defining methods (``model.py``, ``reorder.py``, ``coupling.py``) need no
+#: entry.  The batch-state protocol belongs to the one replica loop
+#: (``run_lanes``), so a second per-iteration loop cannot come back
+#: unnoticed.
+OWNED_CALLS: tuple[tuple[str, frozenset[str], str], ...] = (
+    ("src/repro/core/plan.py", PLAN_SETUP_CALLS,
+     "compile_plan()/resolve_layout()"),
+    ("src/repro/core/batch.py",
+     frozenset({"make_batch_state", "batch_update_fields"}),
+     "run_lanes() or a batch engine's run()"),
 )
 
 #: The API/CLI parity contracts (RPL006 + tests/test_api_cli_parity.py).
@@ -194,8 +201,7 @@ class LintConfig:
     count_params: frozenset[str] = COUNT_PARAMS
     boundary_modules: tuple[str, ...] = BOUNDARY_MODULES
     validating_sinks: frozenset[str] = VALIDATING_SINKS
-    plan_setup_calls: frozenset[str] = PLAN_SETUP_CALLS
-    plan_setup_allowlist: tuple[str, ...] = PLAN_SETUP_ALLOWLIST
+    owned_calls: tuple[tuple[str, frozenset[str], str], ...] = OWNED_CALLS
     parity_contracts: tuple[ParityContract, ...] = PARITY_CONTRACTS
     parity_functions: tuple[str, ...] = PARITY_FUNCTIONS
     parity_solver_module: str = PARITY_SOLVER_MODULE

@@ -479,7 +479,10 @@ class PlanOwnershipRule(Rule):
     ``with_ancilla``/``reorder_permutation`` or the ancilla strip helpers
     directly — route through ``compile_plan``/``resolve_layout`` (or
     suppress inline where a layer legitimately owns the transformation,
-    e.g. a transparency test probing the fold itself).  Tests and
+    e.g. a transparency test probing the fold itself).  The same
+    ownership table (``OWNED_CALLS``) gives the batch-state protocol
+    (``make_batch_state``/``batch_update_fields``) to
+    ``src/repro/core/batch.py``, home of the one replica loop.  Tests and
     benchmarks are exempt by design: asserting fold/strip semantics
     requires calling them.
     """
@@ -487,30 +490,27 @@ class PlanOwnershipRule(Rule):
     code = "RPL007"
     name = "plan-ownership"
     summary = (
-        "no with_ancilla/reorder_permutation/ancilla-strip calls in "
-        "library code outside repro/core/plan.py — route through "
-        "compile_plan/resolve_layout"
+        "owned primitives (solve setup: repro/core/plan.py; batch-state "
+        "protocol: repro/core/batch.py) are called only by their owner in "
+        "library code"
     )
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         if not ctx.path.startswith("src/"):
             return
-        if any(fnmatch(ctx.path, pat) for pat in self.config.plan_setup_allowlist):
-            return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             name = _call_name(node)
-            if name in self.config.plan_setup_calls:
-                yield self.finding(
-                    ctx, node,
-                    f"{name}() is a solve-setup primitive owned by "
-                    "repro.core.plan — calling it here re-creates the "
-                    "duplicated-setup bug class the compile/execute split "
-                    "removed; go through compile_plan()/resolve_layout() "
-                    "or suppress with the reason this layer owns the "
-                    "transformation",
-                )
+            for owner, calls, route in self.config.owned_calls:
+                if name in calls and not fnmatch(ctx.path, owner):
+                    yield self.finding(
+                        ctx, node,
+                        f"{name}() is owned by {owner} — calling it here "
+                        "re-creates a second copy of the logic that module "
+                        f"owns; go through {route} or suppress with the "
+                        "reason this layer owns it",
+                    )
 
 
 ALL_RULES: tuple[type[Rule], ...] = (
