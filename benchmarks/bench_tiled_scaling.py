@@ -1,9 +1,11 @@
-"""Tiled-crossbar sharding at 100k+ nodes: the O(nnz + active-tile cells) bench.
+"""Tiled-crossbar sharding at 100k+ nodes: the O(nnz) memory bench.
 
 The paper caps each annealer at one physical crossbar; the tiled machine
 shards the coupling matrix over a sparse grid of ``tile_size``-row arrays,
-instantiating tiles only for blocks that contain nonzeros.  This bench
-solves a 100 000-node, degree-6 Max-Cut instance end to end through
+registering tiles only for blocks that contain nonzeros.  An ideal
+behavioural grid keeps one quantized CSR image and no per-tile cells, so
+its memory is O(nnz) however many tiles it registers.  This bench solves a
+100 000-node, degree-6 Max-Cut instance end to end through
 ``InSituCimAnnealer(tile_size=...)`` on the CSR backend and asserts:
 
 * **no densification** — the dense ``(n, n)`` coupling matrix (80 GB at
@@ -12,9 +14,8 @@ solves a 100 000-node, degree-6 Max-Cut instance end to end through
 * **sparse tile registry** — the occupied-tile count is a tiny fraction of
   the dense ``grid²`` grid (the instance is a degree-6 circulant, the
   banded ordering a real mapper would produce);
-* **bounded memory** — tracemalloc peak stays within an explicit
-  O(nnz + active-tile cells) budget, orders of magnitude below the dense
-  matrix alone.
+* **bounded memory** — tracemalloc peak stays within an explicit O(nnz)
+  budget, orders of magnitude below the dense matrix alone.
 
 Scale knobs (environment variables):
 
@@ -43,15 +44,14 @@ BENCH_DEGREE = 6
 SEED = 2026
 
 #: Peak-memory budget coefficients (bytes): CSR storage and its transient
-#: copies (model + stored image + block partition) per nonzero, and stored
-#: tile image + bit planes + construction scratch per active-tile cell.
+#: copies (model + quantized image + construction scratch) per nonzero.
+#: Ideal tiles hold no cells, so no per-cell term.
 BYTES_PER_NNZ = 200
-BYTES_PER_CELL = 32
 BYTES_BASE = 64 * 1024 * 1024
 
 
 def test_tiled_sharding_scaling(capsys):
-    """100k-node degree-6 instance solves tiled with O(nnz + cells) memory."""
+    """100k-node degree-6 instance solves tiled with O(nnz) memory."""
     build_start = time.perf_counter()
     # The banded ordering is what an array mapper produces for a local
     # graph; it keeps the occupied tile set at ~3 block diagonals instead
@@ -76,8 +76,7 @@ def test_tiled_sharding_scaling(capsys):
     tracemalloc.stop()
 
     crossbar = machine.crossbar
-    active_cells = crossbar.num_tiles * BENCH_TILE**2
-    budget = BYTES_PER_NNZ * nnz + BYTES_PER_CELL * active_cells + BYTES_BASE
+    budget = BYTES_PER_NNZ * nnz + BYTES_BASE
     dense_bytes = 8 * n * n
     best_cut = problem.cut_from_energy(result.anneal.best_energy)
     prog = crossbar.programming_summary()
@@ -94,7 +93,7 @@ def test_tiled_sharding_scaling(capsys):
             (f"solve time ({BENCH_ITERS} iters)", f"{solve_time:.2f} s"),
             ("best cut", f"{best_cut:g}"),
             ("peak memory", _fmt_bytes(peak)),
-            ("O(nnz + cells) budget", _fmt_bytes(budget)),
+            ("O(nnz) budget", _fmt_bytes(budget)),
             ("dense (n, n) matrix alone", _fmt_bytes(dense_bytes)),
         ],
         title=(
@@ -112,11 +111,10 @@ def test_tiled_sharding_scaling(capsys):
     )
     # Sparse registry: a dense grid would program every grid² slot.
     assert crossbar.num_tiles <= 4 * crossbar.grid
-    # Peak memory obeys the O(nnz + active-tile cells) model and is far
-    # below the dense matrix the old path would have allocated.
+    # Peak memory obeys the O(nnz) model and is far below the dense
+    # matrix the old path would have allocated.
     assert peak <= budget, (
-        f"peak {_fmt_bytes(peak)} exceeds O(nnz + cells) budget "
-        f"{_fmt_bytes(budget)}"
+        f"peak {_fmt_bytes(peak)} exceeds O(nnz) budget {_fmt_bytes(budget)}"
     )
     if BENCH_NODES >= 100_000:
         assert peak < dense_bytes / 20

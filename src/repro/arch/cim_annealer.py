@@ -144,8 +144,8 @@ def compile_cim_program(
             perm = resolve_layout(model, reorder, tile_size=tile_size)
         if perm is not None:
             hw_input = model.permuted(perm)
-        # Tiles are extracted block-by-block, so a sparse model is fed
-        # straight through — the dense (n, n) matrix is never formed.
+        # The grid quantizes a sparse model's CSR entries straight into
+        # its stored image — the dense (n, n) matrix is never formed.
         # (Densification allowlisted for the dense-backend branch
         # only: the input already stores all n² couplings.)
         crossbar = TiledCrossbar(
@@ -245,9 +245,11 @@ class InSituCimAnnealer:
         ``tile_size``-row arrays (:class:`~repro.arch.tiling.TiledCrossbar`)
         instead of one monolithic crossbar — the multi-array scale-out
         extension.  A :class:`~repro.ising.sparse.SparseIsingModel` input
-        is sharded straight from its CSR arrays; neither the coupling
-        matrix nor the stored image is ever densified, so 100k+-node
-        low-degree instances fit in O(nnz + active-tile cells) memory.
+        is quantized straight from its CSR arrays into one CSR stored
+        image; neither the coupling matrix nor the stored image is ever
+        densified.  Ideal behavioural tiles hold no cells of their own,
+        so 100k+-node low-degree instances fit in O(nnz) memory; device
+        and ``variation=`` grids add their active tiles' cells.
     reorder:
         Spin reordering applied to the *internal* crossbar layout before
         tiling: ``"none"`` (default), ``"rcm"`` (Reverse Cuthill–McKee,

@@ -10,13 +10,20 @@ independent DG FeFET arrays:
   nonzeros** — the tile registry is a sparse dict, not a dense ``grid²``
   list.  A degree-6 graph with locality (banded / toroidal orderings) needs
   a few hundred tiles where a dense grid would program tens of thousands;
-* the grid is built directly from :class:`~repro.ising.sparse.
-  SparseIsingModel` CSR arrays via per-tile COO extraction
-  (:meth:`~repro.ising.sparse.SparseIsingModel.block_partition`) — the full
-  dense ``(n, n)`` matrix is never materialised on that path;
-* every tile quantizes against the *whole-matrix* LSB, so the assembled
-  stored image is identical to a monolithic crossbar programming the same
-  matrix;
+* the input's stored entries — the CSR arrays of a
+  :class:`~repro.ising.sparse.SparseIsingModel`, or the nonzeros of a
+  dense matrix — are quantized *once*, against the whole-matrix LSB, into
+  one stored image kept as CSR rows.  The assembled image is therefore
+  identical to a monolithic crossbar programming the same matrix, and the
+  dense ``(n, n)`` matrix is never formed on the sparse path;
+* the tile registry (every block holding an input entry), each tile's
+  sign planes and the programmed-cell counts are bincounts over the
+  quantized entries.  Ideal behavioural tiles hold no cells of their own:
+  memory is O(nnz) until the SB matvec hooks cut one dense block per tile
+  on their first call.  Device tiles and tiles with variation are
+  programmed as full crossbars cut from the image, in row-major order
+  from the shared generator, so their frozen draws are reproducible for a
+  fixed seed;
 * an incremental evaluation activates only the (row-block, col-block) pairs
   where a tile exists **and** the column slice is driven; all activated
   tiles operate in parallel and their partial sums are combined digitally
@@ -48,7 +55,7 @@ from repro.circuits.quantize import MatrixQuantizer
 from repro.devices.constants import VBG_MAX
 from repro.ising.sparse import SparseIsingModel
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_count
+from repro.utils.validation import check_choice, check_count, check_square_symmetric
 
 _ZERO_STATS = ActivationStats(
     phases=0,
@@ -96,49 +103,73 @@ class TiledCrossbar:
             "tile_size", tile_size, minimum=2,
             hint="a physical tile needs at least 2 rows",
         )
-        self.bits = int(bits)
-        rng = ensure_rng(seed)
+        self.backend = check_choice("backend", backend, ("behavioral", "device"))
         quantizer = MatrixQuantizer(bits)
+        self.bits = quantizer.bits
+        if isinstance(matrix, SparseIsingModel):
+            self.n = matrix.num_spins
+            self.lsb = quantizer.lsb_for_peak(matrix.max_abs_entry())
+            indptr, cols, vals = matrix.csr_arrays()
+            rows = np.repeat(np.arange(self.n), np.diff(indptr))
+        else:
+            matrix = check_square_symmetric(matrix, "matrix")
+            self.n = matrix.shape[0]
+            self.lsb = quantizer.lsb_for(matrix)
+            rows, cols = np.nonzero(matrix)
+            vals = matrix[rows, cols]
+        s = self.tile_size
+        self.grid = -(-self.n // s)
+        self._bounds = self._block_bounds()
 
-        self.backend = backend
-        tile_kwargs = dict(
-            bits=bits,
+        # The stored image: every input entry at its k-bit level, in the
+        # input's row-major order, so level-0 entries drop out and the
+        # rest form the CSR rows of Ĵ.
+        levels = quantizer.levels(vals, self.lsb)
+        stored = levels > 0
+        indptr = np.zeros(self.n + 1, dtype=np.intp)
+        indptr[1:] = np.cumsum(np.bincount(rows[stored], minlength=self.n))
+        data = self.lsb * np.copysign(levels[stored], vals[stored])
+        self._csr = (indptr, cols[stored], data)
+        self._ones = float(
+            sum(np.count_nonzero((levels >> b) & 1) for b in range(self.bits))
+        )
+        # A tile for every block holding an input entry (level 0 too), in
+        # row-major order; two planes iff it stores a negative value.
+        block = rows // s * self.grid + cols // s
+        keys = np.unique(block)
+        self._planes = 1 + np.isin(keys, block[stored & (vals < 0)])
+
+        self._tile_kwargs = dict(
+            bits=self.bits,
             backend=backend,
             wire=wire,
             shift_add=shift_add,
             variation=variation,
             require_symmetric=False,
+            seed=ensure_rng(seed),
         )
-        s = self.tile_size
-        if isinstance(matrix, SparseIsingModel):
-            self.n = matrix.num_spins
-            self.lsb = quantizer.lsb_for_peak(matrix.max_abs_entry())
-        else:
-            matrix = np.asarray(matrix, dtype=np.float64)
-            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-                raise ValueError("matrix must be square")
-            self.n = matrix.shape[0]
-            self.lsb = quantizer.lsb_for(matrix)
-        self.grid = -(-self.n // s)
-        self._bounds = self._block_bounds()
-        # Nonzero blocks in deterministic row-major order, so variation
-        # draws from the shared rng are reproducible for a fixed seed and
-        # identical between the sparse- and dense-input paths.
-        self._tiles: dict[tuple[int, int], DgFefetCrossbar] = {
-            key: DgFefetCrossbar(block, lsb=self.lsb, seed=rng, **tile_kwargs)
-            for key, block in self._iter_nonzero_blocks(matrix)
+        # Device reads and varied cells stay a read per tile, so those
+        # tiles are programmed now, in row-major order from the shared
+        # rng; ideal behavioural tiles are programmed only on request.
+        self._per_tile = backend == "device" or (
+            variation is not None and not variation.is_ideal
+        )
+        self._tiles: dict[tuple[int, int], DgFefetCrossbar | None] = {
+            divmod(int(key), self.grid): None for key in keys
         }
-
-        # The factor curve is a nominal-cell property, identical across
-        # tiles; an all-zero matrix has no tile, so keep a 2×2 reference.
-        if self._tiles:
-            self._ref = next(iter(self._tiles.values()))
-        else:
-            self._ref = DgFefetCrossbar(
-                np.zeros((2, 2)), lsb=self.lsb, seed=rng, **tile_kwargs
-            )
+        if self._per_tile:
+            for bi, bj in self._tiles:
+                self._tiles[bi, bj] = self._program(bi, bj)
+        # The factor curve, wire and ADC mux are nominal-cell properties,
+        # identical across tiles.  Ideal grids keep a 2×2 zero crossbar,
+        # which draws nothing; a per-tile grid's would draw, so it reuses
+        # its first tile.
+        first = next(iter(self._tiles.values()), None)
+        self._ref = first or DgFefetCrossbar(
+            np.zeros((2, 2)), lsb=self.lsb, **self._tile_kwargs
+        )
         self._matrix_hat: np.ndarray | None = None
-        self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._blocks: list[tuple[int, int, int, int, np.ndarray]] | None = None
         self._build_tile_index()
 
     def _build_tile_index(self) -> None:
@@ -148,19 +179,16 @@ class TiledCrossbar:
         order, the order in which the per-tile path draws its noise.
         """
         s = self.tile_size
-        order = sorted(self._tiles, key=lambda key: (key[1], key[0]))
-        self._by_id = [self._tiles[key] for key in order]
-        tile_row = np.array([bi for bi, _ in order], dtype=np.intp)
-        self._tile_col = np.array([bj for _, bj in order], dtype=np.intp)
+        keys = list(self._tiles)
+        rc = np.array(keys, dtype=np.intp).reshape(-1, 2)
+        order = np.lexsort((rc[:, 0], rc[:, 1]))
+        tile_row = rc[order, 0]
+        self._tile_col = rc[order, 1]
+        self._by_id = [self._tiles[keys[k]] for k in order.tolist()]
         # Columns one driven spin selects (bits × planes) and the ADCs
         # serving the tile (DgFefetCrossbar._activation_stats).
-        group = [tile.bits * tile.planes for tile in self._by_id]
-        self._group = np.array(group, dtype=np.intp)
-        self._adcs = np.array(
-            [max(1, s * g // tile.adc.mux_ratio)
-             for tile, g in zip(self._by_id, group)],
-            dtype=np.intp,
-        )
+        self._group = self.bits * self._planes[order].astype(np.intp)
+        self._adcs = np.maximum(1, s * self._group // self._ref.adc.mux_ratio)
         self._settle = self._ref.wire.settle_time(s)
         # Gather indices of each tile's zero-padded row and column slices;
         # the slots past n in a ragged last block are masked to zero.
@@ -176,10 +204,6 @@ class TiledCrossbar:
         # FG (row) and DL (column) lines of every tile as last driven.
         self._fg = np.zeros((len(order), s), dtype=np.int8)
         self._dl = np.zeros((len(order), s), dtype=np.int8)
-        # Device reads and varied cells stay a read per tile, in id order.
-        self._per_tile = (
-            self.backend == "device" or not self._ref.variation.is_ideal
-        )
 
     def _block_bounds(self) -> list[tuple[int, int]]:
         return [
@@ -187,36 +211,37 @@ class TiledCrossbar:
             for i in range(self.grid)
         ]
 
-    def _iter_nonzero_blocks(self, matrix):
-        """Yield ``((bi, bj), padded_block)`` for every nonzero block.
+    def _block(self, bi: int, bj: int) -> np.ndarray:
+        """The ``s × s`` zero-padded block ``(bi, bj)`` of the stored image.
 
-        Sparse models come through :meth:`SparseIsingModel.block_partition`
-        (one O(nnz log nnz) pass, no dense matrix); dense arrays are
-        sliced block by block.  Either way the yielded block is the
-        ``s × s`` zero-padded array a physical tile programs.
+        Cut from the CSR rows of the block's row band; the one source of
+        every tile crossbar and every matvec block.
         """
         s = self.tile_size
-        if isinstance(matrix, SparseIsingModel):
-            for key, (lr, lc, vals) in sorted(matrix.block_partition(s).items()):
-                block = np.zeros((s, s))
-                block[lr, lc] = vals
-                yield key, block
-        else:
-            for bi, (r0, r1) in enumerate(self._bounds):
-                for bj, (c0, c1) in enumerate(self._bounds):
-                    sub = matrix[r0:r1, c0:c1]
-                    if not np.any(sub):
-                        continue  # empty block: no tile is programmed
-                    block = np.zeros((s, s))
-                    block[: r1 - r0, : c1 - c0] = sub
-                    yield (bi, bj), block
+        (r0, r1), (c0, c1) = self._bounds[bi], self._bounds[bj]
+        indptr, indices, data = self._csr
+        lo, hi = indptr[r0], indptr[r1]
+        rows = np.repeat(np.arange(r1 - r0), np.diff(indptr[r0:r1 + 1]))
+        cols = indices[lo:hi]
+        inside = (cols >= c0) & (cols < c1)
+        out = np.zeros((s, s))
+        out[rows[inside], cols[inside] - c0] = data[lo:hi][inside]
+        return out
+
+    def _program(self, bi: int, bj: int) -> DgFefetCrossbar:
+        """Program block ``(bi, bj)`` of the image as a tile crossbar.
+
+        Requantizing ``lsb · L`` returns ``L``, so the tile stores exactly
+        the image's levels.
+        """
+        return DgFefetCrossbar(self._block(bi, bj), lsb=self.lsb, **self._tile_kwargs)
 
     # ------------------------------------------------------------------
     # Geometry
     # ------------------------------------------------------------------
     @property
     def num_tiles(self) -> int:
-        """Instantiated (nonzero-block) tiles — at most ``grid²``."""
+        """Programmed (nonzero-block) tiles — at most ``grid²``."""
         return len(self._tiles)
 
     @property
@@ -232,27 +257,32 @@ class TiledCrossbar:
     @property
     def planes(self) -> int:
         """Sign planes in use across the grid (2 iff any tile stores one)."""
-        if any(tile.planes == 2 for tile in self._tiles.values()):
-            return 2
-        return 1
+        return int(self._planes.max(initial=1))
 
     def tile_at(self, block_row: int, block_col: int) -> DgFefetCrossbar | None:
-        """The tile programmed at ``(block_row, block_col)``, if any."""
-        return self._tiles.get((block_row, block_col))
+        """The tile programmed at ``(block_row, block_col)``, if any.
+
+        An ideal grid programs the tile's crossbar on first request (it
+        draws nothing) and keeps it.
+        """
+        key = (block_row, block_col)
+        if key not in self._tiles:
+            return None
+        if self._tiles[key] is None:
+            self._tiles[key] = self._program(*key)
+        return self._tiles[key]
 
     @property
     def matrix_hat(self) -> np.ndarray:
-        """Dense stored image ``Ĵ`` assembled from the tiles on demand.
+        """Dense stored image ``Ĵ`` assembled from the CSR image on demand.
 
         O(n²) memory — small-instance/test convenience only; large sparse
         flows use :meth:`stored_model` and never build this.
         """
         if self._matrix_hat is None:
+            indptr, indices, data = self._csr
             out = np.zeros((self.n, self.n))
-            for (bi, bj), tile in self._tiles.items():
-                r0, r1 = self._bounds[bi]
-                c0, c1 = self._bounds[bj]
-                out[r0:r1, c0:c1] = tile.matrix_hat[: r1 - r0, : c1 - c0]
+            out[np.repeat(np.arange(self.n), np.diff(indptr)), indices] = data
             self._matrix_hat = out
         return self._matrix_hat
 
@@ -261,44 +291,12 @@ class TiledCrossbar:
     ) -> SparseIsingModel:
         """The stored image ``Ĵ`` as a :class:`SparseIsingModel`.
 
-        Collects each tile's dequantized nonzeros back into global COO
-        coordinates — O(nnz + tiles · s²) work, never an ``(n, n)`` array.
-        Quantization is element-wise on a symmetric matrix, so the image is
-        symmetric and the canonical upper triangle is complete.  The CSR
-        arrays are built on the first call and shared by every later
-        model and by :meth:`compute_increment`.
+        Shares the CSR arrays built at construction with every other
+        model and with :meth:`compute_increment` — O(1), never an
+        ``(n, n)`` array.  Quantization is element-wise on a symmetric
+        matrix, so the image is symmetric.
         """
-        if self._csr is not None:
-            return SparseIsingModel(
-                *self._csr, None, offset=offset, name=name
-            )
-        rows = [np.zeros(0, dtype=np.intp)]
-        cols = [np.zeros(0, dtype=np.intp)]
-        vals = [np.zeros(0, dtype=np.float64)]
-        for (bi, bj), tile in sorted(self._tiles.items()):
-            if bi > bj:
-                continue  # lower triangle mirrors the upper one
-            r0, r1 = self._bounds[bi]
-            c0, c1 = self._bounds[bj]
-            hat = tile.matrix_hat[: r1 - r0, : c1 - c0]
-            lr, lc = np.nonzero(hat)
-            if bi == bj:
-                keep = lr <= lc
-                lr, lc = lr[keep], lc[keep]
-            rows.append(lr + r0)
-            cols.append(lc + c0)
-            vals.append(hat[lr, lc])
-        model = SparseIsingModel.from_edges(
-            self.n,
-            np.concatenate(rows),
-            np.concatenate(cols),
-            np.concatenate(vals),
-            None,
-            offset=offset,
-            name=name,
-        )
-        self._csr = model.csr_arrays()
-        return model
+        return SparseIsingModel(*self._csr, None, offset=offset, name=name)
 
     def factor(self, v_bg: float) -> float:
         """Shared-rail factor (all tiles see the same back-gate voltage)."""
@@ -389,8 +387,6 @@ class TiledCrossbar:
         active tiles hold of column ``j``, in row-block order: one
         contiguous read per driven column (``t`` per proposal).
         """
-        if self._csr is None:
-            self.stored_model()
         indptr, indices, data = self._csr
         total = 0.0
         for j, c_j in zip(driven.tolist(), c.take(driven).tolist()):
@@ -439,8 +435,9 @@ class TiledCrossbar:
         ``Ĵ[r0:r1, c0:c1] · x[c0:c1]`` in parallel (read at
         ``V_BG^{max}``, where the shared-rail factor is exactly 1) and the
         partial sums are combined digitally per output row — the extra
-        adder-tree level of the sharded array.  O(tiles · s²) work, no
-        dense ``(n, n)`` assembly.  For dyadic stored images and ±1
+        adder-tree level of the sharded array.  O(tiles · s²) work on
+        dense blocks cut from the image on the first call, no ``(n, n)``
+        assembly.  For dyadic stored images and ±1
         drives every partial sum is exact, so the result is bit-identical
         to :meth:`stored_model`'s CSR SpMV — which is what lets the
         simulated-bifurcation engines run on the tiled machine without a
@@ -451,10 +448,8 @@ class TiledCrossbar:
         if validate and v.shape != (self.n,):
             raise ValueError(f"input vector must have shape ({self.n},)")
         out = np.zeros(self.n)
-        for (bi, bj), tile in self._tiles.items():
-            r0, r1 = self._bounds[bi]
-            c0, c1 = self._bounds[bj]
-            out[r0:r1] += tile.matrix_hat[: r1 - r0, : c1 - c0] @ v[c0:c1]
+        for r0, r1, c0, c1, block in self._matvec_blocks():
+            out[r0:r1] += block @ v[c0:c1]
         return out
 
     def batch_matvec(self, x, validate: bool = True) -> np.ndarray:
@@ -472,12 +467,23 @@ class TiledCrossbar:
         if validate and (v.ndim != 2 or v.shape[1] != self.n):
             raise ValueError(f"input batch must have shape (R, {self.n})")
         out = np.zeros(v.shape)
-        for (bi, bj), tile in self._tiles.items():
-            r0, r1 = self._bounds[bi]
-            c0, c1 = self._bounds[bj]
-            block = tile.matrix_hat[: r1 - r0, : c1 - c0]
+        for r0, r1, c0, c1, block in self._matvec_blocks():
             out[:, r0:r1] += v[:, c0:c1] @ block.T
         return out
+
+    def _matvec_blocks(self) -> list[tuple[int, int, int, int, np.ndarray]]:
+        """Every tile's dense block, in row-major order, cut on first use.
+
+        A BLAS matmul per dense block beats a CSR SpMV on full tiles, so
+        the matvec hooks keep them; in-situ runs never call this.
+        """
+        if self._blocks is None:
+            self._blocks = []
+            for bi, bj in self._tiles:
+                (r0, r1), (c0, c1) = self._bounds[bi], self._bounds[bj]
+                block = self._block(bi, bj)[: r1 - r0, : c1 - c0]
+                self._blocks.append((r0, r1, c0, c1, block))
+        return self._blocks
 
     # ------------------------------------------------------------------
     # Programming cost
@@ -488,21 +494,20 @@ class TiledCrossbar:
         Counts the logical cells of each programmed block — empty blocks
         hold no tile and contribute nothing, and the pad cells of edge
         tiles (rows/columns beyond ``n``) are never written, so neither
-        inflates the totals.  ``tiles`` / ``grid_tiles`` report the sharded
-        geometry alongside the cost.
+        inflates the totals.  Tiles add up in row-major order.  ``tiles``
+        / ``grid_tiles`` report the sharded geometry alongside the cost.
         """
         totals = {
             "cells": 0.0,
-            "programmed_ones": 0.0,
+            "programmed_ones": self._ones,
             "write_pulses": 0.0,
             "energy": 0.0,
         }
-        for (bi, bj), tile in self._tiles.items():
+        for bi, bj in self._tiles:
             r0, r1 = self._bounds[bi]
             c0, c1 = self._bounds[bj]
             cells = 2.0 * self.bits * (r1 - r0) * (c1 - c0)
             totals["cells"] += cells
-            totals["programmed_ones"] += float(tile.quantized.cell_count())
             totals["write_pulses"] += cells
             totals["energy"] += cells * PROGRAM_PULSE_ENERGY
         totals["tiles"] = float(self.num_tiles)

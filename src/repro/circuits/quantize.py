@@ -110,6 +110,16 @@ class MatrixQuantizer:
         """LSB that maps the largest |element| onto the top level."""
         return self.lsb_for_peak(float(np.max(np.abs(matrix))) if matrix.size else 0.0)
 
+    def levels(self, values, lsb: float) -> np.ndarray:
+        """Magnitude levels ``min(rint(|v| / lsb), 2^k − 1)`` of ``values``.
+
+        The one rounding rule of every stored image: the bit planes of
+        :meth:`quantize` and the stored entries of a tiled array's image
+        (:class:`~repro.arch.tiling.TiledCrossbar`) both come from it.
+        """
+        levels = np.rint(np.abs(values) / lsb).astype(np.int64)
+        return np.minimum(levels, self.max_level)
+
     def quantize(self, matrix, lsb: float | None = None) -> QuantizedMatrix:
         """Quantize a symmetric matrix into sign-split bit planes.
 
@@ -139,8 +149,7 @@ class MatrixQuantizer:
             lsb = float(lsb)
             if lsb <= 0:
                 raise ValueError(f"lsb must be > 0, got {lsb}")
-        levels = np.rint(np.abs(J) / lsb).astype(np.int64)
-        levels = np.minimum(levels, self.max_level)
+        levels = self.levels(J, lsb)
         pos_mask = J > 0
         neg_mask = J < 0
         k = self.bits

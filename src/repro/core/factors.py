@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.devices.constants import VBG_MAX, VBG_MIN, VBG_STEP
 from repro.utils.validation import check_positive
@@ -112,8 +111,12 @@ def fit_fractional_factor(
     """Least-squares fit of ``a, b, c, d`` to target factor values.
 
     Used to re-derive the published parameters from the DG FeFET transfer
-    curve (bench Fig 6c) and for the factor-parameter ablation.
+    curve (bench Fig 6c) and for the factor-parameter ablation.  scipy is
+    imported here, not at module level, so importing the package stays
+    cheap for every caller that never fits.
     """
+    from scipy.optimize import least_squares
+
     t = np.asarray(temperatures, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     if t.shape != y.shape or t.size < 4:

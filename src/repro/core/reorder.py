@@ -139,8 +139,8 @@ class Permutation:
         """Tiles a :class:`TiledCrossbar` instantiates after reordering.
 
         Counts the distinct ``tile_size``-square blocks hit by the stored
-        coupling entries under this permutation — exactly the nonzero-block
-        registry ``block_partition`` builds, so the prediction matches the
+        coupling entries under this permutation — exactly the tile registry
+        a :class:`TiledCrossbar` builds, so the prediction matches the
         machine's ``num_tiles`` (the occupancy regression test pins this).
         """
         s = check_count("tile_size", tile_size)

@@ -43,7 +43,6 @@ import numpy as np
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import (
     check_choice,
-    check_count,
     check_index,
     check_permutation,
     check_spin_vector,
@@ -324,42 +323,6 @@ class SparseIsingModel:
         in O(nnz) without densifying.
         """
         return float(np.max(np.abs(self._data))) if self._data.size else 0.0
-
-    def block_partition(
-        self, tile_size: int
-    ) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Group the stored entries into ``tile_size``-square blocks.
-
-        Returns ``{(bi, bj): (local_rows, local_cols, values)}`` covering
-        exactly the blocks that contain at least one nonzero — the registry
-        a tiled crossbar instantiates physical arrays from.  Coordinates
-        are local to the block (``global = b * tile_size + local``).  One
-        O(nnz log nnz) pass; the dense ``(n, n)`` matrix is never formed.
-        """
-        s = check_count("tile_size", tile_size)
-        if self._data.size == 0:
-            return {}
-        grid = -(-self._n // s)  # ceil division
-        block_rows = self._rows // s
-        block_cols = self._indices // s
-        key = block_rows * grid + block_cols
-        order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], sorted_key[1:] != sorted_key[:-1]))
-        )
-        bounds = np.concatenate((starts, [sorted_key.size]))
-        blocks: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        for t, lo in enumerate(starts):
-            hi = bounds[t + 1]
-            bi, bj = divmod(int(sorted_key[lo]), grid)
-            idx = order[lo:hi]
-            blocks[(bi, bj)] = (
-                self._rows[idx] - bi * s,
-                self._indices[idx] - bj * s,
-                self._data[idx],
-            )
-        return blocks
 
     def coupling_diagonal(self) -> np.ndarray:
         """Dense view of ``diag(J)`` (do not mutate)."""

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,6 +106,21 @@ class TestFitting:
     def test_fit_validates_input(self):
         with pytest.raises(ValueError):
             fit_fractional_factor([1.0, 2.0], [0.5])
+
+    def test_package_import_does_not_load_scipy(self):
+        """Only the fit needs scipy; importing the solver and the service
+        must not pay for it (about half a second per process)."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = (
+            "import sys, repro.core, repro.serve; "
+            "print('scipy' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env,
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "False"
 
 
 class TestVbgEncoder:

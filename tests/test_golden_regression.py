@@ -167,6 +167,38 @@ class TestTiledMachineGoldens:
         assert result.anneal.accepted == accepted
         assert golden_problem.cut_value(result.anneal.best_sigma) == cut
 
+    #: backend -> (best_energy, accepted, Ledger energy, Ledger time,
+    #: ADC conversions) with threshold spread and read noise, at tile 16,
+    #: t=2, iterations=150, seed=2024.  Programming draws each tile's
+    #: frozen variation in row-major tile order and every read draws its
+    #: noise in (column block, row block) order from the one seeded
+    #: stream, so a change to either order moves these values.  The books
+    #: are sums of fixed per-event costs, pinned to 1e-12.
+    GOLDEN_NOISY_TILED = {
+        "behavioral": (-35.0, 31, 5.6717599999999924e-09, 7.768005836800025e-06, 19200),
+        "device": (-35.0, 23, 5.670169999999993e-09, 7.768005836800025e-06, 19200),
+    }
+
+    @pytest.mark.parametrize("crossbar", sorted(GOLDEN_NOISY_TILED))
+    @pytest.mark.parametrize("backend", ["sparse", "dense"])
+    def test_pinned_noisy_tiled_run(self, golden_problem, crossbar, backend):
+        from repro.arch import InSituCimAnnealer
+        from repro.devices.variability import VariationModel
+
+        energy, accepted, ledger_energy, ledger_time, conversions = (
+            self.GOLDEN_NOISY_TILED[crossbar]
+        )
+        result = InSituCimAnnealer(
+            golden_problem.to_ising(backend=backend), tile_size=16,
+            flips_per_iteration=2, seed=2024, backend=crossbar,
+            variation=VariationModel(vth_sigma=0.02, read_noise_sigma=0.01),
+        ).run(150)
+        assert result.anneal.best_energy == energy
+        assert result.anneal.accepted == accepted
+        assert result.ledger.total_energy == pytest.approx(ledger_energy, rel=1e-12)
+        assert result.ledger.total_time == pytest.approx(ledger_time, rel=1e-12)
+        assert result.ledger.entries["adc"].count == conversions
+
 
 class TestReplicaBatchGoldens:
     """Pinned replica-batch runs on the bundled golden instance.

@@ -198,7 +198,7 @@ class TestPartitionValidation:
 
         Booleans (``True`` would silently mean 1) and non-positive or
         fractional counts must fail loudly in the partitioner, the
-        estimators, and the CSR block extraction alike.
+        estimators, and the tiled crossbar's registry alike.
         """
         model = dyadic_sparse_model(2)
         perm = rcm_permutation(model)
@@ -207,7 +207,7 @@ class TestPartitionValidation:
             lambda: partition_permutation(model, bad),
             lambda: perm.estimated_active_tiles(bad),
             lambda: count_active_tiles(model, bad),
-            lambda: model.block_partition(bad),
+            lambda: TiledCrossbar(model, bad),
             lambda: reorder_permutation(model, "auto", tile_size=bad),
             lambda: Partitioning(np.zeros(4, dtype=np.intp), bad, 0.0),
         ):

@@ -82,42 +82,28 @@ def block_sparse_model(seed: int, n: int = 48, tile: int = 16) -> SparseIsingMod
     return SparseIsingModel.from_edges(n, rows, cols, vals, name=f"blocky-{seed}")
 
 
-class TestBlockPartition:
-    @relaxed
-    @given(seed=st.integers(0, 10_000), tile=st.sampled_from([4, 7, 16]))
-    def test_blocks_reassemble_exactly(self, seed, tile):
-        model = block_sparse_model(seed)
-        n = model.num_spins
-        J = model.toarray()  # repro-lint: disable=RPL001 (tiny reassembly oracle)
-        rebuilt = np.zeros_like(J)
-        for (bi, bj), (lr, lc, vals) in model.block_partition(tile).items():
-            assert lr.size > 0  # only nonzero blocks appear
-            assert np.all((0 <= lr) & (lr < tile))
-            assert np.all((0 <= lc) & (lc < tile))
-            rebuilt[bi * tile + lr, bj * tile + lc] = vals
-        assert np.array_equal(rebuilt, J)
-        assert n  # sanity: the model is non-degenerate
-
-    def test_empty_model_has_no_blocks(self):
-        model = SparseIsingModel.from_dense(np.zeros((6, 6)))
-        assert model.block_partition(4) == {}
-
-    def test_max_abs_entry_matches_dense(self):
-        model = block_sparse_model(3)
-        # repro-lint: disable=RPL001 (dense oracle for the exact max)
-        assert model.max_abs_entry() == float(np.max(np.abs(model.toarray())))
+def occupied_blocks(model: SparseIsingModel, tile: int) -> set[tuple[int, int]]:
+    """The ``tile``-square blocks holding a stored entry, from the CSR."""
+    indptr, indices, _ = model.csr_arrays()
+    rows = np.repeat(np.arange(model.num_spins), np.diff(indptr))
+    return set(zip((rows // tile).tolist(), (indices // tile).tolist()))
 
 
 class TestTileRegistry:
     def test_empty_blocks_hold_no_tile(self):
         model = block_sparse_model(7)
         tiled = TiledCrossbar(model, tile_size=16, seed=0)
-        occupied = set(model.block_partition(16))
-        # registry is exactly the nonzero block set
+        occupied = occupied_blocks(model, 16)
+        hat = tiled.matrix_hat
+        # registry is exactly the nonzero block set, and each tile holds
+        # its block of the stored image
         for bi in range(tiled.grid):
             for bj in range(tiled.grid):
                 tile = tiled.tile_at(bi, bj)
                 assert (tile is not None) == ((bi, bj) in occupied)
+                if tile is not None:
+                    block = hat[bi * 16:(bi + 1) * 16, bj * 16:(bj + 1) * 16]
+                    assert np.array_equal(tile.matrix_hat, block)
         assert tiled.num_tiles == len(occupied) < tiled.grid_tiles
         assert 0.0 < tiled.occupancy < 1.0
 
@@ -141,6 +127,42 @@ class TestTileRegistry:
         summary = tiled.programming_summary()
         assert summary["cells"] == 0.0
         assert summary["tiles"] == 0.0
+
+
+class TestIdealGrid:
+    """An ideal behavioural grid stores one image and draws nothing."""
+
+    @pytest.mark.parametrize("backend", ["sparse", "dense"])
+    def test_compile_leaves_the_seed_stream_untouched(self, backend):
+        model = MaxCutProblem.random(30, 80, seed=8).to_ising(backend=backend)
+        rng = ensure_rng(3)
+        before = rng.bit_generator.state
+        compile_cim_program(model, tile_size=8, seed=rng)
+        assert rng.bit_generator.state == before
+
+    def test_only_the_reference_crossbar_is_built(self, monkeypatch):
+        """No tile is programmed until ``tile_at`` asks for one."""
+        shapes = []
+        init = DgFefetCrossbar.__init__
+
+        def spy(self, matrix, *args, **kwargs):
+            shapes.append(np.shape(matrix))
+            init(self, matrix, *args, **kwargs)
+
+        monkeypatch.setattr(DgFefetCrossbar, "__init__", spy)
+        model = block_sparse_model(7)
+        tiled = TiledCrossbar(model, tile_size=16, seed=0)
+        tiled.stored_model()
+        tiled.programming_summary()
+        tiled.batch_matvec(np.ones((2, model.num_spins)))
+        c = np.zeros(model.num_spins)
+        c[0] = -1.0
+        tiled.compute_increment(np.ones(model.num_spins) + c, c, 0.5)
+        assert shapes in ([], [(2, 2)])
+        key = min(occupied_blocks(model, 16))
+        tile = tiled.tile_at(*key)
+        assert shapes[-1] == (16, 16)
+        assert tiled.tile_at(*key) is tile
 
 
 class TestIncrementEquivalence:
@@ -272,6 +294,11 @@ class TestSharedLsb:
         sparse = TiledCrossbar(SparseIsingModel.from_dense(J), tile_size=8, seed=0)
         assert sparse.lsb == mono.quantized.lsb
         assert np.array_equal(sparse.matrix_hat, mono.matrix_hat)
+
+    def test_max_abs_entry_matches_dense(self):
+        model = block_sparse_model(3)
+        # repro-lint: disable=RPL001 (dense oracle for the exact max)
+        assert model.max_abs_entry() == float(np.max(np.abs(model.toarray())))
 
 
 class TestProgrammingSummary:
@@ -412,6 +439,26 @@ class TestSolveApiRouting:
             TiledCrossbar(np.zeros((4, 5)), tile_size=2)
         with pytest.raises(ValueError, match="tile_size"):
             TiledCrossbar(np.zeros((4, 4)), tile_size=1)
+
+    def test_asymmetric_dense_matrix_is_rejected(self):
+        """One input, one image: a non-symmetric matrix has no valid one.
+
+        The upper and lower entries of tile (0, 1)/(1, 0) differ, so the
+        assembled image and the CSR rows the increment reads would
+        disagree; the monolithic crossbar refuses the same input.
+        """
+        J = np.zeros((6, 6))
+        J[0, 4] = 1.0
+        J[4, 0] = -0.5
+        with pytest.raises(ValueError, match="symmetric"):
+            DgFefetCrossbar(J)
+        with pytest.raises(ValueError, match="symmetric"):
+            TiledCrossbar(J, tile_size=4)
+
+    @pytest.mark.parametrize("matrix", [np.zeros((4, 4)), np.eye(4)[::-1]])
+    def test_unknown_backend_is_rejected(self, matrix):
+        with pytest.raises(ValueError, match="unknown backend 'analog'"):
+            TiledCrossbar(matrix, tile_size=2, backend="analog")
 
 
 # ----------------------------------------------------------------------
