@@ -24,7 +24,8 @@ directly, must open it.  Asserted here:
   ``reorder="none"`` is compared directly (±1 weights store exactly).
 * **No densification** — ``SparseIsingModel.toarray`` and the dense
   ``matrix_hat`` assembly are trapped for the whole run, and tracemalloc
-  peak stays within an O(nnz + active-tile cells) budget.
+  peak stays within an O(nnz) budget: both machines are ideal tile
+  grids, which hold one stored CSR image and no per-tile cells.
 
 Scale knobs (environment variables):
 
@@ -79,10 +80,8 @@ SMOKE_FLOOR = 2.0
 
 #: Peak-memory budget coefficients (bytes): CSR storage plus the
 #: partitioner's transients (coarsening levels, pair-count map, per-entry
-#: sorts) per nonzero, and stored tile image + bit planes + construction
-#: scratch per active-tile cell.
+#: sorts) and the stored tile image per nonzero.
 BYTES_PER_NNZ = 600
-BYTES_PER_CELL = 40
 BYTES_BASE = 64 * 1024 * 1024
 
 
@@ -138,7 +137,6 @@ def test_partition_beats_rcm_on_clustered_instance(capsys):
         part_out = _run(machine, BENCH_ITERS)
         solve_time = time.perf_counter() - solve_start
         part_tiles = machine.crossbar.num_tiles
-        part_cells = part_tiles * BENCH_TILE**2
         del machine
         # Same instance stored under the *planted oracle* layout: a
         # different tile grid must produce the bit-identical external
@@ -153,8 +151,7 @@ def test_partition_beats_rcm_on_clustered_instance(capsys):
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 
-    active_cells = part_cells + oracle_tiles * BENCH_TILE**2
-    budget = BYTES_PER_NNZ * nnz + BYTES_PER_CELL * active_cells + BYTES_BASE
+    budget = BYTES_PER_NNZ * nnz + BYTES_BASE
     best_cut = problem.cut_from_energy(part_out[0])
     floor = FULL_FLOOR if BENCH_NODES >= FULL_PROTOCOL_NODES else SMOKE_FLOOR
 
@@ -178,7 +175,7 @@ def test_partition_beats_rcm_on_clustered_instance(capsys):
             ("partition ≡ oracle trajectory",
              f"{part_out[:3] == oracle_out[:3] and np.array_equal(part_out[3], oracle_out[3])}"),
             ("peak memory", _fmt_bytes(peak)),
-            ("O(nnz + cells) budget", _fmt_bytes(budget)),
+            ("O(nnz) budget", _fmt_bytes(budget)),
             ("dense (n, n) matrix alone", _fmt_bytes(8 * n * n)),
         ],
         title=(
@@ -203,7 +200,7 @@ def test_partition_beats_rcm_on_clustered_instance(capsys):
     # external fixed-seed trajectory (±1 weights store exactly).
     assert part_out[:3] == oracle_out[:3]
     assert np.array_equal(part_out[3], oracle_out[3])
-    # Bounded memory: O(nnz + active-tile cells), no densification.
+    # Bounded memory: O(nnz), no densification.
     assert peak <= budget, (
         f"peak {_fmt_bytes(peak)} exceeds budget {_fmt_bytes(budget)}"
     )

@@ -23,7 +23,8 @@ exactly the mapping cost the reordering pass removes.  Asserted here:
   compared directly.
 * **No densification** — ``SparseIsingModel.toarray`` and the dense
   ``matrix_hat`` assembly are trapped for the whole run, and tracemalloc
-  peak stays within an O(nnz + active-tile cells) budget.
+  peak stays within an O(nnz) budget: both machines are ideal tile
+  grids, which hold one stored CSR image and no per-tile cells.
 
 Scale knobs (environment variables):
 
@@ -60,10 +61,8 @@ SEED = 2026
 
 #: Peak-memory budget coefficients (bytes): CSR storage plus the reorder
 #: pass's transient per-entry arrays (BFS gathers, lexsorts, permuted
-#: copies) per nonzero, and stored tile image + bit planes + construction
-#: scratch per active-tile cell.
+#: copies) and the stored tile image per nonzero.
 BYTES_PER_NNZ = 320
-BYTES_PER_CELL = 32
 BYTES_BASE = 64 * 1024 * 1024
 
 
@@ -110,8 +109,7 @@ def test_reorder_recovers_banded_occupancy(capsys):
 
     crossbar = machine.crossbar
     rcm_tiles = crossbar.num_tiles
-    active_cells = (rcm_tiles + oracle_machine.crossbar.num_tiles) * BENCH_TILE**2
-    budget = BYTES_PER_NNZ * nnz + BYTES_PER_CELL * active_cells + BYTES_BASE
+    budget = BYTES_PER_NNZ * nnz + BYTES_BASE
     best_cut = problem.cut_from_energy(rcm_out[0])
 
     table = render_table(
@@ -133,7 +131,7 @@ def test_reorder_recovers_banded_occupancy(capsys):
             ("rcm ≡ oracle trajectory",
              f"{rcm_out[:3] == oracle_out[:3] and np.array_equal(rcm_out[3], oracle_out[3])}"),
             ("peak memory", _fmt_bytes(peak)),
-            ("O(nnz + cells) budget", _fmt_bytes(budget)),
+            ("O(nnz) budget", _fmt_bytes(budget)),
         ],
         title=(
             f"Spin reordering — scattered n={n}, degree {BENCH_DEGREE}, "
@@ -154,7 +152,7 @@ def test_reorder_recovers_banded_occupancy(capsys):
     assert np.array_equal(rcm_out[3], oracle_out[3])
     # The solution is real: it reproduces its energy on the stored image.
     assert machine.hw_model.energy(rcm_out[3]) == rcm_out[0]
-    # Bounded memory: O(nnz + active-tile cells), no densification.
+    # Bounded memory: O(nnz), no densification.
     assert peak <= budget, (
         f"peak {_fmt_bytes(peak)} exceeds budget {_fmt_bytes(budget)}"
     )

@@ -155,11 +155,6 @@ class InSituAnnealer:
             return self.schedule
         return VbgStepSchedule(iterations, factor=self.factor)
 
-    def _factor_at(self, temperature: float) -> float:
-        if self.encoder is not None:
-            return self.encoder.realized_factor(temperature)
-        return float(self.factor.value(np.asarray(temperature)))
-
     def _vbg_at(self, temperature: float) -> float:
         # The BG encoder picks the rail level realising f(T) on the
         # physical transfer curve (paper Fig 3c); without one, fall back
@@ -173,15 +168,18 @@ class InSituAnnealer:
 
         Temperatures come from ``schedule.profile()``, bit-identical to
         the per-iteration ``temperature(it)`` calls (the stacked lanes of
-        :mod:`repro.core.blockstack` rely on the same contract); the
-        factor and the rail level are evaluated once per distinct
+        :mod:`repro.core.blockstack` rely on the same contract).  The
+        factor (the encoder's realised factor when one is set) is one
+        array call over the distinct temperatures, elementwise equal to
+        the scalar calls; the rail level is evaluated once per distinct
         temperature.  A schedule with its own ``vbg`` walk supplies the
         rail level directly when no encoder is set.  ``V_BG`` is only
         needed with an evaluator, and is ``None`` otherwise.
         """
         temps = schedule.profile()
         levels, level_of = np.unique(temps, return_inverse=True)
-        factors = np.array([self._factor_at(T) for T in levels])[level_of]
+        factor = self.factor.value if self.encoder is None else self.encoder.realized_factor
+        factors = factor(levels)[level_of]
         vbgs = None
         if self.evaluator is not None:
             vbg_fn = getattr(schedule, "vbg", None)

@@ -244,8 +244,9 @@ def run_lanes(model, lanes, starts=None) -> list[BatchAnnealResult]:
         )
         for idx, coefficient, u in zip(proposals, coefficients, uniforms):
             sig_f = state.gather(rows, idx)  # idx: (R, k·t)
-            # Each lane's t slots sum in solo slot order.
-            cross = ops.batch_cross_term_slots(g, idx, sig_f).reshape(-1, t).sum(axis=1)
+            # Lanes' flip sets are uncoupled (t=1: the solo rank-1
+            # formula); each lane's t slots sum in solo slot order.
+            cross = ops.batch_cross_term_slots(g, idx, sig_f, t).reshape(-1, t).sum(axis=1)
             if h is None:
                 field_term = 0.0
             else:
@@ -474,25 +475,21 @@ class BatchInSituAnnealer(_BatchEngine):
             if self.acceptance_scale <= 0:
                 raise ValueError("acceptance_scale must be positive")
 
-    def _factor_at(self, temperature: float) -> float:
-        if self.encoder is not None:
-            return self.encoder.realized_factor(temperature)
-        return float(self.factor.value(np.asarray(temperature)))
-
     def _build_schedule(self, iterations: int) -> Schedule:
         return self.schedule or VbgStepSchedule(iterations, factor=self.factor)
 
     def _accept_coefficients(self, schedule: Schedule) -> np.ndarray:
-        """``f(T)`` per iteration, each entry equal to ``_factor_at(T)``.
+        """``f(T)`` per iteration: the encoder's realised factor, else ``f``.
 
         Temperatures come from ``schedule.profile()``, bit-identical to the
-        per-iteration ``temperature(it)`` calls; ``_factor_at`` (encoder
-        included) runs once per distinct temperature, as in
+        per-iteration ``temperature(it)`` calls.  The factor is evaluated
+        in one array call over the distinct temperatures, elementwise equal
+        to the scalar calls, as in
         :meth:`~repro.core.annealer.InSituAnnealer._drive_profile`.
         """
-        temps = schedule.profile()
-        levels, level_of = np.unique(temps, return_inverse=True)
-        return np.array([self._factor_at(T) for T in levels])[level_of]
+        levels, level_of = np.unique(schedule.profile(), return_inverse=True)
+        factor = self.factor.value if self.encoder is None else self.encoder.realized_factor
+        return factor(levels)[level_of]
 
     def _gain(self) -> float:
         return self.acceptance_scale

@@ -184,7 +184,8 @@ class DenseCouplingOps:
         return self.batch_cross_term_slots(g, idx, sig_f).sum(axis=1)
 
     def batch_cross_term_slots(
-        self, g: np.ndarray, idx: np.ndarray, sig_f: np.ndarray
+        self, g: np.ndarray, idx: np.ndarray, sig_f: np.ndarray,
+        set_size: int | None = None,
     ) -> np.ndarray:
         """``(R, t)`` per-slot cross-term contributions, before the sum.
 
@@ -192,11 +193,13 @@ class DenseCouplingOps:
         negation is exact and sign-symmetric under rounding, so negating
         per slot and summing matches negating the sum bit-for-bit).  The
         block-stacked runner consumes the unsummed slots to regroup them
-        per member block.
+        per member block.  ``set_size`` declares each row consecutive flip
+        sets of that size, mutually uncoupled (``None``: one set per row);
+        at ``set_size == 1`` every slot takes the rank-1 formula.
         """
         rows = np.arange(idx.shape[0])[:, None]
         g_f = g[rows, idx]
-        if idx.shape[1] == 1:
+        if idx.shape[1] == 1 or set_size == 1:
             return -(sig_f * (g_f - self._diag[idx] * sig_f))
         sub = np.einsum(
             "rkl,rl->rk", self._J[idx[:, :, None], idx[:, None, :]], sig_f
@@ -349,20 +352,24 @@ class SparseCouplingOps:
         return self.batch_cross_term_slots(g, idx, sig_f).sum(axis=1)
 
     def batch_cross_term_slots(
-        self, g: np.ndarray, idx: np.ndarray, sig_f: np.ndarray
+        self, g: np.ndarray, idx: np.ndarray, sig_f: np.ndarray,
+        set_size: int | None = None,
     ) -> np.ndarray:
         """``(R, t)`` per-slot cross-term contributions, before the sum.
 
-        Same split as the dense twin: :meth:`batch_cross_term` is exactly
-        ``slots.sum(axis=1)``.  For flip sets whose members live in
-        mutually uncoupled column blocks (the block-stacked union), each
-        slot's ``sub`` only sees flips of its own block, so regrouped
-        per-block sums reproduce the member models' solo cross terms.
+        Same split and ``set_size`` contract as the dense twin:
+        :meth:`batch_cross_term` is exactly ``slots.sum(axis=1)``.  For
+        flip sets whose members live in mutually uncoupled column blocks
+        (the block-stacked union), each slot's ``sub`` only sees flips of
+        its own block, so regrouped per-block sums reproduce the member
+        models' solo cross terms; a rank-1 set's ``sub`` is its diagonal
+        entry alone, so ``set_size == 1`` skips the intersection (equal up
+        to the sign of a zero slot, which the per-set sum erases).
         """
         R, t = idx.shape
         rows = np.arange(R)[:, None]
         g_f = g[rows, idx]
-        if t == 1:
+        if t == 1 or set_size == 1:
             return -(sig_f * (g_f - self._diag[idx] * sig_f))
         order = np.argsort(idx, axis=1)
         sorted_idx = np.take_along_axis(idx, order, axis=1)

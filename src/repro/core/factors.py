@@ -182,21 +182,25 @@ class VbgEncoder:
         """Number of grid levels (71 for the paper's range)."""
         return self.levels.size
 
+    def _nearest_level(self, temperature) -> np.ndarray:
+        """Per ``T``, the first grid index whose transfer best matches ``f(T)``."""
+        target = self.factor.value(temperature)
+        return np.argmin(np.abs(self._transfer_values - target[..., None]), axis=-1)
+
     def encode(self, temperature: float) -> float:
         """Grid ``V_BG`` whose transfer value best matches ``f(T)``."""
-        target = float(self.factor.value(np.asarray(float(temperature))))
-        idx = int(np.argmin(np.abs(self._transfer_values - target)))
-        return float(self.levels[idx])
+        return float(self.levels[self._nearest_level(float(temperature))])
 
-    def realized_factor(self, temperature: float) -> float:
-        """The factor value actually produced at the encoded level."""
-        target = float(self.factor.value(np.asarray(float(temperature))))
-        idx = int(np.argmin(np.abs(self._transfer_values - target)))
-        return float(self._transfer_values[idx])
+    def realized_factor(self, temperature):
+        """The factor value actually produced at the encoded level.
+
+        A scalar gives a float; an array gives an array of its shape whose
+        entries are byte-equal to the scalar calls.
+        """
+        realized = self._transfer_values[self._nearest_level(temperature)]
+        return float(realized) if realized.ndim == 0 else realized
 
     def encoding_error(self, temperatures) -> np.ndarray:
         """|realised − requested| factor error over a temperature grid."""
         t = np.atleast_1d(np.asarray(temperatures, dtype=np.float64))
-        return np.array(
-            [abs(self.realized_factor(x) - float(self.factor.value(np.asarray(x)))) for x in t]
-        )
+        return np.abs(self.realized_factor(t) - self.factor.value(t))

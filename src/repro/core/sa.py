@@ -41,16 +41,20 @@ def estimate_temperature_range(
 ) -> tuple[float, float]:
     """Standard SA temperature auto-tuning.
 
-    Samples single-flip |ΔE| from a random configuration and picks
-    ``T_start``/``T_end`` so a mean uphill move is accepted with probability
-    ``p_start`` at the beginning and ``p_end`` at the end.  When ``model``
-    is a relabelled view (see :class:`DirectEAnnealer`'s ``permutation``),
-    the configuration and sample indices are drawn in the original spin
-    space and mapped through the permutation, so the estimate — and the
-    RNG stream — match the unpermuted model's exactly.
+    Samples ``samples`` (a positive count) single-flip |ΔE| from a random
+    configuration and picks ``T_start``/``T_end`` so a mean uphill move
+    is accepted with probability ``p_start`` at the beginning and
+    ``p_end`` at the end.  The samples are one array pass in the
+    association of ``model.delta_energy_single``, so each equals that
+    method's value byte for byte, with the configuration validated once.
+    When ``model`` is a relabelled view (see :class:`DirectEAnnealer`'s
+    ``permutation``), the configuration and sample indices are drawn in
+    the original spin space and mapped through the permutation, so the
+    estimate — and the RNG stream — match the unpermuted model's exactly.
     """
     if not 0 < p_end < p_start < 1:
         raise ValueError("need 0 < p_end < p_start < 1")
+    samples = check_count("samples", samples)
     rng = ensure_rng(seed)
     sigma = model.random_configuration(rng)
     idx = rng.integers(model.num_spins, size=samples)
@@ -58,10 +62,10 @@ def estimate_temperature_range(
         fwd, bwd = check_permutation(permutation, model.num_spins)
         sigma = sigma[bwd]
         idx = fwd[idx]
-    g = model.local_fields(sigma)
-    deltas = np.array(
-        [model.delta_energy_single(sigma, int(i), g) for i in idx]
-    )
+    g = model.local_fields(sigma)  # validates the configuration once
+    s = sigma[idx].astype(np.float64)
+    d = coupling_ops(model).diag()[idx]
+    deltas = (-4.0 * s) * (g[idx] - d * s) - (2.0 * model.h[idx]) * s
     positive = np.abs(deltas[deltas != 0])
     mean_up = float(positive.mean()) if positive.size else 1.0
     t_start = mean_up / np.log(1.0 / p_start)

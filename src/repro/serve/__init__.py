@@ -13,8 +13,9 @@ Layer map
 ---------
 :mod:`repro.serve.jobs`
     :func:`job_request` — the validated API boundary (per-job replica
-    cap, ±1 initial states, serve-method choices; errors name the job
-    id) — plus the :class:`SolveJob`/:class:`JobResult` dataclasses.
+    cap, admission budget, ±1 initial states, serve-method choices;
+    errors name the job id) — plus the
+    :class:`SolveJob`/:class:`JobResult` dataclasses.
 :mod:`repro.serve.service`
     :class:`SolverService` — bounded ``asyncio`` queue, gather-window
     batching scheduler, single-worker solve executor, ``sb`` jobs via a
@@ -26,7 +27,9 @@ Layer map
 """
 
 from repro.serve.jobs import (
+    MAX_JOB_PROPOSALS,
     MAX_JOB_REPLICAS,
+    MAX_JOB_WORK,
     SERVE_METHODS,
     JobResult,
     SolveJob,
@@ -35,7 +38,9 @@ from repro.serve.jobs import (
 from repro.serve.service import ServiceConfig, SolverService, service_config
 
 __all__ = [
+    "MAX_JOB_PROPOSALS",
     "MAX_JOB_REPLICAS",
+    "MAX_JOB_WORK",
     "SERVE_METHODS",
     "JobResult",
     "ServiceConfig",

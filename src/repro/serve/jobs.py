@@ -13,6 +13,9 @@ not an engine limit: one tenant asking for thousands of replicas would
 monopolise the shared batch run (every lane in a block-stacked batch
 shares one replica count).  Larger sweeps split across jobs, which the
 scheduler happily packs back together.
+The admission budget (:data:`MAX_JOB_PROPOSALS`, :data:`MAX_JOB_WORK`)
+refuses a job too large for the worker thread before it is queued; both
+limits admit the paper's protocol (n=3000, R=64, 100k iterations, t=4).
 """
 
 from __future__ import annotations
@@ -32,6 +35,12 @@ from repro.utils.validation import (
 #: Documented per-job replica ceiling (see module docstring).  Jobs over
 #: the cap are rejected at the boundary with an error naming the job id.
 MAX_JOB_REPLICAS = 64
+
+#: Admission budget: iterations × replicas × flips of an insitu/sa job
+#: (its int64 proposal tensor, 256 MiB), and iterations × replicas × n
+#: spin-steps of any job.
+MAX_JOB_PROPOSALS = 2**25
+MAX_JOB_WORK = 2**35
 
 #: Methods the service accepts.  ``insitu``/``sa`` are packable
 #: (:data:`~repro.core.blockstack.PACK_METHODS`); ``sb`` always runs
@@ -123,10 +132,12 @@ def job_request(
     knob — the same message bodies the solve API produces, so a client
     that knows ``solve_ising``'s errors recognises the service's.
 
-    Parameters mirror :func:`~repro.core.solver.solve_ising` with two
+    Parameters mirror :func:`~repro.core.solver.solve_ising` with three
     serve-specific deltas: ``replicas`` is capped at
-    :data:`MAX_JOB_REPLICAS` per job, and ``seed`` must be a plain
-    integer (or None) so jobs stay serializable and replayable.
+    :data:`MAX_JOB_REPLICAS` per job, the admission budget
+    (:data:`MAX_JOB_PROPOSALS`, :data:`MAX_JOB_WORK`) refuses jobs too
+    large for one worker, and ``seed`` must be a plain integer (or None)
+    so jobs stay serializable and replayable.
     """
     if not isinstance(job_id, str) or not job_id:
         raise ValueError(
@@ -164,6 +175,17 @@ def job_request(
                 f"{sorted(PACK_METHODS)}; method='sb' integrates every "
                 f"position each step"
             )
+        budget = [("n", n, MAX_JOB_WORK)]
+        if method in PACK_METHODS:
+            budget.insert(0, ("flips_per_iteration", flips_per_iteration, MAX_JOB_PROPOSALS))
+        for name, size, limit in budget:
+            if iterations * replicas * size > limit:
+                raise ValueError(
+                    f"iterations × replicas × {name} = "
+                    f"{iterations * replicas * size} exceeds the per-job "
+                    f"limit {limit}; split the job into smaller jobs (fewer "
+                    f"iterations or replicas each)"
+                )
         if seed is not None:
             seed = check_count("seed", seed, minimum=0)
         if backend is not None:
@@ -204,7 +226,9 @@ def job_request(
 
 
 __all__ = [
+    "MAX_JOB_PROPOSALS",
     "MAX_JOB_REPLICAS",
+    "MAX_JOB_WORK",
     "SERVE_METHODS",
     "JobResult",
     "SolveJob",

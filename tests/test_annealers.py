@@ -15,9 +15,11 @@ from repro.core import (
     solve_ising,
     solve_maxcut,
 )
+from repro.core.coupling import coupling_ops
 from repro.core.proposal import FlipSelector
-from repro.ising import IsingModel
+from repro.ising import IsingModel, PackedIsingModel, SparseIsingModel
 from repro.utils.rng import ensure_rng
+from repro.utils.validation import check_permutation
 from tests.conftest import brute_force_maxcut
 
 
@@ -183,6 +185,83 @@ class TestDirectEAnnealer:
     def test_autotune_validation(self, small_model):
         with pytest.raises(ValueError):
             estimate_temperature_range(small_model, p_start=0.5, p_end=0.9)
+
+    @pytest.mark.parametrize("samples", [0, True, 2.5, -1])
+    def test_autotune_rejects_bad_sample_counts(self, small_model, samples):
+        rng = ensure_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^samples must be"):
+            estimate_temperature_range(small_model, samples=samples, seed=rng)
+        assert rng.bit_generator.state == state
+
+
+def probe_models():
+    """Dense / sparse / packed probe models, non-dyadic where allowed.
+
+    The dense and sparse twins carry fields, a stored diagonal and
+    non-dyadic couplings; the packed model (±1/4 couplings only, no
+    diagonal) carries non-dyadic fields.
+    """
+    rng = ensure_rng(19)
+    n = 23
+    upper = np.triu(rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.3), k=1)
+    J = upper + upper.T + np.diag(rng.normal(size=n))
+    dense = IsingModel(J, rng.normal(size=n), offset=0.3)
+    base = SparseIsingModel.random(n, degree=4.0, seed=19)
+    indptr, indices, data = base.csr_arrays()
+    packed = PackedIsingModel(
+        indptr, indices, np.sign(data) * 0.25, rng.normal(size=n)
+    )
+    return {
+        "dense": dense,
+        "sparse": SparseIsingModel.from_ising(dense),
+        "packed": packed,
+    }
+
+
+def reference_probe(model, samples, p_start, p_end, rng, permutation):
+    """The probe as a per-index ``delta_energy_single`` loop."""
+    sigma = model.random_configuration(rng)
+    idx = rng.integers(model.num_spins, size=samples)
+    if permutation is not None:
+        fwd, bwd = check_permutation(permutation, model.num_spins)
+        sigma = sigma[bwd]
+        idx = fwd[idx]
+    g = model.local_fields(sigma)
+    deltas = np.array(
+        [model.delta_energy_single(sigma, int(i), g) for i in idx]
+    )
+    positive = np.abs(deltas[deltas != 0])
+    mean_up = float(positive.mean()) if positive.size else 1.0
+    t_start = mean_up / np.log(1.0 / p_start)
+    t_end = mean_up / np.log(1.0 / p_end)
+    return max(t_start, 1e-9), max(min(t_end, t_start), 1e-12)
+
+
+class TestTemperatureProbe:
+    """The array probe returns the per-index loop's floats and leaves the
+    generator where the loop leaves it."""
+
+    @pytest.mark.parametrize("samples", [1, 7, 200, 2000])
+    @pytest.mark.parametrize("permuted", [False, True])
+    @pytest.mark.parametrize("backend", ["dense", "sparse", "packed"])
+    def test_matches_per_index_loop(self, backend, permuted, samples):
+        model = probe_models()[backend]
+        assert model.has_fields
+        if backend != "packed":
+            assert np.any(coupling_ops(model).diag())
+        perm = None
+        if permuted:
+            perm = ensure_rng(5).permutation(model.num_spins)
+            model = model.permuted(perm)
+        got_rng, ref_rng = ensure_rng(samples), ensure_rng(samples)
+        got = estimate_temperature_range(
+            model, samples=samples, p_start=0.7, p_end=0.01,
+            seed=got_rng, permutation=perm,
+        )
+        ref = reference_probe(model, samples, 0.7, 0.01, ref_rng, perm)
+        assert np.array(got).tobytes() == np.array(ref).tobytes()
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestMesa:

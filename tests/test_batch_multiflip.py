@@ -113,7 +113,7 @@ def reference_batch_run(engine, iterations: int):
             u = uniforms[it, r]
             if insitu:
                 # the sequential InSituAnnealer rule, verbatim
-                f_value = engine._factor_at(temperature)
+                f_value = scalar_factor(engine, temperature)
                 e_inc = (
                     (cross + field_term / 2.0)
                     * f_value
@@ -141,6 +141,13 @@ def reference_batch_run(engine, iterations: int):
         best_sigmas = best_sigmas[:, engine._fwd]
         final_sigmas = final_sigmas[:, engine._fwd]
     return best_energies, best_sigmas, final_energies, final_sigmas, accepted
+
+
+def scalar_factor(engine, temperature) -> float:
+    """Per-iteration scalar ``f(T)``: the encoder's realised factor, else ``f``."""
+    if engine.encoder is not None:
+        return engine.encoder.realized_factor(temperature)
+    return float(engine.factor.value(temperature))
 
 
 def assert_matches_reference(result, ref) -> None:
@@ -281,7 +288,7 @@ class TestAcceptanceParity:
             small_model, replicas=1, acceptance_scale=1.5, seed=0
         )
         temperature = 0.35
-        f_value = engine._factor_at(temperature)
+        f_value = scalar_factor(engine, temperature)
         scale = engine.acceptance_scale
         cross = np.array([-1.0, 0.0, 0.25, 0.25, 0.25, 2.0])
         field = np.zeros(6)
@@ -304,7 +311,7 @@ class TestAcceptanceParity:
             small_model, replicas=1, acceptance_scale="auto", seed=0
         )
         temperature = 0.61
-        f_value = engine._factor_at(temperature)
+        f_value = scalar_factor(engine, temperature)
         scale = engine.acceptance_scale
         rng = ensure_rng(7)
         cross = rng.integers(-64, 65, size=512) / 64.0
@@ -379,7 +386,7 @@ class TestAcceptCoefficients:
             encoder=encoder, seed=0,
         )
         scalar = np.array([
-            engine._factor_at(schedule.temperature(it))
+            scalar_factor(engine, schedule.temperature(it))
             for it in range(schedule.iterations)
         ])
         got = engine._accept_coefficients(schedule)

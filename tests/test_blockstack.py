@@ -9,10 +9,12 @@ hypothesis harness sweeps member backends (dense/sparse/packed, mixed
 within one stack), external fields on a subset of members, both packable
 methods, and flip ranks t ∈ {1, 4}.
 
-Couplings are dyadic (±1/4) throughout: that is the usual backend
-transparency contract — dense members run BLAS/einsum kernels solo while
-the union always runs sparse/packed scatter kernels, and the two
-summation orders only coincide exactly on exactly-representable values.
+Couplings are dyadic (±1/4) wherever a member is dense: that is the
+usual backend transparency contract — dense members run BLAS/einsum
+kernels solo while the union always runs sparse/packed scatter kernels,
+and the two summation orders only coincide exactly on
+exactly-representable values.  Sparse members may be non-dyadic, with a
+stored diagonal: the union sums their entries in their own CSR order.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.core import (
     BLOCK_ALIGN,
     batch,
     compile_lane,
+    coupling_ops,
     run_stacked,
     solve_ising,
     stack_models,
@@ -41,7 +44,20 @@ relaxed = settings(
 
 
 def make_member(n, seed, backend="sparse", with_fields=False, offset=0.0):
-    """A dyadic-coupling member model on the requested backend."""
+    """A dyadic-coupling member model on the requested backend.
+
+    ``backend="nondyadic"`` is the exception: a sparse member with
+    non-dyadic couplings, a stored diagonal and fields (the sparse union
+    adds its entries in the member's own CSR order, so it stays exact).
+    """
+    if backend == "nondyadic":
+        rng = ensure_rng(seed + 31)
+        upper = np.triu(rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.4), k=1)
+        dense = IsingModel(
+            upper + upper.T + np.diag(rng.normal(size=n)), rng.normal(size=n),
+            offset=offset, name=f"nondyadic-{n}-{seed}",
+        )
+        return SparseIsingModel.from_ising(dense)
     base = SparseIsingModel.random(n, degree=4.0, seed=seed)
     indptr, indices, data = base.csr_arrays()
     data = np.sign(data) * 0.25
@@ -85,7 +101,8 @@ def test_stacked_run_bit_identical_to_solo_solves(
     for j in range(k):
         n = data.draw(st.integers(min_value=5, max_value=12), label=f"n{j}")
         backend = data.draw(
-            st.sampled_from(["dense", "sparse", "packed"]), label=f"b{j}"
+            st.sampled_from(["dense", "sparse", "packed", "nondyadic"]),
+            label=f"b{j}",
         )
         with_fields = data.draw(st.booleans(), label=f"h{j}")
         members.append(
@@ -214,14 +231,18 @@ def test_single_lane_stacked_run_matches_solo():
 @pytest.mark.parametrize("method", ["insitu", "sa"])
 def test_three_lanes_across_chunk_boundaries(monkeypatch, method, flips):
     """Offset proposals, uniforms and coefficients are laid out per chunk;
-    three full chunks plus a ragged one still give every solo result."""
+    three full chunks plus a ragged one still give every solo result.
+    The three dyadic lanes share the stack with a non-dyadic one that
+    stores a diagonal (at t=1 its whole rank-1 correction)."""
     chunk = 7
     monkeypatch.setattr(batch, "CHUNK_ITERATIONS", chunk)
     members = [
         make_member(9, seed=3, backend="dense", with_fields=True),
         make_member(12, seed=4, backend="sparse"),
         make_member(7, seed=5, backend="packed", with_fields=True, offset=0.5),
+        make_member(11, seed=8, backend="nondyadic", offset=0.25),
     ]
+    assert np.any(members[3].coupling_diagonal())
     knobs = dict(
         method=method, iterations=3 * chunk + 2, replicas=3,
         flips_per_iteration=flips,
@@ -230,6 +251,36 @@ def test_three_lanes_across_chunk_boundaries(monkeypatch, method, flips):
     for j, (m, served) in enumerate(zip(members, run_stacked(lanes))):
         solo = solve_ising(m, seed=60 + j, **knobs)
         assert_bit_identical(solo, served, m.name)
+
+
+@pytest.mark.parametrize("packed", [False, True])
+def test_rank1_slots_on_the_union_equal_the_intersection(packed):
+    """``set_size=1`` on a block-stacked union: one flip per lane block
+    meets only its own diagonal in the row-wide intersection, so the
+    rank-1 slots equal it up to the sign of zero, and the per-set sum
+    the loop takes is byte-equal."""
+    backend = "packed" if packed else "nondyadic"
+    members = [make_member(n, seed=n, backend=backend) for n in (9, 14, 6, 11)]
+    if not packed:
+        members.append(make_member(8, seed=2, backend="sparse"))  # no diagonal
+    stack = stack_models(members)
+    ops = coupling_ops(stack.model)
+    rng = ensure_rng(4)
+    R, k = 16, len(members)
+    sigma = rng.choice(np.array([-1.0, 1.0]), size=(R, stack.model.num_spins))
+    state = ops.make_batch_state(sigma)
+    idx = np.stack(
+        [rng.integers(b.start, b.stop, size=R) for b in stack.blocks], axis=1
+    )
+    sig_f = state.gather(np.arange(R)[:, None], idx)
+    rank1 = ops.batch_cross_term_slots(state.fields, idx, sig_f, 1)
+    rowwide = ops.batch_cross_term_slots(state.fields, idx, sig_f)
+    assert rank1.shape == rowwide.shape == (R, k)
+    assert np.array_equal(rank1, rowwide)
+    assert (
+        rank1.reshape(-1, 1).sum(axis=1).tobytes()
+        == rowwide.reshape(-1, 1).sum(axis=1).tobytes()
+    )
 
 
 def test_a_lane_runs_once():

@@ -19,6 +19,7 @@ from repro.core import (
     fit_fractional_factor,
 )
 from repro.devices import DGFeFET, VBG_MAX
+from repro.utils.rng import ensure_rng
 
 
 class TestFractionalFactor:
@@ -158,3 +159,60 @@ class TestVbgEncoder:
         f = FractionalFactor()
         with pytest.raises(ValueError):
             VbgEncoder(f, transfer=lambda v: 1.0 - v)
+
+
+def plateau_transfer(v_bg: float) -> float:
+    """Linear, with a flat stretch at 0.3 over 0.2-0.4 V (21 tied levels)."""
+    return 0.3 if 0.2 <= v_bg <= 0.4 else v_bg / 0.7
+
+
+def step_transfer(v_bg: float) -> float:
+    """Three dyadic steps: 0.125, 0.375 and 1.0."""
+    return 0.125 if v_bg < 0.35 else 0.375 if v_bg < 0.6 else 1.0
+
+
+class TestRealizedFactorArrays:
+    """An array of temperatures realises, entry by entry, the bytes of the
+    scalar calls, whose ``argmin`` keeps the first of tied levels."""
+
+    #: f(8) = 1/(−2 + 4) − 0.25 = 0.25 exactly: equidistant from the
+    #: step curve's 0.125 and 0.375 levels.
+    EXACT = FractionalFactor(a=1.0, b=-0.25, c=4.0, d=-0.25)
+
+    @pytest.mark.parametrize(
+        "factor, transfer",
+        [
+            (FractionalFactor(), None),
+            (FractionalFactor(), lambda v: (v / 0.7) ** 2),
+            (FractionalFactor(), plateau_transfer),
+            (EXACT, step_transfer),
+        ],
+        ids=["ideal", "nonlinear", "plateau", "step-ties"],
+    )
+    def test_array_equals_scalar_calls(self, factor, transfer):
+        enc = VbgEncoder(factor, transfer=transfer)
+        temps = np.concatenate([
+            np.linspace(0.0, factor.t_max, 211),
+            ensure_rng(3).uniform(-10.0, 1.1 * factor.t_max, 89),
+            [8.0, 8.0, 0.0, factor.t_max],
+        ]).reshape(4, 76)
+        got = enc.realized_factor(temps)
+        scalar = [enc.realized_factor(float(T)) for T in temps.ravel()]
+        assert all(type(x) is float for x in scalar)
+        assert got.shape == temps.shape and got.dtype == np.float64
+        assert got.tobytes() == np.array(scalar).reshape(temps.shape).tobytes()
+        errors = enc.encoding_error(temps.ravel())
+        assert errors.tobytes() == np.array([
+            abs(x - float(factor.value(np.asarray(T))))
+            for x, T in zip(scalar, temps.ravel())
+        ]).tobytes()
+
+    def test_ties_keep_the_first_level(self):
+        step = VbgEncoder(self.EXACT, transfer=step_transfer)
+        assert float(self.EXACT.value(8.0)) == 0.25
+        assert step.realized_factor(8.0) == 0.125
+        assert step.realized_factor(np.array([8.0, 8.0])).tolist() == [0.125, 0.125]
+        plateau = VbgEncoder(FractionalFactor(), transfer=plateau_transfer)
+        # f(500) ≈ 0.3: every plateau level ties, the first (0.2 V) wins.
+        assert plateau.encode(500.0) == pytest.approx(0.2)
+        assert plateau.realized_factor(np.array([500.0])).tolist() == [0.3]

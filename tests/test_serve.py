@@ -28,7 +28,9 @@ from repro.ising import (
     write_gset,
 )
 from repro.serve import (
+    MAX_JOB_PROPOSALS,
     MAX_JOB_REPLICAS,
+    MAX_JOB_WORK,
     SolverService,
     job_request,
     service_config,
@@ -100,6 +102,78 @@ class TestJobBoundary:
             job_request("b", member(8, 1), seed=True)
         with pytest.raises(ValueError, match="job 'n': seed must be >= 0, got -1"):
             job_request("n", member(8, 1), seed=-1)
+
+
+class TestAdmissionBudget:
+    """A job too large for one worker is refused before it is queued."""
+
+    def test_proposal_limit_refuses_packable_jobs(self):
+        # 2**25 + 1 proposals at n=8 is far inside the work limit.
+        for method in ("insitu", "sa"):
+            with pytest.raises(ValueError) as info:
+                job_request(
+                    "p", member(8, 1), method=method,
+                    iterations=MAX_JOB_PROPOSALS + 1,
+                )
+            message = str(info.value)
+            assert message.startswith("job 'p': iterations × replicas × ")
+            assert f"= {MAX_JOB_PROPOSALS + 1} exceeds" in message
+            assert f"per-job limit {MAX_JOB_PROPOSALS}" in message
+            assert "split the job" in message
+
+    def test_job_at_the_proposal_limit_is_admitted(self):
+        job = job_request(
+            "edge", member(8, 1), iterations=MAX_JOB_PROPOSALS // 8,
+            replicas=4, flips_per_iteration=2,
+        )
+        assert job.iterations * job.replicas * 2 == MAX_JOB_PROPOSALS
+        # sb draws no proposal tensor, so only the work limit applies.
+        job_request("sb", member(8, 1), method="sb", iterations=MAX_JOB_PROPOSALS + 1)
+
+    def test_work_limit_refuses_every_method(self):
+        wide = member(2048, 2)
+        with pytest.raises(
+            ValueError,
+            match=(
+                rf"^job 'w': iterations × replicas × n = {MAX_JOB_WORK + 2048} "
+                rf"exceeds the per-job limit {MAX_JOB_WORK}; split the job"
+            ),
+        ):
+            job_request("w", wide, iterations=MAX_JOB_WORK // 2048 + 1)
+        with pytest.raises(ValueError, match=r"^job 's': iterations × replicas × n"):
+            job_request("s", member(8, 1), method="sb", iterations=MAX_JOB_WORK // 8 + 1)
+
+    def test_jobs_at_the_work_limit_are_admitted(self):
+        job_request("w", member(2048, 2), iterations=MAX_JOB_WORK // 2048)
+        job_request("s", member(8, 1), method="sb", iterations=MAX_JOB_WORK // 8)
+
+    def test_paper_protocol_is_one_job(self):
+        # n=3000, R=64, 100k iterations, t=4 (Sec. 4.1).
+        model = SparseIsingModel.random(3000, degree=4.0, seed=3)
+        job = job_request(
+            "paper", model, iterations=100_000, replicas=64,
+            flips_per_iteration=4,
+        )
+        assert job.iterations == 100_000
+
+    def test_oversized_request_gets_one_error_line(self):
+        # Past any address space, so even without the budget the worker's
+        # first allocation would fail at once rather than page in memory.
+        big = {
+            "op": "solve", "job_id": "big", "gset": GSET_TEXT,
+            "iterations": 10**15, "replicas": 4,
+        }
+        with _ServerThread() as server:
+            replies = _exchange(
+                server.port, [_line(big), _line({"op": "ping"})], 2
+            )
+            stats = request({"op": "stats"}, port=server.port)
+        assert {"ok": True} in replies
+        (error,) = [r for r in replies if not r["ok"]]
+        assert error["job_id"] == "big"
+        assert error["error"].startswith("job 'big': iterations × replicas × ")
+        assert f"per-job limit {MAX_JOB_PROPOSALS}" in error["error"]
+        assert stats["stats"]["jobs"] == 0
 
 
 class TestService:
@@ -460,11 +534,11 @@ class TestProtocolErrors:
             ({"gset": "2 1\n1 2 nan"}, "weights must be finite, got nan on edge 0"),
             ({"gset": "2 1\n1 2 inf"}, "weights must be finite, got inf on edge 0"),
             ({"gset": ""}, "'gset' must carry the instance text"),
-            # 10**15 × 64 draws exceed any address space, so the first
-            # allocation fails at once rather than paging in memory.
+            # 10**15 × 64 draws exceed any address space: the admission
+            # budget refuses the job before the worker allocates.
             (
                 {"gset": GSET_TEXT, "iterations": 10**15, "replicas": 64},
-                "internal error (MemoryError): ",
+                f"exceeds the per-job limit {MAX_JOB_PROPOSALS}",
             ),
         ],
     )
@@ -481,6 +555,24 @@ class TestProtocolErrors:
         assert response["error"].startswith("job 'bad': ")
         assert response["error"].count("job 'bad'") == 1
         assert expected in response["error"]
+
+    def test_unexpected_error_is_one_prefixed_answer(self, monkeypatch):
+        async def out_of_memory(job):
+            raise MemoryError("cannot allocate")
+
+        async def run():
+            async with SolverService() as svc:
+                monkeypatch.setattr(svc, "submit", out_of_memory)
+                return await handle_request(
+                    svc, {"op": "solve", "job_id": "oom", "gset": GSET_TEXT}
+                )
+
+        response = asyncio.run(run())
+        assert response == {
+            "ok": False,
+            "error": "job 'oom': internal error (MemoryError): cannot allocate",
+            "job_id": "oom",
+        }
 
     def test_cancellation_is_not_swallowed(self, monkeypatch):
         async def cancelled(job):
