@@ -36,6 +36,16 @@ the uniforms per lane in chunks of :data:`CHUNK_ITERATIONS`:
 ``rng.random((C, R))`` consumes the stream exactly like ``C`` calls of
 ``rng.random(R)``, so no ``(iterations, R)`` array of uniforms is held
 and the chunk size never changes a result.
+
+Everything that depends only on the draws is looked up once per chunk,
+not per iteration: the proposed spins' state addresses
+(``state.locate``) and field values and, at ``t = 1``, their flat field
+addresses, diagonal entries and the field update's neighbour lookups
+(``ops.rank1_updates``).  A ``t = 1`` iteration is then a few array
+operations over the ``R·k`` proposals: gather the spins, the rank-1
+cross term ``d − σ g``, one accept comparison, one ``nonzero``, and a
+flat update and flip of the accepted ones.  Larger flip sets keep the
+intersection kernel (``batch_cross_term_slots``).
 """
 
 from __future__ import annotations
@@ -55,8 +65,10 @@ from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_choice, check_count, check_permutation
 
 #: Iterations per chunk that :func:`run_lanes` lays out at once: accept
-#: uniforms and coefficients, and for several lanes the offset proposals.
-CHUNK_ITERATIONS = 1024
+#: uniforms and coefficients, and the proposals' state addresses and
+#: lookups.  A chunk boundary costs a few dozen array calls; a smaller
+#: chunk holds less of that state at once.
+CHUNK_ITERATIONS = 128
 
 
 @dataclass
@@ -158,11 +170,23 @@ class StackedLane:
     model: IsingModel | SparseIsingModel
     method: str
     sigma0: np.ndarray          # (R, n) int8 ±1, in the model's spin order
-    proposals: np.ndarray       # (iterations, R, t), in the model's spin order
+    proposals: np.ndarray       # (iterations, R, t), in the model's spin
+                                # order; int32 when n < 2**31
     coefficients: np.ndarray    # accept coefficient per iteration:
                                 # insitu f(T), sa floored T
     gain: float                 # insitu acceptance scale; 1.0 for sa
     rng: np.random.Generator | None     # at the accept uniforms; None once run
+
+
+def _set_sums(slots: np.ndarray, t: int) -> np.ndarray:
+    """Per-flip-set sums of consecutive ``t``-slot groups, in slot order.
+
+    A one-slot set is ``slot + 0.0``: numpy's sum starts from +0.0, so
+    it too turns a ``-0.0`` slot into ``+0.0``.
+    """
+    if t == 1:
+        return slots + 0.0
+    return slots.reshape(-1, t).sum(axis=1)
 
 
 def run_lanes(model, lanes, starts=None) -> list[BatchAnnealResult]:
@@ -189,12 +213,13 @@ def run_lanes(model, lanes, starts=None) -> list[BatchAnnealResult]:
     starts = np.asarray([0] if starts is None else starts, dtype=np.intp)
     stops = starts + [lane.model.num_spins for lane in lanes]
     ops = coupling_ops(model)
+    n = model.num_spins
 
     if k == 1:
         sigma = first.sigma0.astype(np.float64)
     else:
         # Each lane's start state in its block; padding spins stay +1.
-        sigma = np.ones((R, model.num_spins))
+        sigma = np.ones((R, n))
         for lane, a, b in zip(lanes, starts, stops):
             sigma[:, a:b] = lane.sigma0
     # The replica spin tensor's layout is the backend's business:
@@ -221,64 +246,103 @@ def run_lanes(model, lanes, starts=None) -> list[BatchAnnealResult]:
     fielded = np.tile([lane.model.has_fields for lane in lanes], R)
     h = model.h if fielded.any() else None
     field_free = None if fielded.all() else ~fielded
-    rows = np.arange(R)[:, None]
+    # Flip slots are flat, R·k·t per iteration: replica r, lane j, slot l
+    # at r·k·t + j·t + l.  A t=1 slot is its own flip set.
+    slot_rows = np.repeat(np.arange(R), k * t)
+    row_base = slot_rows * n
+    set_lanes = np.tile(np.arange(k), R)
+    g_flat = g.reshape(-1)  # read only: the proposed spins' fields
+    diag = ops.diag() + 0.0  # -0.0 → +0.0, see the rank-1 slot below
 
     for c0 in range(0, iterations, CHUNK_ITERATIONS):
         c1 = min(c0 + CHUNK_ITERATIONS, iterations)
         # rng.random((C, R)) consumes the stream like C calls of
         # rng.random(R), so the chunk size never changes a result.
         if k == 1:
-            proposals = first.proposals[c0:c1]
+            idx = first.proposals[c0:c1].reshape(c1 - c0, -1)
             uniforms = rngs[0].random((c1 - c0, R))
+            coefficients = first.coefficients[c0:c1]  # one per iteration
         else:
-            proposals = np.stack(
-                [lane.proposals[c0:c1] + a for lane, a in zip(lanes, starts)],
-                axis=2,
-            ).reshape(c1 - c0, R, k * t)
-            uniforms = np.stack(
-                [rng.random((c1 - c0, R)) for rng in rngs], axis=2
-            ).reshape(c1 - c0, R * k)
-        coefficients = np.tile(
-            np.stack([lane.coefficients[c0:c1] for lane in lanes], axis=1),
-            (1, R),
-        )
-        for idx, coefficient, u in zip(proposals, coefficients, uniforms):
-            sig_f = state.gather(rows, idx)  # idx: (R, k·t)
-            # Lanes' flip sets are uncoupled (t=1: the solo rank-1
-            # formula); each lane's t slots sum in solo slot order.
-            cross = ops.batch_cross_term_slots(g, idx, sig_f, t).reshape(-1, t).sum(axis=1)
-            if h is None:
-                field_term = 0.0
+            idx = np.empty((c1 - c0, R, k * t), dtype=np.intp)
+            uniforms = np.empty((c1 - c0, R, k))
+            for j, (lane, a, rng) in enumerate(zip(lanes, starts, rngs)):
+                idx[:, :, j * t:(j + 1) * t] = lane.proposals[c0:c1] + a
+                uniforms[:, :, j] = rng.random((c1 - c0, R))
+            idx = idx.reshape(c1 - c0, -1)
+            uniforms = uniforms.reshape(c1 - c0, R * k)
+            # Each lane's coefficient, spread over its sets per iteration.
+            coefficients = np.stack(
+                [lane.coefficients[c0:c1] for lane in lanes], axis=1
+            )
+        # What depends only on the draws is looked up once per chunk:
+        # the field values, (t=1) the diagonal entries and field-update
+        # lookups, and the flat state addresses row·n + spin (a stacked
+        # chunk's offset spins are a copy, so they become the addresses).
+        h_f = None if h is None else h[idx]
+        if t == 1:
+            # A zero diagonal (every Max-Cut model) needs no gather.
+            diag_f = diag[idx] if diag.any() else np.broadcast_to(0.0, idx.shape)
+            update_fields = ops.rank1_updates(g, slot_rows, idx)
+        addr = idx + row_base if k == 1 else np.add(idx, row_base, out=idx)
+        del idx
+        gather, flip = state.locate(addr)
+        for i, (coefficient, u) in enumerate(zip(coefficients, uniforms)):
+            if k > 1:
+                coefficient = coefficient[set_lanes]
+            sig_f = gather(i)
+            if t == 1:
+                # The rank-1 slot -(σ (g_f − dσ)) as d − σ g_f: equal for
+                # finite values (σ = ±1, rounding is sign-symmetric) up
+                # to the sign of a zero.  With no -0.0 in d, d − σ g_f
+                # is never -0.0, just like the one-slot sum.
+                cross = diag_f[i] - sig_f * g_flat[addr[i]]
             else:
-                field_term = -(h[idx] * sig_f).reshape(-1, t).sum(axis=1)
+                # Lanes' flip sets are uncoupled; each lane's t slots sum
+                # in solo slot order.
+                flips = (addr[i] - row_base).reshape(R, -1)
+                cross = _set_sums(ops.batch_cross_term_slots(
+                    g, flips, sig_f.reshape(R, -1)
+                ).ravel(), t)
+            if h_f is None:
+                field_term = 0.0
+                delta_e = 4.0 * cross  # cross has no -0.0 to add 0.0 to
+            else:
+                field_term = -_set_sums(h_f[i] * sig_f, t)
                 if field_free is not None:
                     # Field-free lanes use the solo scalar 0.0 exactly
                     # (their union column is a sum of signed zeros).
                     field_term[field_free] = 0.0
-            delta_e = 4.0 * cross + 2.0 * field_term
+                delta_e = 4.0 * cross + 2.0 * field_term
             accept = accept_rule(cross, field_term, delta_e, coefficient, gains, u)
-            if accept.any():
-                acc = np.flatnonzero(accept)
+            acc = accept.nonzero()[0]
+            if not acc.size:
+                continue
+            # Repeated replica rows are safe on the union: different
+            # lanes' flips land in disjoint column blocks.
+            if t == 1:
+                vals = sig_f[acc]
+                update_fields(i, acc, vals)
+                flip(i, acc, vals)
+            else:
                 replica = acc if k == 1 else acc // k
-                cols = idx.reshape(-1, t)[acc]
+                cols = flips.reshape(-1, t)[acc]
                 vals = sig_f.reshape(-1, t)[acc]
-                # Repeated replica rows are safe on the union: different
-                # lanes' flips land in disjoint column blocks.
                 ops.batch_update_fields(g, replica, cols, vals)
                 state.flip(replica, cols, vals)
-                energy[acc] += delta_e[acc]
-                accepted[acc] += 1
-                improved = acc[energy[acc] < best_energy[acc]]
-                if improved.size:
-                    best_energy[improved] = energy[improved]
-                    if k == 1:
-                        state.record_best(improved)
-                    else:
-                        # A lane's best is its column block, not the row.
-                        lane_of = improved % k
-                        state.record_best_blocks(
-                            improved // k, starts[lane_of], stops[lane_of]
-                        )
+            energy[acc] += delta_e[acc]
+            accepted += accept
+            # Only accepted sets moved, and no set sits below its best.
+            improved = (energy < best_energy).nonzero()[0]
+            if improved.size:
+                best_energy[improved] = energy[improved]
+                if k == 1:
+                    state.record_best(improved)
+                else:
+                    # A lane's best is its column block, not the row.
+                    lane_of = improved % k
+                    state.record_best_blocks(
+                        improved // k, starts[lane_of], stops[lane_of]
+                    )
 
     best_sigmas, final_sigmas = state.best_sigmas(), state.final_sigmas()
     return [
@@ -336,19 +400,28 @@ class _BatchEngine:
         straddle-safe per-sweep carry); :meth:`_draw_lane` maps them
         through the permutation.  For ``t == 1`` the RNG stream is
         identical to the historical single-flip engine.
+
+        The tensor is int32 when ``n < 2³¹`` (half the int64 draw).  Scan
+        streams and uniform t=1 draws are written into it as they are
+        drawn — ``rng.integers`` in row chunks consumes the stream like
+        one call — so the draw holds no int64 tensor; random t>1 sets
+        are drawn whole, then cast.
         """
         rng = self._rng
-        R, t = self.replicas, self.flips_per_iteration
+        n, R, t = self.n, self.replicas, self.flips_per_iteration
+        dtype = np.int32 if n < 2**31 else np.intp
+        if self.proposal == "random" and t > 1:
+            flat = random_flip_sets(rng, n, iterations * R, t)
+            return flat.reshape(iterations, R, t).astype(dtype, copy=False)
+        out = np.empty((iterations, R, t), dtype=dtype)
         if self.proposal == "random":
-            if t == 1:
-                return rng.integers(self.n, size=(iterations, R))[..., None]
-            flat = random_flip_sets(rng, self.n, iterations * R, t)
-            return flat.reshape(iterations, R, t)
-        streams = [
-            scan_order(self.n, t, iterations * t, rng).reshape(iterations, t)
-            for _ in range(R)
-        ]
-        return np.stack(streams, axis=1)
+            for c0 in range(0, iterations, CHUNK_ITERATIONS):
+                c1 = min(c0 + CHUNK_ITERATIONS, iterations)
+                out[c0:c1, :, 0] = rng.integers(n, size=(c1 - c0, R))
+        else:
+            for r in range(R):
+                out[:, r, :] = scan_order(n, t, iterations * t, rng).reshape(iterations, t)
+        return out
 
     def _gain(self) -> float:
         """The accept rule's gain (only the in-situ rule has one)."""
@@ -391,7 +464,7 @@ class _BatchEngine:
         sigma0 = sigma0.astype(np.int8, order="C")
         proposals = self._proposal_tensor(iterations)
         if self._fwd is not None:
-            proposals = self._fwd[proposals]
+            proposals = self._fwd.astype(proposals.dtype)[proposals]
         return StackedLane(
             model=self.model, method=self.method, sigma0=sigma0,
             proposals=proposals, coefficients=coefficients,
@@ -496,12 +569,17 @@ class BatchInSituAnnealer(_BatchEngine):
 
     @staticmethod
     def _accept(cross, field_term, delta_e, coefficient, gain, u) -> np.ndarray:
-        # ``coefficient`` is this iteration's f(T), ``gain`` the acceptance
-        # scale.  Same association as the sequential rule — (x · f) · gain,
-        # not x · (f · gain) — so accept decisions match the sequential
-        # annealer to the last ulp at the comparison boundary.
-        e_inc = (cross + np.asarray(field_term) / 2.0) * coefficient * gain
-        return (e_inc <= 0.0) | (e_inc <= u)
+        """The sequential rule ``e_inc <= 0 or e_inc <= u`` for ``u ∈ [0, 1)``.
+
+        ``coefficient`` is this iteration's f(T), ``gain`` the acceptance
+        scale.  Same association as the sequential rule — (x · f) · gain,
+        not x · (f · gain) — so accept decisions match the sequential
+        annealer to the last ulp at the comparison boundary.  One
+        comparison suffices: with ``u >= 0``, ``e_inc <= 0`` implies
+        ``e_inc <= u``, and a NaN fails both.
+        """
+        e_inc = (cross + field_term / 2.0) * coefficient * gain
+        return e_inc <= u
 
 
 class BatchDirectEAnnealer(_BatchEngine):
@@ -547,11 +625,14 @@ class BatchDirectEAnnealer(_BatchEngine):
 
     @staticmethod
     def _accept(cross, field_term, delta_e, coefficient, gain, u) -> np.ndarray:
-        # ``coefficient`` is this iteration's floored temperature; the
-        # Metropolis rule takes no gain.
-        return (delta_e <= 0.0) | (
-            u < np.exp(-np.maximum(delta_e, 0.0) / coefficient)
-        )
+        """The sequential rule ``ΔE <= 0 or u < exp(-ΔE/T)`` for ``u ∈ [0, 1)``.
+
+        ``coefficient`` is this iteration's floored temperature; the
+        Metropolis rule takes no gain.  One comparison suffices for a
+        temperature that is not NaN: a downhill ``ΔE`` (±0 included)
+        gives ``exp(-0/T) = 1 > u``, and a NaN ``ΔE`` fails both forms.
+        """
+        return u < np.exp(-np.maximum(delta_e, 0.0) / coefficient)
 
 
 #: The batch engines by method name: the accept rule is the only

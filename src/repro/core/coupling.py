@@ -1,20 +1,23 @@
 """Backend-agnostic coupling access for the annealer hot loops.
 
 The three solver families (:mod:`~repro.core.annealer`, :mod:`~repro.core.sa`,
-:mod:`~repro.core.mesa`) and the multi-replica batch engine
-(:mod:`~repro.core.batch`) need exactly five operations on the coupling
-matrix:
+:mod:`~repro.core.mesa`) need four operations on the coupling matrix:
 
 * ``local_fields(σ)`` — the cached state ``g = J σ``;
 * ``diag()`` — ``diag(J)`` for the self-coupling correction;
 * ``cross_term(g, F, σ_F)`` — the incremental-E core ``σ_rᵀ J σ_c``
   evaluated from the cached fields;
 * ``update_fields(g, F, σ_F)`` — the rank-``|F|`` in-place update after an
-  accepted flip;
-* the batch (R-replica) variants of the first three: ``batch_local_fields``
-  for the initial ``(R, n)`` state, ``batch_cross_term`` for per-replica
-  rank-``t`` flip sets, and ``batch_update_fields`` applying the accepted
-  replicas' rank-``t`` updates in one scatter.
+  accepted flip.
+
+The multi-replica batch loop (:func:`~repro.core.batch.run_lanes`) uses
+their ``(R, n)`` forms: ``batch_local_fields`` for the initial state,
+``batch_cross_term_slots`` for per-replica rank-``t`` flip sets (summed:
+``batch_cross_term``) and ``batch_update_fields`` for the accepted
+replicas' rank-``t`` updates in one scatter.  A rank-1 flip needs less:
+its cross term is the diagonal formula, which the loop evaluates itself,
+and ``rank1_updates`` looks up what its field update reads once per
+chunk of drawn proposals.
 
 The simulated-bifurcation engines (:mod:`~repro.core.sb`) add one more
 pair: ``matvec(x)`` / ``batch_matvec(X)``, the plain coupling product
@@ -26,8 +29,8 @@ The batch engine additionally owns a full replica spin tensor whose
 layout is backend business, not engine business: ``make_batch_state``
 returns the spin-state adapter (:class:`FloatBatchState` here, the
 bit-packed :class:`~repro.core.packed.PackedBatchState` on the packed
-backend) through which the engine gathers proposed spins, applies
-accepted flips, and snapshots per-replica bests.
+backend) through which the engine locates proposed spins, gathers them,
+applies accepted flips, and snapshots per-replica bests.
 
 :func:`coupling_ops` wraps a model in the matching adapter:
 :class:`DenseCouplingOps` reproduces the seed's dense numpy expressions
@@ -54,22 +57,44 @@ class FloatBatchState:
 
     The batch engine's spin-state protocol for the dense and sparse
     backends: ``fields`` caches the ``(R, n)`` float local fields,
-    ``gather``/``flip`` read and toggle proposed spins, ``record_best``
-    snapshots improved replicas, and the readout methods return int8
-    configurations in the model's spin order.  The spins and the
-    best snapshots are int8, an eighth of the traffic of float rows;
-    ``gather`` hands the engine float64 ±1.0, and the fields come from
-    the float draw, so every value the engine computes with is unchanged.
+    ``locate`` addresses a chunk's proposed spins once and returns the
+    ``gather``/``flip`` that read and negate them per iteration,
+    ``record_best`` snapshots improved replicas, and the readout methods
+    return int8 configurations in the model's spin order.
+    ``gather(rows, idx)``/``flip(acc, cols, vals)`` read and negate spins
+    addressed by replica and spin.  The spins and the best snapshots are
+    int8, an eighth of the traffic of float rows; reads hand the engine
+    float64 ±1.0, and the fields come from the float draw, so every value
+    the engine computes with is unchanged.
     """
 
     def __init__(self, ops, sigma: np.ndarray) -> None:
         #: Cached ``(R, n)`` local fields ``g_r = J σ_r`` (C-contiguous
         #: per the batch_local_fields producer contract).
         self.fields = ops.batch_local_fields(sigma)
-        # order="C": record_best_blocks aliases both tensors through
-        # reshape(-1).
+        # order="C": locate and record_best_blocks alias both tensors
+        # through reshape(-1).
         self._sigma = sigma.astype(np.int8, order="C")
         self._best = self._sigma.copy()
+
+    def locate(self, addr: np.ndarray):
+        """``(gather, flip)`` of the spins at ``addr = row·n + spin``.
+
+        ``addr`` is ``(iterations, slots)``; ``gather(i)`` returns
+        iteration ``i``'s spins as ±1.0 float64 and ``flip(i, acc, vals)``
+        negates its slots ``acc`` (distinct spins, now ``vals``).
+        """
+        spins = self._sigma.reshape(-1)
+
+        def gather(i):
+            return spins[addr[i]].astype(np.float64)
+
+        def flip(i, acc, vals):
+            # Aliasing audited: _sigma is built in C order, so spins is
+            # a view of it.
+            spins[addr[i][acc]] = -vals  # repro-lint: disable=RPL004
+
+        return gather, flip
 
     def gather(self, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Current values of spins ``idx[r]`` per replica (±1.0 float64)."""
@@ -123,6 +148,18 @@ class FloatBatchState:
         return int(
             self._sigma.nbytes + self._best.nbytes + self.fields.nbytes
         )
+
+
+def _csr_positions(counts: np.ndarray, row_ends: np.ndarray) -> np.ndarray:
+    """CSR positions of the rows of ``counts`` entries ending at ``row_ends``.
+
+    The rows are concatenated in order, without a Python loop: row ``k``
+    lands at output offsets ``ends[k] - counts[k]`` to ``ends[k]``, so
+    output offset ``o`` reads position ``row_ends[k] - ends[k] + o``.
+    """
+    ends = counts.cumsum()
+    total = int(ends[-1]) if ends.size else 0
+    return (row_ends - ends).repeat(counts) + np.arange(total)
 
 
 class DenseCouplingOps:
@@ -184,8 +221,7 @@ class DenseCouplingOps:
         return self.batch_cross_term_slots(g, idx, sig_f).sum(axis=1)
 
     def batch_cross_term_slots(
-        self, g: np.ndarray, idx: np.ndarray, sig_f: np.ndarray,
-        set_size: int | None = None,
+        self, g: np.ndarray, idx: np.ndarray, sig_f: np.ndarray
     ) -> np.ndarray:
         """``(R, t)`` per-slot cross-term contributions, before the sum.
 
@@ -193,13 +229,11 @@ class DenseCouplingOps:
         negation is exact and sign-symmetric under rounding, so negating
         per slot and summing matches negating the sum bit-for-bit).  The
         block-stacked runner consumes the unsummed slots to regroup them
-        per member block.  ``set_size`` declares each row consecutive flip
-        sets of that size, mutually uncoupled (``None``: one set per row);
-        at ``set_size == 1`` every slot takes the rank-1 formula.
+        per member block.
         """
         rows = np.arange(idx.shape[0])[:, None]
         g_f = g[rows, idx]
-        if idx.shape[1] == 1 or set_size == 1:
+        if idx.shape[1] == 1:
             return -(sig_f * (g_f - self._diag[idx] * sig_f))
         sub = np.einsum(
             "rkl,rl->rk", self._J[idx[:, :, None], idx[:, None, :]], sig_f
@@ -218,10 +252,27 @@ class DenseCouplingOps:
         stays O(A·n) with no ``(n, A, t)`` intermediate.
         """
         if cols.ndim == 1:
-            g[rows] -= 2.0 * (self._J[:, cols].T * vals[:, None])
+            self.rank1_updates(g, rows, cols[None])(0, slice(None), vals)
             return
         for k in range(cols.shape[1]):
             g[rows] -= 2.0 * (self._J[:, cols[:, k]].T * vals[:, k][:, None])
+
+    def rank1_updates(self, g: np.ndarray, rows: np.ndarray, spins: np.ndarray):
+        """``update(i, acc, vals)``: rank-1 field updates for a chunk.
+
+        ``spins`` is ``(iterations, slots)``, ``rows`` the replica of each
+        slot.  ``update`` applies ``g_r ← g_r − 2 J[:, j] σ_j`` for slots
+        ``acc`` of iteration ``i`` (pre-flip values ``vals``).  The
+        replicas must be distinct: a fancy ``-=`` keeps one write per row.
+        """
+        J = self._J
+        # intp: int32 column indices index J more slowly every iteration.
+        spins = spins.astype(np.intp, copy=False)
+
+        def update(i, acc, vals):
+            g[rows[acc]] -= 2.0 * (J[:, spins[i][acc]].T * vals[:, None])
+
+        return update
 
     def offdiag_abs_values(self) -> np.ndarray:
         """|J_ij| of all off-diagonal entries (both triangles)."""
@@ -289,15 +340,7 @@ class SparseCouplingOps:
         O(Σ degree) time and memory.
         """
         counts = self._degree[spins]
-        ends = np.cumsum(counts)
-        total = int(ends[-1]) if ends.size else 0
-        if total == 0:
-            empty = np.empty(0, dtype=np.intp)
-            return counts, empty, np.empty(0, dtype=np.float64)
-        # Row k's slots start at indptr[spins[k]] and land at output
-        # offset ends[k] - counts[k].
-        shift = self._indptr[spins] - ends + counts
-        pos = np.repeat(shift, counts) + np.arange(total)
+        pos = _csr_positions(counts, self._indptr[1:][spins])
         return counts, self._indices[pos], self._data[pos]
 
     def cross_term(self, g: np.ndarray, flips: np.ndarray, sig_f: np.ndarray) -> float:
@@ -352,24 +395,20 @@ class SparseCouplingOps:
         return self.batch_cross_term_slots(g, idx, sig_f).sum(axis=1)
 
     def batch_cross_term_slots(
-        self, g: np.ndarray, idx: np.ndarray, sig_f: np.ndarray,
-        set_size: int | None = None,
+        self, g: np.ndarray, idx: np.ndarray, sig_f: np.ndarray
     ) -> np.ndarray:
         """``(R, t)`` per-slot cross-term contributions, before the sum.
 
-        Same split and ``set_size`` contract as the dense twin:
-        :meth:`batch_cross_term` is exactly ``slots.sum(axis=1)``.  For
-        flip sets whose members live in mutually uncoupled column blocks
-        (the block-stacked union), each slot's ``sub`` only sees flips of
-        its own block, so regrouped per-block sums reproduce the member
-        models' solo cross terms; a rank-1 set's ``sub`` is its diagonal
-        entry alone, so ``set_size == 1`` skips the intersection (equal up
-        to the sign of a zero slot, which the per-set sum erases).
+        Same split as the dense twin: :meth:`batch_cross_term` is exactly
+        ``slots.sum(axis=1)``.  For flip sets whose members live in
+        mutually uncoupled column blocks (the block-stacked union), each
+        slot's ``sub`` only sees flips of its own block, so regrouped
+        per-block sums reproduce the member models' solo cross terms.
         """
         R, t = idx.shape
         rows = np.arange(R)[:, None]
         g_f = g[rows, idx]
-        if t == 1 or set_size == 1:
+        if t == 1:
             return -(sig_f * (g_f - self._diag[idx] * sig_f))
         order = np.argsort(idx, axis=1)
         sorted_idx = np.take_along_axis(idx, order, axis=1)
@@ -404,15 +443,7 @@ class SparseCouplingOps:
         if cols.ndim == 2 and cols.shape[1] == 1:
             cols, vals = cols[:, 0], vals[:, 0]
         if cols.ndim == 1:
-            counts, nbr, w = self._gather_rows(cols)
-            if nbr.size == 0:
-                return
-            flat = np.repeat(rows, counts) * self._n + nbr
-            # `rows` are distinct replicas and neighbour lists have unique
-            # columns, so the flat indices are unique and fancy -= is safe.
-            # Aliasing audited: every producer of g returns C order
-            # (batch_matvec and the packed popcount kernel allocate it).
-            g.reshape(-1)[flat] -= 2.0 * w * np.repeat(vals, counts)  # repro-lint: disable=RPL004
+            self.rank1_updates(g, rows, cols[None])(0, slice(None), vals)
             return
         t = cols.shape[1]
         counts, nbr, w = self._gather_rows(cols.ravel())
@@ -427,6 +458,34 @@ class SparseCouplingOps:
         # contract as the rank-1 path above.
         uniq, inv = np.unique(flat, return_inverse=True)
         g.reshape(-1)[uniq] -= 2.0 * np.bincount(inv, weights=contrib)  # repro-lint: disable=RPL004
+
+    def rank1_updates(self, g: np.ndarray, rows: np.ndarray, spins: np.ndarray):
+        """``update(i, acc, vals)``: rank-1 field updates for a chunk.
+
+        The flipped rows' degree and CSR row end depend only on the drawn
+        ``spins`` (``(iterations, slots)``, ``rows`` the replica of each
+        slot), so they are looked up here once; ``update`` scatters
+        ``−2 w σ_j`` into the neighbours of slots ``acc`` of iteration
+        ``i`` in one flat subtract.  A replica may repeat only for spins
+        in mutually uncoupled column blocks (the block-stacked union), so
+        the flat indices stay unique and fancy ``-=`` is safe.
+        """
+        fields = g.reshape(-1)
+        base = rows * self._n
+        degree, row_ends = self._degree[spins], self._indptr[1:][spins]
+        indices, data = self._indices, self._data
+
+        def update(i, acc, vals):
+            counts = degree[i][acc]
+            pos = _csr_positions(counts, row_ends[i][acc])
+            flat = base[acc].repeat(counts) + indices[pos]
+            # w·(2σ) is exactly 2·w·σ (σ = ±1), without a 2·data copy.
+            # Aliasing audited: every producer of g returns C order
+            # (batch_matvec and the packed popcount kernel allocate it),
+            # so fields is a view of it.
+            fields[flat] -= data[pos] * (vals + vals).repeat(counts)  # repro-lint: disable=RPL004
+
+        return update
 
     def offdiag_abs_values(self) -> np.ndarray:
         """|J_ij| of all stored off-diagonal entries (both triangles)."""

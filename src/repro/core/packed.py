@@ -49,11 +49,13 @@ class PackedBatchState:
     Implements the batch engine's spin-state protocol (see
     :class:`~repro.core.coupling.FloatBatchState` for the float twin):
     ``fields`` is the cached ``(R, n)`` float local-field tensor,
-    ``gather`` reads proposed spins (as ±1.0 float64, the exact values
-    the float state would hand over), ``flip`` toggles accepted spins
-    with XOR masks, ``record_best`` snapshots improved replicas by
-    copying word rows (8× less traffic than the float twin's int8
-    rows), and the readout methods unpack to the engine's int8 contract.
+    ``locate`` gives a chunk's proposed spins their word addresses and
+    bit masks once (its ``gather`` reads them as ±1.0 float64, the exact
+    values the float state would hand over, and its ``flip`` toggles
+    them with XOR masks), ``flip`` toggles any flip sets,
+    ``record_best`` snapshots improved replicas by copying word rows (8×
+    less traffic than the float twin's int8 rows), and the readout
+    methods unpack to the engine's int8 contract.
     """
 
     def __init__(self, model: PackedIsingModel, sigma: np.ndarray) -> None:
@@ -70,12 +72,36 @@ class PackedBatchState:
         self.fields = fields
         self._best = self._words.copy()
 
+    def locate(self, addr: np.ndarray):
+        """``(gather, flip)`` of the spins at ``addr = row·n + spin``.
+
+        As :meth:`~repro.core.coupling.FloatBatchState.locate`, but
+        ``flip`` is a plain XOR, which keeps one write per word: every
+        flipped spin must sit in a word of its own.  A t=1 row's flips
+        do (one spin per replica, or per lane of a union whose blocks
+        are padded to whole words); larger flip sets go through
+        :meth:`flip`.
+        """
+        rows, spins = np.divmod(addr, self._n)
+        word = rows * self._num_words + (spins >> 6)
+        mask = _U64_ONE << (spins & 63).astype(np.uint64)
+        words = self._words.reshape(-1)
+
+        def gather(i):
+            return np.where(words[word[i]] & mask[i], 1.0, -1.0)
+
+        def flip(i, acc, vals):
+            # Aliasing audited: _words is produced by pack_spin_rows
+            # (np.zeros + in-place |=), C-contiguous by construction, so
+            # words is a view of it.
+            words[word[i][acc]] ^= mask[i][acc]  # repro-lint: disable=RPL004
+
+        return gather, flip
+
     def gather(self, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Current values of spins ``idx[r]`` per replica, as ±1.0 float."""
-        bits = (
-            self._words[rows, idx >> 6] >> (idx & 63).astype(np.uint64)
-        ) & _U64_ONE
-        return bits.astype(np.float64) * 2.0 - 1.0
+        gather, _ = self.locate((rows * self._n + idx)[None])
+        return gather(0)
 
     def flip(self, acc: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
         """Toggle spins ``cols[a]`` of accepted replicas ``acc`` (XOR).

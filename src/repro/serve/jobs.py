@@ -37,7 +37,7 @@ from repro.utils.validation import (
 MAX_JOB_REPLICAS = 64
 
 #: Admission budget: iterations × replicas × flips of an insitu/sa job
-#: (its int64 proposal tensor, 256 MiB), and iterations × replicas × n
+#: (its int32 proposal tensor, 128 MiB), and iterations × replicas × n
 #: spin-steps of any job.
 MAX_JOB_PROPOSALS = 2**25
 MAX_JOB_WORK = 2**35

@@ -169,3 +169,61 @@ class TestThroughput:
         )
 
         assert batch_time < sequential_time
+
+
+class TestProposalMemory:
+    """A t=1 lane's draw holds its int32 proposal tensor and little more.
+
+    Scan streams and chunked uniform draws are written straight into the
+    preallocated tensor, so no int64 copy of it (or R stacked int64
+    streams) is ever alive.
+    """
+
+    @pytest.mark.parametrize("method", ["insitu", "sa"])  # scan / random
+    def test_t1_lane_draw_peak(self, method):
+        import tracemalloc
+
+        from repro.core.batch import compile_lane
+        from repro.ising import generate_toroidal
+
+        model = generate_toroidal(10, 20, seed=3).to_ising(backend="sparse")
+        n, iterations, R = model.num_spins, 20_000, 100
+        tracemalloc.start()
+        try:
+            lane = compile_lane(model, method, iterations=iterations, replicas=R, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tensor = iterations * R * 4
+        assert lane.proposals.dtype == np.int32
+        assert lane.proposals.nbytes == tensor
+        # O(R·n): the float start-state draw and its int8 copy.
+        assert peak < 1.25 * tensor + 64 * R * n
+
+    @pytest.mark.parametrize("proposal", ["scan", "random"])
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_int32_tensor_holds_the_int64_draws(self, small_model, proposal, t):
+        """The same indices as the one-shot int64 draws of the RNG."""
+        from repro.core.proposal import random_flip_sets, scan_order
+        from repro.utils.rng import ensure_rng
+
+        n, R, iterations = small_model.num_spins, 3, 2500
+        engine = BatchInSituAnnealer(
+            small_model, replicas=R, flips_per_iteration=t, proposal=proposal,
+            seed=9,
+        )
+        got = engine._proposal_tensor(iterations)
+        rng = ensure_rng(9)
+        if proposal == "random" and t == 1:
+            want = rng.integers(n, size=(iterations, R))[..., None]
+        elif proposal == "random":
+            want = random_flip_sets(rng, n, iterations * R, t).reshape(iterations, R, t)
+        else:
+            want = np.stack([
+                scan_order(n, t, iterations * t, rng).reshape(iterations, t)
+                for _ in range(R)
+            ], axis=1)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, want)
+        # and the generator is left where the one-shot draw leaves it
+        assert engine._rng.random() == rng.random()

@@ -343,6 +343,52 @@ class TestAcceptanceParity:
         assert not got[2]      # u == exp(-ΔE/T) rejected (strict <)
         assert got[3]          # one ulp below accepted
 
+    #: Both ends of the uniforms' range [0, 1): the batch rules are one
+    #: comparison each, exact only because u never reaches 1.
+    EDGE_U = (0.0, float(np.nextafter(1.0, 0.0)))
+
+    def test_insitu_one_comparison_edges(self, small_model):
+        """Signed-zero and NaN increments at both ends of u's range."""
+        engine = BatchInSituAnnealer(
+            small_model, replicas=1, acceptance_scale=1.5, seed=0
+        )
+        f_value = scalar_factor(engine, 0.35)
+        scale = engine.acceptance_scale
+        # (cross, field) giving e_inc = +0.0, -0.0, NaN, and a small
+        # increment of either sign.
+        pairs = [(0.0, 0.0), (-0.0, -0.0), (np.nan, 0.0), (1e-300, 0.0),
+                 (-1e-300, 0.0), (0.25, -0.5)]
+        cross = np.array([c for c, _ in pairs for _ in self.EDGE_U])
+        field = np.array([f for _, f in pairs for _ in self.EDGE_U])
+        u = np.array(self.EDGE_U * len(pairs))
+        e_inc = [(c + f / 2.0) * f_value * scale for c, f in zip(cross, field)]
+        assert np.signbit(e_inc[0:2]).tolist() == [False, False]
+        assert np.signbit(e_inc[2:4]).tolist() == [True, True]
+        assert np.isnan(e_inc[4:6]).all()
+        got = engine._accept(cross, field, 4.0 * cross + 2.0 * field,
+                             f_value, scale, u)
+        expected = [bool(e <= 0.0 or e <= uu) for e, uu in zip(e_inc, u)]
+        assert got.tolist() == expected
+
+    def test_direct_e_one_comparison_edges(self, small_model):
+        """Signed-zero, NaN and vanishing ΔE at both ends of u's range."""
+        engine = BatchDirectEAnnealer(small_model, replicas=1, seed=0)
+        temperature = 0.8
+        values = [0.0, -0.0, np.nan, 1e-300, -1.0, 1.0]
+        delta_e = np.array([d for d in values for _ in self.EDGE_U])
+        u = np.array(self.EDGE_U * len(values))
+        got = engine._accept(
+            delta_e / 4.0, np.zeros(delta_e.size), delta_e,
+            max(temperature, 1e-12), 1.0, u,
+        )
+        expected = [
+            bool(d <= 0.0 or uu < np.exp(-d / max(temperature, 1e-12)))
+            for d, uu in zip(delta_e, u)
+        ]
+        assert got.tolist() == expected
+        assert got[7]          # exp(-1e-300/T) rounds to 1.0 > u
+        assert not got[4] and not got[5]   # NaN rejected like the oracle
+
 
 class _SawtoothSchedule(Schedule):
     """A third-party schedule: only ``temperature`` is defined, so

@@ -255,10 +255,10 @@ def test_three_lanes_across_chunk_boundaries(monkeypatch, method, flips):
 
 @pytest.mark.parametrize("packed", [False, True])
 def test_rank1_slots_on_the_union_equal_the_intersection(packed):
-    """``set_size=1`` on a block-stacked union: one flip per lane block
+    """Stacked t=1 lanes on a block-stacked union: one flip per lane block
     meets only its own diagonal in the row-wide intersection, so the
-    rank-1 slots equal it up to the sign of zero, and the per-set sum
-    the loop takes is byte-equal."""
+    rank-1 cross term the loop takes, ``d − σ g`` with a ``-0.0``-free
+    diagonal, is byte-equal to the intersection's per-set sums."""
     backend = "packed" if packed else "nondyadic"
     members = [make_member(n, seed=n, backend=backend) for n in (9, 14, 6, 11)]
     if not packed:
@@ -272,15 +272,13 @@ def test_rank1_slots_on_the_union_equal_the_intersection(packed):
     idx = np.stack(
         [rng.integers(b.start, b.stop, size=R) for b in stack.blocks], axis=1
     )
-    sig_f = state.gather(np.arange(R)[:, None], idx)
-    rank1 = ops.batch_cross_term_slots(state.fields, idx, sig_f, 1)
+    rows = np.arange(R)[:, None]
+    sig_f = state.gather(rows, idx)
+    rank1 = (ops.diag() + 0.0)[idx] - sig_f * state.fields[rows, idx]
     rowwide = ops.batch_cross_term_slots(state.fields, idx, sig_f)
     assert rank1.shape == rowwide.shape == (R, k)
     assert np.array_equal(rank1, rowwide)
-    assert (
-        rank1.reshape(-1, 1).sum(axis=1).tobytes()
-        == rowwide.reshape(-1, 1).sum(axis=1).tobytes()
-    )
+    assert rank1.tobytes() == rowwide.reshape(-1, 1).sum(axis=1).tobytes()
 
 
 def test_a_lane_runs_once():

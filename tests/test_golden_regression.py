@@ -338,3 +338,92 @@ class TestIsingGoldens:
         assert result.best_energy == energy
         assert result.accepted == accepted
         assert model.energy(result.best_sigma) == energy
+
+
+def byte_pin_models(backend: str):
+    """A fielded 21-spin member and a field-free 13-spin member.
+
+    Non-dyadic couplings and fields, so sums round and their order
+    matters; the fielded member also has a stored diagonal, a zero-field
+    spin (5) and an isolated spin (7).
+    """
+    from repro.ising import SparseIsingModel
+
+    rng = ensure_rng(31)
+
+    def couplings(n):
+        upper = np.triu(rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.3), k=1)
+        return upper + upper.T
+
+    J = couplings(21)
+    J[7, :] = J[:, 7] = 0.0
+    J[3, 3], J[10, 10] = 0.3, -0.7
+    h = rng.normal(size=21) / 3.0
+    h[5] = 0.0
+    models = [IsingModel(J, h, offset=0.3), IsingModel(couplings(13), offset=-1.1)]
+    if backend == "sparse":
+        models = [SparseIsingModel.from_ising(m) for m in models]
+    return models
+
+
+def result_bytes_digest(results) -> str:
+    """sha256 of the bytes of all five result arrays of every result.
+
+    Bytes, not ``np.array_equal``: a signed zero or a NaN payload that
+    moves changes the digest.
+    """
+    import hashlib
+
+    digest = hashlib.sha256()
+    for r in results:
+        for a in (r.best_energies, r.best_sigmas, r.final_energies,
+                  r.final_sigmas, r.accepted):
+            digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()[:16]
+
+
+class TestReplicaByteGoldens:
+    """Byte pins of replica runs on non-dyadic models, per backend.
+
+    ``TestReplicaBatchGoldens`` pins ±1-weight runs, whose sums are
+    exact in any order.  These pin the bytes of every returned array
+    where rounding and the order of operations show: solo runs of the
+    fielded member, and the fielded member stacked with the field-free
+    one (the union's field-free columns).  1100 iterations cross a
+    :data:`~repro.core.batch.CHUNK_ITERATIONS` boundary.
+    """
+
+    #: (backend, method, flips, mode) -> digest prefix.
+    GOLDEN_BYTES = {
+        ("dense", "insitu", 1, "solo"): "236aa1ea56dbe8e8",
+        ("dense", "insitu", 1, "stacked"): "946b2286d8362796",
+        ("dense", "insitu", 4, "solo"): "85a12794ae11e0e7",
+        ("dense", "insitu", 4, "stacked"): "5012a59ce8046b12",
+        ("dense", "sa", 1, "solo"): "28057ceeacfdfaf2",
+        ("dense", "sa", 1, "stacked"): "185aee4740072a28",
+        ("dense", "sa", 4, "solo"): "927d5a5da35a9ced",
+        ("dense", "sa", 4, "stacked"): "65a113b6241b61f2",
+        ("sparse", "insitu", 1, "solo"): "236aa1ea56dbe8e8",
+        ("sparse", "insitu", 1, "stacked"): "946b2286d8362796",
+        ("sparse", "insitu", 4, "solo"): "4389a853b5540231",
+        ("sparse", "insitu", 4, "stacked"): "5012a59ce8046b12",
+        ("sparse", "sa", 1, "solo"): "28057ceeacfdfaf2",
+        ("sparse", "sa", 1, "stacked"): "185aee4740072a28",
+        ("sparse", "sa", 4, "solo"): "bddfaa06e923d328",
+        ("sparse", "sa", 4, "stacked"): "65a113b6241b61f2",
+    }
+
+    @pytest.mark.parametrize("backend,method,flips,mode", sorted(GOLDEN_BYTES))
+    def test_pinned_result_bytes(self, backend, method, flips, mode):
+        from repro.core.blockstack import compile_lane, run_stacked
+
+        models = byte_pin_models(backend)
+        if mode == "solo":
+            models = models[:1]
+        lanes = [
+            compile_lane(m, method, iterations=1100, replicas=3,
+                         flips_per_iteration=flips, seed=40 + j)
+            for j, m in enumerate(models)
+        ]
+        digest = result_bytes_digest(run_stacked(lanes))
+        assert digest == self.GOLDEN_BYTES[(backend, method, flips, mode)]

@@ -311,6 +311,64 @@ class TestReshapeScatterAlias:
         })
         assert findings == []
 
+    def test_held_view_scatter_flagged(self, tmp_path):
+        """The hoisted-loop shape: the view is bound once, scattered later."""
+        findings = lint_tree(tmp_path, {
+            "src/repro/core/hot.py": (
+                "import numpy as np\n"
+                "def step(g, words, flat, masks, contrib):\n"
+                "    g_flat = g.reshape(-1)\n"
+                "    bits = words.ravel()\n"
+                "    for _ in range(3):\n"
+                "        g_flat[flat] -= contrib\n"
+                "    bits[flat] = 0\n"
+                "    np.bitwise_xor.at(bits, flat, masks)\n"
+            ),
+        })
+        assert codes(findings) == ["RPL004"] * 3
+        assert [f.line for f in findings] == [6, 7, 8]
+        assert "'g_flat'" in findings[0].message
+
+    def test_held_view_scatter_in_a_closure_flagged(self, tmp_path):
+        """A per-chunk handle: the closure scatters into the caller's view."""
+        findings = lint_tree(tmp_path, {
+            "src/repro/core/hot.py": (
+                "def locate(g, addr):\n"
+                "    flat = g.reshape(-1)\n"
+                "    def flip(i, vals):\n"
+                "        flat[addr[i]] = -vals\n"
+                "    return flip\n"
+            ),
+        })
+        assert codes(findings) == ["RPL004"]
+        assert findings[0].line == 4
+
+    def test_held_view_read_or_other_scope_ok(self, tmp_path):
+        findings = lint_tree(tmp_path, {
+            "src/repro/core/hot.py": (
+                "def reads(g, flat):\n"
+                "    g_flat = g.reshape(-1)\n"
+                "    block = g.reshape(4, 4)\n"
+                "    block[0] = 1.0\n"
+                "    return g_flat[flat]\n"
+                "def other_scope(g_flat, flat):\n"
+                "    g_flat[flat] = 0.0\n"
+            ),
+        })
+        assert findings == []
+
+    def test_held_view_suppressed_with_contiguity_audit(self, tmp_path):
+        findings = lint_tree(tmp_path, {
+            "src/repro/core/hot.py": (
+                "def step(g, flat, contrib):\n"
+                "    g_flat = g.reshape(-1)\n"
+                "    # Aliasing audited: g is allocated C-order.\n"
+                f"    {DISABLE}RPL004\n"
+                "    g_flat[flat] -= contrib\n"
+            ),
+        })
+        assert findings == []
+
 
 # ---------------------------------------------------------------- RPL005
 

@@ -53,6 +53,19 @@ def _call_name(node: ast.Call) -> str | None:
     return None
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+
+
+def _scope_nodes(scope: ast.AST) -> Iterator[ast.AST]:
+    """Nodes of one scope's body (module, class, function), not of nested ones."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
 def _name_refs(nodes: Iterable[ast.expr]) -> Iterator[str]:
     for arg in nodes:
         for sub in ast.walk(arg):
@@ -255,9 +268,11 @@ class ReshapeScatterAliasRule(Rule):
     F-order and turns the scatter into a write to a temporary copy.
     ``ufunc.at(x.reshape(-1), ...)`` (the packed backend's XOR-word
     scatter) carries the identical trap: the ufunc mutates the view, and
-    the mutation only reaches ``x`` when the view aliases it.  Audited
-    sites must suppress inline, stating why the operand is guaranteed
-    C-contiguous.
+    the mutation only reaches ``x`` when the view aliases it.  A view
+    held in a local (``flat = g.reshape(-1)``, then ``flat[i] -= v`` in
+    the same function or a closure it defines) is the same scatter
+    spread over two lines.  Audited sites must suppress inline, stating
+    why the operand is guaranteed C-contiguous.
     """
 
     code = "RPL004"
@@ -268,9 +283,25 @@ class ReshapeScatterAliasRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
-        for node in ast.walk(ctx.tree):
+        return self._check_scope(ctx, ctx.tree, set())
+
+    def _check_scope(
+        self, ctx: FileContext, scope: ast.AST, outer: set[str]
+    ) -> Iterator[Finding]:
+        """One scope's scatters; nested scopes (closures) see its views."""
+        nodes = list(_scope_nodes(scope))
+        held = outer | {
+            target.id
+            for node in nodes if isinstance(node, ast.Assign)
+            and self._flatten_attr(node.value) is not None
+            for target in node.targets if isinstance(target, ast.Name)
+        }
+        for node in nodes:
+            if isinstance(node, _SCOPES):
+                yield from self._check_scope(ctx, node, held)
+                continue
             if isinstance(node, ast.Call):
-                yield from self._check_ufunc_at(ctx, node)
+                yield from self._check_ufunc_at(ctx, node, held)
                 continue
             if isinstance(node, ast.Assign):
                 targets = node.targets
@@ -279,20 +310,13 @@ class ReshapeScatterAliasRule(Rule):
             else:
                 continue
             for target in targets:
-                if not (
-                    isinstance(target, ast.Subscript)
-                    and isinstance(target.value, ast.Call)
-                    and isinstance(target.value.func, ast.Attribute)
-                ):
+                if not isinstance(target, ast.Subscript):
                     continue
-                call = target.value
-                attr = call.func.attr
-                if attr == "ravel" or (
-                    attr == "reshape" and self._is_flatten(call.args)
-                ):
+                how = self._through(target.value, held)
+                if how is not None:
                     yield self.finding(
                         ctx, node,
-                        f"scatter-assignment through .{attr}() aliases the "
+                        f"scatter-assignment through {how} aliases the "
                         "base array only when it is C-contiguous — an "
                         "F-ordered operand (e.g. from a fancy-index "
                         "gather) turns this into a silent no-op on a "
@@ -300,27 +324,41 @@ class ReshapeScatterAliasRule(Rule):
                         "suppress with the contiguity argument",
                     )
 
-    def _check_ufunc_at(self, ctx: FileContext, node: ast.Call) -> Iterable[Finding]:
+    def _check_ufunc_at(
+        self, ctx: FileContext, node: ast.Call, held: set[str]
+    ) -> Iterable[Finding]:
         """Flag ``<ufunc>.at(x.reshape(-1)/x.ravel(), ...)`` scatters."""
         func = node.func
         if not (isinstance(func, ast.Attribute) and func.attr == "at" and node.args):
             return
-        first = node.args[0]
-        if not (
-            isinstance(first, ast.Call)
-            and isinstance(first.func, ast.Attribute)
-        ):
-            return
-        attr = first.func.attr
-        if attr == "ravel" or (attr == "reshape" and self._is_flatten(first.args)):
+        how = self._through(node.args[0], held)
+        if how is not None:
             yield self.finding(
                 ctx, node,
-                f"ufunc.at through .{attr}() mutates the base array only "
+                f"ufunc.at through {how} mutates the base array only "
                 "when the flattening view aliases it — an F-ordered "
                 "operand turns the scatter into a silent no-op on a "
                 "copy; scatter into the array directly or suppress "
                 "with the contiguity argument",
             )
+
+    def _through(self, operand: ast.expr, held: set[str]) -> str | None:
+        """How ``operand`` flattens: ``.reshape()``/``.ravel()`` or a held view."""
+        attr = self._flatten_attr(operand)
+        if attr is not None:
+            return f".{attr}()"
+        if isinstance(operand, ast.Name) and operand.id in held:
+            return f"the flattened view {operand.id!r}"
+        return None
+
+    def _flatten_attr(self, node: ast.expr) -> str | None:
+        """``reshape``/``ravel`` if ``node`` is ``x.reshape(-1)``/``x.ravel()``."""
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            return None
+        attr = node.func.attr
+        if attr == "ravel" or (attr == "reshape" and self._is_flatten(node.args)):
+            return attr
+        return None
 
     @staticmethod
     def _is_flatten(args: list[ast.expr]) -> bool:
