@@ -13,9 +13,17 @@ band.  Intra-block couplings land on the ``k`` diagonal tiles; only
 cut edges light additional tiles, so a min-cut partition is a
 min-active-tile layout for clustered instances.
 
-The partitioner is the classic multilevel scheme, pure numpy over the
+The partitioner is the classic multilevel scheme over the
 :class:`~repro.ising.sparse.SparseIsingModel` CSR arrays (the dense
-``(n, n)`` matrix is never formed):
+``(n, n)`` matrix is never formed).  Whole-graph steps (adjacency,
+contraction, pair counts, projection) are numpy.  The per-vertex kernels
+— matching, growing, FM gains and moves, the exact drain — walk one
+vertex's neighbour list at a time, where a numpy call on a 2–10-element
+slice costs more in call overhead than in work, so they read the arrays
+and the assign/match/stamp state as Python numbers through zero-copy
+``memoryview`` objects.  (Python lists ran as fast in a prototype but
+hold a boxed object per entry, which raised the compile's peak RSS.)
+The steps:
 
 1. **Coarsening** — heavy-edge matching: visit vertices in ascending
    degree order, match each with its unmatched neighbour of largest
@@ -136,23 +144,24 @@ def _heavy_edge_matching(
     """
     n = vweights.shape[0]
     match = np.full(n, -1, dtype=np.intp)
-    order = np.argsort(np.diff(indptr), kind="stable")
-    for v in order:
-        if match[v] >= 0:
+    ptr, nbr, wt, vw, mate = (
+        memoryview(a) for a in (indptr, indices, weights, vweights, match)
+    )
+    for v in memoryview(np.argsort(np.diff(indptr), kind="stable")):
+        if mate[v] >= 0:
             continue
-        lo, hi = indptr[v], indptr[v + 1]
-        nbrs = indices[lo:hi]
-        ok = (match[nbrs] < 0) & (nbrs != v) & (
-            vweights[nbrs] + vweights[v] <= cap
-        )
-        if not ok.any():
-            match[v] = v
-            continue
-        cand = nbrs[ok]
-        # Heaviest edge first, smallest vertex id as the tie-break.
-        pick = cand[np.lexsort((cand, -weights[lo:hi][ok]))[0]]
-        match[v] = pick
-        match[pick] = v
+        room = cap - vw[v]
+        pick, heaviest = v, 0.0
+        for j in range(ptr[v], ptr[v + 1]):
+            u = nbr[j]
+            if mate[u] >= 0 or u == v or vw[u] > room:
+                continue
+            # Heaviest edge first, smallest vertex id as the tie-break.
+            w = wt[j]
+            if pick == v or w > heaviest or (w == heaviest and u < pick):
+                pick, heaviest = u, w
+        mate[v] = pick  # pick == v: v stays single
+        mate[pick] = v
     rep = np.minimum(np.arange(n, dtype=np.intp), match)
     reps = np.unique(rep)
     cmap = np.searchsorted(reps, rep).astype(np.intp)
@@ -218,6 +227,10 @@ def _greedy_grow(
     )
     conn = np.zeros(n, dtype=np.float64)
     unassigned = np.ones(n, dtype=bool)
+    ptr, nbr, wt, vw, asg, cn, free = (
+        memoryview(a)
+        for a in (indptr, indices, weights, vweights, assign, conn, unassigned)
+    )
     left = n
     # Candidate selection runs off a lazy max-heap keyed by (−conn, index):
     # conn only ever grows during the sweep, so an entry is current exactly
@@ -226,7 +239,7 @@ def _greedy_grow(
     # absorbed vertex.  The (−conn, v) ordering reproduces the argmax
     # tie-break (largest connection, smallest index) exactly.
     heap: list[tuple[float, int]] = []
-    seed_order = np.argsort(wdegree, kind="stable")
+    seed_order = memoryview(np.argsort(wdegree, kind="stable"))
     seed_ptr = 0
     for b in range(k - 1):
         if left == 0:
@@ -238,10 +251,10 @@ def _greedy_grow(
             stash: list[tuple[float, int]] = []
             while heap:
                 negc, u = heap[0]
-                if not unassigned[u] or -negc != conn[u]:
+                if not free[u] or -negc != cn[u]:
                     heapq.heappop(heap)  # stale entry
                     continue
-                if vweights[u] > remaining:
+                if vw[u] > remaining:
                     # Strongest-connected candidate that doesn't fit the
                     # block — set it aside; it stays eligible later.
                     stash.append(heapq.heappop(heap))
@@ -258,19 +271,22 @@ def _greedy_grow(
             if v < 0:
                 # Frontier empty (seed, or a fresh component): the
                 # unassigned vertex of minimum weighted degree.
-                while seed_ptr < n and not unassigned[seed_order[seed_ptr]]:
+                while seed_ptr < n and not free[seed_order[seed_ptr]]:
                     seed_ptr += 1
-                v = int(seed_order[seed_ptr])
-            assign[v] = b
-            unassigned[v] = False
+                v = seed_order[seed_ptr]
+            asg[v] = b
+            free[v] = False
             left -= 1
-            grown += int(vweights[v])
-            lo, hi = indptr[v], indptr[v + 1]
-            nbr = indices[lo:hi]
-            np.add.at(conn, nbr, weights[lo:hi])
-            for u in nbr:
-                if unassigned[u]:
-                    heapq.heappush(heap, (-conn[u], int(u)))
+            grown += vw[v]
+            lo, hi = ptr[v], ptr[v + 1]
+            # All adds first, in list order, then the pushes, so a
+            # repeated neighbour is pushed at its total.
+            for j in range(lo, hi):
+                cn[nbr[j]] += wt[j]
+            for j in range(lo, hi):
+                u = nbr[j]
+                if free[u]:
+                    heapq.heappush(heap, (-cn[u], u))
     assign[unassigned] = k - 1
     return assign
 
@@ -338,59 +354,70 @@ def _pair_counts(
 
 def _vertex_conn(
     v: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    assign: np.ndarray,
-    k: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(blocks, counts, weight_sums)`` of v's neighbourhood by block.
+    indptr: memoryview,
+    indices: memoryview,
+    weights: memoryview,
+    assign: memoryview,
+) -> tuple[dict[int, int], dict[int, float]]:
+    """``(counts, weight_sums)`` of v's neighbourhood, keyed by block.
 
-    Two bincount scatters over the vertex's neighbour list: O(degree + k)
-    with a small constant — the fastest form for the realistic regime
-    where the block count ``k`` is at most a few thousand (tile sides
-    ≥ 64 at the 100k-node scale).
+    One pass over the vertex's neighbour list, O(degree).  Each block's
+    weights are summed from 0.0 in neighbour-list order, the order the
+    pinned layouts were computed in, so every float gain built on them
+    is reproducible to the bit.
     """
+    counts: dict[int, int] = {}
+    wsums: dict[int, float] = {}
     lo, hi = indptr[v], indptr[v + 1]
-    blocks = assign[indices[lo:hi]]
-    cnt = np.bincount(blocks, minlength=k)
-    wsum = np.bincount(blocks, weights=weights[lo:hi], minlength=k)
-    uniq = np.flatnonzero(cnt)
-    return uniq, cnt[uniq], wsum[uniq]
+    for u, w in zip(indices[lo:hi], weights[lo:hi]):
+        b = assign[u]
+        if b in counts:
+            counts[b] += 1
+            wsums[b] += w
+        else:
+            counts[b] = 1
+            wsums[b] = 0.0 + w
+    return counts, wsums
 
 
 def _tile_delta(
     own: int,
     target: int,
-    nb_blocks: np.ndarray,
-    nb_counts: np.ndarray,
+    counts: dict[int, int],
     M: dict[tuple[int, int], int],
 ) -> int:
     """Active-tile gain of moving a vertex ``own`` → ``target``.
 
-    ``nb_blocks``/``nb_counts`` describe the vertex's neighbour blocks;
-    the move shifts every incident coupling from an ``(own, D)`` pair to
-    a ``(target, D)`` pair.  The gain is the number of tile slots whose
-    pair count drops to zero minus the number newly raised from zero
+    ``counts`` maps the vertex's neighbour blocks to their neighbour
+    counts; the move shifts every incident coupling from an ``(own, D)``
+    pair to a ``(target, D)`` pair.  The gain is the number of tile slots
+    whose pair count drops to zero minus the number newly raised from zero
     (off-diagonal pairs weigh 2 — both triangles are programmed).
     """
-    delta: dict[tuple[int, int], int] = {}
-    for D, c in zip(nb_blocks, nb_counts):
-        D, c = int(D), int(c)
-        ka = (own, D) if own <= D else (D, own)
-        kb = (target, D) if target <= D else (D, target)
-        delta[ka] = delta.get(ka, 0) - c
-        delta[kb] = delta.get(kb, 0) + c
     gain = 0
-    for key, d in delta.items():
-        if d == 0:
+    for D, c in counts.items():
+        if D == own or D == target:
             continue
+        # Only this block moves couplings between (own, D) and (target, D).
+        lost = (own, D) if own < D else (D, own)
+        won = (target, D) if target < D else (D, target)
+        if M.get(lost, 0) == c:
+            gain += 2
+        if won not in M:
+            gain -= 2
+    # The pairs among own and target collect shifts from both blocks.
+    c_own = counts.get(own, 0)
+    c_target = counts.get(target, 0)
+    pair = (own, target) if own < target else (target, own)
+    for key, d, weight in (
+        ((own, own), -c_own, 1),
+        ((target, target), c_target, 1),
+        (pair, c_own - c_target, 2),
+    ):
         before = M.get(key, 0)
-        after = before + d
-        weight = 1 if key[0] == key[1] else 2
-        if before > 0 and after == 0:
+        if before > 0 and before + d == 0:
             gain += weight
-        elif before == 0 and after > 0:
+        elif before == 0 and before + d > 0:
             gain -= weight
     return gain
 
@@ -398,23 +425,18 @@ def _tile_delta(
 def _apply_move(
     v: int,
     target: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    assign: np.ndarray,
+    counts: dict[int, int],
+    assign: memoryview,
     M: dict[tuple[int, int], int],
 ) -> None:
     """Reassign ``v`` to ``target`` and keep the pair counts exact.
 
-    Must be called *before* mutating ``assign[v]`` elsewhere; applying the
-    reverse move (in reverse order) restores ``M`` bit for bit, which is
-    what the FM rollback relies on.
+    ``counts`` is v's neighbourhood by block (:func:`_vertex_conn`) under
+    the current assignment.  Applying the reverse move (in reverse order)
+    restores ``M`` bit for bit, which is what the FM rollback relies on.
     """
-    own = int(assign[v])
-    lo, hi = indptr[v], indptr[v + 1]
-    blocks = assign[indices[lo:hi]]
-    uniq, counts = np.unique(blocks, return_counts=True)
-    for D, c in zip(uniq, counts):
-        D, c = int(D), int(c)
+    own = assign[v]
+    for D, c in counts.items():
         ka = (own, D) if own <= D else (D, own)
         kb = (target, D) if target <= D else (D, target)
         M[ka] = M.get(ka, 0) - c
@@ -432,51 +454,58 @@ def _apply_move(
 _TIE_BREAK_SCALE = 0.5
 
 
-def _best_move(
-    v: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    assign: np.ndarray,
-    vweights: np.ndarray,
-    block_weight: np.ndarray,
-    caps: np.ndarray,
+def _best_target(
+    own: int,
+    blocks: list[int],
+    counts: dict[int, int],
+    wsums: dict[int, float],
     M: dict[tuple[int, int], int],
 ) -> tuple[float, int] | None:
-    """``(gain, target)`` of v's best feasible move, or ``None``.
+    """``(gain, target)`` of the best move ``own`` → one of ``blocks``.
 
     The primary gain is the *active-tile* reduction (:func:`_tile_delta`
     — the tiled machine's true cost); the squashed edge-cut improvement
     breaks ties, so of two tile-neutral moves the one that concentrates
     coupling weight wins (those are the moves that later kill a pair).
-    Only boundary moves are produced (the target must hold at least one
-    of v's neighbours) and only into blocks with spare capacity; the
-    lowest block id wins residual ties.
+    ``blocks`` ascend, so the lowest block id wins residual ties.
     """
-    if indptr[v] == indptr[v + 1]:
-        return None
-    nb_blocks, nb_counts, nb_wsums = _vertex_conn(
-        v, indptr, indices, weights, assign, block_weight.shape[0]
-    )
-    own = int(assign[v])
-    own_pos = np.searchsorted(nb_blocks, own)
-    w_own = (
-        float(nb_wsums[own_pos])
-        if own_pos < nb_blocks.size and nb_blocks[own_pos] == own
-        else 0.0
-    )
+    w_own = wsums.get(own, 0.0)
     best: tuple[float, int] | None = None
-    for i, B in enumerate(nb_blocks):
-        B = int(B)
-        if B == own or block_weight[B] + vweights[v] > caps[B]:
-            continue
-        wgain = float(nb_wsums[i]) - w_own
-        gain = _tile_delta(own, B, nb_blocks, nb_counts, M) + (
+    for B in blocks:
+        wgain = wsums.get(B, 0.0) - w_own
+        gain = _tile_delta(own, B, counts, M) + (
             _TIE_BREAK_SCALE * (wgain / (1.0 + abs(wgain)))
         )
         if best is None or gain > best[0]:
             best = (gain, B)
     return best
+
+
+def _best_move(
+    v: int,
+    indptr: memoryview,
+    indices: memoryview,
+    weights: memoryview,
+    assign: memoryview,
+    vweights: memoryview,
+    block_weight: memoryview,
+    caps: memoryview,
+    M: dict[tuple[int, int], int],
+) -> tuple[float, int] | None:
+    """``(gain, target)`` of v's best feasible move, or ``None``.
+
+    Gain as in :func:`_best_target`.  Only boundary moves are produced
+    (the target must hold at least one of v's neighbours) and only into
+    blocks with spare capacity.
+    """
+    counts, wsums = _vertex_conn(v, indptr, indices, weights, assign)
+    own = assign[v]
+    wv = vweights[v]
+    blocks = [
+        B for B in sorted(counts)
+        if B != own and block_weight[B] + wv <= caps[B]
+    ]
+    return _best_target(own, blocks, counts, wsums, M)
 
 
 def _fm_pass(
@@ -500,21 +529,26 @@ def _fm_pass(
     n = assign.shape[0]
     stamp = np.zeros(n, dtype=np.int64)
     locked = np.zeros(n, dtype=bool)
-    buckets = _GainBuckets()
-
-    def requeue(v: int) -> None:
-        move = _best_move(
-            v, indptr, indices, weights, assign, vweights, block_weight,
-            caps, M,
-        )
-        if move is not None:
-            buckets.push(move[0], v, move[1], int(stamp[v]))
-
     # Only boundary vertices can move; find them in one vectorised sweep
     # instead of probing all n (interior vertices would all return None).
     rows = np.repeat(np.arange(n, dtype=np.intp), np.diff(indptr))
-    for v in np.unique(rows[assign[rows] != assign[indices]]):
-        requeue(int(v))
+    boundary = np.unique(rows[assign[rows] != assign[indices]])
+    ptr, nbr, wt, vw, asg, bw, cap, st, lock = (
+        memoryview(a)
+        for a in (
+            indptr, indices, weights, vweights, assign, block_weight, caps,
+            stamp, locked,
+        )
+    )
+    buckets = _GainBuckets()
+
+    def requeue(v: int) -> None:
+        move = _best_move(v, ptr, nbr, wt, asg, vw, bw, cap, M)
+        if move is not None:
+            buckets.push(move[0], v, move[1], st[v])
+
+    for v in memoryview(boundary):
+        requeue(v)
     moves: list[tuple[int, int, int]] = []
     # Prefix quality is tracked lexicographically — tile gain first, the
     # edge-cut tie-break strictly second — so a run of tie-break-positive
@@ -528,34 +562,28 @@ def _fm_pass(
         entry = buckets.pop()
         if entry is None:
             break
-        _, v, target, st = entry
-        if locked[v] or st != stamp[v]:
+        _, v, target, pushed = entry
+        if lock[v] or pushed != st[v]:
             continue
-        if block_weight[target] + vweights[v] > caps[target]:
+        wv = vw[v]
+        if bw[target] + wv > cap[target]:
             # Target filled up since the push; the recomputed best move is
             # feasibility-checked, so this cannot spin on a full block.
-            stamp[v] += 1
+            st[v] += 1
             requeue(v)
             continue
-        frm = int(assign[v])
+        frm = asg[v]
         # The queued gain orders the pops but may be stale (pair counts
         # shift under moves of non-adjacent vertices), so the prefix
         # ledger books the delta recomputed against the *current* M —
         # that keeps the rollback invariant exact.
-        nb_blocks, nb_counts, nb_wsums = _vertex_conn(
-            v, indptr, indices, weights, assign, block_weight.shape[0]
-        )
-        move_tiles = _tile_delta(frm, target, nb_blocks, nb_counts, M)
-        wgain = 0.0
-        for i, B in enumerate(nb_blocks):
-            if B == target:
-                wgain += float(nb_wsums[i])
-            elif B == frm:
-                wgain -= float(nb_wsums[i])
-        _apply_move(v, target, indptr, indices, assign, M)
-        block_weight[frm] -= vweights[v]
-        block_weight[target] += vweights[v]
-        locked[v] = True
+        counts, wsums = _vertex_conn(v, ptr, nbr, wt, asg)
+        move_tiles = _tile_delta(frm, target, counts, M)
+        wgain = wsums.get(target, 0.0) - wsums.get(frm, 0.0)
+        _apply_move(v, target, counts, asg, M)
+        bw[frm] -= wv
+        bw[target] += wv
+        lock[v] = True
         moves.append((v, frm, target))
         tiles += move_tiles
         tie += _TIE_BREAK_SCALE * (wgain / (1.0 + abs(wgain)))
@@ -565,75 +593,53 @@ def _fm_pass(
             best_len = len(moves)
         if len(moves) - best_len > FM_STALL_LIMIT:
             break
-        lo, hi = indptr[v], indptr[v + 1]
-        for u in indices[lo:hi]:
-            if locked[u]:
+        for j in range(ptr[v], ptr[v + 1]):
+            u = nbr[j]
+            if lock[u]:
                 continue
-            stamp[u] += 1
-            requeue(int(u))
+            st[u] += 1
+            requeue(u)
     # Undo in reverse order so each reverse move sees the assignment state
     # it was originally applied under — that makes the pair-count rollback
     # exact.
     for v, frm, _ in reversed(moves[best_len:]):
-        block_weight[assign[v]] -= vweights[v]
-        block_weight[frm] += vweights[v]
-        _apply_move(v, frm, indptr, indices, assign, M)
+        wv = vw[v]
+        bw[asg[v]] -= wv
+        bw[frm] += wv
+        _apply_move(v, frm, _vertex_conn(v, ptr, nbr, wt, asg)[0], asg, M)
     return best_tiles + best_tie
 
 
 def _best_drain_move(
     v: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    assign: np.ndarray,
-    sizes: np.ndarray,
-    targets: np.ndarray,
+    indptr: memoryview,
+    indices: memoryview,
+    weights: memoryview,
+    assign: memoryview,
+    sizes: memoryview,
+    targets: memoryview,
     M: dict[tuple[int, int], int],
 ) -> tuple[float, int] | None:
     """Best over→under move for ``v``; ``None`` if its block isn't over-full.
 
-    Same gain as :func:`_best_move` (tile delta + squashed cut
-    tie-break), but targets are restricted to under-full blocks.  When no
-    under-full block touches ``v``'s neighbourhood, the lowest-id
-    under-full block is evaluated anyway — draining must always be able
-    to make progress.
+    Same gain as :func:`_best_move` (:func:`_best_target`), but targets
+    are restricted to under-full blocks.  When no under-full block touches
+    ``v``'s neighbourhood, the lowest-id under-full block is evaluated
+    anyway — draining must always be able to make progress.
     """
-    own = int(assign[v])
+    own = assign[v]
     if sizes[own] <= targets[own]:
         return None
-    nb_blocks, nb_counts, nb_wsums = _vertex_conn(
-        v, indptr, indices, weights, assign, sizes.shape[0]
-    )
-    own_pos = np.searchsorted(nb_blocks, own)
-    w_own = (
-        float(nb_wsums[own_pos])
-        if own_pos < nb_blocks.size and nb_blocks[own_pos] == own
-        else 0.0
-    )
-    best: tuple[float, int] | None = None
-    for i, B in enumerate(nb_blocks):
-        B = int(B)
-        if B == own or sizes[B] >= targets[B]:
-            continue
-        wgain = float(nb_wsums[i]) - w_own
-        gain = _tile_delta(own, B, nb_blocks, nb_counts, M) + (
-            _TIE_BREAK_SCALE * (wgain / (1.0 + abs(wgain)))
+    counts, wsums = _vertex_conn(v, indptr, indices, weights, assign)
+    blocks = [B for B in sorted(counts) if B != own and sizes[B] < targets[B]]
+    if not blocks:
+        under = next(
+            (B for B in range(len(sizes)) if sizes[B] < targets[B]), None
         )
-        if best is None or gain > best[0]:
-            best = (gain, B)
-    if best is None:
-        under = np.flatnonzero(sizes < targets)
-        if under.size == 0:
+        if under is None:
             return None
-        B = int(under[0])
-        wgain = -w_own
-        best = (
-            _tile_delta(own, B, nb_blocks, nb_counts, M)
-            + _TIE_BREAK_SCALE * (wgain / (1.0 + abs(wgain))),
-            B,
-        )
-    return best
+        blocks = [under]
+    return _best_target(own, blocks, counts, wsums, M)
 
 
 def _rebalance_exact(
@@ -656,47 +662,43 @@ def _rebalance_exact(
     """
     k = targets.shape[0]
     sizes = np.bincount(assign, minlength=k)
-    n = assign.shape[0]
-    stamp = np.zeros(n, dtype=np.int64)
+    stamp = np.zeros(assign.shape[0], dtype=np.int64)
+    ptr, nbr, wt, asg, sz, tg, st = (
+        memoryview(a)
+        for a in (indptr, indices, weights, assign, sizes, targets, stamp)
+    )
+
+    def requeue(v: int) -> None:
+        move = _best_drain_move(v, ptr, nbr, wt, asg, sz, tg, M)
+        if move is not None:
+            buckets.push(move[0], v, move[1], st[v])
+
     while int(np.sum(np.maximum(sizes - targets, 0))) > 0:
         buckets = _GainBuckets()
         moved = False
-        for v in np.flatnonzero(sizes[assign] > targets[assign]):
-            move = _best_drain_move(
-                int(v), indptr, indices, weights, assign, sizes, targets, M
-            )
-            if move is not None:
-                buckets.push(move[0], int(v), move[1], int(stamp[v]))
+        for v in memoryview(np.flatnonzero(sizes[assign] > targets[assign])):
+            requeue(v)
         while True:
             entry = buckets.pop()
             if entry is None:
                 break
-            _, v, target, st = entry
-            if st != stamp[v]:
+            _, v, target, pushed = entry
+            if pushed != st[v]:
                 continue
-            own = int(assign[v])
-            if sizes[own] <= targets[own] or sizes[target] >= targets[target]:
+            own = asg[v]
+            if sz[own] <= tg[own] or sz[target] >= tg[target]:
                 # The world changed since the push — requeue afresh.
-                stamp[v] += 1
-                move = _best_drain_move(
-                    v, indptr, indices, weights, assign, sizes, targets, M
-                )
-                if move is not None:
-                    buckets.push(move[0], v, move[1], int(stamp[v]))
+                st[v] += 1
+                requeue(v)
                 continue
-            _apply_move(v, target, indptr, indices, assign, M)
-            sizes[own] -= 1
-            sizes[target] += 1
+            _apply_move(v, target, _vertex_conn(v, ptr, nbr, wt, asg)[0], asg, M)
+            sz[own] -= 1
+            sz[target] += 1
             moved = True
-            lo, hi = indptr[v], indptr[v + 1]
-            for u in indices[lo:hi]:
-                u = int(u)
-                stamp[u] += 1
-                move = _best_drain_move(
-                    u, indptr, indices, weights, assign, sizes, targets, M
-                )
-                if move is not None:
-                    buckets.push(move[0], u, move[1], int(stamp[u]))
+            for j in range(ptr[v], ptr[v + 1]):
+                u = nbr[j]
+                st[u] += 1
+                requeue(u)
         if not moved:  # pragma: no cover - defensive; a move always exists
             break
 

@@ -40,10 +40,16 @@ def _join_sweep(perm: np.ndarray, tail: np.ndarray, need: int) -> np.ndarray:
     """
     if tail.size == 0 or need <= 0:
         return perm
-    bad = np.flatnonzero(np.isin(perm[:need], tail))
-    if bad.size:
-        ok = need + np.flatnonzero(~np.isin(perm[need:], tail))
-        swap = ok[: bad.size]
+    # Both sides hold fewer than t values, so a set beats array calls.
+    carried = set(tail.tolist())
+    bad = [i for i, x in enumerate(perm[:need].tolist()) if x in carried]
+    if bad:
+        # perm[need:] holds fewer than len(tail) carried values, so its
+        # first len(tail) entries hold enough free ones (need + len(tail)
+        # <= t <= n, so the window is full).
+        window = perm[need : need + tail.size].tolist()
+        free = [need + i for i, x in enumerate(window) if x not in carried]
+        swap = free[: len(bad)]
         perm[bad], perm[swap] = perm[swap], perm[bad]
     return perm
 

@@ -10,7 +10,11 @@ Cuthill–McKee pass (BFS from a pseudo-peripheral vertex, George–Liu
 refinement, children ordered by ascending degree, order reversed) plus a
 greedy degree-ordering fallback, both operating directly on
 :class:`~repro.ising.sparse.SparseIsingModel` CSR arrays — the dense
-``(n, n)`` matrix is never formed.
+``(n, n)`` matrix is never formed.  A long-diameter graph has thousands
+of BFS levels of a few nodes each, so each level is kept to a handful of
+array calls: the pseudo-peripheral search keeps only each BFS's depth and
+the (degree, id) minimum of its deepest level, and duplicate nodes are
+dropped by a scatter stamp rather than a sort.
 
 The result is a :class:`Permutation` carrying the forward/backward index
 maps, the bandwidth before/after, and an exact
@@ -217,117 +221,127 @@ def count_active_tiles(model, tile_size: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# BFS machinery (vectorised per level)
+# BFS machinery (a few array calls per level)
 # ----------------------------------------------------------------------
-def _adjacency_gather(
-    indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray
+# All BFS passes of one RCM share a ``mark`` array and a running ``clock``:
+# a pass starting at ``base = clock`` stamps every node it reaches with a
+# value >= base, so a node is visited by that pass iff ``mark >= base``
+# (earlier passes stamped lower), and nothing is ever reset.  Each level's
+# stamps are distinct, which is what lets a scatter drop duplicate nodes.
+def _gather(
+    stops: np.ndarray, indices: np.ndarray, degrees: np.ndarray,
+    frontier: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenated neighbour lists of ``nodes`` plus each entry's parent rank.
+    """Concatenated neighbour lists of ``frontier`` and their segment ends.
 
-    Returns ``(neighbours, parent_rank)`` where ``parent_rank[k]`` is the
-    position in ``nodes`` whose adjacency produced ``neighbours[k]`` — the
-    key the Cuthill–McKee child ordering groups by.
+    ``stops`` is ``indptr[1:]``.  The neighbours of ``frontier[i]`` fill
+    ``[ends[i] - degrees[frontier[i]], ends[i])`` of the result.
     """
-    counts = indptr[nodes + 1] - indptr[nodes]
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.zeros(0, dtype=np.intp)
-        return empty, empty
-    seg_starts = np.cumsum(counts) - counts
-    offsets = np.arange(total, dtype=np.intp) - np.repeat(seg_starts, counts)
-    flat = indices[np.repeat(indptr[nodes], counts) + offsets]
-    parent = np.repeat(np.arange(nodes.size, dtype=np.intp), counts)
-    return flat, parent
+    counts = degrees[frontier]
+    ends = counts.cumsum()
+    pos = (stops[frontier] - ends).repeat(counts)
+    pos += np.arange(pos.size)
+    return indices[pos], ends
 
 
-def _bfs_level_sets(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    start: int,
-    mark: np.ndarray,
-    token: int,
-) -> list[np.ndarray]:
-    """Level structure of the BFS from ``start``.
-
-    ``mark``/``token`` implement O(1)-reset visited tracking: a node is
-    visited iff ``mark[node] == token``, so repeated BFS passes (the
-    pseudo-peripheral search) never re-allocate or clear an ``n``-array.
-    """
-    mark[start] = token
-    frontier = np.array([start], dtype=np.intp)
-    levels = [frontier]
-    while True:
-        nbr, _ = _adjacency_gather(indptr, indices, frontier)
-        fresh = nbr[mark[nbr] != token]
-        if fresh.size == 0:
-            return levels
-        fresh = np.unique(fresh)
-        mark[fresh] = token
-        levels.append(fresh)
-        frontier = fresh
-
-
-def _pseudo_peripheral(
-    indptr: np.ndarray,
+def _bfs_depth(
+    stops: np.ndarray,
     indices: np.ndarray,
     degrees: np.ndarray,
     start: int,
     mark: np.ndarray,
-    token: int,
+    clock: int,
+) -> tuple[int, int, int]:
+    """``(depth, end, clock)`` of the BFS from ``start``.
+
+    ``depth`` counts its levels and ``end`` is the (degree, id) minimum of
+    its deepest level — all the pseudo-peripheral search needs, so no level
+    is kept.  A level's new nodes are deduplicated by a scatter stamp:
+    whichever duplicate's write numpy keeps, exactly one copy of each node
+    reads its own stamp back, so the level's *set* is fixed.
+    """
+    base = clock
+    mark[start] = clock
+    clock += 1
+    frontier = np.array([start], dtype=np.intp)
+    depth = 1
+    while True:
+        nbr, _ = _gather(stops, indices, degrees, frontier)
+        fresh = nbr[mark[nbr] < base]
+        if fresh.size == 0:
+            break
+        stamps = np.arange(clock, clock + fresh.size)
+        clock += fresh.size
+        mark[fresh] = stamps
+        frontier = fresh[mark[fresh] == stamps]
+        depth += 1
+    end = int(frontier[np.lexsort((frontier, degrees[frontier]))[0]])
+    return depth, end, clock
+
+
+def _pseudo_peripheral(
+    stops: np.ndarray,
+    indices: np.ndarray,
+    degrees: np.ndarray,
+    start: int,
+    mark: np.ndarray,
+    clock: int,
 ) -> tuple[int, int]:
     """George–Liu pseudo-peripheral vertex of ``start``'s component.
 
     Repeatedly re-roots the BFS at a minimum-degree vertex of the deepest
     level until the eccentricity stops growing.  Returns the chosen root
-    and the next unused visited-token.
+    and the advanced ``clock``.
     """
-    levels = _bfs_level_sets(indptr, indices, start, mark, token)
-    token += 1
-    while True:
-        last = levels[-1]
-        candidate = int(last[np.argmin(degrees[last])])
-        if candidate == start:
-            return start, token
-        new_levels = _bfs_level_sets(indptr, indices, candidate, mark, token)
-        token += 1
-        if len(new_levels) <= len(levels):
-            return start, token
-        start, levels = candidate, new_levels
+    depth, end, clock = _bfs_depth(stops, indices, degrees, start, mark, clock)
+    while end != start:
+        new_depth, new_end, clock = _bfs_depth(
+            stops, indices, degrees, end, mark, clock
+        )
+        if new_depth <= depth:
+            break
+        start, depth, end = end, new_depth, new_end
+    return start, clock
 
 
 def _cm_component(
-    indptr: np.ndarray,
+    stops: np.ndarray,
     indices: np.ndarray,
     degrees: np.ndarray,
     root: int,
-    visited: np.ndarray,
-) -> np.ndarray:
-    """Cuthill–McKee ordering of ``root``'s component (marks ``visited``).
+    mark: np.ndarray,
+    clock: int,
+) -> tuple[np.ndarray, int]:
+    """Cuthill–McKee ordering of ``root``'s component, and the new clock.
 
     Each level's fresh nodes are grouped by the rank of the parent that
     discovered them (earliest parent wins a shared child) and sorted by
     ascending degree within a group, with the node id as the deterministic
-    tie-break — the classic CM child order, vectorised per level.
+    tie-break — the classic CM child order.  Gathered entries come in
+    parent order, so a node's earliest parent is its first position:
+    ``np.minimum.at`` keeps that stamp whatever the write order.
     """
-    visited[root] = True
+    base = clock
+    mark[root] = clock
+    clock += 1
     frontier = np.array([root], dtype=np.intp)
     order = [frontier]
     while True:
-        nbr, parent = _adjacency_gather(indptr, indices, frontier)
-        keep = ~visited[nbr]
-        nbr, parent = nbr[keep], parent[keep]
-        if nbr.size == 0:
-            return np.concatenate(order)
-        # First occurrence per node by parent rank …
-        by_node = np.lexsort((parent, nbr))
-        nbr, parent = nbr[by_node], parent[by_node]
-        first = np.concatenate(([True], nbr[1:] != nbr[:-1]))
-        nodes, parent = nbr[first], parent[first]
-        # … then the CM order: (parent rank, degree, node id).
-        level = nodes[np.lexsort((nodes, degrees[nodes], parent))]
-        visited[level] = True
-        order.append(level)
-        frontier = level
+        nbr, ends = _gather(stops, indices, degrees, frontier)
+        pos = (mark[nbr] < base).nonzero()[0]
+        if pos.size == 0:
+            return np.concatenate(order), clock
+        nodes = nbr[pos]
+        stamps = pos + clock
+        clock += nbr.size
+        mark[nodes] = clock  # above every stamp of this level
+        np.minimum.at(mark, nodes, stamps)
+        first = mark[nodes] == stamps
+        nodes, pos = nodes[first], pos[first]
+        parent = ends.searchsorted(pos, side="right")
+        # The CM order: (parent rank, degree, node id).
+        frontier = nodes[np.lexsort((nodes, degrees[nodes], parent))]
+        order.append(frontier)
 
 
 def _csr_adjacency(model) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -357,9 +371,11 @@ def rcm_permutation(model) -> Permutation:
     """
     n, indptr, indices, rows, cols = _csr_adjacency(model)
     degrees = np.diff(indptr)
-    visited = np.zeros(n, dtype=bool)
+    stops = indptr[1:]
+    # Every BFS stamps the nodes it reaches (all start at -1), so between
+    # components a stamped node is one whose component is already ordered.
     mark = np.full(n, -1, dtype=np.int64)
-    token = 0
+    clock = 0
     # Component roots scanned through a degree-presorted node list with a
     # moving pointer: amortised O(n log n) even for thousands of singleton
     # components (a per-component flatnonzero scan would be O(n²)).
@@ -367,14 +383,15 @@ def rcm_permutation(model) -> Permutation:
     ptr = 0
     pieces: list[np.ndarray] = []
     while ptr < n:
-        if visited[by_degree[ptr]]:
+        if mark[by_degree[ptr]] >= 0:
             ptr += 1
             continue
         start = int(by_degree[ptr])
-        root, token = _pseudo_peripheral(
-            indptr, indices, degrees, start, mark, token
+        root, clock = _pseudo_peripheral(
+            stops, indices, degrees, start, mark, clock
         )
-        pieces.append(_cm_component(indptr, indices, degrees, root, visited))
+        piece, clock = _cm_component(stops, indices, degrees, root, mark, clock)
+        pieces.append(piece)
     cm = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.intp)
     rcm = cm[::-1]  # rcm[k] = original spin placed at position k
     forward = np.empty(n, dtype=np.intp)

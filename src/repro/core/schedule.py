@@ -45,9 +45,7 @@ class ConstantSchedule(Schedule):
 
     def __init__(self, iterations: int, temperature: float) -> None:
         super().__init__(iterations)
-        self._t = float(temperature)
-        if self._t < 0:
-            raise ValueError("temperature must be >= 0")
+        self._t = check_positive("temperature", temperature, allow_zero=True)
 
     def temperature(self, iteration: int) -> float:
         self._check(iteration)
@@ -107,10 +105,10 @@ class LinearSchedule(Schedule):
 
     def __init__(self, iterations: int, t_start: float, t_end: float = 0.0) -> None:
         super().__init__(iterations)
-        if t_start < t_end:
+        self.t_start = check_positive("t_start", t_start, allow_zero=True)
+        self.t_end = check_positive("t_end", t_end, allow_zero=True)
+        if self.t_start < self.t_end:
             raise ValueError("t_start must be >= t_end")
-        self.t_start = float(t_start)
-        self.t_end = float(t_end)
 
     def temperature(self, iteration: int) -> float:
         if not 0 <= iteration < self.iterations:

@@ -29,8 +29,10 @@ import numpy as np
 
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import (
+    check_finite,
     check_index,
     check_permutation,
+    check_real,
     check_spin_vector,
     check_square_symmetric,
 )
@@ -62,7 +64,9 @@ class IsingModel:
     _h: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._J = check_square_symmetric(self.couplings, "couplings")
+        self._J = check_square_symmetric(
+            check_finite("couplings", self.couplings), "couplings"
+        )
         n = self._J.shape[0]
         if self.fields is None:
             self._h = np.zeros(n, dtype=np.float64)
@@ -70,8 +74,8 @@ class IsingModel:
             h = np.asarray(self.fields, dtype=np.float64)
             if h.shape != (n,):
                 raise ValueError(f"fields must have shape ({n},), got {h.shape}")
-            self._h = h
-        self.offset = float(self.offset)
+            self._h = check_finite("fields", h)
+        self.offset = check_real("offset", self.offset)
 
     # ------------------------------------------------------------------
     # Basic properties

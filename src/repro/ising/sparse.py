@@ -43,8 +43,10 @@ import numpy as np
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import (
     check_choice,
+    check_finite,
     check_index,
     check_permutation,
+    check_real,
     check_spin_vector,
     check_square_symmetric,
 )
@@ -138,6 +140,7 @@ class SparseIsingModel:
         self._data = data
         # Row id of every stored entry — used by the bincount matvec.
         self._rows = np.repeat(np.arange(n, dtype=np.intp), np.diff(indptr))
+        check_finite("couplings", data, coords=(self._rows, indices))
         diag = np.zeros(n, dtype=np.float64)
         on_diag = self._rows == indices
         diag[self._rows[on_diag]] = data[on_diag]
@@ -148,8 +151,8 @@ class SparseIsingModel:
             h = np.asarray(fields, dtype=np.float64)
             if h.shape != (n,):
                 raise ValueError(f"fields must have shape ({n},), got {h.shape}")
-            self._h = h
-        self.offset = float(offset)
+            self._h = check_finite("fields", h)
+        self.offset = check_real("offset", offset)
         self.name = str(name)
 
     # ------------------------------------------------------------------
@@ -209,7 +212,7 @@ class SparseIsingModel:
         name: str = "sparse-ising",
     ) -> "SparseIsingModel":
         """Build from a symmetric dense matrix, keeping nonzero entries."""
-        J = check_square_symmetric(couplings, "couplings")
+        J = check_square_symmetric(check_finite("couplings", couplings), "couplings")
         n = J.shape[0]
         r, c = np.nonzero(J)  # row-major → already CSR ordered
         indptr = np.zeros(n + 1, dtype=np.intp)

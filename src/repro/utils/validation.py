@@ -7,14 +7,21 @@ with actionable messages instead of producing subtly wrong physics.
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
 
 
 def check_positive(name: str, value: float, allow_zero: bool = False) -> float:
-    """Validate that a scalar parameter is positive (or non-negative)."""
+    """Validate that a scalar parameter is finite and positive (or >= 0).
+
+    NaN and ±inf are refused first: ``nan <= 0`` is False, so a bare sign
+    test would let NaN through to fail later, far from the knob.
+    """
     value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
     if allow_zero:
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
@@ -98,6 +105,28 @@ def check_real(name: str, value) -> float:
     if not np.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def check_finite(name: str, values, coords=None) -> np.ndarray:
+    """Validate that every entry of an array is finite; return it as float64.
+
+    A NaN or ±inf entry is refused by position, so a bad coupling is
+    named where it entered instead of surfacing later as a misleading
+    "must be symmetric" or an infinite energy.  The position is the first
+    bad entry's array index, or ``[c[k] for c in coords]`` for the ``k``-th
+    entry of a compressed array (CSR couplings give their row and column).
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        k = int(np.argmin(finite.ravel()))
+        if coords is None:
+            at = np.unravel_index(k, arr.shape)
+        else:
+            at = tuple(c[k] for c in coords)
+        where = ", ".join(str(int(i)) for i in at)
+        raise ValueError(f"{name} must be finite, got {arr.flat[k]} at [{where}]")
+    return arr
 
 
 def check_choice(name: str, value, choices) -> str:

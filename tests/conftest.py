@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -19,7 +20,9 @@ from repro.ising import (
     MaxCutProblem,
     PackedIsingModel,
     SparseIsingModel,
+    planted_partition_maxcut,
     recommended_backend,
+    scattered_circulant_maxcut,
 )
 from repro.ising.packed import dyadic_uniform_scale
 from repro.utils.rng import ensure_rng
@@ -100,3 +103,85 @@ def model_bytes(model) -> dict:
     else:
         out["J"] = model.J.tobytes()
     return out
+
+
+# ----------------------------------------------------------------------
+# Layout byte pins: five graphs that between them take every branch of the
+# RCM / partition race.  ``test_partition.py`` pins each graph's partition
+# assignment and ``test_reorder.py`` its RCM permutation and ``auto`` winner.
+# ----------------------------------------------------------------------
+def layout_digest(values, label: str = "") -> str:
+    """sha256 of ``label`` and an index array's int64 bytes."""
+    h = hashlib.sha256(label.encode())
+    h.update(np.ascontiguousarray(values, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+def _pin_circulant():
+    """Long diameter, scattered labels: RCM wins the race."""
+    problem, _ = scattered_circulant_maxcut(1200, seed=7)
+    return problem.to_ising(backend="sparse"), 32
+
+
+def _pin_planted():
+    """Clustered and FM-heavy: the partition wins the race."""
+    problem, _ = planted_partition_maxcut(768, 6, seed=3)
+    return problem.to_ising(backend="sparse"), 64
+
+
+def _pin_non_dyadic():
+    """Non-dyadic weights with ties in |J|, plus 20 isolated spins."""
+    rng = ensure_rng(21)
+    n = 420
+    live = np.sort(rng.permutation(n)[: n - 20])
+    rows, cols = np.triu_indices(live.size, k=1)
+    pick = rng.choice(rows.size, size=1100, replace=False)
+    w = rng.choice(np.array([-1.1, -0.7, -0.3, 0.3, 0.7, 1.1]), size=pick.size)
+    return SparseIsingModel.from_edges(
+        n, live[rows[pick]], live[cols[pick]], w, name="pin-non-dyadic"
+    ), 32
+
+
+def _pin_dense():
+    """A dense-backend model with self couplings (the np.nonzero path)."""
+    rng = ensure_rng(5)
+    n = 180
+    J = np.zeros((n, n))
+    rows, cols = np.triu_indices(n, k=1)
+    pick = rng.random(rows.size) < 0.035
+    J[rows[pick], cols[pick]] = rng.choice(
+        np.array([-1.0, -0.5, 0.5, 1.0]), size=int(pick.sum())
+    )
+    J = J + J.T
+    J[np.arange(0, n, 9), np.arange(0, n, 9)] = 0.25
+    return IsingModel(J, name="pin-dense"), 16
+
+
+def _pin_components():
+    """A ring, a clique, a path, a random graph and 30 isolated spins."""
+    rng = ensure_rng(13)
+    ring = np.arange(150)
+    clique = np.triu_indices(12, k=1)
+    path = np.arange(59)
+    r, c = rng.integers(0, 200, size=(2, 500))
+    u = np.concatenate([ring, clique[0] + 150, path + 162, r[r != c] + 222])
+    v = np.concatenate(
+        [(ring + 1) % 150, clique[1] + 150, path + 163, c[r != c] + 222]
+    )
+    n = 452
+    key = np.unique(np.minimum(u, v) * n + np.maximum(u, v))
+    relabel = rng.permutation(n)
+    w = rng.choice(np.array([-0.25, 0.25, 0.5]), size=key.size)
+    return SparseIsingModel.from_edges(
+        n, relabel[key // n], relabel[key % n], w, name="pin-components"
+    ), 32
+
+
+#: name -> function returning ``(model, tile_size)``.
+LAYOUT_PIN_GRAPHS = {
+    "circulant": _pin_circulant,
+    "planted": _pin_planted,
+    "non-dyadic": _pin_non_dyadic,
+    "dense": _pin_dense,
+    "components": _pin_components,
+}

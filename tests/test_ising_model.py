@@ -33,6 +33,20 @@ class TestConstruction:
         with pytest.raises(ValueError, match="fields"):
             IsingModel(np.zeros((3, 3)), np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_couplings_before_symmetry(self, bad):
+        """A NaN coupling used to fail as "must be symmetric"."""
+        J = np.zeros((3, 3))
+        J[0, 2] = J[2, 0] = bad
+        with pytest.raises(ValueError, match=r"^couplings must be finite, got .* at \[0, 2\]$"):
+            IsingModel(J)
+
+    def test_rejects_non_finite_fields_and_offset(self):
+        with pytest.raises(ValueError, match=r"^fields must be finite, got nan at \[1\]$"):
+            IsingModel(np.zeros((3, 3)), np.array([0.0, np.nan, 1.0]))
+        with pytest.raises(ValueError, match="^offset must be finite, got inf$"):
+            IsingModel(np.zeros((3, 3)), offset=np.inf)
+
     def test_defaults(self):
         m = IsingModel(np.zeros((4, 4)))
         assert m.num_spins == 4

@@ -29,6 +29,7 @@ from repro.core import (
 )
 from repro.ising import IsingModel, SparseIsingModel, planted_partition_maxcut
 from repro.utils.rng import ensure_rng
+from tests.conftest import LAYOUT_PIN_GRAPHS, layout_digest
 
 relaxed = settings(
     max_examples=12,
@@ -177,6 +178,30 @@ class TestClusteredQuality:
         assert machine.crossbar.num_tiles == (
             machine.permutation.estimated_active_tiles(64)
         )
+
+
+# ----------------------------------------------------------------------
+# Layout byte pins
+# ----------------------------------------------------------------------
+#: sha256 of ``partition_model(model, tile_size).assignment`` per graph of
+#: ``LAYOUT_PIN_GRAPHS``.  The partition kernels may get faster, never
+#: different: every gain, tie-break and drain order lands in these bytes.
+PARTITION_PINS = {
+    "circulant": "7bcb927be68396dfe5868408253f2990248698b5ae53d45818c13bf151fffef9",
+    "planted": "aeec9f6d559f71b50870bf5c92d42db8eb58855567f15bf14006dda156b79b7a",
+    "non-dyadic": "802f99b86b4716deb2aa22cc7013ca8deb739c8ee85f7675b82f40f520bb6c93",
+    "dense": "e1405a910971d0ff3f2b2344fe2b14439bd427592c3f5df7cf5c085eb9c5c7d5",
+    "components": "dd9566569b0504e8124018d2d2a28192ff7adcc714e2e9a2d8f63d4dfd1ca945",
+}
+
+
+class TestPartitionBytePins:
+    @pytest.mark.parametrize("name", sorted(PARTITION_PINS))
+    def test_assignment_bytes(self, name):
+        model, tile = LAYOUT_PIN_GRAPHS[name]()
+        part = partition_model(model, tile)
+        assert part.is_tile_aligned
+        assert layout_digest(part.assignment) == PARTITION_PINS[name]
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import proposal
 from repro.core.proposal import FlipSelector, random_flip_sets, scan_order
 from repro.utils.rng import ensure_rng
 
@@ -92,6 +93,39 @@ class TestScanOrderHelper:
         chunks = stream[: (length // flips) * flips].reshape(-1, flips)
         for chunk in chunks:
             assert np.unique(chunk).size == flips
+
+
+def _join_sweep_isin(perm, tail, need):
+    """The array-call form ``_join_sweep`` replaced: the reference."""
+    if tail.size == 0 or need <= 0:
+        return perm
+    bad = np.flatnonzero(np.isin(perm[:need], tail))
+    if bad.size:
+        ok = need + np.flatnonzero(~np.isin(perm[need:], tail))
+        swap = ok[: bad.size]
+        perm[bad], perm[swap] = perm[swap], perm[bad]
+    return perm
+
+
+class TestJoinSweepReference:
+    """``_join_sweep`` makes the same swaps as its ``np.isin`` form, so
+    every scan stream, and the generator state after it, is unchanged."""
+
+    @pytest.mark.parametrize("n", [5, 7, 33, 97, 101])
+    @pytest.mark.parametrize("flips", [2, 3, 4, 5])
+    def test_scan_streams_equal_the_isin_form(self, n, flips, monkeypatch):
+        expected_rng = ensure_rng(n * 10 + flips)
+        with monkeypatch.context() as m:
+            m.setattr(proposal, "_join_sweep", _join_sweep_isin)
+            expected = scan_order(n, flips, 40 * n, expected_rng)
+            ref = FlipSelector(n, flips, "scan", ensure_rng(flips))
+            expected_sets = [ref.next() for _ in range(800)]
+        rng = ensure_rng(n * 10 + flips)
+        assert np.array_equal(scan_order(n, flips, 40 * n, rng), expected)
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+        sel = FlipSelector(n, flips, "scan", ensure_rng(flips))
+        for want in expected_sets:
+            assert np.array_equal(sel.next(), want)
 
 
 class TestRandomFlipSets:

@@ -31,6 +31,7 @@ from repro.core import (
 )
 from repro.ising import SparseIsingModel
 from repro.utils.rng import ensure_rng
+from tests.conftest import LAYOUT_PIN_GRAPHS, layout_digest
 
 relaxed = settings(
     max_examples=12,
@@ -408,6 +409,51 @@ class TestPermutationObject:
         # Undoing the reordering from the permuted model restores the
         # scattered occupancy.
         assert inv.estimated_active_tiles(16) == count_active_tiles(model, 16)
+
+
+#: Per graph of ``LAYOUT_PIN_GRAPHS``: sha256 of ``rcm_permutation``'s
+#: forward map, and the ``reorder="auto"`` winner's strategy with the
+#: sha256 of its strategy and forward map.  Both race candidates may get
+#: faster, never different.
+REORDER_PINS = {
+    "circulant": (
+        "69a573a923f9576e118c42c1c39c12ad48e2bb38fe96e5b6ecc1ad17820e4f37",
+        "rcm", "e44c75b628ae6b099621b248d0ac6ba9bded85e1f16d5d7e411c8e144058a0c0",
+    ),
+    "planted": (
+        "48e1e53148a0c8575202b1ffce17e39019682a05ec0e374caa7c4542bceb3ec8",
+        "partition",
+        "feeb1057fc52093d202003f87404d5f94d2c4af93d2f9297204a72eb8b63350b",
+    ),
+    "non-dyadic": (
+        "a221d77df38ff933b92f6f4167a8d27ba0b3e6f5799a9d9b2ee7f88096859d0c",
+        "rcm", "7f7680652d696091fa6a130bc140be0fdb95919a3df4d72abfbc1bc72b520261",
+    ),
+    "dense": (
+        "5a85718e9ff90286e8c9103e54a664492d9eb280ab3f0f15f275bad3abd6f22e",
+        "rcm", "913c1bd7194b147d6199e9dbefc350515f1ec64c7f58dbd68ff8c3673fa6614f",
+    ),
+    "components": (
+        "d31397ef48966c9a53d0c2aedb2efdf2cc49c511da50d33e5e9ba1480c60d837",
+        "rcm", "d56f4a913239d6f388dd98026a12b4cbd8b919ef9b741593f26b1eed7873313e",
+    ),
+}
+
+
+class TestReorderBytePins:
+    @pytest.mark.parametrize("name", sorted(REORDER_PINS))
+    def test_rcm_forward_bytes(self, name):
+        model, _ = LAYOUT_PIN_GRAPHS[name]()
+        assert layout_digest(rcm_permutation(model).forward) == REORDER_PINS[name][0]
+
+    @pytest.mark.parametrize("name", sorted(REORDER_PINS))
+    def test_auto_winner_bytes(self, name):
+        model, tile = LAYOUT_PIN_GRAPHS[name]()
+        winner = reorder_permutation(model, "auto", tile_size=tile)
+        assert winner is not None
+        _, strategy, digest = REORDER_PINS[name]
+        assert winner.strategy == strategy
+        assert layout_digest(winner.forward, winner.strategy) == digest
 
 
 class TestReorderValidation:

@@ -369,6 +369,71 @@ class TestReshapeScatterAlias:
         })
         assert findings == []
 
+    def test_memoryview_of_a_call_result_flagged(self, tmp_path):
+        """A write through it reaches x only when the call returned a view."""
+        findings = lint_tree(tmp_path, {
+            "src/repro/core/hot.py": (
+                "import numpy as np\n"
+                "def kernel(x, assign, i):\n"
+                "    flat = memoryview(np.ascontiguousarray(x))\n"
+                "    small = memoryview(assign.astype(np.int32))\n"
+                "    grid = memoryview(x.reshape(4, 4))\n"
+                "    flat[i] = 0.0\n"
+                "    small[i] += 1\n"
+                "    grid[0, 1] = 2.0\n"
+                "    memoryview(x.astype(np.float32))[i] = 1.0\n"
+            ),
+        })
+        assert codes(findings) == ["RPL004"] * 4
+        assert [f.line for f in findings] == [6, 7, 8, 9]
+        assert "the memoryview 'flat'" in findings[0].message
+        assert "a memoryview of a call result" in findings[3].message
+
+    def test_memoryview_of_a_call_result_in_a_closure_flagged(self, tmp_path):
+        findings = lint_tree(tmp_path, {
+            "src/repro/core/hot.py": (
+                "import numpy as np\n"
+                "def sweep(assign):\n"
+                "    asg = memoryview(np.ascontiguousarray(assign))\n"
+                "    def move(v, b):\n"
+                "        asg[v] = b\n"
+                "    return move\n"
+            ),
+        })
+        assert codes(findings) == ["RPL004"]
+        assert findings[0].line == 5
+
+    def test_memoryview_of_a_name_or_attribute_ok(self, tmp_path):
+        """Those export the array itself: every write reaches it."""
+        findings = lint_tree(tmp_path, {
+            "src/repro/core/hot.py": (
+                "import numpy as np\n"
+                "def kernel(self, assign, i):\n"
+                "    asg = memoryview(assign)\n"
+                "    state = memoryview(self.state)\n"
+                "    ptr, mark = (memoryview(a) for a in (self.ptr, assign))\n"
+                "    asg[i] = 1\n"
+                "    state[i] = 0\n"
+                "    mark[i] += 1\n"
+                "    order = memoryview(np.argsort(assign))\n"
+                "    return [ptr[v] for v in order]\n"
+            ),
+        })
+        assert findings == []
+
+    def test_memoryview_of_a_call_result_suppressed(self, tmp_path):
+        findings = lint_tree(tmp_path, {
+            "src/repro/core/hot.py": (
+                "import numpy as np\n"
+                "def kernel(x, i):\n"
+                "    flat = memoryview(np.ascontiguousarray(x))\n"
+                "    # Aliasing audited: x is allocated C-contiguous above.\n"
+                f"    {DISABLE}RPL004\n"
+                "    flat[i] = 0.0\n"
+            ),
+        })
+        assert findings == []
+
 
 # ---------------------------------------------------------------- RPL005
 

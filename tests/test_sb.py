@@ -218,6 +218,9 @@ class TestSbEngine:
             SbEngine(model, a0=-1.0)
         with pytest.raises(ValueError, match="c0 must be > 0"):
             SbEngine(model, c0=0.0)
+        for knob in ("dt", "a0", "c0"):
+            with pytest.raises(ValueError, match=f"{knob} must be finite, got nan"):
+                SbEngine(model, **{knob: float("nan")})
         with pytest.raises(ValueError, match="best_every must be an integer"):
             SbEngine(model, best_every=True)
         with pytest.raises(ValueError, match="iterations must be an integer"):

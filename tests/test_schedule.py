@@ -54,6 +54,44 @@ class TestLinearConstant:
         assert LinearSchedule(1, 2.0).temperature(0) == 2.0
 
 
+class TestNonFiniteTemperatures:
+    """Every schedule refuses a NaN or infinite temperature, naming it.
+
+    Before, ``GeometricSchedule`` failed later on its derived ``alpha``
+    and ``ConstantSchedule`` / ``LinearSchedule`` returned NaN profiles.
+    """
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_constant(self, bad):
+        with pytest.raises(ValueError, match="^temperature must be finite"):
+            ConstantSchedule(5, bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_linear(self, bad):
+        with pytest.raises(ValueError, match="^t_start must be finite"):
+            LinearSchedule(5, bad, 1.0)
+        with pytest.raises(ValueError, match="^t_end must be finite"):
+            LinearSchedule(5, 2.0, bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_geometric(self, bad):
+        with pytest.raises(ValueError, match="^t_start must be finite"):
+            GeometricSchedule(5, bad, 1.0)
+        with pytest.raises(ValueError, match="^t_end must be finite"):
+            GeometricSchedule(5, 2.0, bad)
+
+    def test_negative_temperatures_refused(self):
+        with pytest.raises(ValueError, match="^temperature must be >= 0"):
+            ConstantSchedule(5, -1.0)
+        with pytest.raises(ValueError, match="^t_end must be >= 0"):
+            LinearSchedule(5, 1.0, -1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_vbg_step(self, bad):
+        with pytest.raises(ValueError, match="^step must be finite"):
+            VbgStepSchedule(50, step=bad)
+
+
 class TestVbgStepSchedule:
     def test_walks_down_the_grid(self):
         s = VbgStepSchedule(710, hold=10)

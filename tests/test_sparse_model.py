@@ -28,6 +28,7 @@ from repro.ising import (
     SPARSE_MIN_SPINS,
     IsingModel,
     MaxCutProblem,
+    PackedIsingModel,
     SparseIsingModel,
     as_backend,
     dense_couplings,
@@ -210,6 +211,35 @@ class TestConstructionAndSelection:
             SparseIsingModel.from_edges(3, [0], [1], [1.0], fields=np.ones(5))
         with pytest.raises(ValueError, match="positive"):
             SparseIsingModel.from_edges(0, [], [], [])
+
+    def test_non_finite_entries_refused(self):
+        """Every constructor path names the bad entry; packed inherits it."""
+        with pytest.raises(ValueError, match=r"^couplings must be finite, got nan at \[0, 2\]$"):
+            SparseIsingModel.from_edges(3, [0, 2], [1, 0], [1.0, np.nan])
+        J = np.zeros((3, 3))
+        J[1, 2] = J[2, 1] = np.nan
+        with pytest.raises(ValueError, match=r"^couplings must be finite, got nan at \[1, 2\]$"):
+            SparseIsingModel.from_dense(J)
+        with pytest.raises(ValueError, match=r"^couplings must be finite, got inf at \[1, 0\]$"):
+            SparseIsingModel([0, 1, 2], [1, 0], [1.0, np.inf])
+        with pytest.raises(ValueError, match=r"^fields must be finite, got -inf at \[2\]$"):
+            SparseIsingModel.from_edges(3, [0], [1], [1.0], fields=[0.0, 0.0, -np.inf])
+        with pytest.raises(ValueError, match="^offset must be finite, got nan$"):
+            SparseIsingModel.from_edges(3, [0], [1], [1.0], offset=np.nan)
+        with pytest.raises(ValueError, match="^couplings must be finite"):
+            PackedIsingModel([0, 1, 2], [1, 0], [0.25, np.nan])
+
+    def test_non_finite_model_never_reaches_the_solver(self):
+        """It used to anneal to ``best_energy = inf`` without an error."""
+        J = np.zeros((4, 4))
+        J[0, 1] = J[1, 0] = np.inf
+        with pytest.raises(ValueError, match="couplings must be finite"):
+            solve_ising(IsingModel(J), iterations=20, seed=0)
+        with pytest.raises(ValueError, match="couplings must be finite"):
+            solve_ising(
+                SparseIsingModel.from_edges(4, [0], [1], [np.inf]),
+                iterations=20, seed=0,
+            )
 
     def test_explicit_zeros_dropped(self):
         m = SparseIsingModel.from_edges(4, [0, 1, 2], [1, 2, 3], [1.0, 0.0, 2.0])

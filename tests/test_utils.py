@@ -23,6 +23,7 @@ from repro.utils import (
     to_si,
 )
 from repro.utils.tables import render_series, render_table
+from repro.utils.validation import check_finite
 
 
 class TestRng:
@@ -137,6 +138,27 @@ class TestValidation:
             check_positive("x", 0.0)
         with pytest.raises(ValueError):
             check_positive("x", -1.0, allow_zero=True)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("allow_zero", [False, True])
+    def test_check_positive_refuses_non_finite(self, bad, allow_zero):
+        """``nan <= 0`` is False, so a sign test alone let NaN through."""
+        with pytest.raises(ValueError, match=r"^dt must be finite, got (nan|inf|-inf)$"):
+            check_positive("dt", bad, allow_zero=allow_zero)
+
+    def test_check_finite_names_the_first_bad_entry(self):
+        J = np.zeros((3, 3))
+        J[1, 2] = np.inf
+        J[2, 0] = np.nan
+        with pytest.raises(ValueError, match=r"^couplings must be finite, got inf at \[1, 2\]$"):
+            check_finite("couplings", J)
+        with pytest.raises(ValueError, match=r"^fields must be finite, got nan at \[4\]$"):
+            check_finite("fields", [0.0, 1.0, 2.0, 3.0, np.nan])
+        rows, cols = np.array([0, 0, 3]), np.array([1, 3, 0])
+        with pytest.raises(ValueError, match=r"got -inf at \[3, 0\]$"):
+            check_finite("couplings", [1.0, 2.0, -np.inf], coords=(rows, cols))
+        ok = check_finite("x", [1, 2])
+        assert ok.dtype == np.float64 and ok.tolist() == [1.0, 2.0]
 
     def test_check_probability(self):
         assert check_probability("p", 0.5) == 0.5

@@ -271,31 +271,53 @@ class ReshapeScatterAliasRule(Rule):
     the mutation only reaches ``x`` when the view aliases it.  A view
     held in a local (``flat = g.reshape(-1)``, then ``flat[i] -= v`` in
     the same function or a closure it defines) is the same scatter
-    spread over two lines.  Audited sites must suppress inline, stating
-    why the operand is guaranteed C-contiguous.
+    spread over two lines.  A ``memoryview`` of a call result
+    (``memoryview(np.ascontiguousarray(x))``, ``memoryview(x.astype(t))``,
+    ``memoryview(x.reshape(s))``) is the same trap again: item assignment
+    through it reaches ``x`` only when the call returned a view.  A
+    memoryview of a plain name or attribute exports that array itself and
+    is not flagged.  Audited sites must suppress inline, stating why the
+    operand is guaranteed to alias.
     """
 
     code = "RPL004"
     name = "reshape-scatter-alias"
     summary = (
         "no scatter-assignment or ufunc.at through .reshape(-1)/.ravel() "
-        "views — aliasing silently depends on memory order"
+        "views or a memoryview of a call result — aliasing silently "
+        "depends on memory order"
+    )
+
+    _FLATTEN_WHY = (
+        "aliases the base array only when it is C-contiguous — an "
+        "F-ordered operand (e.g. from a fancy-index gather) turns this "
+        "into a silent no-op on a copy; scatter into the array directly "
+        "or suppress with the contiguity argument"
+    )
+    _MEMORYVIEW_WHY = (
+        "reaches the source array only when the call returned a view of "
+        "it — ascontiguousarray, astype and reshape may return a copy, "
+        "and the write is lost with it; take the memoryview of the array "
+        "itself or suppress with the aliasing argument"
     )
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
-        return self._check_scope(ctx, ctx.tree, set())
+        return self._check_scope(ctx, ctx.tree, {})
 
     def _check_scope(
-        self, ctx: FileContext, scope: ast.AST, outer: set[str]
+        self, ctx: FileContext, scope: ast.AST, outer: dict[str, tuple[str, str]]
     ) -> Iterator[Finding]:
         """One scope's scatters; nested scopes (closures) see its views."""
         nodes = list(_scope_nodes(scope))
-        held = outer | {
-            target.id
-            for node in nodes if isinstance(node, ast.Assign)
-            and self._flatten_attr(node.value) is not None
-            for target in node.targets if isinstance(target, ast.Name)
-        }
+        held = dict(outer)
+        for node in nodes:
+            if isinstance(node, ast.Assign):
+                view = self._view_of(node.value)
+                if view is not None:
+                    _, label, why = view
+                    for target in node.targets:
+                        if isinstance(target, ast.Name):
+                            held[target.id] = (f"the {label} {target.id!r}", why)
         for node in nodes:
             if isinstance(node, _SCOPES):
                 yield from self._check_scope(ctx, node, held)
@@ -312,43 +334,51 @@ class ReshapeScatterAliasRule(Rule):
             for target in targets:
                 if not isinstance(target, ast.Subscript):
                     continue
-                how = self._through(target.value, held)
-                if how is not None:
+                through = self._through(target.value, held)
+                if through is not None:
+                    how, why = through
                     yield self.finding(
-                        ctx, node,
-                        f"scatter-assignment through {how} aliases the "
-                        "base array only when it is C-contiguous — an "
-                        "F-ordered operand (e.g. from a fancy-index "
-                        "gather) turns this into a silent no-op on a "
-                        "copy; scatter into the array directly or "
-                        "suppress with the contiguity argument",
+                        ctx, node, f"scatter-assignment through {how} {why}"
                     )
 
     def _check_ufunc_at(
-        self, ctx: FileContext, node: ast.Call, held: set[str]
+        self, ctx: FileContext, node: ast.Call, held: dict[str, tuple[str, str]]
     ) -> Iterable[Finding]:
         """Flag ``<ufunc>.at(x.reshape(-1)/x.ravel(), ...)`` scatters."""
         func = node.func
         if not (isinstance(func, ast.Attribute) and func.attr == "at" and node.args):
             return
-        how = self._through(node.args[0], held)
-        if how is not None:
-            yield self.finding(
-                ctx, node,
-                f"ufunc.at through {how} mutates the base array only "
-                "when the flattening view aliases it — an F-ordered "
-                "operand turns the scatter into a silent no-op on a "
-                "copy; scatter into the array directly or suppress "
-                "with the contiguity argument",
-            )
+        through = self._through(node.args[0], held)
+        if through is not None:
+            how, why = through
+            yield self.finding(ctx, node, f"ufunc.at through {how} {why}")
 
-    def _through(self, operand: ast.expr, held: set[str]) -> str | None:
-        """How ``operand`` flattens: ``.reshape()``/``.ravel()`` or a held view."""
-        attr = self._flatten_attr(operand)
-        if attr is not None:
-            return f".{attr}()"
+    def _through(
+        self, operand: ast.expr, held: dict[str, tuple[str, str]]
+    ) -> tuple[str, str] | None:
+        """``(how, why)`` if writing through ``operand`` may miss its base."""
+        view = self._view_of(operand)
+        if view is not None:
+            return view[0], view[2]
         if isinstance(operand, ast.Name) and operand.id in held:
-            return f"the flattened view {operand.id!r}"
+            return held[operand.id]
+        return None
+
+    def _view_of(self, node: ast.expr) -> tuple[str, str, str] | None:
+        """``(how, label, why)`` if ``node`` is a flattening call or a
+        memoryview of a call result: how a write through it reads, what a
+        local holding it is called, and why the write may be lost."""
+        attr = self._flatten_attr(node)
+        if attr is not None:
+            return f".{attr}()", "flattened view", self._FLATTEN_WHY
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "memoryview"
+            and len(node.args) == 1
+            and isinstance(node.args[0], ast.Call)
+        ):
+            return "a memoryview of a call result", "memoryview", self._MEMORYVIEW_WHY
         return None
 
     def _flatten_attr(self, node: ast.expr) -> str | None:
