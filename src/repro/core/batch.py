@@ -54,15 +54,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.coupling import auto_acceptance_scale, coupling_ops
+from repro.core.annealer import factor_profile, resolve_acceptance_scale
+from repro.core.coupling import coupling_ops
 from repro.core.factors import FractionalFactor, VbgEncoder
 from repro.core.proposal import PROPOSAL_MODES, random_flip_sets, scan_order
 from repro.core.results import CutNormalization
+from repro.core.sa import default_schedule
 from repro.core.schedule import Schedule, VbgStepSchedule
 from repro.ising.model import IsingModel
 from repro.ising.sparse import SparseIsingModel
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_choice, check_count, check_permutation
+from repro.utils.validation import (
+    check_choice,
+    check_count,
+    check_flips,
+    permutation_maps,
+)
 
 #: Iterations per chunk that :func:`run_lanes` lays out at once: accept
 #: uniforms and coefficients, and the proposals' state addresses and
@@ -372,23 +379,13 @@ class _BatchEngine:
     def _init_common(
         self, model, replicas, flips_per_iteration, proposal, permutation, seed
     ) -> None:
-        if proposal not in PROPOSAL_MODES:
-            raise ValueError("proposal must be 'scan' or 'random'")
         self.model = model
         self.n = model.num_spins
         self.replicas = check_count("replicas", replicas)
-        t = check_count("flips_per_iteration", flips_per_iteration)
-        if t > self.n:
-            raise ValueError(
-                f"flips_per_iteration must be in [1, {self.n}], got {t}"
-            )
-        self.flips_per_iteration = t
-        self.proposal = proposal
+        self.flips_per_iteration = check_flips(flips_per_iteration, self.n)
+        self.proposal = check_choice("proposal", proposal, PROPOSAL_MODES)
         self.permutation = permutation
-        if permutation is None:
-            self._fwd = self._bwd = None
-        else:
-            self._fwd, self._bwd = check_permutation(permutation, self.n)
+        self._fwd, self._bwd = permutation_maps(permutation, self.n)
         self._rng = ensure_rng(seed)
 
     def _proposal_tensor(self, iterations: int) -> np.ndarray:
@@ -541,28 +538,14 @@ class BatchInSituAnnealer(_BatchEngine):
         self.factor = factor or FractionalFactor()
         self.schedule = schedule
         self.encoder = encoder
-        if acceptance_scale == "auto":
-            self.acceptance_scale = auto_acceptance_scale(model)
-        else:
-            self.acceptance_scale = float(acceptance_scale)
-            if self.acceptance_scale <= 0:
-                raise ValueError("acceptance_scale must be positive")
+        self.acceptance_scale = resolve_acceptance_scale(acceptance_scale, model)
 
     def _build_schedule(self, iterations: int) -> Schedule:
         return self.schedule or VbgStepSchedule(iterations, factor=self.factor)
 
     def _accept_coefficients(self, schedule: Schedule) -> np.ndarray:
-        """``f(T)`` per iteration: the encoder's realised factor, else ``f``.
-
-        Temperatures come from ``schedule.profile()``, bit-identical to the
-        per-iteration ``temperature(it)`` calls.  The factor is evaluated
-        in one array call over the distinct temperatures, elementwise equal
-        to the scalar calls, as in
-        :meth:`~repro.core.annealer.InSituAnnealer._drive_profile`.
-        """
-        levels, level_of = np.unique(schedule.profile(), return_inverse=True)
-        factor = self.factor.value if self.encoder is None else self.encoder.realized_factor
-        return factor(levels)[level_of]
+        """``f(T)`` per iteration (:func:`~repro.core.annealer.factor_profile`)."""
+        return factor_profile(schedule.profile(), self.factor, self.encoder)
 
     def _gain(self) -> float:
         return self.acceptance_scale
@@ -611,13 +594,7 @@ class BatchDirectEAnnealer(_BatchEngine):
     def _build_schedule(self, iterations: int) -> Schedule:
         if self.schedule is not None:
             return self.schedule
-        from repro.core.sa import estimate_temperature_range
-        from repro.core.schedule import GeometricSchedule
-
-        t_start, t_end = estimate_temperature_range(
-            self.model, seed=self._rng, permutation=self.permutation
-        )
-        return GeometricSchedule(iterations, t_start, t_end)
+        return default_schedule(self.model, iterations, self._rng, self.permutation)
 
     def _accept_coefficients(self, schedule: Schedule) -> np.ndarray:
         """The temperature per iteration, floored like ``max(T, 1e-12)``."""

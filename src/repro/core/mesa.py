@@ -20,7 +20,7 @@ from repro.core.schedule import GeometricSchedule
 from repro.ising.model import IsingModel
 from repro.ising.sparse import SparseIsingModel
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_count, check_permutation
+from repro.utils.validation import check_count, check_flips, check_permutation
 
 
 class MesaAnnealer:
@@ -58,16 +58,12 @@ class MesaAnnealer:
         permutation=None,
         seed=None,
     ) -> None:
-        if epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        self.epochs = check_count("epochs", epochs)
         if not 0.0 < epoch_decay <= 1.0:
             raise ValueError("epoch_decay must be in (0, 1]")
         self.model = model
-        self.epochs = int(epochs)
         self.epoch_decay = float(epoch_decay)
-        self.flips_per_iteration = check_count(
-            "flips_per_iteration", flips_per_iteration
-        )
+        self.flips_per_iteration = check_flips(flips_per_iteration, model.num_spins)
         self.permutation = permutation
         if permutation is not None:
             check_permutation(permutation, model.num_spins)

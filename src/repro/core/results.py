@@ -20,8 +20,8 @@ class AnnealResult:
     energy:
         Final energy in model units (including the model offset).
     best_sigma / best_energy:
-        Best configuration seen during the run (equals the final one when
-        best-tracking is disabled).
+        Best configuration seen during the run; best tracking is always
+        on.
     iterations:
         Number of annealing iterations executed.
     accepted:

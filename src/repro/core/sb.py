@@ -52,7 +52,7 @@ from repro.core.batch import BatchAnnealResult
 from repro.core.coupling import coupling_ops
 from repro.core.results import AnnealResult
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_count, check_permutation, check_positive
+from repro.utils.validation import check_count, check_positive, permutation_maps
 
 #: Accepted spellings of the two variants (canonical names first).
 SB_VARIANTS = ("ballistic", "discrete", "bsb", "dsb")
@@ -150,10 +150,7 @@ class SbEngine:
             best_every = 1 if self.variant == "discrete" else 10
         self.best_every = check_count("best_every", best_every)
         self.permutation = permutation
-        if permutation is None:
-            self._fwd = self._bwd = None
-        else:
-            self._fwd, self._bwd = check_permutation(permutation, self.n)
+        self._fwd, self._bwd = permutation_maps(permutation, self.n)
         self._rng = ensure_rng(seed)
 
     @property

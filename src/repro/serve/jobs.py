@@ -28,6 +28,7 @@ from repro.core.blockstack import PACK_METHODS
 from repro.utils.validation import (
     check_choice,
     check_count,
+    check_flips,
     check_model,
     check_spin_vector,
 )
@@ -160,15 +161,8 @@ def job_request(
                 f"got {replicas}; split larger replica sweeps across "
                 f"jobs — the scheduler packs them back into one batch run"
             )
-        flips_per_iteration = check_count(
-            "flips_per_iteration", flips_per_iteration
-        )
         n = model.num_spins
-        if flips_per_iteration > n:
-            raise ValueError(
-                f"flips_per_iteration must be in [1, {n}], "
-                f"got {flips_per_iteration}"
-            )
+        flips_per_iteration = check_flips(flips_per_iteration, n)
         if method == "sb" and flips_per_iteration != 1:
             raise ValueError(
                 f"flips_per_iteration only applies to methods "

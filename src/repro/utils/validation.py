@@ -55,6 +55,18 @@ def check_count(name: str, value, minimum: int = 1, hint: str = "") -> int:
     return value
 
 
+def check_flips(value, n: int) -> int:
+    """Validate a flip-set size ``t = |F|``: a count in ``[1, n]``.
+
+    A flip set holds distinct spins, so it cannot outnumber the model;
+    the bool and non-integer refusals are :func:`check_count`'s.
+    """
+    t = check_count("flips_per_iteration", value)
+    if t > n:
+        raise ValueError(f"flips_per_iteration must be in [1, {n}], got {t}")
+    return t
+
+
 def check_index(name: str, value, n: int) -> int:
     """Validate a spin/array index parameter against ``[0, n)``.
 
@@ -186,6 +198,11 @@ def check_permutation(perm, n: int) -> tuple[np.ndarray, np.ndarray]:
     bwd = np.empty(n, dtype=np.intp)
     bwd[fwd] = np.arange(n, dtype=np.intp)
     return fwd, bwd
+
+
+def permutation_maps(perm, n: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """:func:`check_permutation`'s maps, or ``(None, None)`` for no permutation."""
+    return (None, None) if perm is None else check_permutation(perm, n)
 
 
 def check_probability(name: str, value: float) -> float:

@@ -23,6 +23,10 @@ from repro.utils.validation import check_permutation
 from tests.conftest import brute_force_maxcut
 
 
+#: Read-out gains every in-situ engine refuses: not finite, or not > 0.
+BAD_SCALES = [float("nan"), float("inf"), float("-inf"), 0.0, -1.0]
+
+
 class TestFlipSelector:
     def test_scan_covers_every_spin_once_per_sweep(self):
         rng = ensure_rng(0)
@@ -126,9 +130,22 @@ class TestInSituAnnealer:
         assert len(calls) == 200
         assert 0 < result.accepted < 200  # both branches were exercised
 
-    def test_acceptance_scale_validation(self, small_model):
-        with pytest.raises(ValueError):
-            InSituAnnealer(small_model, acceptance_scale=-1.0)
+    @pytest.mark.parametrize("scale", BAD_SCALES)
+    def test_acceptance_scale_validation(self, small_model, scale):
+        # A NaN gain used to run and accept nothing (NaN <= u is False).
+        with pytest.raises(ValueError, match="^acceptance_scale must be"):
+            InSituAnnealer(small_model, acceptance_scale=scale)
+
+    @pytest.mark.parametrize("scale", BAD_SCALES)
+    @pytest.mark.parametrize("replicas", [None, 2])
+    def test_solve_ising_refuses_bad_acceptance_scale(
+        self, small_model, scale, replicas
+    ):
+        with pytest.raises(ValueError, match="^acceptance_scale must be"):
+            solve_ising(
+                small_model, iterations=20, seed=0, replicas=replicas,
+                acceptance_scale=scale,
+            )
 
     def test_flip_count_validation(self, small_model):
         with pytest.raises(ValueError):
@@ -149,6 +166,16 @@ class TestInSituAnnealer:
         model = IsingModel.random(10, with_fields=True, seed=4)
         result = InSituAnnealer(model, seed=1).run(400)
         assert result.energy == pytest.approx(model.energy(result.sigma), abs=1e-6)
+
+
+@pytest.mark.parametrize("cls", [InSituAnnealer, DirectEAnnealer])
+def test_bad_proposal_refused_at_construction(small_model, cls):
+    # Refused before run() draws anything (SA's probe came first).
+    rng = ensure_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="proposal 'walk'"):
+        cls(small_model, proposal="walk", seed=rng)
+    assert rng.bit_generator.state == state
 
 
 class TestDirectEAnnealer:
@@ -275,6 +302,12 @@ class TestMesa:
     def test_epoch_budget_split(self, small_model):
         result = MesaAnnealer(small_model, epochs=4, seed=1).run(1002)
         assert result.iterations == 1002
+
+    @pytest.mark.parametrize("epochs", [2.7, True, 0, -1, "4"])
+    def test_epochs_is_a_count(self, small_model, epochs):
+        # 2.7 used to run 2 epochs and True 1.
+        with pytest.raises(ValueError, match="^epochs must be"):
+            MesaAnnealer(small_model, epochs=epochs)
 
     def test_validation(self, small_model):
         with pytest.raises(ValueError):

@@ -55,6 +55,15 @@ class TestBatchBasics:
         for r in range(3):
             assert np.count_nonzero(result.final_sigmas[r] != init) <= 1
 
+    @pytest.mark.parametrize(
+        "scale", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0]
+    )
+    def test_acceptance_scale_refuses_non_finite_and_non_positive(
+        self, small_model, scale
+    ):
+        with pytest.raises(ValueError, match="^acceptance_scale must be"):
+            BatchInSituAnnealer(small_model, replicas=2, acceptance_scale=scale)
+
     def test_validation(self, small_model):
         with pytest.raises(ValueError):
             BatchInSituAnnealer(small_model, replicas=0)

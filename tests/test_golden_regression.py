@@ -427,3 +427,260 @@ class TestReplicaByteGoldens:
         ]
         digest = result_bytes_digest(run_stacked(lanes))
         assert digest == self.GOLDEN_BYTES[(backend, method, flips, mode)]
+
+
+#: Sequential pins: (kind, backend, flips, proposal, permuted) cases.
+#: MESA's inner passes always draw random flip sets.
+SEQUENTIAL_KINDS = (
+    "insitu", "insitu-encoder", "insitu-evaluator",
+    "sa", "sa-linear", "sa-zero", "mesa",
+)
+
+
+def sequential_cases():
+    for kind in SEQUENTIAL_KINDS:
+        proposals = ("random",) if kind == "mesa" else ("random", "scan")
+        for backend in ("dense", "sparse"):
+            for flips in (1, 3):
+                for proposal in proposals:
+                    for permuted in (False, True):
+                        yield kind, backend, flips, proposal, permuted
+
+
+def sequential_digest(result, log, ledger=None, cost_traces=()) -> str:
+    """sha256 of a sequential run's every output, bytes not values.
+
+    Both configurations, both energies, the four counters, both traces,
+    the hook and evaluator log (flattened, in call order) and, for a
+    machine, each Ledger entry, the totals and the cost traces.
+    """
+    import hashlib
+
+    digest = hashlib.sha256()
+    for a in (result.sigma, result.best_sigma):
+        digest.update(np.ascontiguousarray(a).tobytes())
+    digest.update(np.array([result.energy, result.best_energy]).tobytes())
+    digest.update(np.array(
+        [result.accepted, result.uphill_accepted, result.uphill_proposals,
+         result.exponent_evaluations], dtype=np.int64,
+    ).tobytes())
+    for trace in (result.energy_trace, result.best_trace, *cost_traces):
+        if trace is not None:
+            digest.update(np.ascontiguousarray(trace).tobytes())
+    digest.update(np.array(
+        [float(x) for entry in log for x in entry], dtype=np.float64
+    ).tobytes())
+    if ledger is not None:
+        for name, entry in sorted(ledger.entries.items()):
+            digest.update(name.encode())
+            digest.update(np.array([entry.energy, entry.time, entry.count]).tobytes())
+        digest.update(np.array([ledger.total_energy, ledger.total_time]).tobytes())
+    return digest.hexdigest()[:16]
+
+
+def sequential_run(kind, backend, flips, proposal, permuted, iterations=400):
+    """One pinned sequential run and its call log."""
+    from repro.core import (
+        ConstantSchedule,
+        DirectEAnnealer,
+        FractionalFactor,
+        InSituAnnealer,
+        LinearSchedule,
+        MesaAnnealer,
+        VbgEncoder,
+    )
+
+    model, perm = byte_pin_models(backend)[0], None
+    twin = byte_pin_models("dense")[0]
+    if permuted:
+        perm = ensure_rng(5).permutation(model.num_spins)
+        model, twin = model.permuted(perm), twin.permuted(perm)
+    log = []
+    if kind == "mesa":
+        annealer = MesaAnnealer(
+            model, epochs=3, flips_per_iteration=flips, permutation=perm,
+            seed=11,
+        )
+        return annealer.run(iterations), log
+    knobs = dict(
+        flips_per_iteration=flips, proposal=proposal, permutation=perm,
+        iteration_hook=lambda *call: log.append(call), record_trace=True,
+        seed=11,
+    )
+    if kind.startswith("insitu"):
+        if kind == "insitu-encoder":
+            knobs["encoder"] = VbgEncoder(
+                FractionalFactor(), transfer=lambda v: (v / 0.7) ** 1.5
+            )
+        elif kind == "insitu-evaluator":
+            J = twin.J
+
+            def evaluator(sigma, flip_set, sigma_r, sigma_c, v_bg):
+                sensed = float(sigma_r @ J @ sigma_c) * (0.5 + v_bg)
+                log.append((v_bg, sensed, *flip_set))
+                return sensed
+
+            knobs["evaluator"] = evaluator
+        return InSituAnnealer(model, **knobs).run(iterations), log
+    if kind == "sa-linear":
+        knobs["schedule"] = LinearSchedule(iterations, 2.0, 0.01)
+    elif kind == "sa-zero":
+        knobs["schedule"] = ConstantSchedule(iterations, 0.0)
+    return DirectEAnnealer(model, **knobs).run(iterations), log
+
+
+class TestSequentialByteGoldens:
+    """Byte pins of the sequential annealers on non-dyadic models.
+
+    The fielded :func:`byte_pin_models` member (stored diagonal, a
+    zero-field and an isolated spin) through every sequential annealer,
+    at t ∈ {1, 3}, both proposal modes, with and without a permutation,
+    on both backends; plus the three crossbar machines with their
+    Ledgers.  Each pin covers every output of the run, the
+    ``iteration_hook`` and evaluator calls included, so a change to the
+    order of any draw, sum or call moves it.
+    """
+
+    #: (kind, backend, flips, proposal, permuted) -> digest prefix.
+    GOLDEN_BYTES = {
+        ("insitu", "dense", 1, "random", False): "e083dbece35564f7",
+        ("insitu", "dense", 1, "random", True): "d6ab5c4ec5b4c5be",
+        ("insitu", "dense", 1, "scan", False): "973dbddba5c7119c",
+        ("insitu", "dense", 1, "scan", True): "acbbfdf554b90ddd",
+        ("insitu", "dense", 3, "random", False): "0b35fd5ec473f307",
+        ("insitu", "dense", 3, "random", True): "90fb4eb9922fe29f",
+        ("insitu", "dense", 3, "scan", False): "034a3047d2d6465e",
+        ("insitu", "dense", 3, "scan", True): "332bd993aabd306d",
+        ("insitu", "sparse", 1, "random", False): "efc8692640ec59cd",
+        ("insitu", "sparse", 1, "random", True): "4104103f70a451d8",
+        ("insitu", "sparse", 1, "scan", False): "acf9558a4ecb4486",
+        ("insitu", "sparse", 1, "scan", True): "5e1a28031fe7099b",
+        ("insitu", "sparse", 3, "random", False): "e04628c208f121bc",
+        ("insitu", "sparse", 3, "random", True): "1bd9be836f7546fd",
+        ("insitu", "sparse", 3, "scan", False): "e2d420dd1e0942ed",
+        ("insitu", "sparse", 3, "scan", True): "00f437fe9b1e21ba",
+        ("insitu-encoder", "dense", 1, "random", False): "4b2371fc1ee3eb64",
+        ("insitu-encoder", "dense", 1, "random", True): "61fc678cf7d38f36",
+        ("insitu-encoder", "dense", 1, "scan", False): "973dbddba5c7119c",
+        ("insitu-encoder", "dense", 1, "scan", True): "acbbfdf554b90ddd",
+        ("insitu-encoder", "dense", 3, "random", False): "fede023017711a90",
+        ("insitu-encoder", "dense", 3, "random", True): "da9235c857ee90cc",
+        ("insitu-encoder", "dense", 3, "scan", False): "034a3047d2d6465e",
+        ("insitu-encoder", "dense", 3, "scan", True): "332bd993aabd306d",
+        ("insitu-encoder", "sparse", 1, "random", False): "e55bf36828e648b0",
+        ("insitu-encoder", "sparse", 1, "random", True): "db70ef5084992a18",
+        ("insitu-encoder", "sparse", 1, "scan", False): "acf9558a4ecb4486",
+        ("insitu-encoder", "sparse", 1, "scan", True): "5e1a28031fe7099b",
+        ("insitu-encoder", "sparse", 3, "random", False): "1ced1fbf9fd38c42",
+        ("insitu-encoder", "sparse", 3, "random", True): "b7f88eef0b6d2aed",
+        ("insitu-encoder", "sparse", 3, "scan", False): "e2d420dd1e0942ed",
+        ("insitu-encoder", "sparse", 3, "scan", True): "00f437fe9b1e21ba",
+        ("insitu-evaluator", "dense", 1, "random", False): "25a5ff4752839e80",
+        ("insitu-evaluator", "dense", 1, "random", True): "e4380504a71ba54e",
+        ("insitu-evaluator", "dense", 1, "scan", False): "e02ee7ae6cf47bd2",
+        ("insitu-evaluator", "dense", 1, "scan", True): "d736228773b22440",
+        ("insitu-evaluator", "dense", 3, "random", False): "4a7099fb58436737",
+        ("insitu-evaluator", "dense", 3, "random", True): "b19580bee279662e",
+        ("insitu-evaluator", "dense", 3, "scan", False): "c031768156567030",
+        ("insitu-evaluator", "dense", 3, "scan", True): "7fdf33254223524b",
+        ("insitu-evaluator", "sparse", 1, "random", False): "bb5f937bb42b9901",
+        ("insitu-evaluator", "sparse", 1, "random", True): "e794d3dfc1ac103b",
+        ("insitu-evaluator", "sparse", 1, "scan", False): "34677f1b9978acee",
+        ("insitu-evaluator", "sparse", 1, "scan", True): "1ab431e23ff8d6e9",
+        ("insitu-evaluator", "sparse", 3, "random", False): "94899a3c085823f5",
+        ("insitu-evaluator", "sparse", 3, "random", True): "c46505b9a42ef35b",
+        ("insitu-evaluator", "sparse", 3, "scan", False): "4a15ed4f5e733587",
+        ("insitu-evaluator", "sparse", 3, "scan", True): "10f337a18b9e02ee",
+        ("sa", "dense", 1, "random", False): "9f63e8456d3cbca6",
+        ("sa", "dense", 1, "random", True): "97f42d84e2d04587",
+        ("sa", "dense", 1, "scan", False): "7f49053ba11c7a19",
+        ("sa", "dense", 1, "scan", True): "c8451734519e750d",
+        ("sa", "dense", 3, "random", False): "574d51a11cfd613c",
+        ("sa", "dense", 3, "random", True): "44546fb04cfbdf5a",
+        ("sa", "dense", 3, "scan", False): "3ff202005153af92",
+        ("sa", "dense", 3, "scan", True): "7701822b8a14dc60",
+        ("sa", "sparse", 1, "random", False): "c63b2d83b63462bb",
+        ("sa", "sparse", 1, "random", True): "3c7e37c12f6077d3",
+        ("sa", "sparse", 1, "scan", False): "b30a4a12fdedcebd",
+        ("sa", "sparse", 1, "scan", True): "6f2692720577bd62",
+        ("sa", "sparse", 3, "random", False): "6e3a3ed7b51ab1dd",
+        ("sa", "sparse", 3, "random", True): "aa6246401ce811cd",
+        ("sa", "sparse", 3, "scan", False): "fd1c7b3001bb0372",
+        ("sa", "sparse", 3, "scan", True): "5681edb587e3b6d9",
+        ("sa-linear", "dense", 1, "random", False): "a5fad4b9df2f6663",
+        ("sa-linear", "dense", 1, "random", True): "91497a7ea0d16fb6",
+        ("sa-linear", "dense", 1, "scan", False): "e62985a0db584c0f",
+        ("sa-linear", "dense", 1, "scan", True): "d7032711c94dacd0",
+        ("sa-linear", "dense", 3, "random", False): "c039c040a2ea53f1",
+        ("sa-linear", "dense", 3, "random", True): "ea1309271a82df31",
+        ("sa-linear", "dense", 3, "scan", False): "a84fe5f8e464dd83",
+        ("sa-linear", "dense", 3, "scan", True): "d59fa2c7e1bf8ccf",
+        ("sa-linear", "sparse", 1, "random", False): "a9a5495a66f75a15",
+        ("sa-linear", "sparse", 1, "random", True): "242b1d3ff6a7dc3c",
+        ("sa-linear", "sparse", 1, "scan", False): "994253b6ea89c812",
+        ("sa-linear", "sparse", 1, "scan", True): "1a56da9f9f002dff",
+        ("sa-linear", "sparse", 3, "random", False): "252c3abab9e333f9",
+        ("sa-linear", "sparse", 3, "random", True): "24e39cb4f4d10d69",
+        ("sa-linear", "sparse", 3, "scan", False): "e0bdfb9220ad7fb7",
+        ("sa-linear", "sparse", 3, "scan", True): "55eaceee90052cc5",
+        ("sa-zero", "dense", 1, "random", False): "763fc30c8ea6fd7f",
+        ("sa-zero", "dense", 1, "random", True): "8fa54debfab694dd",
+        ("sa-zero", "dense", 1, "scan", False): "c7eb81e769700cf9",
+        ("sa-zero", "dense", 1, "scan", True): "aa2c4e31b8fcbfcf",
+        ("sa-zero", "dense", 3, "random", False): "422400f3fa1cf1ca",
+        ("sa-zero", "dense", 3, "random", True): "869bcf690b112a31",
+        ("sa-zero", "dense", 3, "scan", False): "7a450a26a262ff66",
+        ("sa-zero", "dense", 3, "scan", True): "4ee8f53afaefe187",
+        ("sa-zero", "sparse", 1, "random", False): "77d4b4b5c1732ac8",
+        ("sa-zero", "sparse", 1, "random", True): "f0b0a88fd9a7df5c",
+        ("sa-zero", "sparse", 1, "scan", False): "1c4a01efcc134538",
+        ("sa-zero", "sparse", 1, "scan", True): "ce20ea9103b1b88c",
+        ("sa-zero", "sparse", 3, "random", False): "ccc3f3cb933696ec",
+        ("sa-zero", "sparse", 3, "random", True): "27e962d2f4d09cb3",
+        ("sa-zero", "sparse", 3, "scan", False): "ab23e22a57cc29a0",
+        ("sa-zero", "sparse", 3, "scan", True): "849661ff61331918",
+        ("mesa", "dense", 1, "random", False): "16bc1625e7cc9de9",
+        ("mesa", "dense", 1, "random", True): "b718b047bc70a202",
+        ("mesa", "dense", 3, "random", False): "072e58b76512fa46",
+        ("mesa", "dense", 3, "random", True): "a127b9de6a7541cb",
+        ("mesa", "sparse", 1, "random", False): "1d3949af9354dfb1",
+        ("mesa", "sparse", 1, "random", True): "586bdcfb5288dd68",
+        ("mesa", "sparse", 3, "random", False): "52cc49a921168800",
+        ("mesa", "sparse", 3, "random", True): "a127b9de6a7541cb",
+    }
+
+    @pytest.mark.parametrize(
+        "kind,backend,flips,proposal,permuted", list(sequential_cases())
+    )
+    def test_pinned_run_bytes(self, kind, backend, flips, proposal, permuted):
+        result, log = sequential_run(kind, backend, flips, proposal, permuted)
+        digest = sequential_digest(result, log)
+        assert digest == self.GOLDEN_BYTES[(kind, backend, flips, proposal, permuted)]
+
+    #: machine -> digest prefix.
+    GOLDEN_MACHINES = {
+        "monolithic": "f2a04814eab154ed",
+        "tiled": "401e425448c4133c",
+        "direct-e": "cd787522affc6285",
+    }
+
+    @staticmethod
+    def machine_run(machine):
+        from repro.arch import DirectECimAnnealer, InSituCimAnnealer
+
+        backend = "sparse" if machine == "tiled" else "dense"
+        model = byte_pin_models(backend)[1]
+        knobs = dict(record_cost_trace=True, record_trace=True, seed=13)
+        if machine == "direct-e":
+            return DirectECimAnnealer(model, flips_per_iteration=2, **knobs).run(300)
+        if machine == "tiled":
+            knobs.update(tile_size=8, flips_per_iteration=3)
+        return InSituCimAnnealer(model, **knobs).run(300)
+
+    @pytest.mark.parametrize("machine", ["monolithic", "tiled", "direct-e"])
+    def test_pinned_machine_bytes(self, machine):
+        run = self.machine_run(machine)
+        digest = sequential_digest(
+            run.anneal, [], run.ledger, (run.energy_trace, run.time_trace)
+        )
+        assert digest == self.GOLDEN_MACHINES[machine]

@@ -610,6 +610,29 @@ class TestPlanOwnership:
         assert {f.path for f in findings} == {"src/repro/core/blockstack.py"}
         assert "run_lanes" in findings[0].message
 
+    def test_flip_selector_owned_by_the_sequential_loop(self, tmp_path):
+        # A second sequential loop outside repro/core/annealer.py is
+        # flagged; the owner, tests and benchmarks construct it freely.
+        loop = "selector = FlipSelector(n, t, 'scan', rng, index_map=fwd)\n"
+        findings = lint_tree(tmp_path, {
+            "src/repro/core/sa.py": loop,
+            "src/repro/core/annealer.py": loop,
+            "tests/test_loop.py": loop,
+            "benchmarks/bench_loop.py": loop,
+        })
+        assert codes(findings) == ["RPL007"]
+        assert findings[0].path == "src/repro/core/sa.py"
+        assert "SequentialAnnealer" in findings[0].message
+
+    def test_flip_selector_suppressed_with_ownership_audit(self, tmp_path):
+        findings = lint_tree(tmp_path, {
+            "src/repro/core/sa.py": (
+                "# Owned here: a proposal-stream probe, not a loop.\n"
+                f"selector = proposal.FlipSelector(n, 1, 'random', rng)  {DISABLE}RPL007\n"
+            ),
+        })
+        assert findings == []
+
 
 # ------------------------------------------------------------ engine/API
 

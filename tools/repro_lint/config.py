@@ -114,14 +114,17 @@ PLAN_SETUP_CALLS: frozenset[str] = frozenset(
 #: every other library module)``.  The rule flags *calls*, so the
 #: defining methods (``model.py``, ``reorder.py``, ``coupling.py``) need no
 #: entry.  The batch-state protocol belongs to the one replica loop
-#: (``run_lanes``), so a second per-iteration loop cannot come back
-#: unnoticed.
+#: (``run_lanes``) and ``FlipSelector`` to the one sequential loop
+#: (``SequentialAnnealer.run``), so a second per-iteration loop of either
+#: kind cannot come back unnoticed.
 OWNED_CALLS: tuple[tuple[str, frozenset[str], str], ...] = (
     ("src/repro/core/plan.py", PLAN_SETUP_CALLS,
      "compile_plan()/resolve_layout()"),
     ("src/repro/core/batch.py",
      frozenset({"make_batch_state", "batch_update_fields"}),
      "run_lanes() or a batch engine's run()"),
+    ("src/repro/core/annealer.py", frozenset({"FlipSelector"}),
+     "a SequentialAnnealer subclass's accept rule"),
 )
 
 #: The API/CLI parity contracts (RPL006 + tests/test_api_cli_parity.py).

@@ -550,16 +550,18 @@ class PlanOwnershipRule(Rule):
     e.g. a transparency test probing the fold itself).  The same
     ownership table (``OWNED_CALLS``) gives the batch-state protocol
     (``make_batch_state``/``batch_update_fields``) to
-    ``src/repro/core/batch.py``, home of the one replica loop.  Tests and
-    benchmarks are exempt by design: asserting fold/strip semantics
-    requires calling them.
+    ``src/repro/core/batch.py``, home of the one replica loop, and
+    ``FlipSelector`` to ``src/repro/core/annealer.py``, home of the one
+    sequential loop.  Tests and benchmarks are exempt by design:
+    asserting fold/strip semantics requires calling them.
     """
 
     code = "RPL007"
     name = "plan-ownership"
     summary = (
         "owned primitives (solve setup: repro/core/plan.py; batch-state "
-        "protocol: repro/core/batch.py) are called only by their owner in "
+        "protocol: repro/core/batch.py; FlipSelector: "
+        "repro/core/annealer.py) are called only by their owner in "
         "library code"
     )
 
