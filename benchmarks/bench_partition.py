@@ -152,10 +152,7 @@ def test_partition_beats_rcm_on_clustered_instance(capsys):
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 
-    # Timed untraced, after the traced pass: the traced pass's first
-    # machine is a reference cycle, and any pass run before it changes
-    # when the collector frees that machine, and so the traced peak
-    # (57 MB instead of 46 MB at CI size).
+    # Timed on an untraced pass, after the traced one.
     with _forbid_densification():
         start = time.perf_counter()
         timed_partitioning = partition_model(model, BENCH_TILE)

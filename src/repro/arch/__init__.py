@@ -2,7 +2,10 @@
 
 Combines the algorithmic core with the circuit substrate and books every
 hardware event into per-component ledgers — the layer the paper's Fig 8/9
-hardware-overhead comparison is generated from.
+hardware-overhead comparison is generated from.  Every array is programmed
+by :func:`~repro.arch.cim_annealer.compile_cim_program`, and every machine
+runs through one loop, :meth:`~repro.arch.cim_annealer.CimMachine.run`,
+which books each run's counters once.
 """
 
 from repro.arch.baselines import DirectECimAnnealer

@@ -10,28 +10,26 @@ The algorithm itself is the classic SA of :class:`~repro.core.sa.
 DirectEAnnealer`; the machine layer books the hardware activity that the
 direct-E transformation implies.  (The software computes ΔE with the cheap
 identity — mathematically equal to the O(n²) hardware computation — so the
-solution quality is exactly what the baseline would produce.)
+solution quality is exactly what the baseline would produce.)  The array is
+programmed by :func:`~repro.arch.cim_annealer.compile_cim_program` and runs
+go through :meth:`~repro.arch.cim_annealer.CimMachine.run`, like the
+proposed machine's; this module keeps only the baseline's counters, hook and
+cost formulas.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.arch.cim_annealer import CimMachine, RunCounters, compile_cim_program
 from repro.arch.hardware import HardwareConfig
-from repro.arch.ledger import Ledger
-from repro.arch.mapping import CrossbarMapping
-from repro.arch.result import CimRunResult
-from repro.circuits.crossbar import PROGRAM_PULSE_ENERGY
-from repro.circuits.quantize import MatrixQuantizer
 from repro.core.sa import DirectEAnnealer
 from repro.core.schedule import Schedule
 from repro.ising.model import IsingModel
-from repro.ising.sparse import dense_couplings
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_count
 
 
-class DirectECimAnnealer:
+class DirectECimAnnealer(CimMachine):
     """Hardware-instrumented direct-E baseline machine.
 
     Parameters
@@ -61,41 +59,31 @@ class DirectECimAnnealer:
         record_trace: bool = False,
         seed=None,
     ) -> None:
-        if model.has_fields:
-            raise ValueError(
-                "crossbar machines store couplings only; fold fields in via "
-                "model.with_ancilla() first"
-            )
-        self.config = config or HardwareConfig.baseline_fpga()
-        if self.config.exponent is None:
-            raise ValueError("direct-E baselines need an exponent unit")
         rng = ensure_rng(seed)
-        # As for the proposed machine: the crossbar needs the dense matrix.
-        # Densification allowlisted: programming a monolithic physical
-        # array requires every cell of the stored image.
-        J = dense_couplings(model)  # repro-lint: disable=RPL001
-        quantizer = MatrixQuantizer(self.config.quantization_bits)
-        self.quantized = quantizer.quantize(J)
-        self.hw_model = IsingModel(
-            self.quantized.dequantize(), None, offset=model.offset, name=model.name
+        # The monolithic behavioral array draws nothing while it is
+        # programmed, so the annealer's stream is the seed's own.
+        program = compile_cim_program(
+            model, config=config or HardwareConfig.baseline_fpga(), seed=rng
         )
-        self.mapping = CrossbarMapping.for_matrix(
-            J, self.config.quantization_bits, self.config.adc.mux_ratio
-        )
-        self.flips_per_iteration = int(flips_per_iteration)
-        self.record_cost_trace = bool(record_cost_trace)
+        if program.config.exponent is None:
+            raise ValueError("direct-E baselines need an exponent unit")
+        super().__init__(program, record_cost_trace)
+        self.quantized = self.crossbar.quantized
+        counters = self._counters = RunCounters(accepted=bool, uphill=bool)
+
+        def book(iteration, delta_e, accepted, temperature) -> None:
+            counters.accepted[iteration] = accepted
+            counters.uphill[iteration] = delta_e > 0
+
         self._annealer = DirectEAnnealer(
             self.hw_model,
             flips_per_iteration=flips_per_iteration,
             schedule=schedule,
             proposal=proposal,
-            iteration_hook=self._book_iteration,
+            iteration_hook=book,
             record_trace=record_trace,
             seed=rng,
         )
-        self._ledger: Ledger | None = None
-        self._iter_energy: list[float] | None = None
-        self._iter_time: list[float] | None = None
         # Per-iteration constants of the full-array evaluation.
         cfg = self.config
         self._conversions = self.mapping.full_activation_conversions(phases=2)
@@ -105,62 +93,44 @@ class DirectECimAnnealer:
         self._sa_energy = self._conversions * cfg.shift_add.energy_per_code
         self._settle = 2 * cfg.wire.settle_time(self.mapping.num_spins)
 
-    @property
-    def label(self) -> str:
-        """Machine display name."""
-        return self.config.label
+    def _costs(self, counters: RunCounters):
+        """Ledger series and per-iteration totals of the full-array reads.
 
-    # ------------------------------------------------------------------
-    def _book_iteration(self, iteration, delta_e, accepted, temperature) -> None:
-        assert self._ledger is not None
+        ``exponent`` is booked only for uphill proposals, so a
+        per-iteration booking creates it before ``logic`` only when the
+        first proposal is uphill.
+        """
         cfg = self.config
-        ledger = self._ledger
-        ledger.add("adc", self._adc_energy, self._adc_time, self._conversions)
-        ledger.add("shift_add", self._sa_energy, 0.0)
+        iterations = counters.accepted.size
+        uphill = counters.uphill
         # Spin-register lines toggle only when the proposal is accepted.
-        driver_energy = 0.0
-        if accepted:
-            toggles = 2 * self.flips_per_iteration
-            driver_energy = toggles * cfg.fg_driver.energy_per_toggle
-        ledger.add("drivers", driver_energy, self._settle)
-        exp_energy = exp_time = 0.0
-        if delta_e > 0:
-            exp_energy = cfg.exponent.energy_per_eval
-            exp_time = cfg.exponent.time_per_eval
-            ledger.add("exponent", exp_energy, exp_time)
-        ledger.add("logic", cfg.logic_energy, cfg.logic_time)
-        if self._iter_energy is not None:
-            total_e = (
-                self._adc_energy + self._sa_energy + driver_energy + exp_energy
-                + cfg.logic_energy
-            )
-            total_t = self._adc_time + self._settle + exp_time + cfg.logic_time
-            prev_e = self._iter_energy[-1] if self._iter_energy else 0.0
-            prev_t = self._iter_time[-1] if self._iter_time else 0.0
-            self._iter_energy.append(prev_e + total_e)
-            self._iter_time.append(prev_t + total_t)
-
-    # ------------------------------------------------------------------
-    def run(self, iterations: int, initial=None) -> CimRunResult:
-        """Anneal for ``iterations`` and return solution + cost books."""
-        # Validated at the machine boundary: the programming ledger is
-        # booked before the inner annealer would reject a bad count.
-        iterations = check_count(
-            "iterations", iterations,
-            hint="the machine needs at least one proposal/accept step",
+        driver_energy = np.where(
+            counters.accepted,
+            2 * self.flips_per_iteration * cfg.fg_driver.energy_per_toggle,
+            0.0,
         )
-        self._ledger = Ledger()
-        self._iter_energy = [] if self.record_cost_trace else None
-        self._iter_time = [] if self.record_cost_trace else None
-        cells = 2 * self.config.quantization_bits * self.hw_model.num_spins**2
-        self._ledger.add("program", cells * PROGRAM_PULSE_ENERGY, 0.0, cells)
-        anneal = self._annealer.run(iterations, initial=initial)
-        result = CimRunResult(
-            label=self.label,
-            anneal=anneal,
-            ledger=self._ledger,
-            energy_trace=np.asarray(self._iter_energy) if self.record_cost_trace else None,
-            time_trace=np.asarray(self._iter_time) if self.record_cost_trace else None,
+        exp_energy = np.where(uphill, cfg.exponent.energy_per_eval, 0.0)
+        exp_time = np.where(uphill, cfg.exponent.time_per_eval, 0.0)
+        logic = (
+            "logic",
+            np.full(iterations, cfg.logic_energy),
+            np.full(iterations, cfg.logic_time),
         )
-        self._ledger = None
-        return result
+        exponent = ("exponent", exp_energy[uphill], exp_time[uphill])
+        series = [
+            (
+                "adc",
+                np.full(iterations, self._adc_energy),
+                np.full(iterations, self._adc_time),
+                np.full(iterations, self._conversions),
+            ),
+            ("shift_add", np.full(iterations, self._sa_energy), np.zeros(iterations)),
+            ("drivers", driver_energy, np.full(iterations, self._settle)),
+            *((exponent, logic) if uphill[0] else (logic, exponent)),
+        ]
+        energy = (
+            self._adc_energy + self._sa_energy + driver_energy + exp_energy
+            + cfg.logic_energy
+        )
+        time = self._adc_time + self._settle + exp_time + cfg.logic_time
+        return series, energy, time

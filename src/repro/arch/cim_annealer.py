@@ -2,23 +2,24 @@
 
 Wires the pieces together end-to-end:
 
-* the coupling matrix is quantized and programmed into a
-  :class:`~repro.circuits.crossbar.DgFefetCrossbar`;
+* :func:`compile_cim_program` is the one programming path of every
+  crossbar: layout race, whole-matrix quantization and programming into a
+  monolithic :class:`~repro.circuits.crossbar.DgFefetCrossbar` or a
+  :class:`~repro.arch.tiling.TiledCrossbar` grid.  It returns an immutable
+  :class:`CimProgram` that any number of machines can anneal against —
+  the amortisation the paper's economics rest on (one expensive array
+  write, many cheap anneal runs), surfaced through
+  :func:`repro.core.plan.compile_plan`;
 * the annealing logic is the core :class:`~repro.core.annealer.InSituAnnealer`
   running *against the crossbar* through its evaluator hook, so the accept
   decisions are made on the sensed (quantized, noisy, device-limited)
   ``E_inc`` — not on ideal arithmetic;
-* every iteration's hardware activity (ADC conversions, mux slots, driver
-  toggles, settle time, BG DAC updates, controller logic) is recorded in
-  per-iteration counter arrays and booked into a
-  :class:`~repro.arch.ledger.Ledger` once per run.
-
-The programming pass (layout race → quantize → program) is factored out as
-:func:`compile_cim_program`, which returns an immutable :class:`CimProgram`
-that any number of :class:`InSituCimAnnealer` instances can anneal against
-— the amortisation the paper's economics rest on (one expensive array
-write, many cheap anneal runs), surfaced through
-:func:`repro.core.plan.compile_plan`.
+* :class:`CimMachine` is the one run loop of this machine and of the
+  direct-E baselines (:mod:`repro.arch.baselines`): the inner annealer's
+  hook writes each iteration's hardware activity (ADC conversions, mux
+  slots, driver toggles, settle time, BG DAC updates) into a per-run
+  :class:`RunCounters` record, and the run books every counter series
+  into a :class:`~repro.arch.ledger.Ledger` once, at the end.
 
 The ``"behavioral"`` crossbar backend makes runs at the paper's full scale
 (3000 spins × 100 000 iterations) take seconds; the ``"device"`` backend
@@ -29,6 +30,7 @@ for small arrays (tests, ablations, examples).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,7 +73,18 @@ class CimProgram:
     reorder: str
     tile_size: int | None
     annealer_model: IsingModel | SparseIsingModel
-    hw_model: IsingModel | SparseIsingModel
+
+    @cached_property
+    def hw_model(self) -> IsingModel | SparseIsingModel:
+        """The stored image in the caller's spin order.
+
+        Quantization is element-wise, so it is an exact relabelling of
+        ``annealer_model``; built on first use, since only callers that
+        check solutions against the stored image read it.
+        """
+        if self.permutation is None:
+            return self.annealer_model
+        return self.annealer_model.permuted(self.permutation.inverse)
 
 
 def compile_cim_program(
@@ -94,8 +107,8 @@ def compile_cim_program(
     draw-free, so the returned program is seed-independent and safe to
     cache (see :class:`repro.core.plan.PlanCache`).
 
-    Validation messages match the historical machine constructor exactly
-    — it now delegates here.
+    The one programming path: both machines and the tiled solve plans
+    (in-situ and SB) program their arrays here.
     """
     if model.has_fields:
         raise ValueError(
@@ -177,8 +190,7 @@ def compile_cim_program(
         # the controller's field cache stays O(nnz) for sparse inputs.
         # With a reordering in play the annealer runs against the
         # hardware-ordered image while `hw_model` is published in the
-        # caller's ordering (quantization is element-wise, so the two
-        # are exact relabellings of each other).
+        # caller's ordering.
         if is_sparse:
             stored = crossbar.stored_model(
                 offset=model.offset, name=model.name
@@ -188,11 +200,10 @@ def compile_cim_program(
                 crossbar.matrix_hat, None,
                 offset=model.offset, name=model.name,
             )
-        hw_model = stored if perm is None else stored.permuted(perm.inverse)
         return CimProgram(
             config=config, crossbar=crossbar, mapping=mapping,
             permutation=perm, reorder=reorder, tile_size=tile_size,
-            annealer_model=stored, hw_model=hw_model,
+            annealer_model=stored,
         )
     # A single physical crossbar programs every cell, so the
     # monolithic machine densifies sparse models here (solver-only
@@ -212,17 +223,105 @@ def compile_cim_program(
     mapping = CrossbarMapping.for_matrix(
         J, config.quantization_bits, config.adc.mux_ratio
     )
-    hw_model = IsingModel(
-        crossbar.matrix_hat, None, offset=model.offset, name=model.name
-    )
     return CimProgram(
         config=config, crossbar=crossbar, mapping=mapping,
         permutation=None, reorder=reorder, tile_size=None,
-        annealer_model=hw_model, hw_model=hw_model,
+        annealer_model=IsingModel(
+            crossbar.matrix_hat, None, offset=model.offset, name=model.name
+        ),
     )
 
 
-class InSituCimAnnealer:
+class RunCounters:
+    """One run's per-iteration hardware counters, one zeroed array per name.
+
+    A machine keeps the record and its inner annealer keeps the hook, a
+    closure over the record: neither references the other, so a deleted
+    machine is freed by reference counting alone.  :meth:`start` gives
+    every run fresh arrays; ``step`` and ``last`` are the hook's scratch
+    between calls (the next iteration, the last BG level it set).
+    """
+
+    def __init__(self, **dtypes) -> None:
+        self._dtypes = dtypes
+
+    def start(self, iterations: int) -> None:
+        for name, dtype in self._dtypes.items():
+            setattr(self, name, np.zeros(iterations, dtype=dtype))
+        self.step = 0
+        self.last = None
+
+
+class CimMachine:
+    """The run loop every crossbar machine shares.
+
+    A subclass passes its :class:`CimProgram` here, builds its inner
+    annealer (``_annealer``) with a hook that writes a
+    :class:`RunCounters` record (``_counters``), and defines its cost
+    formulas, ``_costs(counters)``.  Those return the run's Ledger series
+    ``(name, energy, time[, count])`` in the order a per-iteration
+    booking creates the entries, plus each iteration's energy and time in
+    the machine's own summation order.  Every series is a strictly
+    sequential running sum (:meth:`Ledger.add_series`), so the entries,
+    totals and cost traces equal booking every iteration in order, bit
+    for bit.
+    """
+
+    def __init__(self, program: CimProgram, record_cost_trace: bool) -> None:
+        self.program = program
+        self.config = program.config
+        self.crossbar = program.crossbar
+        self.mapping = program.mapping
+        self.record_cost_trace = bool(record_cost_trace)
+
+    @property
+    def hw_model(self) -> IsingModel | SparseIsingModel:
+        """The stored image the machine anneals, in the caller's spin order."""
+        return self.program.hw_model
+
+    @property
+    def label(self) -> str:
+        """Machine display name."""
+        return self.config.label
+
+    @property
+    def flips_per_iteration(self) -> int:
+        """``t = |F|``, as the inner annealer validated it."""
+        return self._annealer.flips_per_iteration
+
+    def run(self, iterations: int, initial=None) -> CimRunResult:
+        """Anneal for ``iterations`` and return solution + cost books."""
+        # Validated at the machine boundary: the counters are sized by
+        # `iterations` before the inner annealer would reject a bool/float
+        # count.
+        iterations = check_count(
+            "iterations", iterations,
+            hint="the machine needs at least one proposal/accept step",
+        )
+        # Shared-program machines reuse one crossbar across runs; clear
+        # the driver-toggle memory so every run books costs like a cold
+        # array (trajectories never depended on it).
+        self.crossbar.reset_drive_state()
+        self._counters.start(iterations)
+        ledger = Ledger()
+        # One-time programming cost, amortised across the run.
+        prog = self.crossbar.programming_summary()
+        ledger.add("program", prog["energy"], 0.0, int(prog["write_pulses"]))
+        anneal = self._annealer.run(iterations, initial=initial)
+        series, energy, time = self._costs(self._counters)
+        for entry in series:
+            ledger.add_series(*entry)
+        traced = self.record_cost_trace
+        return CimRunResult(
+            label=self.label,
+            anneal=anneal,
+            ledger=ledger,
+            energy_trace=np.add.accumulate(energy) if traced else None,
+            time_trace=np.add.accumulate(time) if traced else None,
+        )
+
+
+class InSituCimAnnealer(CimMachine):
     """Hardware-instrumented in-situ CiM annealer.
 
     Parameters
@@ -296,9 +395,8 @@ class InSituCimAnnealer:
 
     Costs are recorded from the crossbar evaluator, which the inner
     :class:`~repro.core.annealer.InSituAnnealer` calls exactly once per
-    iteration; the machine sets no ``iteration_hook``.  Each run books its
-    counters into a fresh :class:`~repro.arch.ledger.Ledger` once, at the
-    end, with totals equal to booking every iteration in order.
+    iteration; the machine sets no ``iteration_hook``.  Runs go through
+    :meth:`CimMachine.run`.
     """
 
     def __init__(
@@ -350,138 +448,86 @@ class InSituCimAnnealer:
                 permutation=permutation,
                 seed=rng,
             )
-        self.program = program
-        self.config = program.config
+        super().__init__(program, record_cost_trace)
         self.factor = factor or FractionalFactor()
         self.reorder = program.reorder
         self.permutation = program.permutation
-        self.crossbar = program.crossbar
-        self.mapping = program.mapping
-        self.hw_model = program.hw_model
-        self._annealer_model = program.annealer_model
+        self.schedule = schedule
         encoder = None
         if use_encoder:
             encoder = VbgEncoder(self.factor, transfer=self.crossbar.factor)
-        self.schedule = schedule
-        self.flips_per_iteration = int(flips_per_iteration)
-        self.record_cost_trace = bool(record_cost_trace)
+        counters = self._counters = RunCounters(
+            conversions=np.int64, slots=np.int64, codes=np.int64,
+            fg=np.int64, dl=np.int64, settle=np.float64, bg_update=bool,
+        )
+        crossbar, snap = self.crossbar, self.config.bg_dac.snap
+
+        def evaluate(sigma, flips, sigma_r, sigma_c, v_bg) -> float:
+            v_bg = snap(v_bg)
+            value, stats = crossbar.compute_increment(
+                sigma_r, sigma_c, v_bg, validate=False
+            )
+            it = counters.step
+            counters.step = it + 1
+            counters.conversions[it] = stats.adc_conversions
+            counters.slots[it] = stats.mux_slots
+            counters.codes[it] = stats.sa_codes
+            counters.fg[it] = stats.fg_toggles
+            counters.dl[it] = stats.dl_toggles
+            counters.settle[it] = stats.settle_time
+            if counters.last is None or abs(v_bg - counters.last) > 1e-12:
+                counters.bg_update[it] = True
+                counters.last = v_bg
+            return value
+
         # Costs are booked from the evaluator alone (no `iteration_hook`):
         # the annealer calls it exactly once per iteration, in order.
         self._annealer = InSituAnnealer(
-            self._annealer_model,
+            program.annealer_model,
             flips_per_iteration=flips_per_iteration,
             factor=self.factor,
             schedule=schedule,
             encoder=encoder,
             acceptance_scale=acceptance_scale,
-            evaluator=self._evaluate,
+            evaluator=evaluate,
             proposal=proposal,
             permutation=self.permutation,
             record_trace=record_trace,
             seed=rng,
         )
-        self._counters: tuple[np.ndarray, ...] = ()
-        self._step = 0
-        self._last_vbg: float | None = None
 
-    @property
-    def label(self) -> str:
-        """Machine display name."""
-        return self.config.label
+    def _costs(self, counters: RunCounters):
+        """Ledger series and per-iteration totals of the in-situ reads.
 
-    # ------------------------------------------------------------------
-    # Crossbar evaluation + cost hooks
-    # ------------------------------------------------------------------
-    def _evaluate(self, sigma, flips, sigma_r, sigma_c, v_bg) -> float:
-        v_bg = self.config.bg_dac.snap(v_bg)
-        value, stats = self.crossbar.compute_increment(
-            sigma_r, sigma_c, v_bg, validate=False
-        )
-        it = self._step
-        self._step = it + 1
-        conversions, slots, codes, fg, dl, settle, bg_update = self._counters
-        conversions[it] = stats.adc_conversions
-        slots[it] = stats.mux_slots
-        codes[it] = stats.sa_codes
-        fg[it] = stats.fg_toggles
-        dl[it] = stats.dl_toggles
-        settle[it] = stats.settle_time
-        if self._last_vbg is None or abs(v_bg - self._last_vbg) > 1e-12:
-            bg_update[it] = True
-            self._last_vbg = v_bg
-        return value
-
-    def _book_run(self, ledger: Ledger):
-        """Book the run's per-iteration counters, one series per entry.
-
-        Entries are booked in the order a per-iteration booking creates
-        them (the first iteration always sets the BG rail), and every
-        series sums strictly in iteration order, so the totals equal
-        one ``Ledger.add`` per entry per iteration bit for bit.  Returns
-        the cumulative ``(energy, time)`` after every iteration.
+        The first iteration always sets the BG rail, so a per-iteration
+        booking creates the entries in this fixed order.
         """
         cfg = self.config
-        conversions, slots, codes, fg, dl, settle, bg_update = self._counters
-        iterations = conversions.size
-        adc_energy = conversions * cfg.adc.energy_per_conversion
-        adc_time = slots * cfg.adc.time_per_conversion
-        sa_energy = codes * cfg.shift_add.energy_per_code
-        fg_energy = fg * cfg.fg_driver.energy_per_toggle
-        dl_energy = dl * cfg.dl_driver.energy_per_toggle
+        iterations = counters.conversions.size
+        adc_energy = counters.conversions * cfg.adc.energy_per_conversion
+        adc_time = counters.slots * cfg.adc.time_per_conversion
+        sa_energy = counters.codes * cfg.shift_add.energy_per_code
+        fg_energy = counters.fg * cfg.fg_driver.energy_per_toggle
+        dl_energy = counters.dl * cfg.dl_driver.energy_per_toggle
+        bg_update = counters.bg_update
         updates = int(np.count_nonzero(bg_update))
-        ledger.add_series("adc", adc_energy, adc_time, conversions)
-        ledger.add_series("shift_add", sa_energy, np.zeros(iterations))
-        ledger.add_series("drivers", fg_energy + dl_energy, settle)
-        ledger.add_series(
-            "bg_dac",
-            np.full(updates, cfg.bg_dac.energy_per_update),
-            np.full(updates, cfg.bg_dac.time_per_update),
-        )
-        ledger.add_series(
-            "logic",
-            np.full(iterations, cfg.logic_energy),
-            np.full(iterations, cfg.logic_time),
-        )
+        series = [
+            ("adc", adc_energy, adc_time, counters.conversions),
+            ("shift_add", sa_energy, np.zeros(iterations)),
+            ("drivers", fg_energy + dl_energy, counters.settle),
+            (
+                "bg_dac",
+                np.full(updates, cfg.bg_dac.energy_per_update),
+                np.full(updates, cfg.bg_dac.time_per_update),
+            ),
+            (
+                "logic",
+                np.full(iterations, cfg.logic_energy),
+                np.full(iterations, cfg.logic_time),
+            ),
+        ]
         energy = adc_energy + sa_energy + fg_energy + dl_energy
-        time = adc_time + settle
+        time = adc_time + counters.settle
         energy[bg_update] += cfg.bg_dac.energy_per_update
         time[bg_update] += cfg.bg_dac.time_per_update
-        return (
-            np.add.accumulate(energy + cfg.logic_energy),
-            np.add.accumulate(time + cfg.logic_time),
-        )
-
-    # ------------------------------------------------------------------
-    def run(self, iterations: int, initial=None) -> CimRunResult:
-        """Anneal for ``iterations`` and return solution + cost books."""
-        # Validated at the machine boundary: the per-iteration counters
-        # are sized by `iterations` before the inner annealer would
-        # reject a bool/float count.
-        iterations = check_count(
-            "iterations", iterations,
-            hint="the machine needs at least one proposal/accept step",
-        )
-        ledger = Ledger()
-        # Shared-program machines reuse one crossbar across runs; clear
-        # the driver-toggle memory so every run books costs like a cold
-        # array (trajectories never depended on it).
-        self.crossbar.reset_drive_state()
-        self._last_vbg = None
-        self._step = 0
-        self._counters = (
-            *(np.zeros(iterations, dtype=np.int64) for _ in range(5)),
-            np.zeros(iterations),
-            np.zeros(iterations, dtype=bool),
-        )
-        # One-time programming cost, amortised across the run.
-        prog = self.crossbar.programming_summary()
-        ledger.add("program", prog["energy"], 0.0, int(prog["write_pulses"]))
-        anneal = self._annealer.run(iterations, initial=initial)
-        energy_trace, time_trace = self._book_run(ledger)
-        return CimRunResult(
-            label=self.label,
-            anneal=anneal,
-            ledger=ledger,
-            energy_trace=energy_trace if self.record_cost_trace else None,
-            time_trace=time_trace if self.record_cost_trace else None,
-        )
+        return series, energy + cfg.logic_energy, time + cfg.logic_time

@@ -38,7 +38,8 @@ The interface mirrors :class:`~repro.circuits.crossbar.DgFefetCrossbar`
 (``matrix_hat``, ``factor``, ``compute_increment``, ``programming_summary``)
 so the in-situ machine can drive a tiled array transparently; consumers that
 must stay O(nnz) use :meth:`stored_model` instead of the dense
-``matrix_hat``.
+``matrix_hat``.  Library code builds a grid only through
+:func:`~repro.arch.cim_annealer.compile_cim_program` (repro-lint RPL007).
 """
 
 from __future__ import annotations

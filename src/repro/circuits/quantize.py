@@ -73,7 +73,10 @@ class QuantizedMatrix:
 
     def cell_count(self) -> int:
         """Number of programmed '1' cells across both planes."""
-        return int(self.positive_planes.sum() + self.negative_planes.sum())
+        return int(
+            np.count_nonzero(self.positive_planes)
+            + np.count_nonzero(self.negative_planes)
+        )
 
 
 class MatrixQuantizer:

@@ -327,12 +327,12 @@ class InSituAnnealer(SequentialAnnealer):
 
         The BG encoder picks the rail level realising f(T) on the physical
         transfer curve (paper Fig 3c), once per distinct temperature;
-        without one, a schedule with its own ``vbg`` walk supplies the
-        level, and otherwise the linear T → V_BG map does.
+        without one, a schedule with its own ``vbg_profile`` walk supplies
+        the level, and otherwise the linear T → V_BG map does.
         """
-        vbg = getattr(schedule, "vbg", None)
-        if self.encoder is None and vbg is not None:
-            return [float(vbg(it)) for it in range(len(temperatures))]
+        vbg_profile = getattr(schedule, "vbg_profile", None)
+        if self.encoder is None and vbg_profile is not None:
+            return vbg_profile().tolist()
         levels, level_of = np.unique(temperatures, return_inverse=True)
         encode = self.factor.vbg_for_temperature if self.encoder is None else self.encoder.encode
         return np.array([float(encode(T)) for T in levels])[level_of].tolist()

@@ -68,6 +68,7 @@ from repro.utils.validation import (
     check_choice,
     check_count,
     check_flips,
+    check_initial,
     permutation_maps,
 )
 
@@ -429,22 +430,7 @@ class _BatchEngine:
         R, n = self.replicas, self.n
         if initial is None:
             return rng.choice(np.array([-1.0, 1.0]), size=(R, n))
-        base = np.asarray(initial, dtype=np.float64)
-        if base.shape == (n,):
-            sigma = np.tile(base, (R, 1))
-        elif base.shape == (R, n):
-            sigma = base
-        else:
-            raise ValueError(f"initial must have shape ({n},) or ({R}, {n})")
-        bad = ~np.isin(sigma, (-1.0, 1.0))
-        if bad.any():
-            r, j = np.argwhere(bad)[0]
-            raise ValueError(
-                f"initial entries must be ±1; replica {r} has "
-                f"{sigma[r, j]!r} at spin {j} (a non-spin value would corrupt "
-                f"the cached local fields and return wrong energies)"
-            )
-        return sigma
+        return check_initial(initial, R, n)
 
     def _draw_lane(self, iterations: int, initial) -> StackedLane:
         """One run's draws (schedule, start state, proposals) as a lane."""

@@ -437,15 +437,18 @@ def compile_plan(
         )
     resolved_backend = _backend_name(model)
 
-    if tile_size is not None and method == "insitu":
+    if tile_size is not None:
+        # Both crossbar machines (in-situ and the SB sibling) store the
+        # folded model on one tile grid, programmed the one way.
         work, folded = fold_fields(model)
         run_kwargs = dict(solver_kwargs)
         program_kwargs = {}
-        if "crossbar_backend" in run_kwargs:
-            program_kwargs["backend"] = run_kwargs.pop("crossbar_backend")
-        for key in _PROGRAM_KWARGS:
-            if key in run_kwargs:
-                program_kwargs[key] = run_kwargs.pop(key)
+        if method == "insitu":
+            if "crossbar_backend" in run_kwargs:
+                program_kwargs["backend"] = run_kwargs.pop("crossbar_backend")
+            for key in _PROGRAM_KWARGS:
+                if key in run_kwargs:
+                    program_kwargs[key] = run_kwargs.pop(key)
         # Local import: repro.arch layers on top of repro.core.
         from repro.arch.cim_annealer import compile_cim_program
 
@@ -459,30 +462,9 @@ def compile_plan(
             resolved_backend=resolved_backend, tile_size=tile_size,
             reorder=reorder, permutation=program.permutation,
             replicas=replicas, run_kwargs=run_kwargs,
-            fingerprint=fingerprint, kind="tiled-insitu",
+            fingerprint=fingerprint, kind=f"tiled-{method}",
             engine_model=program.annealer_model, program=program,
             crossbar=program.crossbar,
-        )
-
-    if tile_size is not None:  # method == "sb"
-        # Local import: repro.arch layers on top of repro.core.
-        from repro.arch.tiling import TiledCrossbar
-
-        work, folded = fold_fields(model)
-        perm = resolve_layout(work, reorder, tile_size=tile_size)
-        hw = work.permuted(perm) if perm is not None else work
-        matrix = hw if isinstance(hw, SparseIsingModel) else hw.J
-        crossbar = TiledCrossbar(matrix, tile_size=tile_size)
-        stored = crossbar.stored_model(
-            offset=hw.offset, name=f"{hw.name}@tiled"
-        )
-        return SolvePlan(
-            method=method, model=model, work=work, folded=folded,
-            requested_backend=requested_backend,
-            resolved_backend=resolved_backend, tile_size=tile_size,
-            reorder=reorder, permutation=perm, replicas=replicas,
-            run_kwargs=dict(solver_kwargs), fingerprint=fingerprint,
-            kind="tiled-sb", engine_model=stored, crossbar=crossbar,
         )
 
     perm = resolve_layout(model, reorder)

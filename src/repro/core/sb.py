@@ -52,7 +52,14 @@ from repro.core.batch import BatchAnnealResult
 from repro.core.coupling import coupling_ops
 from repro.core.results import AnnealResult
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_count, check_positive, permutation_maps
+from repro.utils.validation import (
+    check_choice,
+    check_count,
+    check_initial,
+    check_model,
+    check_positive,
+    permutation_maps,
+)
 
 #: Accepted spellings of the two variants (canonical names first).
 SB_VARIANTS = ("ballistic", "discrete", "bsb", "dsb")
@@ -128,15 +135,10 @@ class SbEngine:
         matvec=None,
         seed=None,
     ) -> None:
-        if not isinstance(variant, str) or variant not in _CANONICAL:
-            raise ValueError(
-                f"unknown variant {variant!r}; choose from {sorted(SB_VARIANTS)}"
-            )
-        self.variant = _CANONICAL[variant]
+        self.variant = _CANONICAL[check_choice("variant", variant, SB_VARIANTS)]
+        check_model(model)
         self.model = model
         self.n = model.num_spins
-        if self.n < 1:
-            raise ValueError("model has no spins; build it from a non-empty problem")
         self.replicas = check_count("replicas", replicas)
         self.dt = check_positive("dt", dt)
         self.a0 = check_positive("a0", a0)
@@ -183,17 +185,7 @@ class SbEngine:
         R, n = self.replicas, self.n
         if initial is None:
             return rng.uniform(-0.1, 0.1, size=(R, n))
-        base = np.asarray(initial, dtype=np.float64)
-        if base.shape == (n,):
-            base = np.tile(base, (R, 1))
-        elif base.shape != (R, n):
-            raise ValueError(f"initial must have shape ({n},) or ({R}, {n})")
-        if not np.all(np.isin(base, (-1.0, 1.0))):
-            raise ValueError(
-                "initial entries must be ±1 spins (positions are seeded at "
-                "0.1·initial inside the inelastic walls)"
-            )
-        return 0.1 * base
+        return 0.1 * check_initial(initial, R, n)
 
     def run(self, iterations: int, initial=None) -> BatchAnnealResult:
         """Integrate all replicas for ``iterations`` symplectic steps."""

@@ -7,6 +7,9 @@ baselines use conventional temperature schedules (geometric by default).
 
 All schedules map ``iteration → temperature``; the V_BG schedule also
 exposes the voltage grid so the hardware machine can count DAC updates.
+Each built-in schedule defines only its whole-run trace (``profile()``,
+``vbg_profile()``); a scalar read indexes one evaluation of that trace,
+cached on the schedule, so the two can never disagree.
 """
 
 from __future__ import annotations
@@ -15,28 +18,45 @@ import numpy as np
 
 from repro.core.factors import FractionalFactor
 from repro.devices.constants import VBG_MAX, VBG_MIN, VBG_STEP
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_count, check_positive
 
 
 class Schedule:
-    """Base interface: ``temperature(iteration)`` over a fixed length."""
+    """Base interface: a temperature per iteration over a fixed length.
+
+    A subclass defines ``profile()``, the whole trace, as every built-in
+    schedule does, or only ``temperature(iteration)``; each falls back on
+    the other.
+    """
+
+    _temperatures: np.ndarray | None = None
 
     def __init__(self, iterations: int) -> None:
-        if iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        self.iterations = int(iterations)
+        self.iterations = check_count("iterations", iterations)
+
+    def _check(self, iteration: int) -> None:
+        if not 0 <= iteration < self.iterations:
+            raise IndexError(f"iteration {iteration} outside schedule")
 
     def temperature(self, iteration: int) -> float:
-        """Temperature at a (0-based) iteration index."""
-        raise NotImplementedError
+        """Temperature at a (0-based) iteration index.
+
+        Indexes one ``profile()`` evaluation, cached on the schedule: O(1)
+        after the first read, and equal to the trace the engines read.
+        """
+        self._check(iteration)
+        if self._temperatures is None:
+            self._temperatures = self.profile()
+        return float(self._temperatures[iteration])
 
     def profile(self) -> np.ndarray:
         """The full temperature trace, length ``iterations``.
 
-        The built-in schedules override this with a vectorised evaluation
-        that is bit-identical to the per-iteration loop; this generic
-        fallback keeps third-party subclasses working unchanged.
+        This fallback loops over ``temperature()``, for subclasses that
+        define only that.
         """
+        if type(self).temperature is Schedule.temperature:
+            raise NotImplementedError("a schedule defines profile() or temperature()")
         return np.array([self.temperature(i) for i in range(self.iterations)])
 
 
@@ -47,16 +67,8 @@ class ConstantSchedule(Schedule):
         super().__init__(iterations)
         self._t = check_positive("temperature", temperature, allow_zero=True)
 
-    def temperature(self, iteration: int) -> float:
-        self._check(iteration)
-        return self._t
-
     def profile(self) -> np.ndarray:
         return np.full(self.iterations, self._t)
-
-    def _check(self, iteration: int) -> None:
-        if not 0 <= iteration < self.iterations:
-            raise IndexError(f"iteration {iteration} outside schedule")
 
 
 class GeometricSchedule(Schedule):
@@ -79,25 +91,10 @@ class GeometricSchedule(Schedule):
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
         self.alpha = float(alpha)
-        self._temps: np.ndarray | None = None
-
-    def _temperatures(self) -> np.ndarray:
-        # One vectorised evaluation shared by temperature() and profile():
-        # numpy's pow and Python's ** can differ in the last ulp, so a
-        # single cached array is the only way both access paths stay
-        # bit-identical.  Built lazily; O(iterations) floats.
-        if self._temps is None:
-            powers = self.alpha ** np.arange(self.iterations)
-            self._temps = np.maximum(self.t_start * powers, self.t_end)
-        return self._temps
-
-    def temperature(self, iteration: int) -> float:
-        if not 0 <= iteration < self.iterations:
-            raise IndexError(f"iteration {iteration} outside schedule")
-        return float(self._temperatures()[iteration])
 
     def profile(self) -> np.ndarray:
-        return self._temperatures().copy()
+        powers = self.alpha ** np.arange(self.iterations)
+        return np.maximum(self.t_start * powers, self.t_end)
 
 
 class LinearSchedule(Schedule):
@@ -109,14 +106,6 @@ class LinearSchedule(Schedule):
         self.t_end = check_positive("t_end", t_end, allow_zero=True)
         if self.t_start < self.t_end:
             raise ValueError("t_start must be >= t_end")
-
-    def temperature(self, iteration: int) -> float:
-        if not 0 <= iteration < self.iterations:
-            raise IndexError(f"iteration {iteration} outside schedule")
-        if self.iterations == 1:
-            return self.t_start
-        frac = iteration / (self.iterations - 1)
-        return self.t_start + (self.t_end - self.t_start) * frac
 
     def profile(self) -> np.ndarray:
         if self.iterations == 1:
@@ -150,8 +139,11 @@ class VbgStepSchedule(Schedule):
         with the final one pinned to ``v_end`` — so every run, however
         short, still terminates at the terminal voltage as the paper's
         schedule contract requires ("terminates when V_BG reaches 0 V").
-        An explicit ``hold`` takes the walk as given and may truncate.
+        An explicit ``hold`` (a count) takes the walk as given and may
+        truncate.
     """
+
+    _vbgs: np.ndarray | None = None
 
     def __init__(
         self,
@@ -188,35 +180,27 @@ class VbgStepSchedule(Schedule):
                 hold = 1
             else:
                 hold = self.iterations // self.num_levels
-        if hold < 1:
-            raise ValueError("hold must be >= 1")
-        self.hold = int(hold)
+        self.hold = check_count("hold", hold)
 
     def vbg(self, iteration: int) -> float:
-        """Back-gate voltage at a (0-based) iteration."""
-        if not 0 <= iteration < self.iterations:
-            raise IndexError(f"iteration {iteration} outside schedule")
-        level = min(iteration // self.hold, self.num_levels - 1)
-        return max(self.v_start - level * self.step, self.v_end)
+        """Back-gate voltage at a (0-based) iteration.
 
-    def temperature(self, iteration: int) -> float:
-        return float(self.factor.temperature_for_vbg(self.vbg(iteration)))
+        Indexes one cached :meth:`vbg_profile` evaluation, as
+        :meth:`~Schedule.temperature` indexes ``profile()``.
+        """
+        self._check(iteration)
+        if self._vbgs is None:
+            self._vbgs = self.vbg_profile()
+        return float(self._vbgs[iteration])
 
     def vbg_profile(self) -> np.ndarray:
-        """Full V_BG trace, length ``iterations`` (vectorised).
-
-        Same level arithmetic as :meth:`vbg` evaluated array-wide —
-        integer floor-divide, multiply, clamp — so it is bit-identical to
-        the per-iteration loop.
-        """
+        """Full V_BG trace, length ``iterations``: the level walk, clamped."""
         level = np.minimum(
             np.arange(self.iterations) // self.hold, self.num_levels - 1
         )
         return np.maximum(self.v_start - level * self.step, self.v_end)
 
     def profile(self) -> np.ndarray:
-        # temperature_for_vbg is a linear elementwise map, so evaluating it
-        # on the whole V_BG trace is bit-identical to the scalar loop.
         return np.asarray(
             self.factor.temperature_for_vbg(self.vbg_profile()), dtype=np.float64
         )
@@ -235,12 +219,6 @@ class ReverseVbgSchedule(VbgStepSchedule):
     matching conventional cooling.  Provided for the schedule-direction
     ablation (see DESIGN.md §2).
     """
-
-    def vbg(self, iteration: int) -> float:
-        if not 0 <= iteration < self.iterations:
-            raise IndexError(f"iteration {iteration} outside schedule")
-        level = min(iteration // self.hold, self.num_levels - 1)
-        return min(self.v_end + level * self.step, self.v_start)
 
     def vbg_profile(self) -> np.ndarray:
         level = np.minimum(

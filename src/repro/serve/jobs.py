@@ -3,7 +3,7 @@
 :func:`job_request` is the single entrance for work into the service —
 every knob is validated *here*, with the same validators and message
 shapes as the solve API (``check_count`` / ``check_choice`` /
-``check_spin_vector``), and every rejection is prefixed with the job id
+``check_initial``), and every rejection is prefixed with the job id
 so a client multiplexing hundreds of submissions can attribute the
 failure.  Past this boundary the scheduler and the batch runners assume
 well-formed jobs.
@@ -29,8 +29,8 @@ from repro.utils.validation import (
     check_choice,
     check_count,
     check_flips,
+    check_initial,
     check_model,
-    check_spin_vector,
 )
 
 #: Documented per-job replica ceiling (see module docstring).  Jobs over
@@ -193,23 +193,8 @@ def job_request(
                     f"{sorted(PACK_METHODS)}; method='sb' draws its own "
                     f"continuous positions"
                 )
-            arr = np.asarray(initial, dtype=np.float64)
-            if arr.ndim == 1:
-                check_spin_vector(arr, n)
-            elif arr.ndim == 2:
-                if arr.shape != (replicas, n):
-                    raise ValueError(
-                        f"initial must have shape ({n},) or "
-                        f"({replicas}, {n}), got {arr.shape}"
-                    )
-                for row in arr:
-                    check_spin_vector(row, n)
-            else:
-                raise ValueError(
-                    f"initial must have shape ({n},) or "
-                    f"({replicas}, {n}), got {arr.shape}"
-                )
-            initial = arr
+            initial = np.asarray(initial, dtype=np.float64)
+            check_initial(initial, replicas, n)
     except ValueError as exc:
         raise ValueError(f"job {job_id!r}: {exc}") from None
     return SolveJob(

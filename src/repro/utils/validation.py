@@ -242,6 +242,33 @@ def check_spin_vector(sigma, n: int | None = None) -> np.ndarray:
     return arr.astype(np.int8, copy=False)
 
 
+def check_initial(initial, replicas: int, n: int) -> np.ndarray:
+    """Validate a replica engine's ±1 start state; return it as ``(replicas, n)``.
+
+    ``initial`` is one configuration of shape ``(n,)``, shared by every
+    replica, or one per replica, ``(replicas, n)``.  The first non-spin
+    entry is named by replica and spin.
+    """
+    base = np.asarray(initial, dtype=np.float64)
+    if base.shape == (n,):
+        sigma = np.tile(base, (replicas, 1))
+    elif base.shape == (replicas, n):
+        sigma = base
+    else:
+        raise ValueError(
+            f"initial must have shape ({n},) or ({replicas}, {n}), got {base.shape}"
+        )
+    bad = ~np.isin(sigma, (-1.0, 1.0))
+    if bad.any():
+        r, j = np.argwhere(bad)[0]
+        raise ValueError(
+            f"initial entries must be ±1; replica {r} has "
+            f"{sigma[r, j]!r} at spin {j} (a non-spin value would corrupt "
+            f"the cached local fields and return wrong energies)"
+        )
+    return sigma
+
+
 def check_square_symmetric(matrix, name: str = "J", atol: float = 1e-9) -> np.ndarray:
     """Validate and return a square symmetric float matrix.
 

@@ -2,17 +2,27 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch import (
+    CimRunResult,
     CrossbarMapping,
     DirectECimAnnealer,
     HardwareConfig,
     InSituCimAnnealer,
     Ledger,
 )
+from repro.circuits.crossbar import PROGRAM_PULSE_ENERGY
+from repro.circuits.quantize import MatrixQuantizer
+from repro.core import DirectEAnnealer, LinearSchedule
 from repro.ising import IsingModel, MaxCutProblem
+from repro.utils.rng import ensure_rng
 
 
 @pytest.fixture
@@ -266,3 +276,172 @@ class TestDirectEMachine:
             problem.to_ising(), HardwareConfig.baseline_asic(), seed=1
         ).run(100)
         assert "CiM/ASIC" in result.summary()
+
+
+class ReferenceDirectEMachine:
+    """The direct-E baseline as it booked costs per iteration.
+
+    Quantizes and maps its own array, books one ``Ledger.add`` per entry
+    per iteration from an ``iteration_hook`` and appends the cumulative
+    cost traces, as :class:`DirectECimAnnealer` did before it booked
+    whole runs.  Same annealer flow and RNG use.
+    """
+
+    def __init__(self, model, config, flips_per_iteration=1, schedule=None,
+                 proposal="random", seed=None):
+        J = model.J
+        quantized = MatrixQuantizer(config.quantization_bits).quantize(J)
+        hw_model = IsingModel(
+            quantized.dequantize(), None, offset=model.offset, name=model.name
+        )
+        mapping = CrossbarMapping.for_matrix(
+            J, config.quantization_bits, config.adc.mux_ratio
+        )
+        self.config = config
+        self.flips_per_iteration = flips_per_iteration
+        self.cells = 2 * config.quantization_bits * model.num_spins**2
+        self.annealer = DirectEAnnealer(
+            hw_model, flips_per_iteration=flips_per_iteration,
+            schedule=schedule, proposal=proposal,
+            iteration_hook=self._book_iteration, seed=seed,
+        )
+        self.conversions = mapping.full_activation_conversions(phases=2)
+        slots = mapping.full_activation_slots(phases=2)
+        self.adc_energy = self.conversions * config.adc.energy_per_conversion
+        self.adc_time = slots * config.adc.time_per_conversion
+        self.sa_energy = self.conversions * config.shift_add.energy_per_code
+        self.settle = 2 * config.wire.settle_time(mapping.num_spins)
+
+    def _book_iteration(self, iteration, delta_e, accepted, temperature):
+        cfg = self.config
+        ledger = self.ledger
+        ledger.add("adc", self.adc_energy, self.adc_time, self.conversions)
+        ledger.add("shift_add", self.sa_energy, 0.0)
+        driver_energy = 0.0
+        if accepted:
+            toggles = 2 * self.flips_per_iteration
+            driver_energy = toggles * cfg.fg_driver.energy_per_toggle
+        ledger.add("drivers", driver_energy, self.settle)
+        exp_energy = exp_time = 0.0
+        if delta_e > 0:
+            exp_energy = cfg.exponent.energy_per_eval
+            exp_time = cfg.exponent.time_per_eval
+            ledger.add("exponent", exp_energy, exp_time)
+        ledger.add("logic", cfg.logic_energy, cfg.logic_time)
+        total_e = (
+            self.adc_energy + self.sa_energy + driver_energy + exp_energy
+            + cfg.logic_energy
+        )
+        total_t = self.adc_time + self.settle + exp_time + cfg.logic_time
+        prev_e = self.energy_trace[-1] if self.energy_trace else 0.0
+        prev_t = self.time_trace[-1] if self.time_trace else 0.0
+        self.energy_trace.append(prev_e + total_e)
+        self.time_trace.append(prev_t + total_t)
+
+    def run(self, iterations) -> CimRunResult:
+        self.ledger = Ledger()
+        self.energy_trace, self.time_trace = [], []
+        self.ledger.add("program", self.cells * PROGRAM_PULSE_ENERGY, 0.0, self.cells)
+        anneal = self.annealer.run(iterations)
+        return CimRunResult(
+            label="reference", anneal=anneal, ledger=self.ledger,
+            energy_trace=np.asarray(self.energy_trace),
+            time_trace=np.asarray(self.time_trace),
+        )
+
+
+def assert_same_books(got, want):
+    """Equal trajectories, Ledger entries (in order), totals and traces, bit for bit."""
+    a, b = got.anneal, want.anneal
+    assert np.array_equal(a.sigma, b.sigma)
+    assert np.array_equal(a.best_sigma, b.best_sigma)
+    assert (a.energy, a.best_energy, a.accepted, a.uphill_proposals) == (
+        b.energy, b.best_energy, b.accepted, b.uphill_proposals
+    )
+
+    def books(run):
+        entries = [(k, e.energy, e.time, e.count) for k, e in run.ledger.entries.items()]
+        return entries, run.ledger.total_energy, run.ledger.total_time
+
+    assert books(got) == books(want)
+    for trace in ("energy_trace", "time_trace"):
+        assert getattr(got, trace).tobytes() == getattr(want, trace).tobytes()
+
+
+def non_dyadic_model(n, seed):
+    rng = ensure_rng(seed)
+    upper = np.triu(rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.5), k=1)
+    return IsingModel(upper + upper.T, offset=0.3)
+
+
+class TestDirectEMachineBooks:
+    """The run-at-once books equal the per-iteration reference bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(3, 10),
+        model_seed=st.integers(0, 2**16),
+        config=st.sampled_from(["fpga", "asic"]),
+        flips=st.integers(1, 2),
+        proposal=st.sampled_from(["random", "scan"]),
+        linear=st.booleans(),
+        iterations=st.integers(1, 60),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_per_iteration_reference(
+        self, n, model_seed, config, flips, proposal, linear, iterations, seed
+    ):
+        model = non_dyadic_model(n, model_seed)
+        cfg = getattr(HardwareConfig, f"baseline_{config}")()
+        schedule = LinearSchedule(iterations, 1.5, 0.01) if linear else None
+        machine = DirectECimAnnealer(
+            model, cfg, flips_per_iteration=flips, schedule=schedule,
+            proposal=proposal, record_cost_trace=True, seed=seed,
+        )
+        reference = ReferenceDirectEMachine(
+            model, cfg, flips_per_iteration=flips, schedule=schedule,
+            proposal=proposal, seed=seed,
+        )
+        for _ in range(2):  # repeated runs continue one stream each
+            assert_same_books(machine.run(iterations), reference.run(iterations))
+
+    def test_exponent_entry_follows_the_first_uphill_proposal(self):
+        """``exponent`` precedes ``logic`` only when proposal 0 is uphill."""
+        model = non_dyadic_model(9, 4)
+        cfg = HardwareConfig.baseline_fpga()
+        orders = set()
+        for seed in range(12):
+            got = DirectECimAnnealer(model, cfg, record_cost_trace=True, seed=seed).run(40)
+            want = ReferenceDirectEMachine(model, cfg, seed=seed).run(40)
+            assert_same_books(got, want)
+            entries = list(got.ledger.entries)
+            orders.add(entries.index("exponent") < entries.index("logic"))
+        assert orders == {True, False}
+
+
+def build_machine(kind):
+    model = non_dyadic_model(12, 8)
+    if kind == "direct-e":
+        return DirectECimAnnealer(model, seed=3)
+    return InSituCimAnnealer(
+        model, tile_size=5 if kind == "tiled" else None, seed=3
+    )
+
+
+@pytest.mark.parametrize("kind", ["monolithic", "tiled", "direct-e"])
+def test_deleted_machine_freed_without_the_collector(kind):
+    """No machine is a reference cycle: ``del`` frees it at once.
+
+    The cost hooks close over a per-run counter record, not the machine,
+    so a tracemalloc budget measured around a machine does not depend on
+    when the cyclic collector runs.
+    """
+    gc.disable()
+    try:
+        machine = build_machine(kind)
+        machine.run(30)
+        ref = weakref.ref(machine)
+        del machine
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -684,3 +684,52 @@ class TestSequentialByteGoldens:
             run.anneal, [], run.ledger, (run.energy_trace, run.time_trace)
         )
         assert digest == self.GOLDEN_MACHINES[machine]
+
+
+class TestTiledSbByteGoldens:
+    """Byte pins of tiled-SB plans on the non-dyadic, fielded member.
+
+    ``TestSbGoldens`` pins ±1-weight runs, whose sums are exact in any
+    order.  These fold the fielded :func:`byte_pin_models` member through
+    the ancilla spin onto an 8-row tile grid, so the 4-bit stored image,
+    the fold and strip, the layout and the grid's ``batch_matvec`` all
+    show in the bytes.  Both input backends program the same image, so
+    they share their digests.
+    """
+
+    #: (backend, variant, replicas, reorder) -> digest prefix.
+    GOLDEN_BYTES = {
+        ("dense", "dsb", None, "none"): "03860cf4c01f8e96",
+        ("dense", "dsb", None, "rcm"): "df15125f8d6d7f2a",
+        ("dense", "dsb", 3, "none"): "32a3516b2bd5fce0",
+        ("dense", "dsb", 3, "rcm"): "c843b14b98f9bf30",
+        ("dense", "bsb", None, "none"): "a8177d9e0b53c656",
+        ("dense", "bsb", None, "rcm"): "4f0c818a7c3401bc",
+        ("dense", "bsb", 3, "none"): "3a92d4654a1f1af3",
+        ("dense", "bsb", 3, "rcm"): "37e2cbc36bcce137",
+        ("sparse", "dsb", None, "none"): "03860cf4c01f8e96",
+        ("sparse", "dsb", None, "rcm"): "df15125f8d6d7f2a",
+        ("sparse", "dsb", 3, "none"): "32a3516b2bd5fce0",
+        ("sparse", "dsb", 3, "rcm"): "c843b14b98f9bf30",
+        ("sparse", "bsb", None, "none"): "a8177d9e0b53c656",
+        ("sparse", "bsb", None, "rcm"): "4f0c818a7c3401bc",
+        ("sparse", "bsb", 3, "none"): "3a92d4654a1f1af3",
+        ("sparse", "bsb", 3, "rcm"): "37e2cbc36bcce137",
+    }
+
+    @pytest.mark.parametrize(
+        "backend,variant,replicas,reorder", list(GOLDEN_BYTES)
+    )
+    def test_pinned_plan_bytes(self, backend, variant, replicas, reorder):
+        from repro.core import compile_plan
+
+        plan = compile_plan(
+            byte_pin_models(backend)[0], method="sb", tile_size=8,
+            reorder=reorder, replicas=replicas, variant=variant,
+        )
+        result = plan.execute(300, seed=17)
+        if replicas is None:
+            digest = sequential_digest(result, [])
+        else:
+            digest = result_bytes_digest([result])
+        assert digest == self.GOLDEN_BYTES[(backend, variant, replicas, reorder)]

@@ -633,6 +633,32 @@ class TestPlanOwnership:
         })
         assert findings == []
 
+    def test_tile_grid_programmed_only_by_the_programming_path(self, tmp_path):
+        # A second programming path (the old tiled-SB plan branch) is
+        # flagged; the owner, tests and benchmarks construct grids freely.
+        grid = "crossbar = TiledCrossbar(matrix, tile_size=tile_size)\n"
+        findings = lint_tree(tmp_path, {
+            "src/repro/core/plan.py": grid,
+            "src/repro/arch/baselines.py": "xb = tiling.TiledCrossbar(J, tile_size=8)\n",
+            "src/repro/arch/cim_annealer.py": grid,
+            "tests/test_grid.py": grid,
+            "benchmarks/bench_grid.py": grid,
+        })
+        assert codes(findings) == ["RPL007", "RPL007"]
+        assert {f.path for f in findings} == {
+            "src/repro/core/plan.py", "src/repro/arch/baselines.py",
+        }
+        assert "compile_cim_program()" in findings[0].message
+
+    def test_tile_grid_suppressed_with_ownership_audit(self, tmp_path):
+        findings = lint_tree(tmp_path, {
+            "src/repro/arch/tiling.py": (
+                "# Owned here: a grid probe that programs nothing.\n"
+                f"probe = TiledCrossbar(m, tile_size=2)  {DISABLE}RPL007\n"
+            ),
+        })
+        assert findings == []
+
 
 # ------------------------------------------------------------ engine/API
 

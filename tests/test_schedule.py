@@ -11,6 +11,7 @@ from repro.core import (
     GeometricSchedule,
     LinearSchedule,
     ReverseVbgSchedule,
+    Schedule,
     VbgStepSchedule,
 )
 
@@ -186,15 +187,23 @@ class TestReverseVbgSchedule:
         assert profile[-1] == pytest.approx(0.7)
 
 
-class TestVectorisedProfiles:
-    """``profile()`` / ``vbg_profile()`` are bit-identical to the loops.
+class _Sawtooth(Schedule):
+    """A third-party schedule that defines only ``temperature()``."""
 
-    The built-in schedules override the base class's per-iteration
-    ``profile()`` loop with vectorised evaluations; these pin that the
-    fast path returns the *exact* floats of the scalar path for every
-    schedule family (numpy pow vs Python pow differs in the last ulp, so
-    this is a real constraint, kept by sharing one cached array — see
-    ``GeometricSchedule._temperatures``).
+    def temperature(self, iteration: int) -> float:
+        self._check(iteration)
+        return 600.0 * (1.0 - (iteration % 7) / 7.0)
+
+
+class TestVectorisedProfiles:
+    """``profile()`` / ``vbg_profile()`` are byte-identical to the loops.
+
+    The built-in schedules define only their vectorised traces, and a
+    scalar read indexes one cached evaluation of that trace; these pin
+    that the scalar path returns the *exact* bytes of the trace for every
+    schedule family (numpy pow and Python pow differ in the last ulp, so
+    a second, scalar formula would be a real risk).  A schedule that
+    defines only ``temperature()`` gets its trace from the base loop.
     """
 
     SCHEDULES = [
@@ -211,6 +220,7 @@ class TestVectorisedProfiles:
         VbgStepSchedule(1),
         ReverseVbgSchedule(710, hold=10),
         ReverseVbgSchedule(25),
+        _Sawtooth(30),
     ]
 
     @pytest.mark.parametrize(
@@ -222,7 +232,7 @@ class TestVectorisedProfiles:
         )
         profile = schedule.profile()
         assert profile.shape == loop.shape
-        assert np.array_equal(profile, loop)
+        assert profile.tobytes() == loop.tobytes()
 
     @pytest.mark.parametrize(
         "schedule",
@@ -231,7 +241,7 @@ class TestVectorisedProfiles:
     )
     def test_vbg_profile_matches_vbg_loop(self, schedule):
         loop = np.array([schedule.vbg(i) for i in range(schedule.iterations)])
-        assert np.array_equal(schedule.vbg_profile(), loop)
+        assert schedule.vbg_profile().tobytes() == loop.tobytes()
 
     @pytest.mark.parametrize(
         "schedule",
@@ -253,3 +263,37 @@ class TestVectorisedProfiles:
         profile[0] = -1.0  # a caller mutating the copy must not poison
         assert s.temperature(0) == 5.0
         assert s.profile()[0] == 5.0
+
+
+class TestCountKnobs:
+    """Schedule lengths and the V_BG hold are counts, never truncated."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: LinearSchedule(2.7, 1.0),
+            lambda: ConstantSchedule(True, 1.0),
+            lambda: GeometricSchedule(3.5, 2.0, 1.0),
+            lambda: VbgStepSchedule(100.5),
+            lambda: VbgStepSchedule(100, hold=2.5),
+            lambda: VbgStepSchedule(100, hold=True),
+        ],
+    )
+    def test_truncating_counts_refused(self, build):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build()
+
+    def test_integral_floats_accepted(self):
+        assert LinearSchedule(10.0, 1.0).iterations == 10
+        assert VbgStepSchedule(100, hold=2.0).hold == 2
+
+    def test_scalar_reads_stay_in_range(self):
+        for schedule in (LinearSchedule(5, 1.0), VbgStepSchedule(5), _Sawtooth(5)):
+            with pytest.raises(IndexError):
+                schedule.temperature(5)
+            with pytest.raises(IndexError):
+                schedule.temperature(-1)
+
+    def test_base_schedule_needs_a_definition(self):
+        with pytest.raises(NotImplementedError):
+            Schedule(3).temperature(0)

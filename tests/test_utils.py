@@ -23,7 +23,7 @@ from repro.utils import (
     to_si,
 )
 from repro.utils.tables import render_series, render_table
-from repro.utils.validation import check_finite
+from repro.utils.validation import check_finite, check_initial
 
 
 class TestRng:
@@ -179,6 +179,23 @@ class TestValidation:
             check_spin_vector([1, 0, -1])
         with pytest.raises(ValueError):
             check_spin_vector([1, -1], n=3)
+
+    def test_check_initial(self):
+        """One start-state check for the batch, SB and serve boundaries."""
+        flat = np.array([1, -1, 1, 1], dtype=np.int8)
+        tiled = check_initial(flat, 3, 4)
+        assert tiled.dtype == np.float64 and tiled.shape == (3, 4)
+        assert np.array_equal(tiled, np.tile(flat, (3, 1)))
+        stack = -np.ones((2, 4))
+        assert np.array_equal(check_initial(stack, 2, 4), stack)
+        with pytest.raises(ValueError, match=r"\(4,\) or \(2, 4\), got \(3, 4\)"):
+            check_initial(np.ones((3, 4)), 2, 4)
+        with pytest.raises(ValueError, match=r"got \(5,\)"):
+            check_initial(np.ones(5), 2, 4)
+        bad = np.ones((2, 4))
+        bad[1, 2], bad[1, 3] = 0.5, 0.0
+        with pytest.raises(ValueError, match=r"must be ±1; replica 1 has .*0\.5\)? at spin 2"):
+            check_initial(bad, 2, 4)
 
     def test_check_square_symmetric(self):
         J = np.array([[0.0, 1.0], [1.0, 0.0]])

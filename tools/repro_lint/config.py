@@ -116,7 +116,9 @@ PLAN_SETUP_CALLS: frozenset[str] = frozenset(
 #: entry.  The batch-state protocol belongs to the one replica loop
 #: (``run_lanes``) and ``FlipSelector`` to the one sequential loop
 #: (``SequentialAnnealer.run``), so a second per-iteration loop of either
-#: kind cannot come back unnoticed.
+#: kind cannot come back unnoticed.  ``TiledCrossbar`` construction belongs
+#: to the one crossbar programming path (``compile_cim_program``), so no
+#: machine or plan programs a tile grid of its own.
 OWNED_CALLS: tuple[tuple[str, frozenset[str], str], ...] = (
     ("src/repro/core/plan.py", PLAN_SETUP_CALLS,
      "compile_plan()/resolve_layout()"),
@@ -125,6 +127,8 @@ OWNED_CALLS: tuple[tuple[str, frozenset[str], str], ...] = (
      "run_lanes() or a batch engine's run()"),
     ("src/repro/core/annealer.py", frozenset({"FlipSelector"}),
      "a SequentialAnnealer subclass's accept rule"),
+    ("src/repro/arch/cim_annealer.py", frozenset({"TiledCrossbar"}),
+     "compile_cim_program()"),
 )
 
 #: The API/CLI parity contracts (RPL006 + tests/test_api_cli_parity.py).

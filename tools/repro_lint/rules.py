@@ -550,9 +550,11 @@ class PlanOwnershipRule(Rule):
     e.g. a transparency test probing the fold itself).  The same
     ownership table (``OWNED_CALLS``) gives the batch-state protocol
     (``make_batch_state``/``batch_update_fields``) to
-    ``src/repro/core/batch.py``, home of the one replica loop, and
+    ``src/repro/core/batch.py``, home of the one replica loop,
     ``FlipSelector`` to ``src/repro/core/annealer.py``, home of the one
-    sequential loop.  Tests and benchmarks are exempt by design:
+    sequential loop, and ``TiledCrossbar`` construction to
+    ``src/repro/arch/cim_annealer.py``, home of the one crossbar
+    programming path.  Tests and benchmarks are exempt by design:
     asserting fold/strip semantics requires calling them.
     """
 
@@ -561,7 +563,8 @@ class PlanOwnershipRule(Rule):
     summary = (
         "owned primitives (solve setup: repro/core/plan.py; batch-state "
         "protocol: repro/core/batch.py; FlipSelector: "
-        "repro/core/annealer.py) are called only by their owner in "
+        "repro/core/annealer.py; TiledCrossbar: "
+        "repro/arch/cim_annealer.py) are called only by their owner in "
         "library code"
     )
 
