@@ -17,9 +17,10 @@ Wires the pieces together end-to-end:
 * :class:`CimMachine` is the one run loop of this machine and of the
   direct-E baselines (:mod:`repro.arch.baselines`): the inner annealer's
   hook writes each iteration's hardware activity (ADC conversions, mux
-  slots, driver toggles, settle time, BG DAC updates) into a per-run
+  slots, driver toggles, settle time, BG DAC level) into a per-run
   :class:`RunCounters` record, and the run books every counter series
-  into a :class:`~repro.arch.ledger.Ledger` once, at the end.
+  into a :class:`~repro.arch.ledger.Ledger` once, at the end (the BG
+  rail updates follow from the recorded levels, :func:`rail_updates`).
 
 The ``"behavioral"`` crossbar backend makes runs at the paper's full scale
 (3000 spins × 100 000 iterations) take seconds; the ``"device"`` backend
@@ -232,14 +233,33 @@ def compile_cim_program(
     )
 
 
+def rail_updates(levels: np.ndarray) -> np.ndarray:
+    """Reads that reprogram the BG rail, given each read's DAC level.
+
+    The rail is set on the first read and again whenever the level moves
+    more than 1e-12 from the level last set.  Only reads whose level
+    differs from the previous read's can do so, so the sequential test
+    walks those alone.
+    """
+    update = np.zeros(levels.size, dtype=bool)
+    update[0] = True
+    last = levels[0]
+    moved = np.flatnonzero(levels[1:] != levels[:-1]) + 1
+    for it, level in zip(moved.tolist(), levels[moved].tolist()):
+        if abs(level - last) > 1e-12:
+            update[it] = True
+            last = level
+    return update
+
+
 class RunCounters:
     """One run's per-iteration hardware counters, one zeroed array per name.
 
     A machine keeps the record and its inner annealer keeps the hook, a
     closure over the record: neither references the other, so a deleted
     machine is freed by reference counting alone.  :meth:`start` gives
-    every run fresh arrays; ``step`` and ``last`` are the hook's scratch
-    between calls (the next iteration, the last BG level it set).
+    every run fresh arrays and resets ``step``, the iteration the hook
+    writes next.
     """
 
     def __init__(self, **dtypes) -> None:
@@ -249,7 +269,6 @@ class RunCounters:
         for name, dtype in self._dtypes.items():
             setattr(self, name, np.zeros(iterations, dtype=dtype))
         self.step = 0
-        self.last = None
 
 
 class CimMachine:
@@ -458,14 +477,18 @@ class InSituCimAnnealer(CimMachine):
             encoder = VbgEncoder(self.factor, transfer=self.crossbar.factor)
         counters = self._counters = RunCounters(
             conversions=np.int64, slots=np.int64, codes=np.int64,
-            fg=np.int64, dl=np.int64, settle=np.float64, bg_update=bool,
+            fg=np.int64, dl=np.int64, settle=np.float64, vbg=np.float64,
         )
         crossbar, snap = self.crossbar, self.config.bg_dac.snap
+        # Requested level -> DAC level, filled once per distinct level.
+        rail: dict[float, float] = {}
 
         def evaluate(sigma, flips, sigma_r, sigma_c, v_bg) -> float:
-            v_bg = snap(v_bg)
+            level = rail.get(v_bg)
+            if level is None:
+                level = rail[v_bg] = snap(v_bg)
             value, stats = crossbar.compute_increment(
-                sigma_r, sigma_c, v_bg, validate=False
+                sigma_r, sigma_c, level, validate=False, flips=flips
             )
             it = counters.step
             counters.step = it + 1
@@ -475,9 +498,7 @@ class InSituCimAnnealer(CimMachine):
             counters.fg[it] = stats.fg_toggles
             counters.dl[it] = stats.dl_toggles
             counters.settle[it] = stats.settle_time
-            if counters.last is None or abs(v_bg - counters.last) > 1e-12:
-                counters.bg_update[it] = True
-                counters.last = v_bg
+            counters.vbg[it] = level
             return value
 
         # Costs are booked from the evaluator alone (no `iteration_hook`):
@@ -509,7 +530,7 @@ class InSituCimAnnealer(CimMachine):
         sa_energy = counters.codes * cfg.shift_add.energy_per_code
         fg_energy = counters.fg * cfg.fg_driver.energy_per_toggle
         dl_energy = counters.dl * cfg.dl_driver.energy_per_toggle
-        bg_update = counters.bg_update
+        bg_update = rail_updates(counters.vbg)
         updates = int(np.count_nonzero(bg_update))
         series = [
             ("adc", adc_energy, adc_time, counters.conversions),

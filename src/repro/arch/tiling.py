@@ -30,9 +30,12 @@ independent DG FeFET arrays:
   (one extra adder-tree level);
 * activity counters sum across tiles while the critical path takes the
   *maximum* slot count of any tile;
-* the grid owns the FG/DL drive state of every tile, so one evaluation is
-  a few array operations over the active tiles rather than a call per
-  tile.
+* the grid owns the FG/DL drive state of every tile in one
+  :class:`~repro.circuits.crossbar.LineState`, the kernel the monolithic
+  array also counts with.  It keeps per-row-block FG counts and per-tile
+  toggle counts up to date, so an annealer read that names its flip set
+  (``flips=``) costs O(t) line updates plus a closed form per active
+  tile, never a pass over the tiles' lines.
 
 The interface mirrors :class:`~repro.circuits.crossbar.DgFefetCrossbar`
 (``matrix_hat``, ``factor``, ``compute_increment``, ``programming_summary``)
@@ -44,12 +47,15 @@ must stay O(nnz) use :meth:`stored_model` instead of the dense
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from repro.circuits.crossbar import (
     PROGRAM_PULSE_ENERGY,
     ActivationStats,
     DgFefetCrossbar,
+    LineState,
     check_drive,
 )
 from repro.circuits.quantize import MatrixQuantizer
@@ -57,18 +63,6 @@ from repro.devices.constants import VBG_MAX
 from repro.ising.sparse import SparseIsingModel
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_choice, check_count, check_square_symmetric
-
-_ZERO_STATS = ActivationStats(
-    phases=0,
-    adc_conversions=0,
-    mux_slots=0,
-    sa_codes=0,
-    fg_toggles=0,
-    dl_toggles=0,
-    active_cells=0,
-    settle_time=0.0,
-)
-
 
 class TiledCrossbar:
     """A sparse grid of DG FeFET crossbar tiles storing one coupling matrix.
@@ -174,7 +168,7 @@ class TiledCrossbar:
         self._build_tile_index()
 
     def _build_tile_index(self) -> None:
-        """Per-tile arrays the vectorised :meth:`compute_increment` reads.
+        """The grid's :class:`LineState` over its tiles.
 
         Tile id ``k`` is the ``k``-th tile in (column block, row block)
         order, the order in which the per-tile path draws its noise.
@@ -183,28 +177,16 @@ class TiledCrossbar:
         keys = list(self._tiles)
         rc = np.array(keys, dtype=np.intp).reshape(-1, 2)
         order = np.lexsort((rc[:, 0], rc[:, 1]))
-        tile_row = rc[order, 0]
-        self._tile_col = rc[order, 1]
+        self._tile_row, self._tile_col = rc[order, 0], rc[order, 1]
         self._by_id = [self._tiles[keys[k]] for k in order.tolist()]
         # Columns one driven spin selects (bits × planes) and the ADCs
-        # serving the tile (DgFefetCrossbar._activation_stats).
-        self._group = self.bits * self._planes[order].astype(np.intp)
-        self._adcs = np.maximum(1, s * self._group // self._ref.adc.mux_ratio)
-        self._settle = self._ref.wire.settle_time(s)
-        # Gather indices of each tile's zero-padded row and column slices;
-        # the slots past n in a ragged last block are masked to zero.
-        slots = np.arange(self.grid * s).reshape(self.grid, s)
-        clipped = np.minimum(slots, max(self.n - 1, 0))
-        self._row_slots = clipped[tile_row]
-        self._col_slots = clipped[self._tile_col]
-        self._row_live: np.ndarray | None = None
-        self._col_live: np.ndarray | None = None
-        if self.n % s:
-            self._row_live = (slots < self.n)[tile_row]
-            self._col_live = (slots < self.n)[self._tile_col]
-        # FG (row) and DL (column) lines of every tile as last driven.
-        self._fg = np.zeros((len(order), s), dtype=np.int8)
-        self._dl = np.zeros((len(order), s), dtype=np.int8)
+        # serving each tile, as a monolithic array of side s counts them.
+        group = self.bits * self._planes[order].astype(np.intp)
+        self._lines = LineState(
+            self.n, s, self._tile_row, self._tile_col, group,
+            np.maximum(1, s * group // self._ref.adc.mux_ratio),
+            self._ref.wire.settle_time(s),
+        )
 
     def _block_bounds(self) -> list[tuple[int, int]]:
         return [
@@ -309,16 +291,16 @@ class TiledCrossbar:
         Mirrors :meth:`DgFefetCrossbar.reset_drive_state` across the
         grid so repeat anneals on one programmed plan bill their first
         activation like a cold machine: a parked line reads 0, so the
-        first activation counts every driven line as a toggle.
+        first activation counts every driven line as a toggle.  It also
+        ends a ``flips=`` chain.
         """
-        self._fg.fill(0)
-        self._dl.fill(0)
+        self._lines.reset()
 
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
     def compute_increment(
-        self, sigma_r, sigma_c, v_bg: float, validate: bool = True
+        self, sigma_r, sigma_c, v_bg: float, validate: bool = True, flips=None
     ) -> tuple[float, ActivationStats]:
         """Tile-parallel evaluation of ``σ_rᵀ Ĵ σ_c · f(V_BG)``.
 
@@ -335,47 +317,35 @@ class TiledCrossbar:
         keeps the factor inside every tile's analog read, as the physical
         rail does.
 
-        The cost is a few array operations over the active tiles: their
-        padded row/column slices are gathered into ``(tiles, s)`` blocks,
-        compared against the grid's drive state for the toggle counts,
-        and reduced to each tile's counters.  Ideal behavioral tiles read
-        their partial sums off the stored image's CSR rows; device tiles
-        and tiles with variation keep one read per tile.
+        The grid's :class:`~repro.circuits.crossbar.LineState` counts the
+        activity.  ``flips`` names the driven columns of an
+        annealer-protocol read (``σ_c`` nonzero exactly there, ``σ_r``
+        changed only there and at the previous read's flips): the read
+        then syncs only those lines, O(t) work however many tiles the
+        grid holds.  ``validate`` checks that contract with a full diff;
+        :meth:`reset_drive_state` ends the chain, and a read without
+        ``flips`` re-syncs the full vectors.  Ideal behavioral tiles read
+        their partial sums off the stored image's CSR rows, one row per
+        driven column in ascending order; device tiles and tiles with
+        variation keep one read per active tile, on its row and column
+        slices.
         """
         r = np.asarray(sigma_r, dtype=np.float64)
         c = np.asarray(sigma_c, dtype=np.float64)
         if validate:
             check_drive(r, c, self.n, v_bg)
-        driven = (c != 0.0).nonzero()[0]
-        # Driven columns per tile, via the column block each tile sits in.
-        per_tile = np.bincount(
-            driven // self.tile_size, minlength=self.grid
-        ).take(self._tile_col)
-        ids = per_tile.nonzero()[0]
-        if ids.size == 0:
-            # Nothing driven, or only structurally empty column blocks:
-            # no tile activates.
-            return 0.0, _ZERO_STATS
-        # Ids run column-major, so the tiles of one driven column block
-        # form a range: index it with a slice (views, not copies).
-        first, last = int(ids[0]), int(ids[-1])
-        tiles = slice(first, last + 1) if last - first < ids.size else ids
-        fg = r.take(self._row_slots[tiles]).astype(np.int8)
-        dl = c.take(self._col_slots[tiles]).astype(np.int8)
-        if self._row_live is not None:
-            fg *= self._row_live[tiles]
-            dl *= self._col_live[tiles]
-        stats = self._activate(tiles, fg, dl, per_tile[tiles])
+        cols, blocks, stats = self._lines.read(r, c, flips, validate)
         behavioral = self.backend == "behavioral"
         if self._per_tile:
             tile_vbg = VBG_MAX if behavioral else v_bg
+            lines = self._lines
             total = 0.0
-            for k, r_slice, c_slice in zip(
-                ids.tolist(), fg.astype(np.float64), dl.astype(np.float64)
-            ):
+            for k in lines.tiles(blocks):
+                r_slice = lines.fg_blocks[self._tile_row[k]].astype(np.float64)
+                c_slice = lines.dl_blocks[self._tile_col[k]].astype(np.float64)
                 total += self._by_id[k].sense(r_slice, c_slice, tile_vbg)
         else:
-            total = self._stored_value(r, c, driven)
+            total = self._stored_value(r, c, cols)
         if behavioral:
             total *= self.factor(v_bg)
         return total, stats
@@ -390,44 +360,10 @@ class TiledCrossbar:
         """
         indptr, indices, data = self._csr
         total = 0.0
-        for j, c_j in zip(driven.tolist(), c.take(driven).tolist()):
+        for j in driven:
             lo, hi = indptr[j], indptr[j + 1]
-            total += c_j * float(data[lo:hi] @ r.take(indices[lo:hi]))
+            total += float(c[j]) * float(data[lo:hi] @ r.take(indices[lo:hi]))
         return total
-
-    def _activate(self, tiles, fg, dl, driven) -> ActivationStats:
-        """Counters of ``tiles`` driven with ``fg`` rows and ``dl`` columns.
-
-        ``driven`` counts the driven columns of each tile.  Per tile the
-        counters are the closed forms of
-        :meth:`DgFefetCrossbar._activation_stats`; the tiles sense in
-        parallel, so conversions, codes, toggles and cells add up while
-        phases, slots and settling take the slowest tile.  Toggles are
-        counted against the grid's drive state, which then takes the new
-        drive.
-        """
-        fg_toggles = int(np.count_nonzero(fg != self._fg[tiles]))
-        dl_toggles = int(np.count_nonzero(dl != self._dl[tiles]))
-        self._fg[tiles] = fg
-        self._dl[tiles] = dl
-        rows_on = np.add.reduce(fg != 0, axis=1)
-        # One phase per row sign present; both signs iff |Σ σ_r| < rows_on.
-        phases = 1 + (np.abs(np.add.reduce(fg, axis=1)) < rows_on)
-        columns = driven * self._group[tiles]
-        # At least one column is driven, so every tile needs ≥ 1 slot.
-        slots = phases * -(-columns // self._adcs[tiles])
-        conversions = int(phases @ columns)
-        top = int(phases.max())
-        return ActivationStats(
-            phases=top,
-            adc_conversions=conversions,
-            mux_slots=int(slots.max()),
-            sa_codes=conversions,
-            fg_toggles=fg_toggles,
-            dl_toggles=dl_toggles,
-            active_cells=int(rows_on @ columns),
-            settle_time=top * self._settle,
-        )
 
     def matvec(self, x, validate: bool = True) -> np.ndarray:
         """Digitally-combined behavioral MVM ``Ĵ x`` over the tile grid.
@@ -497,7 +433,12 @@ class TiledCrossbar:
         tiles (rows/columns beyond ``n``) are never written, so neither
         inflates the totals.  Tiles add up in row-major order.  ``tiles``
         / ``grid_tiles`` report the sharded geometry alongside the cost.
+        Summed once per grid; each call returns a fresh copy.
         """
+        return dict(self._programming)
+
+    @cached_property
+    def _programming(self) -> dict[str, float]:
         totals = {
             "cells": 0.0,
             "programmed_ones": self._ones,

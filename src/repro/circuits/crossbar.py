@@ -24,12 +24,16 @@ Two backends:
   device-level tests/ablations and small-array examples.
 
 Both backends report identical :class:`ActivationStats`, which the
-architecture layer converts into energy and latency.
+architecture layer converts into energy and latency.  They come from
+:class:`LineState`, the one activation-counter kernel of the monolithic
+array (a grid of one tile) and of the tiled grid
+(:class:`~repro.arch.tiling.TiledCrossbar`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -99,6 +103,184 @@ class ActivationStats:
     dl_toggles: int
     active_cells: int
     settle_time: float
+
+
+class LineState:
+    """FG/DL line state of a grid of tiles and the counters of one read.
+
+    The one activation-counter kernel of both arrays.  A
+    :class:`~repro.arch.tiling.TiledCrossbar` numbers its ``block``-row
+    tiles column block by column block; a tile activates when a column of
+    its block is driven.  A :class:`DgFefetCrossbar` is one ``n``-row
+    tile that senses on every read (``always``).  The state: the FG lines;
+    per column block, the DL lines its tiles last drove and the driven
+    columns of that drive (its tiles activate together); per row block,
+    the count and the sum of the driven FG lines; per tile, its last FG
+    drive and how many FG lines differ from it.  A read syncs only the
+    lines that changed, and the counters follow in closed form: one phase
+    per FG sign present (both iff ``|Σ FG| < rows-on``), ``d`` driven
+    columns select ``d · group`` array columns, each converted once per
+    phase by ``adcs`` ADCs (one slot at least), ``rows-on`` cells per
+    selected column.  Tiles sense in parallel, so conversions, codes,
+    toggles and cells add up while phases, slots and settling take the
+    slowest tile.
+
+    ``tile_row``/``tile_col`` give every tile's blocks in id order,
+    ``group`` its array columns per driven column (bits × planes),
+    ``adcs`` its ADC count; ``settle`` is the settling time per phase.
+    """
+
+    def __init__(
+        self, n, block, tile_row, tile_col, group, adcs, settle, always=False
+    ) -> None:
+        self.n, self.block, self._settle, self._always = n, block, settle, always
+        grid = max(1, -(-n // block))  # a zero-size array still has its tile
+        self._row = np.asarray(tile_row, dtype=np.intp)
+        self._rows = self._row.tolist()
+        self._group = np.asarray(group).tolist()
+        self._adcs = np.asarray(adcs).tolist()
+        # Tile ids run column block by column block: one range per block.
+        bounds = np.searchsorted(tile_col, np.arange(grid + 1)).tolist()
+        self._ranges = list(zip(bounds[:-1], bounds[1:]))
+        self._row_tiles: list[list[int]] = [[] for _ in range(grid)]
+        for k, b in enumerate(self._rows):
+            self._row_tiles[b].append(k)
+        self._fg = np.zeros(grid * block, dtype=np.int8)
+        self._dl = np.zeros(grid * block, dtype=np.int8)
+        self.fg_blocks = self._fg.reshape(grid, block)
+        self.dl_blocks = self._dl.reshape(grid, block)
+        self._snap = np.zeros((len(self._rows), block), dtype=np.int8)
+        self.reset()
+
+    def reset(self) -> None:
+        """Park every line; the next read re-syncs the full vectors."""
+        grid = len(self._ranges)
+        for lines in (self._fg, self._dl, self._snap):
+            lines.fill(0)
+        self._on, self._sum = [0] * grid, [0] * grid
+        self._diff = [0] * len(self._rows)
+        self._dl_cols: list = [()] * grid
+        # The previous read's driven columns; None ends the flips= chain.
+        self._prev: list | None = None
+
+    def tiles(self, blocks) -> list[int]:
+        """Ids of the tiles of column blocks ``blocks``, in id order."""
+        return [k for cb in blocks for k in range(*self._ranges[cb])]
+
+    def read(self, r, c, flips=None, validate=False):
+        """Drive ``r``/``c``; return ``(cols, blocks, stats)``.
+
+        ``cols`` are the driven columns, ascending, and ``blocks`` the
+        column blocks whose tiles activated.  With ``flips`` (the driven
+        columns) only the FG lines of the previous and the current flip
+        set are synced: ``c`` must be nonzero exactly at ``flips`` and
+        ``r`` may differ from the previous read only at those rows, which
+        ``validate`` checks with a full diff.  Without ``flips``, or after
+        :meth:`reset`, the FG lines are re-synced from the full vector.
+        """
+        if flips is None:
+            cols = np.flatnonzero(c).tolist()
+        else:
+            cols = sorted(np.asarray(flips).tolist())
+            if validate:
+                self._check_chain(r, c, cols)
+        if flips is None or self._prev is None:
+            self._fg[: self.n] = r
+            blocks = self.fg_blocks
+            self._on = np.count_nonzero(blocks, axis=1).tolist()
+            self._sum = blocks.sum(axis=1).tolist()
+            self._diff = np.count_nonzero(
+                self._snap != blocks[self._row], axis=1
+            ).tolist()
+        else:
+            self._sync_rows(r, self._prev + cols)
+        self._prev = cols
+        return (cols, *self._activate(c, cols))
+
+    def _check_chain(self, r, c, cols) -> None:
+        if not np.array_equal(np.flatnonzero(c), cols):
+            raise ValueError(
+                "flips must list each driven column of sigma_c exactly once"
+            )
+        if self._prev is not None:
+            moved = np.flatnonzero(self._fg[: self.n] != r).tolist()
+            if not set(moved) <= set(self._prev).union(cols):
+                raise ValueError(
+                    "with flips=, sigma_r may change only at the previous "
+                    "and the current flip set; call without flips= (or "
+                    "reset_drive_state()) to re-sync the full vectors"
+                )
+
+    def _sync_rows(self, r, rows) -> None:
+        """Move the FG lines of ``rows`` to ``r`` and update the counts."""
+        fg, snap, diff = self._fg, self._snap, self._diff
+        on, total, s = self._on, self._sum, self.block
+        for i in rows:
+            new, old = int(r[i]), int(fg[i])
+            if new == old:
+                continue
+            fg[i] = new
+            b, off = divmod(i, s)
+            on[b] += (new != 0) - (old != 0)
+            total[b] += new - old
+            for k in self._row_tiles[b]:
+                last = snap[k, off]
+                if last == old:
+                    diff[k] += 1
+                elif last == new:
+                    diff[k] -= 1
+
+    def _activate(self, c, cols):
+        """Drive the DL lines of the blocks of ``cols``; count their tiles.
+
+        A block's DL lines are nonzero only at the columns of its last
+        drive, so those and ``cols`` are the only lines that can move.
+        The active tiles' FG drives become their last.
+        """
+        s, dl, rows, group = self.block, self._dl, self._rows, self._group
+        on, total, diff, snap = self._on, self._sum, self._diff, self._snap
+        by_block: dict[int, list[int]] = {0: []} if self._always else {}
+        for j in cols:
+            by_block.setdefault(j // s, []).append(j)
+        top = conversions = cells = slots = fg_toggles = dl_toggles = 0
+        blocks = []
+        for cb, driven in by_block.items():
+            lo, hi = self._ranges[cb]
+            if lo == hi:
+                continue  # a structurally empty column block: no tile
+            blocks.append(cb)
+            for j in set(self._dl_cols[cb]).union(driven):
+                line = int(c[j])
+                if line != dl[j]:
+                    dl_toggles += hi - lo
+                    dl[j] = line
+            self._dl_cols[cb] = driven
+            for k in range(lo, hi):
+                b = rows[k]
+                rows_on = on[b]
+                phases = 2 if abs(total[b]) < rows_on else 1
+                columns = len(driven) * group[k]
+                conversions += phases * columns
+                cells += rows_on * columns
+                slot = phases * (-(-columns // self._adcs[k]) or 1)
+                if slot > slots:
+                    slots = slot
+                if phases > top:
+                    top = phases
+                if diff[k]:
+                    fg_toggles += diff[k]
+                    diff[k] = 0
+                    snap[k] = self.fg_blocks[b]
+        return blocks, ActivationStats(
+            phases=top,
+            adc_conversions=conversions,
+            mux_slots=slots,
+            sa_codes=conversions,
+            fg_toggles=fg_toggles,
+            dl_toggles=dl_toggles,
+            active_cells=cells,
+            settle_time=top * self._settle,
+        )
 
 
 class DgFefetCrossbar:
@@ -210,9 +392,17 @@ class DgFefetCrossbar:
             else:
                 self._weight_error = None
 
-        # Driver-state memory for toggle accounting.
-        self._last_fg: np.ndarray | None = None
-        self._last_dl: np.ndarray | None = None
+        # Column j of Ĵ read as row j of Ĵᵀ: a contiguous row of the image
+        # itself when it is symmetric (a tile's off-diagonal block is not).
+        symmetric = np.array_equal(self.matrix_hat, self.matrix_hat.T)
+        self._columns = self.matrix_hat if symmetric else self.matrix_hat.T
+        # The whole array is one tile that senses on every read.
+        group = self.bits * self._planes_used
+        self._lines = LineState(
+            self.n, max(self.n, 1), [0], [0], [group],
+            [max(1, self.n * group // self.adc.mux_ratio)],
+            self.wire.settle_time(self.n), always=True,
+        )
         self._factor_cache: dict[float, float] = {}
 
     @property
@@ -256,7 +446,7 @@ class DgFefetCrossbar:
     # Evaluations
     # ------------------------------------------------------------------
     def compute_increment(
-        self, sigma_r, sigma_c, v_bg: float, validate: bool = True
+        self, sigma_r, sigma_c, v_bg: float, validate: bool = True, flips=None
     ) -> tuple[float, ActivationStats]:
         """Evaluate ``σ_rᵀ Ĵ σ_c · f(V_BG)`` in-situ.
 
@@ -265,14 +455,23 @@ class DgFefetCrossbar:
         counters of the evaluation.  ``validate=False`` skips the input
         checks (the annealer machines call this once per iteration with
         vectors they construct themselves).
+
+        ``flips`` names the driven columns of an annealer-protocol read:
+        ``σ_c`` is nonzero exactly there, and ``σ_r`` differs from the
+        previous read's only there and at the previous read's flips.
+        The counters then sync just those lines (:class:`LineState`),
+        and the driven columns are read as rows of ``Ĵᵀ`` in ascending
+        order, the column product of a full read.  With ``validate``
+        the contract is checked with a full diff;
+        :meth:`reset_drive_state` ends the chain, and a read without
+        ``flips`` re-syncs the full vectors.
         """
         r = np.asarray(sigma_r, dtype=np.float64)
         c = np.asarray(sigma_c, dtype=np.float64)
         if validate:
             check_drive(r, c, self.n, v_bg)
-        value = self.sense(r, c, v_bg)
-        stats = self._activation_stats(r, c)
-        return value, stats
+        cols, _, stats = self._lines.read(r, c, flips, validate)
+        return self._value(r, c, v_bg, cols), stats
 
     def sense(self, r: np.ndarray, c: np.ndarray, v_bg: float) -> float:
         """The sensed value of :meth:`compute_increment` alone.
@@ -282,9 +481,12 @@ class DgFefetCrossbar:
         and counters of its tiles itself and asks each tile only for its
         analog read.
         """
+        return self._value(r, c, v_bg, np.flatnonzero(c))
+
+    def _value(self, r, c, v_bg, cols) -> float:
         if self.backend == "behavioral":
-            return self._behavioral_value(r, c, v_bg)
-        return self._device_value(r, c, v_bg)
+            return self._behavioral_value(r, c, v_bg, cols)
+        return self._device_value(r, c, v_bg, cols)
 
     def compute_quadratic(self, sigma, v_bg: float = VBG_MAX) -> tuple[float, ActivationStats]:
         """Evaluate the full quadratic form ``σᵀ Ĵ σ`` (direct-E baselines).
@@ -299,15 +501,17 @@ class DgFefetCrossbar:
     # ------------------------------------------------------------------
     # Backends
     # ------------------------------------------------------------------
-    def _behavioral_value(self, r: np.ndarray, c: np.ndarray, v_bg: float) -> float:
+    def _behavioral_value(self, r, c, v_bg: float, cols) -> float:
         # Only the driven columns contribute; slicing keeps the cost at
-        # O(n·|F|) per evaluation, matching the physical activation.
-        cols = np.flatnonzero(c)
-        if cols.size == 0:
+        # O(n·|F|) per evaluation, matching the physical activation.  The
+        # transposed row read is the (n, |F|) column block, in the same
+        # memory order as a column gather, so the products are too.
+        if len(cols) == 0:
             return 0.0
-        block = self.matrix_hat[:, cols]
+        block = self._columns[cols].T
         if self._weight_error is not None:
-            block = block * (1.0 + self._weight_error[:, cols])
+            # Symmetric by construction: its rows are its columns.
+            block = block * (1.0 + self._weight_error[cols].T)
         value = float(r @ (block @ c[cols])) * self.factor(v_bg)
         if self.variation.read_noise_sigma > 0.0:
             value = float(
@@ -315,8 +519,8 @@ class DgFefetCrossbar:
             )
         return value
 
-    def _device_value(self, r: np.ndarray, c: np.ndarray, v_bg: float) -> float:
-        active_cols = np.flatnonzero(c)
+    def _device_value(self, r, c, v_bg: float, cols) -> float:
+        active_cols = np.asarray(cols, dtype=np.intp)
         if active_cols.size == 0:
             return 0.0
         col_sign = c[active_cols]
@@ -355,54 +559,15 @@ class DgFefetCrossbar:
             total += row_sign * phase_value
         return total * self.quantized.lsb
 
-    # ------------------------------------------------------------------
-    # Activity accounting
-    # ------------------------------------------------------------------
-    def _activation_stats(self, r: np.ndarray, c: np.ndarray) -> ActivationStats:
-        phases = int((r == 1).any()) + int((r == -1).any())
-        phases = max(phases, 1)
-        active_groups = int(np.count_nonzero(c))
-        conversions = phases * active_groups * self.bits * self._planes_used
-        total_columns = self.n * self.bits * self._planes_used
-        num_adcs = max(1, total_columns // self.adc.mux_ratio)
-        active_columns = active_groups * self.bits * self._planes_used
-        slots = phases * max(1, -(-active_columns // num_adcs))  # ceil div
-        active_cells = phases and int(np.count_nonzero(r)) * active_columns
-        fg_now = r.astype(np.int8)
-        dl_now = c.astype(np.int8)
-        fg_toggles = (
-            int(np.count_nonzero(fg_now != self._last_fg))
-            if self._last_fg is not None
-            else int(np.count_nonzero(fg_now))
-        )
-        dl_toggles = (
-            int(np.count_nonzero(dl_now != self._last_dl))
-            if self._last_dl is not None
-            else int(np.count_nonzero(dl_now))
-        )
-        self._last_fg = fg_now
-        self._last_dl = dl_now
-        return ActivationStats(
-            phases=phases,
-            adc_conversions=conversions,
-            mux_slots=slots,
-            sa_codes=conversions,
-            fg_toggles=fg_toggles,
-            dl_toggles=dl_toggles,
-            active_cells=int(active_cells),
-            settle_time=phases * self.wire.settle_time(self.n),
-        )
-
     def reset_drive_state(self) -> None:
         """Forget the driver-toggle memory (fresh-run line state).
 
         A shared programmed array serves many anneal runs; each run
         starts with every FG/DL line parked, so the first activation must
         be billed as toggling from scratch rather than diffed against the
-        previous run's final line state.
+        previous run's final line state.  It also ends a ``flips=`` chain.
         """
-        self._last_fg = None
-        self._last_dl = None
+        self._lines.reset()
 
     # ------------------------------------------------------------------
     # Programming cost
@@ -412,8 +577,14 @@ class DgFefetCrossbar:
 
         Every cell receives one program-or-erase pulse; '1' cells get the
         set pulse.  Reported so the architecture ledger can show the (tiny,
-        amortised) write cost next to the per-iteration read costs.
+        amortised) write cost next to the per-iteration read costs.  The
+        image is immutable, so its cells are counted once, on the first
+        call; each call returns a fresh copy.
         """
+        return dict(self._programming)
+
+    @cached_property
+    def _programming(self) -> dict[str, float]:
         total_cells = 2 * self.bits * self.n * self.n
         ones = self.quantized.cell_count()
         return {

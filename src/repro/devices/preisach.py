@@ -24,7 +24,7 @@ from repro.devices.constants import (
     DEFAULT_PROGRAM_WIDTH,
     SATURATION_POLARIZATION,
 )
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_count, check_positive
 
 
 class PreisachFerroelectric:
@@ -66,13 +66,14 @@ class PreisachFerroelectric:
         check_positive("v_span", v_span)
         check_positive("saturation_polarization", saturation_polarization)
         check_positive("reference_pulse_width", reference_pulse_width)
-        if grid_points < 8:
-            raise ValueError("grid_points must be at least 8")
+        self.grid_points = check_count(
+            "grid_points", grid_points, minimum=8,
+            hint="the Preisach triangle needs an 8-point grid or finer",
+        )
         if nls_kt < 0:
             raise ValueError("nls_kt must be >= 0")
         self.coercive_voltage = float(coercive_voltage)
         self.sigma = float(sigma)
-        self.grid_points = int(grid_points)
         self.v_span = float(v_span)
         self.saturation_polarization = float(saturation_polarization)
         self.nls_kt = float(nls_kt)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.ising.qubo import QuboModel
+from repro.utils.validation import check_count
 
 
 def _slack_coefficients(capacity: int) -> np.ndarray:
@@ -74,9 +75,7 @@ class KnapsackProblem:
             raise ValueError("values and weights must be equal-length 1-D arrays")
         if np.any(v <= 0) or np.any(w <= 0):
             raise ValueError("values and weights must be positive")
-        if int(self.capacity) < 0:
-            raise ValueError("capacity must be non-negative")
-        self.capacity = int(self.capacity)
+        self.capacity = check_count("capacity", self.capacity, minimum=0)
         self._values = v
         self._weights = w
         self._slack = _slack_coefficients(self.capacity)

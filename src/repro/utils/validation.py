@@ -260,11 +260,11 @@ def check_initial(initial, replicas: int, n: int) -> np.ndarray:
         )
     bad = ~np.isin(sigma, (-1.0, 1.0))
     if bad.any():
-        r, j = np.argwhere(bad)[0]
+        r, j = np.argwhere(bad)[0].tolist()
         raise ValueError(
             f"initial entries must be ±1; replica {r} has "
-            f"{sigma[r, j]!r} at spin {j} (a non-spin value would corrupt "
-            f"the cached local fields and return wrong energies)"
+            f"{float(sigma[r, j])} at spin {j} (a non-spin value would "
+            f"corrupt the cached local fields and return wrong energies)"
         )
     return sigma
 

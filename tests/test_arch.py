@@ -18,8 +18,9 @@ from repro.arch import (
     InSituCimAnnealer,
     Ledger,
 )
+from repro.arch.cim_annealer import compile_cim_program, rail_updates
 from repro.circuits.crossbar import PROGRAM_PULSE_ENERGY
-from repro.circuits.quantize import MatrixQuantizer
+from repro.circuits.quantize import MatrixQuantizer, QuantizedMatrix
 from repro.core import DirectEAnnealer, LinearSchedule
 from repro.ising import IsingModel, MaxCutProblem
 from repro.utils.rng import ensure_rng
@@ -205,6 +206,27 @@ class TestInSituMachine:
         assert result.energy == fresh.energy
         assert result.time == fresh.time
 
+    def test_program_cells_counted_once_per_image(self, problem, monkeypatch):
+        """Repeat runs on one program book equal ``program`` entries.
+
+        The stored image is immutable, so its '1' cells are counted on
+        the first run's booking only.
+        """
+        counted = []
+        cell_count = QuantizedMatrix.cell_count
+
+        def counting(quantized):
+            counted.append(quantized)
+            return cell_count(quantized)
+
+        monkeypatch.setattr(QuantizedMatrix, "cell_count", counting)
+        program = compile_cim_program(problem.to_ising())
+        machine = InSituCimAnnealer(program=program, seed=1)
+        first, second = machine.run(50), machine.run(80)
+        assert first.ledger.entries["program"] == second.ledger.entries["program"]
+        assert first.programming_energy == second.programming_energy > 0
+        assert len(counted) == 1
+
     def test_per_iteration_cost_flat_in_n(self):
         """The O(n) claim: per-iteration sensing cost ≈ independent of n."""
         costs = []
@@ -214,6 +236,28 @@ class TestInSituMachine:
             adc = res.ledger.entries["adc"]
             costs.append(adc.energy / 200)
         assert costs[1] == pytest.approx(costs[0], rel=0.05)
+
+
+class TestRailUpdates:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(st.sampled_from([0.0, 4e-13, 0.01, -0.01]), st.integers(1, 4)),
+            min_size=1, max_size=30,
+        )
+    )
+    def test_matches_the_per_read_test(self, steps):
+        """Sub-1e-12 drifts accumulate against the level last set."""
+        levels, level = [], 0.35
+        for move, hold in steps:
+            level += move
+            levels += [level] * hold
+        want, last = [], None
+        for v in levels:
+            want.append(last is None or abs(v - last) > 1e-12)
+            if want[-1]:
+                last = v
+        assert rail_updates(np.array(levels)).tolist() == want
 
 
 class TestDirectEMachine:

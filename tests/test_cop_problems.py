@@ -211,6 +211,15 @@ class TestKnapsack:
         with pytest.raises(ValueError):
             KnapsackProblem(np.array([1.0, 2.0]), np.array([1.0]), 3)
 
+    @pytest.mark.parametrize("capacity", [10.9, True, -1])
+    def test_capacity_is_a_count(self, capacity):
+        """A fractional or bool capacity used to truncate (10.9 ran as 10)."""
+        items = (np.array([1.0, 2.0]), np.array([1.0, 3.0]))
+        with pytest.raises(ValueError, match="capacity"):
+            KnapsackProblem(*items, capacity)
+        assert KnapsackProblem(*items, 10.0).capacity == 10
+        assert KnapsackProblem(*items, 0).capacity == 0
+
     def test_solver_finds_good_solution(self):
         prob = KnapsackProblem.random(8, seed=2)
         model = prob.to_qubo().to_ising()

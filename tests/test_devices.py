@@ -131,6 +131,13 @@ class TestPreisach:
         with pytest.raises(ValueError):
             fe.reset(0)
 
+    @pytest.mark.parametrize("grid_points", [10.7, True, 7])
+    def test_grid_points_is_a_count(self, grid_points):
+        """A fractional or bool grid used to truncate (10.7 ran as 10)."""
+        with pytest.raises(ValueError, match="grid_points"):
+            PreisachFerroelectric(grid_points=grid_points)
+        assert PreisachFerroelectric(grid_points=10.0).grid_points == 10
+
 
 class TestFeFET:
     def test_program_states_split_by_memory_window(self):

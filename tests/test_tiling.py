@@ -770,6 +770,218 @@ class TestPerTileReference:
             sigma[flips] *= -1.0
 
 
+# ----------------------------------------------------------------------
+# Drive-sequence harness: the line-state kernel against full-vector counters
+# ----------------------------------------------------------------------
+def full_vector_stats(array, r, c, last):
+    """One array's counters from its whole drive vectors, as oracle.
+
+    The counter formulas the monolithic crossbar evaluated on every read
+    before its line state existed, for ``array``'s bits, planes, ADC mux
+    and wire.  ``last`` is the ``(fg, dl)`` drive of the previous read,
+    ``None`` for parked lines; returns the counters and the new drive.
+    """
+    n = r.size
+    bits, planes = array.bits, array.planes
+    phases = int((r == 1).any()) + int((r == -1).any())
+    phases = max(phases, 1)
+    active_groups = int(np.count_nonzero(c))
+    conversions = phases * active_groups * bits * planes
+    total_columns = n * bits * planes
+    num_adcs = max(1, total_columns // array.adc.mux_ratio)
+    active_columns = active_groups * bits * planes
+    slots = phases * max(1, -(-active_columns // num_adcs))  # ceil div
+    active_cells = phases and int(np.count_nonzero(r)) * active_columns
+    fg_now = r.astype(np.int8)
+    dl_now = c.astype(np.int8)
+    if last is None:
+        fg_toggles = int(np.count_nonzero(fg_now))
+        dl_toggles = int(np.count_nonzero(dl_now))
+    else:
+        fg_toggles = int(np.count_nonzero(fg_now != last[0]))
+        dl_toggles = int(np.count_nonzero(dl_now != last[1]))
+    stats = ActivationStats(
+        phases=phases,
+        adc_conversions=conversions,
+        mux_slots=slots,
+        sa_codes=conversions,
+        fg_toggles=fg_toggles,
+        dl_toggles=dl_toggles,
+        active_cells=int(active_cells),
+        settle_time=phases * array.wire.settle_time(n),
+    )
+    return stats, (fg_now, dl_now)
+
+
+class FullVectorLines:
+    """Counters of a monolithic array or a grid from whole drive vectors.
+
+    Every active tile — the monolithic array on every read, the tiles of
+    a driven column block on a grid — is read through
+    :func:`full_vector_stats` on its zero-padded slices, against its own
+    drive memory; tiles combine as they sense, in parallel.
+    """
+
+    def __init__(self, crossbar):
+        self.always = isinstance(crossbar, DgFefetCrossbar)
+        if self.always:
+            self.side, self.tiles = crossbar.n, {(0, 0): crossbar}
+        else:
+            grid = range(crossbar.grid)
+            self.side = crossbar.tile_size
+            self.tiles = {
+                (bi, bj): tile
+                for bi in grid
+                for bj in grid
+                if (tile := crossbar.tile_at(bi, bj)) is not None
+            }
+        self.reset()
+
+    def reset(self):
+        self.last = {}
+
+    def read(self, r, c):
+        s = self.side
+        driven = set((np.flatnonzero(c) // s).tolist())
+        phases = conversions = slots = codes = fg = dl = cells = 0
+        settle = 0.0
+        for (bi, bj), tile in self.tiles.items():
+            if not (self.always or bj in driven):
+                continue
+            r_slice, c_slice = np.zeros(s), np.zeros(s)
+            rows, cols = r[bi * s:(bi + 1) * s], c[bj * s:(bj + 1) * s]
+            r_slice[: rows.size], c_slice[: cols.size] = rows, cols
+            stats, self.last[bi, bj] = full_vector_stats(
+                tile, r_slice, c_slice, self.last.get((bi, bj))
+            )
+            phases = max(phases, stats.phases)
+            conversions += stats.adc_conversions
+            slots = max(slots, stats.mux_slots)
+            codes += stats.sa_codes
+            fg += stats.fg_toggles
+            dl += stats.dl_toggles
+            cells += stats.active_cells
+            settle = max(settle, stats.settle_time)
+        return ActivationStats(
+            phases, conversions, slots, codes, fg, dl, cells, settle
+        )
+
+
+def column_product(image, r, c, factor):
+    """``rᵀ Ĵ c · f`` by gathering the driven columns of ``Ĵ``."""
+    cols = np.flatnonzero(c)
+    if cols.size == 0:
+        return 0.0
+    return float(r @ (image[:, cols] @ c[cols])) * factor
+
+
+def drive_script(seed, n, t, steps=36):
+    """Reads, resets and full-vector reads of a random annealer protocol.
+
+    Protocol reads drive ``σ_r`` (σ with the flip set deselected) and
+    ``σ_c`` (−σ on the flip set, unsorted) and flip σ on a random accept;
+    some repeat, some drive no column at all.  Interleaved are drive
+    resets and full-vector reads of ``(σ, σ)``, which drive every column.
+    """
+    rng = ensure_rng(seed)
+    sigma = rng.choice([-1.0, 1.0], n)
+    events = []
+    for _ in range(steps):
+        u = rng.random()
+        v_bg = float(rng.uniform(0.05, 0.7))
+        if u < 0.08:
+            events.append(("reset",))
+            continue
+        if u < 0.16:
+            events.append(("full", sigma.copy(), sigma.copy(), None, v_bg))
+            continue
+        size = 0 if u < 0.22 else t
+        flips = rng.choice(n, size=size, replace=False)
+        c = np.zeros(n)
+        c[flips] = -sigma[flips]
+        r = sigma.copy()
+        r[flips] = 0.0
+        for _ in range(1 + (rng.random() < 0.15)):
+            events.append(("read", r, c, flips, v_bg))
+        if rng.random() < 0.5:
+            sigma[flips] *= -1.0
+    return events
+
+
+class TestDriveSequences:
+    @relaxed
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(20, 60),
+        tile=st.sampled_from([5, 7, 8, 16]),
+        t=st.sampled_from([1, 2, 3]),
+    )
+    def test_both_arrays_match_full_vector_counters(self, seed, n, tile, t):
+        """Every counter and value of both arrays, read by read.
+
+        Each script runs twice on fresh arrays: with ``flips=`` (the
+        line state syncs only the flipped lines) and without (full
+        re-syncs).  Ragged last blocks, structurally empty column
+        blocks, empty drives, resets and full-vector reads all occur.
+        """
+        model = block_sparse_model(seed, n=n, tile=tile)
+        script = drive_script(seed + 1, n, t)
+        for use_flips in (True, False):
+            tiled = TiledCrossbar(model, tile_size=tile, seed=0)
+            mono = DgFefetCrossbar(tiled.matrix_hat, seed=0)
+            arrays = [(xb, FullVectorLines(xb)) for xb in (mono, tiled)]
+            for kind, *drive in script:
+                if kind == "reset":
+                    for xb, ref in arrays:
+                        xb.reset_drive_state()
+                        ref.reset()
+                    park_tiles(tiled)
+                    continue
+                r, c, flips, v_bg = drive
+                if not use_flips:
+                    flips = None
+                want_value = column_product(mono.matrix_hat, r, c, mono.factor(v_bg))
+                for xb, ref in arrays:
+                    value, stats = xb.compute_increment(r, c, v_bg, flips=flips)
+                    assert stats == ref.read(r, c)
+                    assert value == want_value
+                assert (value, stats) == per_tile_increment(tiled, r, c, v_bg)
+
+    def test_monolithic_empty_drive(self):
+        """No driven column: the array still senses one slot per phase."""
+        model = block_sparse_model(2, n=20, tile=8)
+        mono = DgFefetCrossbar(TiledCrossbar(model, tile_size=8).matrix_hat)
+        sigma = np.where(np.arange(20) % 3, 1.0, -1.0)
+        _, stats = mono.compute_increment(sigma, np.zeros(20), 0.5, flips=[])
+        assert stats == ActivationStats(2, 0, 2, 0, 20, 0, 0, 2 * mono.wire.settle_time(20))
+        empty = DgFefetCrossbar(np.zeros((0, 0)))
+        value, stats = empty.compute_increment(np.zeros(0), np.zeros(0), 0.5)
+        assert (value, stats) == (0.0, ActivationStats(1, 0, 1, 0, 0, 0, 0, 0.0))
+
+    @pytest.mark.parametrize("array", ["monolithic", "tiled"])
+    def test_validate_checks_the_flips_contract(self, array):
+        """A read that breaks the ``flips=`` contract raises, unchanged."""
+        model = block_sparse_model(4, n=24, tile=8)
+        tiled = TiledCrossbar(model, tile_size=8)
+        xb = tiled if array == "tiled" else DgFefetCrossbar(tiled.matrix_hat)
+        sigma = np.ones(24)
+        r, c = sigma.copy(), np.zeros(24)
+        r[3], c[3] = 0.0, -1.0
+        xb.compute_increment(r, c, 0.5, flips=[3])
+        with pytest.raises(ValueError, match="driven column"):
+            xb.compute_increment(r, c, 0.5, flips=[3, 4])
+        moved = r.copy()
+        moved[10] = -1.0  # outside the previous and current flip sets
+        with pytest.raises(ValueError, match="previous and the current flip set"):
+            xb.compute_increment(moved, c, 0.5, flips=[3])
+        # Without validation the caller vouches for the contract; after a
+        # reset the chain restarts from a full re-sync.
+        xb.reset_drive_state()
+        _, stats = xb.compute_increment(moved, c, 0.5, flips=[3])
+        ref = FullVectorLines(xb)
+        assert stats == ref.read(moved, c)
+
+
 class TestLedgerSeries:
     @relaxed
     @given(

@@ -194,7 +194,7 @@ class TestValidation:
             check_initial(np.ones(5), 2, 4)
         bad = np.ones((2, 4))
         bad[1, 2], bad[1, 3] = 0.5, 0.0
-        with pytest.raises(ValueError, match=r"must be ±1; replica 1 has .*0\.5\)? at spin 2"):
+        with pytest.raises(ValueError, match=r"must be ±1; replica 1 has 0\.5 at spin 2"):
             check_initial(bad, 2, 4)
 
     def test_check_square_symmetric(self):
