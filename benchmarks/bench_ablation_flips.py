@@ -3,7 +3,8 @@
 The paper keeps |F| constant to make the incremental VMV O(n) but does not
 publish the value.  This bench sweeps t and shows the trade the design
 lives on: solution quality at the paper's tight 800-node budget versus the
-per-iteration sensing cost (2·t·k conversions).
+per-iteration sensing cost (2·t·k conversions per sign plane), read off one
+in-situ read of the programmed array.
 """
 
 from __future__ import annotations
@@ -12,10 +13,12 @@ import numpy as np
 
 from benchmarks._common import emit, quality_runs
 from repro.analysis import reference_cut
-from repro.arch import CrossbarMapping, HardwareConfig
+from repro.arch.cim_annealer import compile_cim_program
 from repro.circuits import SarAdc
 from repro.core import solve_maxcut
+from repro.devices import VBG_MAX
 from repro.ising import build_instance, paper_instance_suite
+from repro.utils.rng import ensure_rng
 from repro.utils.tables import render_table
 from repro.utils.units import PICO, from_si
 
@@ -29,7 +32,15 @@ def test_flip_count_tradeoff(benchmark, capsys):
     ref = reference_cut(problem)
     runs = max(3, quality_runs() // 2)
     adc = SarAdc()
-    mapping = CrossbarMapping(spec.nodes, HardwareConfig.proposed().quantization_bits, 1)
+    crossbar = compile_cim_program(problem.to_ising()).crossbar
+    sigma = ensure_rng(0).choice([-1.0, 1.0], spec.nodes)
+
+    def read_conversions(t):
+        """ADC conversions of one in-situ read that flips spins 0..t-1."""
+        sigma_c = np.zeros(spec.nodes)
+        sigma_c[:t] = sigma[:t]
+        _, stats = crossbar.compute_increment(sigma - sigma_c, sigma_c, VBG_MAX)
+        return stats.adc_conversions
 
     def sweep():
         rows = []
@@ -44,7 +55,7 @@ def test_flip_count_tradeoff(benchmark, capsys):
                 ).best_cut
                 for s in range(runs)
             ]
-            conv = mapping.incremental_conversions(t)
+            conv = read_conversions(t)
             rows.append(
                 (
                     t,

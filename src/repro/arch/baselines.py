@@ -68,7 +68,6 @@ class DirectECimAnnealer(CimMachine):
         if program.config.exponent is None:
             raise ValueError("direct-E baselines need an exponent unit")
         super().__init__(program, record_cost_trace)
-        self.quantized = self.crossbar.quantized
         counters = self._counters = RunCounters(accepted=bool, uphill=bool)
 
         def book(iteration, delta_e, accepted, temperature) -> None:

@@ -137,8 +137,25 @@ def compile_cim_program(
                 "an explicit permutation= layout requires tile_size=..."
             )
     rng = ensure_rng(seed)
-    is_sparse = isinstance(model, SparseIsingModel)
-    if tile_size is not None:
+    tiled_sparse = tile_size is not None and isinstance(model, SparseIsingModel)
+    perm, ordering, bandwidth = None, "identity", None
+    if tile_size is None:
+        # A single physical crossbar programs every cell, so the
+        # monolithic machine densifies sparse models here (solver-only
+        # paths never do).  Densification allowlisted: crossbar
+        # programming is the one consumer that needs the full image.
+        # The crossbar sizes its ADC to the array itself.
+        crossbar = DgFefetCrossbar(
+            dense_couplings(model),  # repro-lint: disable=RPL001
+            bits=config.quantization_bits,
+            backend=backend,
+            wire=config.wire,
+            shift_add=config.shift_add,
+            variation=variation,
+            seed=rng,
+        )
+        rows = crossbar.n
+    else:
         from repro.arch.tiling import TiledCrossbar
         from repro.core.plan import resolve_layout
 
@@ -147,8 +164,6 @@ def compile_cim_program(
         # the sparse tile registry stays proportional to nnz, not to
         # the grid.  The controller keeps working in the caller's
         # ordering (see the annealer's `permutation` contract).
-        hw_input = model
-        perm = None
         if permutation is not None:
             perm = (
                 permutation if isinstance(permutation, Permutation)
@@ -156,14 +171,13 @@ def compile_cim_program(
             )
         else:
             perm = resolve_layout(model, reorder, tile_size=tile_size)
-        if perm is not None:
-            hw_input = model.permuted(perm)
+        hw_input = model if perm is None else model.permuted(perm)
         # The grid quantizes a sparse model's CSR entries straight into
         # its stored image — the dense (n, n) matrix is never formed.
         # (Densification allowlisted for the dense-backend branch
         # only: the input already stores all n² couplings.)
         crossbar = TiledCrossbar(
-            hw_input if is_sparse else dense_couplings(hw_input),  # repro-lint: disable=RPL001
+            hw_input if tiled_sparse else dense_couplings(hw_input),  # repro-lint: disable=RPL001
             tile_size=tile_size,
             bits=config.quantization_bits,
             backend=backend,
@@ -172,64 +186,36 @@ def compile_cim_program(
             variation=variation,
             seed=rng,
         )
-        # Per-tile geometry — the physical array is the tile, not a
-        # monolithic n-row crossbar assembled from the full matrix.
+        # The physical array is the tile, not a monolithic n-row
+        # crossbar assembled from the full matrix.
+        rows = crossbar.tile_size
         if perm is None:
-            ordering, bandwidth = "identity", graph_bandwidth(model)
+            bandwidth = graph_bandwidth(model)
         else:
             ordering = perm.strategy
             bandwidth = (
                 perm.bandwidth_after if perm.bandwidth_after is not None
                 else graph_bandwidth(hw_input)
             )
-        mapping = CrossbarMapping.for_tiled(
-            crossbar, config.adc.mux_ratio,
-            ordering=ordering, bandwidth=bandwidth,
+    # The algorithmic model the controller believes in: the *stored*
+    # image, kept on a sparse model's own backend on a grid so the
+    # controller's field cache stays O(nnz).  With a reordering in play
+    # the annealer runs against the hardware-ordered image while
+    # `hw_model` is published in the caller's ordering.
+    if tiled_sparse:
+        stored = crossbar.stored_model(offset=model.offset, name=model.name)
+    else:
+        stored = IsingModel(
+            crossbar.matrix_hat, None, offset=model.offset, name=model.name
         )
-        # The algorithmic model the controller believes in: the
-        # *stored* image, kept on the model's own coupling backend so
-        # the controller's field cache stays O(nnz) for sparse inputs.
-        # With a reordering in play the annealer runs against the
-        # hardware-ordered image while `hw_model` is published in the
-        # caller's ordering.
-        if is_sparse:
-            stored = crossbar.stored_model(
-                offset=model.offset, name=model.name
-            )
-        else:
-            stored = IsingModel(
-                crossbar.matrix_hat, None,
-                offset=model.offset, name=model.name,
-            )
-        return CimProgram(
-            config=config, crossbar=crossbar, mapping=mapping,
-            permutation=perm, reorder=reorder, tile_size=tile_size,
-            annealer_model=stored,
-        )
-    # A single physical crossbar programs every cell, so the
-    # monolithic machine densifies sparse models here (solver-only
-    # paths never do).  Densification allowlisted: crossbar
-    # programming is the one consumer that needs the full image.
-    J = dense_couplings(model)  # repro-lint: disable=RPL001
-    crossbar = DgFefetCrossbar(
-        J,
-        bits=config.quantization_bits,
-        backend=backend,
-        adc=None,  # sized to the array by the crossbar itself
-        wire=config.wire,
-        shift_add=config.shift_add,
-        variation=variation,
-        seed=rng,
-    )
-    mapping = CrossbarMapping.for_matrix(
-        J, config.quantization_bits, config.adc.mux_ratio
+    mapping = CrossbarMapping(
+        rows, crossbar.bits, crossbar.planes, config.adc.mux_ratio,
+        ordering=ordering, bandwidth=bandwidth,
     )
     return CimProgram(
         config=config, crossbar=crossbar, mapping=mapping,
-        permutation=None, reorder=reorder, tile_size=None,
-        annealer_model=IsingModel(
-            crossbar.matrix_hat, None, offset=model.offset, name=model.name
-        ),
+        permutation=perm, reorder=reorder, tile_size=tile_size,
+        annealer_model=stored,
     )
 
 

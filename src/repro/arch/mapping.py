@@ -1,18 +1,21 @@
-"""Crossbar mapping geometry: matrix → physical array dimensions.
+"""Crossbar mapping geometry: the programmed array's physical dimensions.
 
 One ``n × n`` coupling matrix maps onto an ``n × (n·k·planes)`` cell array
 (1×k sub-array per element, positive/negative plane split), with one 8:1-
-muxed ADC per ``mux_ratio`` columns.  The machines use this geometry for
-their activity formulas; the bit planes are *interleaved* across mux domains
-so the k columns of a single element land on k different ADCs (this is what
-lets an incremental activation finish in a single conversion slot).
+muxed ADC per ``mux_ratio`` columns; the bit planes are *interleaved* across
+mux domains so the k columns of a single element land on k different ADCs.
+
+:func:`~repro.arch.cim_annealer.compile_cim_program` builds the mapping
+once, from the array it has just programmed: its rows per physical array
+(a tile, for a grid), its bits and the sign planes its stored levels use.
+Per-read activity is counted by the array itself
+(:class:`~repro.circuits.crossbar.LineState`); only the direct-E baselines'
+full-array activation counts read the mapping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -22,11 +25,12 @@ class CrossbarMapping:
     Attributes
     ----------
     num_spins:
-        Logical matrix dimension ``n`` (array rows).
+        Rows of one physical array: the matrix dimension ``n`` of a
+        monolithic crossbar, the tile side of a grid.
     bits:
         ``k``, bits per element.
     planes:
-        1 when the matrix is non-negative, 2 when a negative plane exists.
+        1 when no stored level is negative, 2 when a negative plane exists.
     mux_ratio:
         Columns per ADC.
     ordering:
@@ -54,35 +58,6 @@ class CrossbarMapping:
             raise ValueError("mux_ratio must be >= 1")
         if self.bandwidth is not None and self.bandwidth < 0:
             raise ValueError("bandwidth must be >= 0")
-
-    @classmethod
-    def for_matrix(cls, matrix: np.ndarray, bits: int, mux_ratio: int = 8) -> "CrossbarMapping":
-        """Derive the geometry for a coupling matrix."""
-        planes = 2 if np.any(np.asarray(matrix) < 0) else 1
-        return cls(np.asarray(matrix).shape[0], bits, planes, mux_ratio)
-
-    @classmethod
-    def for_tiled(
-        cls,
-        tiled,
-        mux_ratio: int = 8,
-        ordering: str = "identity",
-        bandwidth: int | None = None,
-    ) -> "CrossbarMapping":
-        """Per-tile geometry of a :class:`~repro.arch.tiling.TiledCrossbar`.
-
-        A tiled machine's physical array is the *tile* — ``tile_size`` rows
-        and ``tile_size · k · planes`` columns with its own ADC population —
-        so the mapping describes one tile rather than a (nonexistent)
-        monolithic ``n``-row array.  Derived from the tile registry alone;
-        the full coupling matrix is never consulted, let alone densified.
-        ``ordering``/``bandwidth`` record the spin layout the tiles were
-        cut from (the machines pass the reordering pass's report through).
-        """
-        return cls(
-            tiled.tile_size, tiled.bits, tiled.planes, mux_ratio,
-            ordering=ordering, bandwidth=bandwidth,
-        )
 
     def summary(self) -> dict[str, object]:
         """Geometry + layout report of the programmed array.
@@ -128,21 +103,3 @@ class CrossbarMapping:
         Every ADC serves ``mux_ratio`` columns sequentially.
         """
         return phases * self.mux_ratio
-
-    def incremental_conversions(self, active_elements: int, phases: int = 2) -> int:
-        """ADC conversions of an incremental evaluation (|F| elements)."""
-        if active_elements < 0:
-            raise ValueError("active_elements must be >= 0")
-        return phases * active_elements * self.bits * self.planes
-
-    def incremental_slots(self, active_elements: int, phases: int = 2) -> int:
-        """Sequential slots of an incremental evaluation.
-
-        With bit-interleaved column placement the active columns spread over
-        distinct mux domains, so the slot count only grows once the active
-        column count exceeds the ADC population.
-        """
-        active_cols = active_elements * self.bits * self.planes
-        if active_cols == 0:
-            return 0
-        return phases * max(1, -(-active_cols // self.num_adcs))

@@ -16,9 +16,9 @@ independent DG FeFET arrays:
   one stored image kept as CSR rows.  The assembled image is therefore
   identical to a monolithic crossbar programming the same matrix, and the
   dense ``(n, n)`` matrix is never formed on the sparse path;
-* the tile registry (every block holding an input entry), each tile's
-  sign planes and the programmed-cell counts are bincounts over the
-  quantized entries.  Ideal behavioural tiles hold no cells of their own:
+* the tile registry (every block holding an input entry) and each tile's
+  sign planes come from the signed levels' blocks, and the programmed-cell
+  count is their popcount.  Ideal behavioural tiles hold no cells of their own:
   memory is O(nnz) until the SB matvec hooks cut one dense block per tile
   on their first call.  Device tiles and tiles with variation are
   programmed as full crossbars cut from the image, in row-major order
@@ -58,7 +58,7 @@ from repro.circuits.crossbar import (
     LineState,
     check_drive,
 )
-from repro.circuits.quantize import MatrixQuantizer
+from repro.circuits.quantize import MatrixQuantizer, popcount
 from repro.devices.constants import VBG_MAX
 from repro.ising.sparse import SparseIsingModel
 from repro.utils.rng import ensure_rng
@@ -116,23 +116,20 @@ class TiledCrossbar:
         self.grid = -(-self.n // s)
         self._bounds = self._block_bounds()
 
-        # The stored image: every input entry at its k-bit level, in the
-        # input's row-major order, so level-0 entries drop out and the
+        # The stored image: every input entry at its signed k-bit level, in
+        # the input's row-major order, so level-0 entries drop out and the
         # rest form the CSR rows of Ĵ.
         levels = quantizer.levels(vals, self.lsb)
-        stored = levels > 0
+        stored = levels != 0
         indptr = np.zeros(self.n + 1, dtype=np.intp)
         indptr[1:] = np.cumsum(np.bincount(rows[stored], minlength=self.n))
-        data = self.lsb * np.copysign(levels[stored], vals[stored])
-        self._csr = (indptr, cols[stored], data)
-        self._ones = float(
-            sum(np.count_nonzero((levels >> b) & 1) for b in range(self.bits))
-        )
+        self._csr = (indptr, cols[stored], self.lsb * levels[stored])
+        self._ones = float(popcount(levels))
         # A tile for every block holding an input entry (level 0 too), in
-        # row-major order; two planes iff it stores a negative value.
+        # row-major order; two planes iff it stores a negative level.
         block = rows // s * self.grid + cols // s
         keys = np.unique(block)
-        self._planes = 1 + np.isin(keys, block[stored & (vals < 0)])
+        self._planes = 1 + np.isin(keys, block[levels < 0])
 
         self._tile_kwargs = dict(
             bits=self.bits,

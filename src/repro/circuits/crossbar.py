@@ -374,8 +374,8 @@ class DgFefetCrossbar:
             adc = SarAdc(full_scale=full_scale)
         self.adc = adc
 
-        self._has_neg = bool(self.quantized.negative_planes.any())
-        self._planes_used = 2 if self._has_neg else 1
+        # Sign planes in use: a negative plane iff a stored level is negative.
+        self._planes_used = 1 + bool((self.quantized.levels < 0).any())
 
         if self.backend == "device":
             shape = (2, self.bits, self.n, self.n)
@@ -528,18 +528,16 @@ class DgFefetCrossbar:
         v_dl_on = DEFAULT_READ_VDL
         total = 0.0
         planes = (
-            (0, +1.0, self.quantized.positive_planes),
-            (1, -1.0, self.quantized.negative_planes),
-        )
+            (+1.0, self.quantized.positive_planes),
+            (-1.0, self.quantized.negative_planes),
+        )[: self._planes_used]
         for row_sign in (+1.0, -1.0):
             rows_on = r == row_sign
             if not rows_on.any():
                 continue
             v_gs = np.where(rows_on, v_fg_on, 0.0)[:, np.newaxis]
             phase_value = 0.0
-            for plane_idx, plane_sign, plane_bits in planes:
-                if plane_sign < 0 and not self._has_neg:
-                    continue
+            for plane_idx, (plane_sign, plane_bits) in enumerate(planes):
                 counts_cols = np.zeros(active_cols.size, dtype=np.float64)
                 for b in range(self.bits):
                     bits = plane_bits[b][:, active_cols]

@@ -4,83 +4,92 @@ The paper maps each matrix element onto a ``1 × k`` sub-array of single-bit
 cells ("each cell storing 1 bit under k-bit quantization", Sec. 3.3), and
 computes positive- and negative-input contributions separately because the
 array only supports non-negative quantities.  :class:`MatrixQuantizer`
-implements exactly that storage scheme:
+implements that storage scheme with one rule, :meth:`MatrixQuantizer.levels`:
 
-* magnitudes are rounded to ``k``-bit integers against a shared LSB scale,
-* signs split the bits into a *positive plane* and a *negative plane*,
+* the stored image is *signed levels*: each element's sign times its
+  ``k``-bit magnitude level, rounded against a shared LSB scale; level 0
+  stores nothing.  Both arrays store it — the monolithic crossbar as a
+  :class:`QuantizedMatrix`, the tiled grid as CSR rows;
 * :meth:`QuantizedMatrix.dequantize` reconstructs the stored matrix
-  ``Ĵ = lsb · (Σ_b 2^b P_b − Σ_b 2^b N_b)`` with ≤ ½ LSB per-element error.
+  ``Ĵ = lsb · L`` with ≤ ½ LSB per-element error;
+* the *positive* and *negative* bit planes, the cells the array holds, are
+  derived from the levels' signs and bits, and only when something reads
+  cells (the device backend, tests); the '1'-cell count is a popcount of
+  the levels (:func:`popcount`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from repro.utils.validation import check_count, check_square_symmetric
+from repro.utils.bits import popcount_bytes
+from repro.utils.validation import check_count, check_positive, check_square_symmetric
+
+
+def popcount(levels) -> int:
+    """Programmed '1' cells of signed ``levels``: the byte popcount of each ``|L|``."""
+    magnitude = np.ascontiguousarray(np.abs(levels))
+    return int(popcount_bytes(magnitude.view(np.uint8)).sum(dtype=np.int64))
 
 
 @dataclass(frozen=True)
 class QuantizedMatrix:
-    """Bit-plane image of a quantized coupling matrix.
+    """Signed-level image of a quantized coupling matrix.
 
     Attributes
     ----------
-    positive_planes / negative_planes:
-        Boolean arrays of shape ``(k, n, n)``; plane ``b`` holds bit ``b``
-        of the magnitude for positively / negatively signed elements.
+    levels:
+        ``(n, n)`` signed magnitude levels, each in ``[−(2^k − 1), 2^k − 1]``,
+        in the narrowest signed integer type that holds them (int8 at the
+        paper's ``k = 4``); 0 stores nothing.
     lsb:
         Value of one magnitude unit.
     bits:
         ``k``, the quantization width.
     """
 
-    positive_planes: np.ndarray
-    negative_planes: np.ndarray
+    levels: np.ndarray
     lsb: float
     bits: int
 
     @property
     def num_spins(self) -> int:
         """Matrix dimension ``n``."""
-        return self.positive_planes.shape[1]
+        return self.levels.shape[0]
 
     @property
     def num_columns(self) -> int:
         """Physical crossbar columns per sign plane, ``n · k``."""
         return self.num_spins * self.bits
 
-    def magnitudes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Integer magnitude matrices ``(P, N)`` recombined from bit planes.
+    @cached_property
+    def positive_planes(self) -> np.ndarray:
+        """``(k, n, n)`` bools: plane ``b`` holds bit ``b`` of each positive level."""
+        return self._planes(self.levels > 0)
 
-        Accumulated plane by plane to keep peak memory at one ``(n, n)``
-        int32 array even for the 3000-spin instances.
-        """
-        n = self.num_spins
-        pos = np.zeros((n, n), dtype=np.int32)
-        neg = np.zeros((n, n), dtype=np.int32)
-        for b in range(self.bits):
-            weight = np.int32(1 << b)
-            pos += self.positive_planes[b].astype(np.int32) * weight
-            neg += self.negative_planes[b].astype(np.int32) * weight
-        return pos, neg
+    @cached_property
+    def negative_planes(self) -> np.ndarray:
+        """``(k, n, n)`` bools: plane ``b`` holds bit ``b`` of each negative level."""
+        return self._planes(self.levels < 0)
+
+    def _planes(self, signed: np.ndarray) -> np.ndarray:
+        shifts = np.arange(self.bits, dtype=self.levels.dtype).reshape(-1, 1, 1)
+        return ((np.abs(self.levels) >> shifts) & 1).astype(bool) & signed
 
     def dequantize(self) -> np.ndarray:
-        """Reconstruct the stored matrix ``Ĵ``."""
-        pos, neg = self.magnitudes()
-        return self.lsb * (pos - neg).astype(np.float64)
+        """Reconstruct the stored matrix ``Ĵ = lsb · L``."""
+        return self.lsb * self.levels
 
     def cell_count(self) -> int:
         """Number of programmed '1' cells across both planes."""
-        return int(
-            np.count_nonzero(self.positive_planes)
-            + np.count_nonzero(self.negative_planes)
-        )
+        return popcount(self.levels)
 
 
 class MatrixQuantizer:
-    """Quantizer producing :class:`QuantizedMatrix` bit-plane images.
+    """Quantizer producing :class:`QuantizedMatrix` signed-level images.
 
     Parameters
     ----------
@@ -114,17 +123,24 @@ class MatrixQuantizer:
         return self.lsb_for_peak(float(np.max(np.abs(matrix))) if matrix.size else 0.0)
 
     def levels(self, values, lsb: float) -> np.ndarray:
-        """Magnitude levels ``min(rint(|v| / lsb), 2^k − 1)`` of ``values``.
+        """Signed levels ``sign(v) · min(rint(|v| / lsb), 2^k − 1)`` of ``values``.
 
-        The one rounding rule of every stored image: the bit planes of
-        :meth:`quantize` and the stored entries of a tiled array's image
+        The one rule that turns a coupling into what an array stores: the
+        image of :meth:`quantize` and the stored entries of a tiled array
         (:class:`~repro.arch.tiling.TiledCrossbar`) both come from it.
+        Returned in the narrowest signed integer type that holds
+        ``2^k − 1``.
         """
-        levels = np.rint(np.abs(values) / lsb).astype(np.int64)
-        return np.minimum(levels, self.max_level)
+        values = np.asarray(values, dtype=np.float64)
+        magnitude = np.abs(values)
+        magnitude /= lsb
+        np.rint(magnitude, out=magnitude)
+        np.minimum(magnitude, self.max_level, out=magnitude)
+        np.copysign(magnitude, values, out=magnitude)
+        return magnitude.astype(np.min_scalar_type(-self.max_level))
 
     def quantize(self, matrix, lsb: float | None = None) -> QuantizedMatrix:
-        """Quantize a symmetric matrix into sign-split bit planes.
+        """Quantize a symmetric matrix into its signed-level image.
 
         ``lsb`` overrides the per-matrix scale — tiled arrays pass the
         whole-matrix LSB so every tile shares one magnitude grid and the
@@ -146,24 +162,8 @@ class MatrixQuantizer:
         return self._quantize_validated(J, lsb)
 
     def _quantize_validated(self, J: np.ndarray, lsb: float | None = None) -> QuantizedMatrix:
-        if lsb is None:
-            lsb = self.lsb_for(J)
-        else:
-            lsb = float(lsb)
-            if lsb <= 0:
-                raise ValueError(f"lsb must be > 0, got {lsb}")
-        levels = self.levels(J, lsb)
-        pos_mask = J > 0
-        neg_mask = J < 0
-        k = self.bits
-        n = J.shape[0]
-        pos_planes = np.zeros((k, n, n), dtype=bool)
-        neg_planes = np.zeros((k, n, n), dtype=bool)
-        for b in range(k):
-            bit = (levels >> b) & 1
-            pos_planes[b] = (bit == 1) & pos_mask
-            neg_planes[b] = (bit == 1) & neg_mask
-        return QuantizedMatrix(pos_planes, neg_planes, lsb, k)
+        lsb = self.lsb_for(J) if lsb is None else check_positive("lsb", lsb)
+        return QuantizedMatrix(self.levels(J, lsb), lsb, self.bits)
 
     def quantization_error(self, matrix) -> float:
         """Largest per-element reconstruction error for this matrix."""

@@ -138,8 +138,8 @@ class FlipSelector:
             raise ValueError(f"proposal mode must be one of {PROPOSAL_MODES}")
         if not 1 <= flips <= n:
             raise ValueError(f"flips must be in [1, {n}]")
-        self.n = int(n)
-        self.flips = int(flips)
+        self.n = n
+        self.flips = flips
         self.mode = mode
         self._rng = rng
         if index_map is not None:

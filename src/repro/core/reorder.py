@@ -84,10 +84,12 @@ class Permutation:
         self.forward = fwd
         self.backward = bwd
         self.bandwidth_before = (
-            None if bandwidth_before is None else int(bandwidth_before)
+            None if bandwidth_before is None
+            else check_count("bandwidth_before", bandwidth_before, minimum=0)
         )
         self.bandwidth_after = (
-            None if bandwidth_after is None else int(bandwidth_after)
+            None if bandwidth_after is None
+            else check_count("bandwidth_after", bandwidth_after, minimum=0)
         )
         self._structure = structure
         self.strategy = str(strategy)
@@ -96,7 +98,7 @@ class Permutation:
     @classmethod
     def identity(cls, n: int, structure=None) -> "Permutation":
         """The do-nothing permutation on ``n`` spins."""
-        fwd = np.arange(int(n), dtype=np.intp)
+        fwd = np.arange(check_count("n", n, minimum=0), dtype=np.intp)
         bw = None
         if structure is not None:
             bw = _bandwidth_of(structure[0], structure[1])

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.ising.model import IsingModel
 from repro.ising.sparse import BACKENDS, SparseIsingModel, recommended_backend
-from repro.utils.validation import check_spin_vector
+from repro.utils.validation import check_count, check_spin_vector
 
 
 @dataclass
@@ -49,9 +49,7 @@ class MaxCutProblem:
     _weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        n = int(self.num_nodes)
-        if n <= 0:
-            raise ValueError("num_nodes must be positive")
+        n = check_count("num_nodes", self.num_nodes)
         e = np.asarray(self.edges, dtype=np.intp)
         if e.size == 0:
             e = e.reshape(0, 2)

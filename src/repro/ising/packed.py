@@ -36,8 +36,8 @@ the O(Σ degree) cross-term/field-update kernels exact), so packing is a
 *traffic* optimisation for the replica hot loop, not a storage cut: the
 per-iteration state the batch engine touches shrinks 64×.
 
-``np.bitwise_count`` (numpy ≥ 2) serves the popcounts; on older numpy a
-pure-numpy byte lookup table (:func:`popcount_bytes`) is used instead.
+The popcounts run through :func:`repro.utils.bits.popcount_bytes`
+(``np.bitwise_count``, or a byte lookup table on numpy < 2).
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ import hashlib
 import numpy as np
 
 from repro.ising.sparse import SparseIsingModel
+from repro.utils.bits import popcount_bytes
 
 #: Largest odd numerator of the shared coupling magnitude ``c`` for
 #: packed eligibility: ``c = num / 2**k`` with ``num <= 2**24`` keeps
@@ -59,25 +60,6 @@ _U64_63 = np.uint64(63)
 _U8_LOW_MASKS = np.array(
     [0x00, 0x01, 0x03, 0x07, 0x0F, 0x1F, 0x3F, 0x7F], dtype=np.uint8
 )
-
-try:  # numpy >= 2
-    _np_bitwise_count = np.bitwise_count
-
-    def popcount_bytes(a: np.ndarray) -> np.ndarray:
-        """Per-element popcount of a uint8 array (``np.bitwise_count``)."""
-        return _np_bitwise_count(a)
-
-    HAS_BITWISE_COUNT = True
-except AttributeError:  # pragma: no cover - exercised only on numpy < 2
-    _POPCOUNT_LUT = np.array(
-        [bin(i).count("1") for i in range(256)], dtype=np.uint8
-    )
-
-    def popcount_bytes(a: np.ndarray) -> np.ndarray:
-        """Per-element popcount of a uint8 array (pure-numpy byte LUT)."""
-        return _POPCOUNT_LUT[a]
-
-    HAS_BITWISE_COUNT = False
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:

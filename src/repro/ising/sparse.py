@@ -43,6 +43,7 @@ import numpy as np
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import (
     check_choice,
+    check_count,
     check_finite,
     check_index,
     check_permutation,
@@ -79,7 +80,7 @@ def recommended_backend(
         backend is recommended instead: its trajectories are bit-identical
         to sparse at a fraction of the replica state traffic.
     """
-    n = int(num_spins)
+    n = check_count("num_spins", num_spins, minimum=0)
     if n < SPARSE_MIN_SPINS:
         return "dense"
     possible = n * (n - 1) / 2.0
@@ -176,9 +177,7 @@ class SparseIsingModel:
         are dropped (they carry no energy and would skew the nonzero-median
         acceptance-gain heuristic).
         """
-        n = int(n)
-        if n <= 0:
-            raise ValueError("n must be positive")
+        n = check_count("n", n)
         r = np.atleast_1d(np.asarray(rows, dtype=np.intp))
         c = np.atleast_1d(np.asarray(cols, dtype=np.intp))
         v = np.atleast_1d(np.asarray(values, dtype=np.float64))

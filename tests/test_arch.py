@@ -116,22 +116,36 @@ class TestMapping:
         assert m.full_activation_conversions() == 800
         assert m.full_activation_slots() == 16
 
-    def test_incremental_counts(self):
-        m = CrossbarMapping(num_spins=100, bits=4, planes=1)
-        assert m.incremental_conversions(1) == 8
-        assert m.incremental_slots(1) == 2  # one slot per phase
-        assert m.incremental_slots(0) == 0
+    @staticmethod
+    def chain(negative):
+        """A 6-spin chain of +1 couplings plus one ``negative`` coupling."""
+        J = np.zeros((6, 6))
+        for i in range(5):
+            J[i, i + 1] = J[i + 1, i] = 1.0
+        J[0, 3] = J[3, 0] = negative
+        return IsingModel(J)
 
-    def test_incremental_slots_grow_past_adc_population(self):
-        m = CrossbarMapping(num_spins=4, bits=4, planes=1, mux_ratio=8)
-        # only 2 ADCs exist; activating 3 elements (12 columns) needs 6 slots/phase
-        assert m.incremental_slots(3) == 2 * 6
+    @pytest.mark.parametrize("tile_size", [None, 4])
+    @pytest.mark.parametrize(
+        "negative, planes",
+        [
+            (0.0, 1),  # a positive image
+            (-0.5, 2),  # a signed image
+            (-0.01, 1),  # rounds to level 0 at k=4: no negative cell stored
+        ],
+    )
+    def test_mapping_reads_the_stored_planes(self, negative, planes, tile_size):
+        """The mapping counts the planes the array stores, not the input's signs."""
+        program = compile_cim_program(self.chain(negative), tile_size=tile_size)
+        assert program.mapping.planes == program.crossbar.planes == planes
+        assert program.mapping.num_spins == (tile_size or 6)
 
-    def test_for_matrix_detects_planes(self):
-        pos = np.array([[0.0, 1.0], [1.0, 0.0]])
-        signed = np.array([[0.0, -1.0], [-1.0, 0.0]])
-        assert CrossbarMapping.for_matrix(pos, 4).planes == 1
-        assert CrossbarMapping.for_matrix(signed, 4).planes == 2
+    def test_direct_e_books_the_stored_planes(self):
+        """48 conversions an iteration: 2 phases · 6 rows · 4 bits · 1 plane."""
+        machine = DirectECimAnnealer(self.chain(-0.01), seed=0)
+        assert machine.mapping.planes == 1
+        result = machine.run(10)
+        assert result.ledger.entries["adc"].count == 48 * 10
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -333,13 +347,15 @@ class ReferenceDirectEMachine:
 
     def __init__(self, model, config, flips_per_iteration=1, schedule=None,
                  proposal="random", seed=None):
-        J = model.J
-        quantized = MatrixQuantizer(config.quantization_bits).quantize(J)
+        quantized = MatrixQuantizer(config.quantization_bits).quantize(model.J)
         hw_model = IsingModel(
             quantized.dequantize(), None, offset=model.offset, name=model.name
         )
-        mapping = CrossbarMapping.for_matrix(
-            J, config.quantization_bits, config.adc.mux_ratio
+        # The planes its own image stores, not the input's signs.
+        planes = 2 if (quantized.levels < 0).any() else 1
+        mapping = CrossbarMapping(
+            model.num_spins, config.quantization_bits, planes,
+            config.adc.mux_ratio,
         )
         self.config = config
         self.flips_per_iteration = flips_per_iteration

@@ -535,8 +535,10 @@ class TestSequentialByteGoldens:
     The fielded :func:`byte_pin_models` member (stored diagonal, a
     zero-field and an isolated spin) through every sequential annealer,
     at t ∈ {1, 3}, both proposal modes, with and without a permutation,
-    on both backends; plus the three crossbar machines with their
-    Ledgers.  Each pin covers every output of the run, the
+    on both backends; plus the crossbar machines with their Ledgers:
+    the monolithic array (behavioural, and on the device backend with and
+    without variation, whose reads go through the bit planes), the tiled
+    grid and the direct-E baseline.  Each pin covers every output of the run, the
     ``iteration_hook`` and evaluator calls included, so a change to the
     order of any draw, sum or call moves it.
     """
@@ -660,6 +662,8 @@ class TestSequentialByteGoldens:
     #: machine -> digest prefix.
     GOLDEN_MACHINES = {
         "monolithic": "f2a04814eab154ed",
+        "monolithic-device": "af4cdf4e7ce286ec",
+        "monolithic-variation": "aab72ed7108f762d",
         "tiled": "401e425448c4133c",
         "direct-e": "cd787522affc6285",
     }
@@ -667,6 +671,7 @@ class TestSequentialByteGoldens:
     @staticmethod
     def machine_run(machine):
         from repro.arch import DirectECimAnnealer, InSituCimAnnealer
+        from repro.devices import VariationModel
 
         backend = "sparse" if machine == "tiled" else "dense"
         model = byte_pin_models(backend)[1]
@@ -675,9 +680,15 @@ class TestSequentialByteGoldens:
             return DirectECimAnnealer(model, flips_per_iteration=2, **knobs).run(300)
         if machine == "tiled":
             knobs.update(tile_size=8, flips_per_iteration=3)
+        elif machine != "monolithic":
+            knobs.update(backend="device", flips_per_iteration=2)
+            if machine == "monolithic-variation":
+                knobs["variation"] = VariationModel(
+                    vth_sigma=0.02, read_noise_sigma=0.01
+                )
         return InSituCimAnnealer(model, **knobs).run(300)
 
-    @pytest.mark.parametrize("machine", ["monolithic", "tiled", "direct-e"])
+    @pytest.mark.parametrize("machine", list(GOLDEN_MACHINES))
     def test_pinned_machine_bytes(self, machine):
         run = self.machine_run(machine)
         digest = sequential_digest(

@@ -46,6 +46,7 @@ from repro.ising.packed import (
     unpack_spin_rows,
     words_to_bytes,
 )
+from repro.utils.bits import popcount_lut
 from repro.utils.rng import ensure_rng
 
 relaxed = settings(
@@ -103,11 +104,9 @@ class TestPackingPrimitives:
         assert np.array_equal(popcount_bytes(a), expect)
 
     def test_popcount_lut_fallback_equivalent(self):
-        """The numpy<2 LUT table itself (built unconditionally here)
-        matches the active popcount on every byte value."""
-        lut = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+        """The numpy<2 LUT table matches the active popcount on every byte value."""
         a = np.arange(256, dtype=np.uint8)
-        assert np.array_equal(lut[a], popcount_bytes(a))
+        assert np.array_equal(popcount_lut(a), popcount_bytes(a))
 
     def test_pack_spin_rows_rejects_non_2d(self):
         with pytest.raises(ValueError, match="spin tensor"):

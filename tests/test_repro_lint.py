@@ -231,6 +231,69 @@ class TestBoundaryValidation:
         })
         assert findings == []
 
+    def test_parameter_truncated_before_its_check_flagged(self, tmp_path):
+        # Anywhere in src/: the check comes too late, 10.7 is already 10.
+        findings = lint_tree(tmp_path, {
+            "src/repro/ising/graph.py": (
+                "class Graph:\n"
+                "    @classmethod\n"
+                "    def from_edges(cls, n, rows):\n"
+                "        size = int(n)\n"
+                "        return check_count('n', n), size\n"
+            ),
+        })
+        assert codes(findings) == ["RPL003"]
+        assert findings[0].line == 4
+        assert "parameter 'n' to int()" in findings[0].message
+
+    def test_post_init_field_truncated_flagged(self, tmp_path):
+        findings = lint_tree(tmp_path, {
+            "src/repro/ising/graph.py": (
+                "from dataclasses import dataclass\n"
+                "@dataclass\n"
+                "class Graph:\n"
+                "    num_nodes: int\n"
+                "    def __post_init__(self):\n"
+                "        self.num_nodes = int(self.num_nodes)\n"
+            ),
+        })
+        assert codes(findings) == ["RPL003"]
+        assert "field 'num_nodes'" in findings[0].message
+
+    def test_checked_derived_private_and_helper_casts_ok(self, tmp_path):
+        source = (
+            "from dataclasses import dataclass\n"
+            "def build(n, degree, model):\n"
+            "    n = check_count('n', n)\n"
+            "    return int(n), int(round(degree * n)), int(model.num_spins)\n"
+            "def _helper(n):\n"
+            "    return int(n)\n"
+            "def check_size(name, value):\n"
+            "    return int(value)\n"
+            "@dataclass\n"
+            "class Graph:\n"
+            "    num_nodes: int\n"
+            "    def __post_init__(self):\n"
+            "        check_count('num_nodes', self.num_nodes)\n"
+            "        self.num_nodes = int(self.num_nodes)\n"
+        )
+        findings = lint_tree(tmp_path, {
+            "src/repro/ising/graph.py": source,
+            "tests/test_graph.py": "def build(n):\n    return int(n)\n",
+        })
+        assert findings == []
+
+    def test_truncation_suppressed_with_caller_audit(self, tmp_path):
+        findings = lint_tree(tmp_path, {
+            "src/repro/core/proposal.py": (
+                "class Selector:\n"
+                "    def __init__(self, n):\n"
+                "        # Only the validated loop builds one.\n"
+                f"        self.n = int(n)  {DISABLE}RPL003\n"
+            ),
+        })
+        assert findings == []
+
 
 # ---------------------------------------------------------------- RPL004
 

@@ -529,7 +529,7 @@ class TestProtocolErrors:
             ({"gset": "3"}, "bad Gset header on line 1: '3'"),
             ({"gset": "3 1\n1 x 1"}, "bad edge line 2: '1 x 1'"),
             ({"gset": "3 1\n\n1 7 1"}, "bad edge line 3: '1 7 1' (endpoints must be"),
-            ({"gset": "0 0"}, "num_nodes must be positive"),
+            ({"gset": "0 0"}, "num_nodes must be >= 1, got 0"),
             ({"gset": GSET_TEXT, "backend": "bogus"}, "unknown backend 'bogus'"),
             ({"gset": "2 1\n1 2 nan"}, "weights must be finite, got nan on edge 0"),
             ({"gset": "2 1\n1 2 inf"}, "weights must be finite, got inf on edge 0"),

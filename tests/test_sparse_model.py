@@ -209,7 +209,7 @@ class TestConstructionAndSelection:
             SparseIsingModel.from_edges(3, [0], [5], [1.0])
         with pytest.raises(ValueError, match="fields"):
             SparseIsingModel.from_edges(3, [0], [1], [1.0], fields=np.ones(5))
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
             SparseIsingModel.from_edges(0, [], [], [])
 
     def test_non_finite_entries_refused(self):

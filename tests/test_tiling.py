@@ -354,8 +354,9 @@ class TestStoredModelAndMapping:
         model = block_sparse_model(13)
         machine = InSituCimAnnealer(model, tile_size=16, seed=0)
         assert isinstance(machine.hw_model, SparseIsingModel)
-        assert machine.mapping == CrossbarMapping.for_tiled(
-            machine.crossbar, machine.config.adc.mux_ratio,
+        assert machine.mapping == CrossbarMapping(
+            16, machine.crossbar.bits, machine.crossbar.planes,
+            machine.config.adc.mux_ratio,
             ordering="identity", bandwidth=graph_bandwidth(model),
         )
         assert machine.mapping.num_spins == 16  # per-tile geometry

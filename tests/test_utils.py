@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.reorder import Permutation
+from repro.ising import MaxCutProblem, SparseIsingModel
+from repro.ising.sparse import recommended_backend
 from repro.utils import (
     GIGA,
     NANO,
@@ -202,6 +205,42 @@ class TestValidation:
         assert check_square_symmetric(J).dtype == np.float64
         with pytest.raises(ValueError):
             check_square_symmetric(np.array([[0.0, 1.0], [0.9, 0.0]]))
+        # Exactly symmetric passes on the equality test, and the tolerance
+        # test still decides the rest: an asymmetry within atol (1e-9) is
+        # accepted, one beyond it and a NaN (never equal, never close)
+        # are refused.
+        exact = np.array([[0.5, -0.25], [-0.25, 0.0]])
+        assert np.array_equal(check_square_symmetric(exact), exact)
+        near = np.array([[0.0, 0.0], [5e-10, 0.0]])
+        assert np.array_equal(check_square_symmetric(near), near)
+        for bad in (
+            np.array([[0.0, 0.0], [3e-9, 0.0]]),
+            np.array([[np.nan, 1.0], [1.0, 0.0]]),
+        ):
+            with pytest.raises(ValueError, match="symmetric"):
+                check_square_symmetric(bad)
+
+    @pytest.mark.parametrize("value", [10.7, True])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda v: MaxCutProblem(v, np.zeros((0, 2))),
+            lambda v: SparseIsingModel.from_edges(v, [], [], []),
+            lambda v: Permutation.identity(v),
+            lambda v: Permutation([0, 1, 2], bandwidth_before=v),
+            lambda v: Permutation([0, 1, 2], bandwidth_after=v),
+            lambda v: recommended_backend(v, 3),
+        ],
+        ids=[
+            "maxcut-num-nodes", "from-edges-n", "identity-n",
+            "bandwidth-before", "bandwidth-after", "recommended-backend",
+        ],
+    )
+    def test_count_sites_refuse_fractions_and_bools(self, build, value):
+        """Each site used to truncate: 10.7 ran as 10 and True as 1."""
+        build(4)  # an integer count still builds
+        with pytest.raises(ValueError, match="must be an integer"):
+            build(value)
 
 
 class TestTables:

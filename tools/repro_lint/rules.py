@@ -73,6 +73,14 @@ def _name_refs(nodes: Iterable[ast.expr]) -> Iterator[str]:
                 yield sub.id
 
 
+def _self_attr_refs(nodes: Iterable[ast.expr]) -> Iterator[str]:
+    """``x`` for every ``self.x`` in ``nodes``."""
+    for arg in nodes:
+        for sub in ast.walk(arg):
+            if isinstance(sub, ast.Attribute) and getattr(sub.value, "id", "") == "self":
+                yield sub.attr
+
+
 class NoDensifyRule(Rule):
     """RPL001 — densification ban on the sparse/tiled hot paths.
 
@@ -187,6 +195,12 @@ class BoundaryValidationRule(Rule):
     Public functions in the solve/CLI modules and every engine ``run()``
     method must validate count-style parameters with a ``check_*``
     helper, or forward them to a callee that does (``solve_ising``).
+
+    The same bug class, silent truncation: anywhere in ``src/``, a
+    public function's parameter, or a dataclass field read in
+    ``__post_init__``, handed straight to ``int()`` before any
+    ``check_*`` call validates it (``int(10.7)`` is 10, ``int(True)``
+    is 1).  The ``check_*`` helpers themselves are exempt.
     """
 
     code = "RPL003"
@@ -194,7 +208,8 @@ class BoundaryValidationRule(Rule):
     summary = (
         "public solve/CLI functions and engine run() methods must "
         "check_*-validate count kwargs (iterations/replicas/...) or "
-        "forward them to a validating sink"
+        "forward them to a validating sink; no public parameter or "
+        "__post_init__ field reaches int() before a check_* call"
     )
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
@@ -202,22 +217,17 @@ class BoundaryValidationRule(Rule):
         is_src = ctx.path.startswith("src/")
         if not (is_boundary_module or is_src):
             return
-        for func, in_class in self._functions(ctx.tree):
+        for func, cls in self._functions(ctx.tree):
             audited = (
                 (is_boundary_module and not func.name.startswith("_"))
-                or (is_src and in_class and func.name == "run")
+                or (is_src and cls is not None and func.name == "run")
             )
-            if not audited:
-                continue
-            params = [
-                a.arg
-                for a in (*func.args.posonlyargs, *func.args.args, *func.args.kwonlyargs)
-                if a.arg not in ("self", "cls")
-            ]
-            for param in params:
+            unvalidated = set()
+            for param in self._params(func) if audited else ():
                 if param not in self.config.count_params:
                     continue
                 if not self._validated(func, param):
+                    unvalidated.add(param)
                     yield self.finding(
                         ctx, func,
                         f"{func.name}() accepts count parameter "
@@ -225,24 +235,66 @@ class BoundaryValidationRule(Rule):
                         f"check_count(\"{param}\", {param}) at the "
                         f"boundary (bools/floats otherwise run silently)",
                     )
+            if is_src:
+                yield from self._truncations(ctx, func, cls, unvalidated)
+
+    def _truncations(self, ctx, func, cls, unvalidated) -> Iterator[Finding]:
+        """Casts of ``func``'s parameters (or fields) not reported unvalidated."""
+        if cls is not None and func.name == "__post_init__":
+            params = {
+                stmt.target.id for stmt in cls.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            }
+            # A field is read as `self.<field>`, a parameter by its name.
+            held, refs, what = ast.Attribute, _self_attr_refs, "field"
+        elif func.name.startswith("check_") or (
+            func.name.startswith("_") and func.name != "__init__"
+        ):
+            return
+        else:
+            params = set(self._params(func)) - unvalidated
+            held, refs, what = ast.Name, _name_refs, "parameter"
+        for node in ast.walk(func):
+            if not (
+                isinstance(node, ast.Call) and getattr(node.func, "id", "") == "int"
+                and len(node.args) == 1 and isinstance(node.args[0], held)
+            ):
+                continue
+            param = next(refs(node.args), None)
+            if param in params and not self._validated(func, param, refs, before=node):
+                yield self.finding(
+                    ctx, node,
+                    f"{func.name}() hands {what} {param!r} to int() before any "
+                    f"check_* call — int(10.7) is 10 and int(True) is 1; call "
+                    f"check_count(\"{param}\", ...) first",
+                )
+
+    @staticmethod
+    def _params(func: ast.AST) -> list[str]:
+        args = func.args
+        return [
+            a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
+            if a.arg not in ("self", "cls")
+        ]
 
     @staticmethod
     def _functions(tree: ast.Module):
-        """Yield ``(function_node, is_method)`` over the whole module."""
+        """Yield ``(function_node, enclosing class or None)`` over the module."""
 
-        def walk(node: ast.AST, in_class: bool):
+        def walk(node: ast.AST, cls: ast.ClassDef | None):
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield child, in_class
-                    yield from walk(child, False)
+                    yield child, cls
+                    yield from walk(child, None)
                 elif isinstance(child, ast.ClassDef):
-                    yield from walk(child, True)
+                    yield from walk(child, child)
                 else:
-                    yield from walk(child, in_class)
+                    yield from walk(child, cls)
 
-        yield from walk(tree, False)
+        yield from walk(tree, None)
 
-    def _validated(self, func: ast.AST, param: str) -> bool:
+    def _validated(self, func, param: str, refs=_name_refs, before=None) -> bool:
+        """Whether a ``check_*`` or sink call (ending before ``before``) gets ``param``."""
         for node in ast.walk(func):
             if not isinstance(node, ast.Call):
                 continue
@@ -253,8 +305,12 @@ class BoundaryValidationRule(Rule):
             is_sink = name in self.config.validating_sinks
             if not (is_checker or is_sink):
                 continue
+            if before is not None and (node.end_lineno, node.end_col_offset) > (
+                before.lineno, before.col_offset
+            ):
+                continue
             values = list(node.args) + [kw.value for kw in node.keywords]
-            if param in _name_refs(values):
+            if param in refs(values):
                 return True
         return False
 
