@@ -61,6 +61,7 @@ from repro.circuits.crossbar import (
 from repro.circuits.quantize import MatrixQuantizer, popcount
 from repro.devices.constants import VBG_MAX
 from repro.ising.sparse import SparseIsingModel
+from repro.utils.keys import sorted_unique
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_choice, check_count, check_square_symmetric
 
@@ -128,7 +129,7 @@ class TiledCrossbar:
         # A tile for every block holding an input entry (level 0 too), in
         # row-major order; two planes iff it stores a negative level.
         block = rows // s * self.grid + cols // s
-        keys = np.unique(block)
+        keys = sorted_unique(block)
         self._planes = 1 + np.isin(keys, block[levels < 0])
 
         self._tile_kwargs = dict(

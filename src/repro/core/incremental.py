@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils.keys import first_repeat
 from repro.utils.validation import check_spin_vector
 
 
@@ -32,7 +33,7 @@ def flip_mask(n: int, flip_indices) -> np.ndarray:
     flips = np.atleast_1d(np.asarray(flip_indices, dtype=np.intp))
     if flips.size and (flips.min() < 0 or flips.max() >= n):
         raise IndexError("flip index out of range")
-    if np.unique(flips).size != flips.size:
+    if first_repeat(flips) is not None:
         raise ValueError("flip indices must be unique")
     mask = np.zeros(n, dtype=np.int8)
     mask[flips] = 1

@@ -16,11 +16,12 @@ min-active-tile layout for clustered instances.
 The partitioner is the classic multilevel scheme over the
 :class:`~repro.ising.sparse.SparseIsingModel` CSR arrays (the dense
 ``(n, n)`` matrix is never formed).  Whole-graph steps (adjacency,
-contraction, pair counts, projection) are numpy.  The per-vertex kernels
-— matching, growing, FM gains and moves, the exact drain — walk one
-vertex's neighbour list at a time, where a numpy call on a 2–10-element
-slice costs more in call overhead than in work, so they read the arrays
-and the assign/match/stamp state as Python numbers through zero-copy
+contraction, pair counts, projection, and the first scoring of every FM
+and drain sweep, :func:`_sweep_moves`) are numpy.  The per-vertex kernels
+— matching, growing, moves and the requeues after each move — walk one
+neighbour list at a time, where a numpy call on a 2–10-element slice
+costs more in call overhead than in work, so they read the arrays and
+the assign/match/stamp state as Python numbers through zero-copy
 ``memoryview`` objects.  (Python lists ran as fast in a prototype but
 hold a boxed object per entry, which raised the compile's peak RSS.)
 The steps:
@@ -40,8 +41,8 @@ The steps:
    highest-gain first (negative gains allowed, so the pass can climb out
    of local minima), each mover is locked and its neighbours' gains are
    recomputed, and the pass rolls back to the best prefix seen.  At the
-   finest level a rebalancing sweep restores the *exact* block sizes the
-   tile grid requires.
+   finest level a rebalancing drain restores the *exact* block sizes the
+   tile grid requires, and stops as soon as they hold.
 
 The result is a :class:`Partitioning` (block assignment, edge cut,
 balance, exact active-tile count) whose :meth:`~Partitioning.
@@ -61,7 +62,7 @@ import heapq
 
 import numpy as np
 
-from repro.core.reorder import Permutation, _bandwidth_of
+from repro.core.reorder import Permutation, _from_order, _structure_of
 from repro.utils.validation import check_count
 
 #: Stop coarsening once the graph has at most this many vertices per block.
@@ -98,23 +99,9 @@ def _weighted_adjacency(
     same single pass.  Sparse models hand over CSR directly; dense models
     scan ``np.nonzero``.
     """
+    n, rows, indices = _structure_of(model)
     csr = getattr(model, "csr_arrays", None)
-    if csr is not None:
-        indptr, indices, data = csr()
-        n = model.num_spins
-        rows = np.repeat(np.arange(n, dtype=np.intp), np.diff(indptr))
-    else:
-        J = getattr(model, "J", None)
-        if J is None:
-            raise TypeError(
-                f"expected an IsingModel or SparseIsingModel, got "
-                f"{type(model).__name__}"
-            )
-        n = J.shape[0]
-        rows, indices = np.nonzero(J)
-        rows = rows.astype(np.intp)
-        indices = indices.astype(np.intp)
-        data = J[rows, indices]
+    data = csr()[2] if csr is not None else model.J[rows, indices]
     structure = (rows, indices)
     off = rows != indices
     rows, cols, w = rows[off], indices[off], np.abs(data[off])
@@ -163,9 +150,8 @@ def _heavy_edge_matching(
         mate[v] = pick  # pick == v: v stays single
         mate[pick] = v
     rep = np.minimum(np.arange(n, dtype=np.intp), match)
-    reps = np.unique(rep)
-    cmap = np.searchsorted(reps, rep).astype(np.intp)
-    return cmap
+    # The reps, sorted and distinct: the vertices that are their own rep.
+    return np.searchsorted(np.flatnonzero(rep == np.arange(n)), rep).astype(np.intp)
 
 
 def _contract(
@@ -508,6 +494,79 @@ def _best_move(
     return _best_target(own, blocks, counts, wsums, M)
 
 
+def _sweep_moves(
+    scored: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
+    weights: np.ndarray, assign: np.ndarray, vweights: np.ndarray,
+    spare: np.ndarray, M: dict[tuple[int, int], int], fallback: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(vertices, gains, targets)``: every ``scored`` vertex's best move at once.
+
+    :func:`_best_move` with ``spare = caps − block_weight``, or with
+    ``fallback`` :func:`_best_drain_move` with ``spare = targets − sizes``
+    and unit vertex weights (a move into ``B`` needs ``vweights[v] <=
+    spare[B]``), on the same state with the same arithmetic: counts per
+    (vertex, block), weight sums added from 0.0 in neighbour-list order by
+    ``np.bincount``, the :func:`_tile_delta` terms looked up in ``M``'s
+    sorted keys, the float64 gain and its first maximum over ascending
+    blocks.  So every gain equals the per-vertex one to the bit.  A vertex
+    without a target is dropped, or with ``fallback`` scored against the
+    lowest block with room.  Vertices come out ascending.
+    """
+    k = spare.shape[0]
+    vertices = np.flatnonzero(scored)
+    own = assign[vertices]
+    rows = np.repeat(np.arange(scored.size), np.diff(indptr))
+    entry = np.flatnonzero(scored[rows])
+    rank = np.cumsum(scored) - 1  # a scored vertex's place in `vertices`
+    pairs, inv = np.unique(
+        rank[rows[entry]] * k + assign[indices[entry]], return_inverse=True
+    )
+    count = np.bincount(inv, minlength=pairs.size)
+    wsum = np.bincount(inv, weights=weights[entry], minlength=pairs.size)
+    group, block = np.divmod(pairs, k)  # ascending by (vertex, block)
+    mine = block == own[group]
+    c_own = np.bincount(group[mine], count[mine], vertices.size).astype(np.int64)
+    w_own = np.bincount(group[mine], wsum[mine], vertices.size)  # one term: exact
+    cand = ~mine & (vweights[vertices[group]] <= spare[block])
+    cg, cb, cc, cw = group[cand], block[cand], count[cand], wsum[cand]
+    if fallback and (spare > 0).any():
+        lone = np.flatnonzero(np.bincount(cg, minlength=vertices.size) == 0)
+        cg, cb = np.r_[cg, lone], np.r_[cb, np.full(lone.size, np.argmax(spare > 0))]
+        cc, cw = np.r_[cc, np.zeros(lone.size, cc.dtype)], np.r_[cw, np.zeros(lone.size)]
+    # M as sorted keys a·k + b (a <= b), ended by a k² sentinel.
+    mkeys, mvals = np.array([(a * k + b, c) for (a, b), c in sorted(M.items())] + [(k * k, 0)]).T
+
+    def lookup(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        key = np.minimum(a, b) * k + np.maximum(a, b)
+        i = np.searchsorted(mkeys, key)
+        return np.where(mkeys[i] == key, mvals[i], 0)
+
+    def shift(before: np.ndarray, d: np.ndarray, weight: int) -> np.ndarray:
+        emptied, opened = (before > 0) & (before + d == 0), (before == 0) & (before + d > 0)
+        return weight * emptied - weight * opened
+
+    # Each candidate against its vertex's other neighbour blocks D ∉
+    # {own, B}: the (own, D) pairs it empties, the (B, D) pairs it opens.
+    o, plen = own[cg], np.bincount(group, minlength=vertices.size)
+    reps = plen[cg]
+    ex = np.repeat(np.arange(cg.size), reps)
+    ep = np.repeat((plen.cumsum() - plen)[cg] - reps.cumsum() + reps, reps)
+    ep += np.arange(ex.size)
+    other = (block[ep] != o[ex]) & (block[ep] != cb[ex])
+    ex, ep = ex[other], ep[other]
+    tile = 2 * (
+        np.bincount(ex[lookup(o[ex], block[ep]) == count[ep]], minlength=cg.size)
+        - np.bincount(ex[lookup(cb[ex], block[ep]) == 0], minlength=cg.size)
+    )
+    tile += shift(lookup(o, o), -c_own[cg], 1) + shift(lookup(cb, cb), cc, 1)
+    tile += shift(lookup(o, cb), c_own[cg] - cc, 2)
+    wgain = cw - w_own[cg]
+    gain = tile + _TIE_BREAK_SCALE * (wgain / (1.0 + np.abs(wgain)))
+    order = np.lexsort((cb, -gain, cg))  # first maximum per vertex first
+    pick = order[np.diff(cg[order], prepend=-1) != 0]
+    return vertices[cg[pick]], gain[pick], cb[pick]
+
+
 def _fm_pass(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -529,10 +588,9 @@ def _fm_pass(
     n = assign.shape[0]
     stamp = np.zeros(n, dtype=np.int64)
     locked = np.zeros(n, dtype=bool)
-    # Only boundary vertices can move; find them in one vectorised sweep
-    # instead of probing all n (interior vertices would all return None).
+    # Only boundary vertices can move (interior vertices have no target).
     rows = np.repeat(np.arange(n, dtype=np.intp), np.diff(indptr))
-    boundary = np.unique(rows[assign[rows] != assign[indices]])
+    boundary = np.bincount(rows[assign[rows] != assign[indices]], minlength=n) > 0
     ptr, nbr, wt, vw, asg, bw, cap, st, lock = (
         memoryview(a)
         for a in (
@@ -547,8 +605,12 @@ def _fm_pass(
         if move is not None:
             buckets.push(move[0], v, move[1], st[v])
 
-    for v in memoryview(boundary):
-        requeue(v)
+    sweep = _sweep_moves(
+        boundary, indptr, indices, weights, assign, vweights,
+        caps - block_weight, M, fallback=False,
+    )
+    for v, gain, target in zip(*(a.tolist() for a in sweep)):
+        buckets.push(gain, v, target, st[v])
     moves: list[tuple[int, int, int]] = []
     # Prefix quality is tracked lexicographically — tile gain first, the
     # edge-cut tie-break strictly second — so a run of tie-break-positive
@@ -659,10 +721,16 @@ def _rebalance_exact(
     under-full partner block instead of scattering it across the grid.
     Every move shrinks the total overflow by one, so the drain terminates
     with ``sizes == targets`` exactly.
+
+    The over-full blocks' vertices are scored in one vectorised pass
+    (:func:`_sweep_moves`), a move's neighbours one at a time
+    (:func:`_best_drain_move`).  The drain stops at zero overflow: every
+    later pop would only bump a stamp local to this call.
     """
-    k = targets.shape[0]
+    n, k = assign.shape[0], targets.shape[0]
     sizes = np.bincount(assign, minlength=k)
-    stamp = np.zeros(assign.shape[0], dtype=np.int64)
+    overflow = int(np.maximum(sizes - targets, 0).sum())
+    stamp = np.zeros(n, dtype=np.int64)
     ptr, nbr, wt, asg, sz, tg, st = (
         memoryview(a)
         for a in (indptr, indices, weights, assign, sizes, targets, stamp)
@@ -673,12 +741,16 @@ def _rebalance_exact(
         if move is not None:
             buckets.push(move[0], v, move[1], st[v])
 
-    while int(np.sum(np.maximum(sizes - targets, 0))) > 0:
+    while overflow > 0:
         buckets = _GainBuckets()
         moved = False
-        for v in memoryview(np.flatnonzero(sizes[assign] > targets[assign])):
-            requeue(v)
-        while True:
+        sweep = _sweep_moves(
+            sizes[assign] > targets[assign], indptr, indices, weights, assign,
+            np.ones(n, dtype=np.intp), targets - sizes, M, fallback=True,
+        )
+        for v, gain, target in zip(*(a.tolist() for a in sweep)):
+            buckets.push(gain, v, target, st[v])
+        while overflow > 0:
             entry = buckets.pop()
             if entry is None:
                 break
@@ -694,6 +766,7 @@ def _rebalance_exact(
             _apply_move(v, target, _vertex_conn(v, ptr, nbr, wt, asg)[0], asg, M)
             sz[own] -= 1
             sz[target] += 1
+            overflow -= 1
             moved = True
             for j in range(ptr[v], ptr[v + 1]):
                 u = nbr[j]
@@ -797,20 +870,8 @@ class Partitioning:
                 f"{self.block_sizes().tolist()} vs targets "
                 f"{self.block_targets().tolist()}"
             )
-        order = np.argsort(self.assignment, kind="stable")
-        forward = np.empty(self.n, dtype=np.intp)
-        forward[order] = np.arange(self.n, dtype=np.intp)
-        bw_before = bw_after = None
-        if self._structure is not None:
-            rows, cols = self._structure
-            bw_before = _bandwidth_of(rows, cols)
-            bw_after = _bandwidth_of(forward[rows], forward[cols])
-        self._permutation = Permutation(
-            forward,
-            bandwidth_before=bw_before,
-            bandwidth_after=bw_after,
-            structure=self._structure,
-            strategy="partition",
+        self._permutation = _from_order(
+            np.argsort(self.assignment, kind="stable"), self._structure, "partition"
         )
         return self._permutation
 

@@ -37,8 +37,11 @@ to the unreordered one; ``tests/test_reorder.py`` pins this down.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from repro.utils.keys import sorted_unique
 from repro.utils.validation import check_choice, check_count, check_permutation
 
 #: Valid values of the public ``reorder=`` knob.  ``"partition"`` is the
@@ -98,11 +101,7 @@ class Permutation:
     @classmethod
     def identity(cls, n: int, structure=None) -> "Permutation":
         """The do-nothing permutation on ``n`` spins."""
-        fwd = np.arange(check_count("n", n, minimum=0), dtype=np.intp)
-        bw = None
-        if structure is not None:
-            bw = _bandwidth_of(structure[0], structure[1])
-        return cls(fwd, bw, bw, structure=structure, strategy="identity")
+        return _from_order(np.arange(check_count("n", n, minimum=0)), structure, "identity")
 
     @property
     def n(self) -> int:
@@ -156,11 +155,7 @@ class Permutation:
                 "reorder_permutation()/rcm_permutation() to estimate tiles"
             )
         rows, cols = self._structure
-        if rows.size == 0:
-            return 0
-        grid = -(-self.n // s)
-        keys = (self.forward[rows] // s) * grid + self.forward[cols] // s
-        return int(np.unique(keys).size)
+        return _tile_count(self.n, self.forward[rows], self.forward[cols], s)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         bw = ""
@@ -194,6 +189,26 @@ def _structure_of(model) -> tuple[int, np.ndarray, np.ndarray]:
     return J.shape[0], rows.astype(np.intp), cols.astype(np.intp)
 
 
+def _tile_count(n: int, rows: np.ndarray, cols: np.ndarray, s: int) -> int:
+    """Distinct ``s``-square blocks of an ``n``-spin grid the entries hit."""
+    grid = -(-n // s)
+    return int(sorted_unique((rows // s) * grid + cols // s).size)
+
+
+def _from_order(order: np.ndarray, structure, strategy: str) -> Permutation:
+    """The :class:`Permutation` that puts spin ``order[k]`` at position ``k``.
+
+    With a ``structure`` it carries the bandwidth before and after.
+    """
+    forward = np.empty(order.size, dtype=np.intp)
+    forward[order] = np.arange(order.size, dtype=np.intp)
+    bw = (None, None)
+    if structure is not None:
+        rows, cols = structure
+        bw = (_bandwidth_of(rows, cols), _bandwidth_of(forward[rows], forward[cols]))
+    return Permutation(forward, *bw, structure=structure, strategy=strategy)
+
+
 def _bandwidth_of(rows: np.ndarray, cols: np.ndarray) -> int:
     """Matrix bandwidth ``max |i − j|`` of a stored-entry set (0 if empty)."""
     if rows.size == 0:
@@ -215,11 +230,7 @@ def count_active_tiles(model, tile_size: int) -> int:
     without building any tile.
     """
     s = check_count("tile_size", tile_size)
-    n, rows, cols = _structure_of(model)
-    if rows.size == 0:
-        return 0
-    grid = -(-n // s)
-    return int(np.unique((rows // s) * grid + cols // s).size)
+    return _tile_count(*_structure_of(model), s)
 
 
 # ----------------------------------------------------------------------
@@ -395,16 +406,7 @@ def rcm_permutation(model) -> Permutation:
         piece, clock = _cm_component(stops, indices, degrees, root, mark, clock)
         pieces.append(piece)
     cm = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.intp)
-    rcm = cm[::-1]  # rcm[k] = original spin placed at position k
-    forward = np.empty(n, dtype=np.intp)
-    forward[rcm] = np.arange(n, dtype=np.intp)
-    return Permutation(
-        forward,
-        bandwidth_before=_bandwidth_of(rows, cols),
-        bandwidth_after=_bandwidth_of(forward[rows], forward[cols]),
-        structure=(rows, cols),
-        strategy="rcm",
-    )
+    return _from_order(cm[::-1], (rows, cols), "rcm")
 
 
 def degree_permutation(model) -> Permutation:
@@ -414,17 +416,8 @@ def degree_permutation(model) -> Permutation:
     graph structure like RCM, but it is a cheap O(n log n) improvement for
     graphs whose degree distribution — not topology — drives the fill.
     """
-    n, indptr, _, rows, cols = _csr_adjacency(model)
-    order = np.argsort(np.diff(indptr), kind="stable")
-    forward = np.empty(n, dtype=np.intp)
-    forward[order] = np.arange(n, dtype=np.intp)
-    return Permutation(
-        forward,
-        bandwidth_before=_bandwidth_of(rows, cols),
-        bandwidth_after=_bandwidth_of(forward[rows], forward[cols]),
-        structure=(rows, cols),
-        strategy="degree",
-    )
+    _, indptr, _, rows, cols = _csr_adjacency(model)
+    return _from_order(np.argsort(np.diff(indptr), kind="stable"), (rows, cols), "degree")
 
 
 def reorder_permutation(
@@ -479,6 +472,7 @@ def reorder_permutation(
             return perm.bandwidth_after
 
         identity_score = graph_bandwidth(model)
+    score = functools.cache(score)  # each candidate is scored once
     best = rcm_permutation(model)
     if tile_size is not None:
         from repro.core.partition import partition_permutation

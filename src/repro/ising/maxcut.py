@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.ising.model import IsingModel
 from repro.ising.sparse import BACKENDS, SparseIsingModel, recommended_backend
+from repro.utils.keys import first_repeat
 from repro.utils.validation import check_count, check_spin_vector
 
 
@@ -59,9 +60,14 @@ class MaxCutProblem:
             raise ValueError("edge endpoints out of range")
         if np.any(e[:, 0] == e[:, 1]):
             raise ValueError("self loops are not allowed")
-        key = np.minimum(e[:, 0], e[:, 1]) * n + np.maximum(e[:, 0], e[:, 1])
-        if np.unique(key).size != key.size:
-            raise ValueError("duplicate edges are not allowed")
+        lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
+        repeat = first_repeat(lo * n + hi)
+        if repeat is not None:
+            i, j = repeat
+            raise ValueError(
+                f"duplicate edges are not allowed: edge rows {i} and {j} both "
+                f"join nodes {lo[j]} and {hi[j]} (0-based)"
+            )
         if self.weights is None:
             w = np.ones(e.shape[0], dtype=np.float64)
         else:

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.utils.keys import first_repeat
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import (
     check_finite,
@@ -171,7 +172,7 @@ class IsingModel:
         flips = np.atleast_1d(np.asarray(flip_indices, dtype=np.intp))
         if flips.size == 0:
             return 0.0
-        if np.unique(flips).size != flips.size:
+        if first_repeat(flips) is not None:
             raise ValueError("flip_indices must be unique")
         sigma_new = s.copy()
         sigma_new[flips] *= -1.0

@@ -40,6 +40,7 @@ import hashlib
 
 import numpy as np
 
+from repro.utils.keys import first_repeat
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import (
     check_choice,
@@ -185,10 +186,13 @@ class SparseIsingModel:
             raise ValueError("rows, cols and values must be matching 1-D arrays")
         if r.size and (min(r.min(), c.min()) < 0 or max(r.max(), c.max()) >= n):
             raise ValueError(f"coupling indices out of range [0, {n})")
-        key = np.minimum(r, c) * n + np.maximum(r, c)
-        if np.unique(key).size != key.size:
+        lo, hi = np.minimum(r, c), np.maximum(r, c)
+        repeat = first_repeat(lo * n + hi)
+        if repeat is not None:
+            i, j = repeat
             raise ValueError(
-                "duplicate couplings: each undirected pair must appear once"
+                "duplicate couplings: each undirected pair must appear once; "
+                f"entries {i} and {j} both couple spins {lo[j]} and {hi[j]}"
             )
         keep = v != 0.0
         r, c, v = r[keep], c[keep], v[keep]
@@ -196,7 +200,8 @@ class SparseIsingModel:
         full_r = np.concatenate([r, c[off]])
         full_c = np.concatenate([c, r[off]])
         full_v = np.concatenate([v, v[off]])
-        order = np.lexsort((full_c, full_r))
+        # Row-major CSR order; the keys are distinct after the check above.
+        order = np.argsort(full_r * n + full_c)
         full_r, full_c, full_v = full_r[order], full_c[order], full_v[order]
         indptr = np.zeros(n + 1, dtype=np.intp)
         indptr[1:] = np.cumsum(np.bincount(full_r, minlength=n))
@@ -393,7 +398,7 @@ class SparseIsingModel:
             return 0.0
         if flips.min() < 0 or flips.max() >= self._n:
             raise IndexError("flip index out of range")
-        if np.unique(flips).size != flips.size:
+        if first_repeat(flips) is not None:
             raise ValueError("flip_indices must be unique")
         sigma_new = s.copy()
         sigma_new[flips] *= -1.0
@@ -458,7 +463,11 @@ class SparseIsingModel:
         fwd, bwd = check_permutation(perm, self._n)
         r = fwd[self._rows]
         c = fwd[self._indices]
-        order = np.lexsort((c, r))
+        # Row-major CSR order: stable only if a raw CSR repeats an entry.
+        key = r * self._n + c
+        order = np.argsort(key)
+        if (np.diff(key[order]) == 0).any():
+            order = np.argsort(key, kind="stable")
         indptr = np.zeros(self._n + 1, dtype=np.intp)
         indptr[1:] = np.cumsum(np.bincount(r, minlength=self._n))
         return SparseIsingModel(

@@ -108,7 +108,8 @@ def model_bytes(model) -> dict:
 # ----------------------------------------------------------------------
 # Layout byte pins: five graphs that between them take every branch of the
 # RCM / partition race.  ``test_partition.py`` pins each graph's partition
-# assignment and ``test_reorder.py`` its RCM permutation and ``auto`` winner.
+# assignment and ``test_reorder.py`` its RCM permutation and ``auto`` winner;
+# a sixth, benchmark-scale graph pins the partition alone.
 # ----------------------------------------------------------------------
 def layout_digest(values, label: str = "") -> str:
     """sha256 of ``label`` and an index array's int64 bytes."""
@@ -177,6 +178,17 @@ def _pin_components():
     ), 32
 
 
+def _pin_perfbench():
+    """perfbench ``tiled-machine``'s instance at seed 0: a long drain.
+
+    RCM wins its race, and perfbench's golden check pins that winner, so
+    only the losing partition is pinned here (336 drain moves, against
+    16–43 on the five graphs above).
+    """
+    problem, _ = scattered_circulant_maxcut(20_000, seed=0)
+    return problem.to_ising(backend="sparse"), 256
+
+
 #: name -> function returning ``(model, tile_size)``.
 LAYOUT_PIN_GRAPHS = {
     "circulant": _pin_circulant,
@@ -184,4 +196,5 @@ LAYOUT_PIN_GRAPHS = {
     "non-dyadic": _pin_non_dyadic,
     "dense": _pin_dense,
     "components": _pin_components,
+    "perfbench": _pin_perfbench,
 }

@@ -30,6 +30,8 @@ class TestVectors:
             flip_mask(3, [3])
         with pytest.raises(ValueError):
             flip_mask(3, [1, 1])
+        with pytest.raises(ValueError, match="unique"):
+            flip_mask(4, [2, 0, 3, 2])
 
     def test_apply_flips(self):
         sigma = np.array([1, -1, 1, -1], dtype=np.int8)

@@ -22,6 +22,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="duplicate"):
             MaxCutProblem(3, np.array([[0, 1], [1, 0]]))
 
+    def test_duplicate_error_names_the_first_repeat(self):
+        # Rows 3, 4 and 5 repeat rows 0, 2 and 1: the first repeat is row
+        # 3's, not the smallest pair's.
+        edges = np.array([[3, 1], [1, 2], [0, 2], [1, 3], [2, 0], [2, 1]])
+        with pytest.raises(
+            ValueError,
+            match=r"edge rows 0 and 3 both join nodes 1 and 3 \(0-based\)$",
+        ):
+            MaxCutProblem(4, edges)
+
     def test_rejects_out_of_range_endpoints(self):
         with pytest.raises(ValueError, match="out of range"):
             MaxCutProblem(3, np.array([[0, 3]]))

@@ -27,6 +27,17 @@ from repro.core import (
     reorder_permutation,
     solve_ising,
 )
+from repro.core.partition import (
+    _apply_move,
+    _best_drain_move,
+    _best_move,
+    _GainBuckets,
+    _pair_counts,
+    _rebalance_exact,
+    _sweep_moves,
+    _vertex_conn,
+    _weighted_adjacency,
+)
 from repro.ising import IsingModel, SparseIsingModel, planted_partition_maxcut
 from repro.utils.rng import ensure_rng
 from tests.conftest import LAYOUT_PIN_GRAPHS, layout_digest
@@ -192,6 +203,7 @@ PARTITION_PINS = {
     "non-dyadic": "802f99b86b4716deb2aa22cc7013ca8deb739c8ee85f7675b82f40f520bb6c93",
     "dense": "e1405a910971d0ff3f2b2344fe2b14439bd427592c3f5df7cf5c085eb9c5c7d5",
     "components": "dd9566569b0504e8124018d2d2a28192ff7adcc714e2e9a2d8f63d4dfd1ca945",
+    "perfbench": "42859cc23bd2f86d3d3ef605930d27737055c03c6fc60d060ed4a49169106ea1",
 }
 
 
@@ -202,6 +214,162 @@ class TestPartitionBytePins:
         part = partition_model(model, tile)
         assert part.is_tile_aligned
         assert layout_digest(part.assignment) == PARTITION_PINS[name]
+
+
+# ----------------------------------------------------------------------
+# The whole-sweep scorer and the drain that stops at zero overflow
+# ----------------------------------------------------------------------
+sweeps = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def sweep_graph(seed: int):
+    """``(indptr, indices, weights, assign, k, rng)`` of a random sparse graph.
+
+    2–300 spins, about a tenth of them isolated, non-dyadic couplings with
+    ties in |J|, and a random assignment to 2–32 blocks.
+    """
+    rng = ensure_rng(seed)
+    n = int(rng.integers(2, 301))
+    live = np.flatnonzero(rng.random(n) < 0.9)
+    if live.size < 2:
+        live = np.arange(n)
+    rows, cols = np.triu_indices(live.size, k=1)
+    m = int(rng.integers(1, min(rows.size, 4 * n) + 1))
+    pick = rng.choice(rows.size, size=m, replace=False)
+    w = rng.choice(np.array([-1.1, -0.7, -0.3, 0.3, 0.7, 1.1]), size=pick.size)
+    model = SparseIsingModel.from_edges(n, live[rows[pick]], live[cols[pick]], w)
+    _, indptr, indices, weights, _ = _weighted_adjacency(model)
+    k = int(rng.integers(2, min(n, 32) + 1))
+    return indptr, indices, weights, rng.integers(0, k, size=n), k, rng
+
+
+def reference_rebalance(indptr, indices, weights, assign, targets, M) -> None:
+    """The drain scored vertex by vertex, run until its queue is empty."""
+    k = targets.shape[0]
+    sizes = np.bincount(assign, minlength=k)
+    stamp = np.zeros(assign.shape[0], dtype=np.int64)
+    ptr, nbr, wt, asg, sz, tg, st_ = (
+        memoryview(a)
+        for a in (indptr, indices, weights, assign, sizes, targets, stamp)
+    )
+
+    def requeue(v: int) -> None:
+        move = _best_drain_move(v, ptr, nbr, wt, asg, sz, tg, M)
+        if move is not None:
+            buckets.push(move[0], v, move[1], st_[v])
+
+    while int(np.sum(np.maximum(sizes - targets, 0))) > 0:
+        buckets = _GainBuckets()
+        moved = False
+        for v in memoryview(np.flatnonzero(sizes[assign] > targets[assign])):
+            requeue(v)
+        while True:
+            entry = buckets.pop()
+            if entry is None:
+                break
+            _, v, target, pushed = entry
+            if pushed != st_[v]:
+                continue
+            own = asg[v]
+            if sz[own] <= tg[own] or sz[target] >= tg[target]:
+                st_[v] += 1
+                requeue(v)
+                continue
+            _apply_move(v, target, _vertex_conn(v, ptr, nbr, wt, asg)[0], asg, M)
+            sz[own] -= 1
+            sz[target] += 1
+            moved = True
+            for j in range(ptr[v], ptr[v + 1]):
+                u = nbr[j]
+                st_[u] += 1
+                requeue(u)
+        if not moved:
+            break
+
+
+def assert_same_moves(got, want) -> None:
+    """The sweep's ``(vertices, gains, targets)`` against per-vertex moves."""
+    vertices, gains, targets = (a.tolist() for a in got)
+    assert vertices == [v for v, _ in want]
+    assert targets == [move[1] for _, move in want]
+    assert [repr(g) for g in gains] == [repr(move[0]) for _, move in want]
+
+
+class TestSweepScorer:
+    @sweeps
+    @given(st.integers(0, 2**32 - 1))
+    def test_fm_sweep_matches_best_move(self, seed):
+        indptr, indices, weights, assign, k, rng = sweep_graph(seed)
+        n = assign.shape[0]
+        vweights = rng.integers(1, 4, size=n)
+        block_weight = np.bincount(assign, weights=vweights, minlength=k).astype(np.intp)
+        # Caps below, at and above each block's weight: over-full, full
+        # and under-full blocks in one assignment.
+        caps = block_weight + rng.integers(-3, 4, size=k)
+        M = _pair_counts(indptr, indices, assign, k)
+        scored = rng.random(n) < 0.7
+        views = [
+            memoryview(a)
+            for a in (indptr, indices, weights, assign, vweights, block_weight, caps)
+        ]
+        want = [
+            (v, move) for v in np.flatnonzero(scored).tolist()
+            if (move := _best_move(v, *views, M)) is not None
+        ]
+        assert_same_moves(
+            _sweep_moves(
+                scored, indptr, indices, weights, assign, vweights,
+                caps - block_weight, M, fallback=False,
+            ),
+            want,
+        )
+
+    @sweeps
+    @given(st.integers(0, 2**32 - 1))
+    def test_drain_sweep_matches_best_drain_move(self, seed):
+        indptr, indices, weights, assign, k, rng = sweep_graph(seed)
+        n = assign.shape[0]
+        sizes = np.bincount(assign, minlength=k)
+        targets = np.maximum(sizes + rng.integers(-3, 4, size=k), 0)
+        M = _pair_counts(indptr, indices, assign, k)
+        scored = sizes[assign] > targets[assign]
+        views = [
+            memoryview(a)
+            for a in (indptr, indices, weights, assign, sizes, targets)
+        ]
+        want = [
+            (v, move) for v in np.flatnonzero(scored).tolist()
+            if (move := _best_drain_move(v, *views, M)) is not None
+        ]
+        assert_same_moves(
+            _sweep_moves(
+                scored, indptr, indices, weights, assign, np.ones(n, dtype=np.intp),
+                targets - sizes, M, fallback=True,
+            ),
+            want,
+        )
+
+    @sweeps
+    @given(st.integers(0, 2**32 - 1))
+    def test_drain_matches_reference(self, seed):
+        indptr, indices, weights, assign, _, rng = sweep_graph(seed)
+        n = assign.shape[0]
+        s = int(rng.integers(2, max(3, n // 2) + 1))
+        k = -(-n // s)
+        targets = np.full(k, s, dtype=np.intp)
+        targets[-1] = n - (k - 1) * s
+        assign = assign % k
+        M = _pair_counts(indptr, indices, assign, k)
+        want_assign, want_M = assign.copy(), dict(M)
+        reference_rebalance(indptr, indices, weights, want_assign, targets, want_M)
+        _rebalance_exact(indptr, indices, weights, assign, targets, M)
+        assert np.array_equal(np.bincount(assign, minlength=k), targets)
+        assert np.array_equal(assign, want_assign)
+        assert M == want_M
 
 
 # ----------------------------------------------------------------------

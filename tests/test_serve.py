@@ -533,6 +533,11 @@ class TestProtocolErrors:
             ({"gset": GSET_TEXT, "backend": "bogus"}, "unknown backend 'bogus'"),
             ({"gset": "2 1\n1 2 nan"}, "weights must be finite, got nan on edge 0"),
             ({"gset": "2 1\n1 2 inf"}, "weights must be finite, got inf on edge 0"),
+            (
+                {"gset": "3 3\n1 2 1\n2 3 1\n2 1 1"},
+                "duplicate edges are not allowed: edge rows 0 and 2 both join "
+                "nodes 0 and 1",
+            ),
             ({"gset": ""}, "'gset' must carry the instance text"),
             # 10**15 × 64 draws exceed any address space: the admission
             # budget refuses the job before the worker allocates.

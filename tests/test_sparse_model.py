@@ -205,6 +205,56 @@ class TestConstructionAndSelection:
     def test_from_edges_validation(self):
         with pytest.raises(ValueError, match="duplicate"):
             SparseIsingModel.from_edges(4, [0, 1], [1, 0], [1.0, 2.0])
+        with pytest.raises(
+            ValueError, match="entries 1 and 3 both couple spins 2 and 2$"
+        ):
+            SparseIsingModel.from_edges(
+                4, [0, 2, 1, 2, 0], [1, 2, 3, 2, 1], [1.0, 0.5, 2.0, 0.5, 1.0]
+            )
+
+    def test_duplicate_flips_rejected(self):
+        model = SparseIsingModel.random(20, seed=4)
+        sigma = model.random_configuration(5)
+        with pytest.raises(ValueError, match="unique"):
+            model.delta_energy_flips(sigma, [7, 2, 9, 2])
+
+    @relaxed
+    @given(st.integers(0, 2**32 - 1))
+    def test_csr_order_is_lexsort_order(self, seed):
+        """from_edges and permuted sort by one key; lexsort is the reference."""
+        rng = ensure_rng(seed)
+        n = int(rng.integers(2, 60))
+        rows, cols = np.triu_indices(n)
+        pick = np.flatnonzero(rng.random(rows.size) < 0.3)
+        pick = pick[rng.permutation(pick.size)]
+        swap = rng.random(pick.size) < 0.5
+        r = np.where(swap, cols[pick], rows[pick])
+        c = np.where(swap, rows[pick], cols[pick])
+        v = rng.integers(-3, 4, size=r.size) / 3.0  # explicit zeros too
+        model = SparseIsingModel.from_edges(n, r, c, v)
+        r, c, v = r[v != 0], c[v != 0], v[v != 0]
+        off = r != c
+        full_r, full_c = np.r_[r, c[off]], np.r_[c, r[off]]
+        full_v = np.r_[v, v[off]]
+        order = np.lexsort((full_c, full_r))
+        _, indices, data = model.csr_arrays()
+        assert np.array_equal(indices, full_c[order])
+        assert np.array_equal(data, full_v[order])
+        # A raw CSR may repeat an entry: permuted keeps its two copies in
+        # stored order, as the stable lexsort does.
+        k = int(rng.integers(full_r.size)) if full_r.size else 0
+        raw_r = np.r_[full_r[order], full_r[order][k:k + 1]]
+        raw_c = np.r_[full_c[order], full_c[order][k:k + 1]]
+        raw_v = np.r_[full_v[order], full_v[order][k:k + 1] + 0.5]
+        by_row = np.argsort(raw_r, kind="stable")
+        indptr = np.r_[0, np.cumsum(np.bincount(raw_r, minlength=n))]
+        raw = SparseIsingModel(indptr, raw_c[by_row], raw_v[by_row])
+        fwd = rng.permutation(n)
+        moved_r, moved_c = fwd[raw_r[by_row]], fwd[raw_c[by_row]]
+        want = np.lexsort((moved_c, moved_r))
+        _, indices, data = raw.permuted(fwd).csr_arrays()
+        assert np.array_equal(indices, moved_c[want])
+        assert np.array_equal(data, raw_v[by_row][want])
         with pytest.raises(ValueError, match="out of range"):
             SparseIsingModel.from_edges(3, [0], [5], [1.0])
         with pytest.raises(ValueError, match="fields"):

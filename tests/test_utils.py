@@ -25,6 +25,7 @@ from repro.utils import (
     spawn_rng,
     to_si,
 )
+from repro.utils.keys import first_repeat, sorted_unique
 from repro.utils.tables import render_series, render_table
 from repro.utils.validation import check_finite, check_initial
 
@@ -241,6 +242,18 @@ class TestValidation:
         build(4)  # an integer count still builds
         with pytest.raises(ValueError, match="must be an integer"):
             build(value)
+
+
+class TestSortedKeys:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sorted_unique_is_np_unique(self, seed):
+        keys = ensure_rng(seed).integers(-50, 50, size=seed * 40)
+        assert np.array_equal(sorted_unique(keys), np.unique(keys))
+
+    def test_first_repeat_names_the_earliest_repeat(self):
+        assert first_repeat([]) is None
+        assert first_repeat([4, 1, 3]) is None
+        assert first_repeat([7, 5, 9, 5, 7, 9]) == (1, 3)
 
 
 class TestTables:
