@@ -19,7 +19,6 @@ import hashlib
 import json
 from pathlib import Path
 
-import networkx as nx
 import numpy as np
 
 from repro.core.solver import solve_maxcut
@@ -48,7 +47,9 @@ def exact_bipartite_optimum(problem: MaxCutProblem) -> float | None:
         return None
     if problem.num_edges == 0:
         return 0.0
-    if not nx.is_bipartite(problem.to_networkx()):
+    from networkx import is_bipartite
+
+    if not is_bipartite(problem.to_networkx()):
         return None
     return problem.total_weight
 

@@ -32,8 +32,8 @@ array (a grid of one tile) and of the tiled grid
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,9 +72,10 @@ def check_drive(r: np.ndarray, c: np.ndarray, n: int, v_bg: float) -> None:
     check_in_range("v_bg", v_bg, VBG_MIN - 1e-9, VBG_MAX + 1e-9)
 
 
-@dataclass(frozen=True)
-class ActivationStats:
+class ActivationStats(NamedTuple):
     """Hardware activity counters for one crossbar evaluation.
+
+    A named tuple, not a dataclass: one is built per read.
 
     Attributes
     ----------

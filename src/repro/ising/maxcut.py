@@ -16,14 +16,17 @@ here and checked by the test-suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.ising.model import IsingModel
 from repro.ising.sparse import BACKENDS, SparseIsingModel, recommended_backend
 from repro.utils.keys import first_repeat
 from repro.utils.validation import check_count, check_spin_vector
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass
@@ -127,6 +130,8 @@ class MaxCutProblem:
 
     def to_networkx(self) -> nx.Graph:
         """Export as a :class:`networkx.Graph` with ``weight`` attributes."""
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(range(self.num_nodes))
         g.add_weighted_edges_from(

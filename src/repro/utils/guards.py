@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from contextlib import ExitStack, contextmanager
-from unittest import mock
 
 
 @contextmanager
@@ -26,10 +25,13 @@ def forbid_densification(trap_matrix_hat: bool = True) -> Iterator[None]:
     tiled machine).  The patches are process-global for the duration of
     the context — use it around a bounded unit of work (a solve, a
     request, a bench protocol), not around concurrent mixed workloads
-    that legitimately densify elsewhere.
+    that legitimately densify elsewhere.  It imports ``unittest.mock``
+    (and with it ``asyncio``) on entry, not when this module is imported.
     """
     # Local imports: utils must stay dependency-free at import time
     # (repro.arch/repro.ising layer on top of repro.utils).
+    from unittest import mock
+
     from repro.arch import TiledCrossbar
     from repro.ising.sparse import SparseIsingModel
 

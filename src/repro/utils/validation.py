@@ -8,6 +8,7 @@ with actionable messages instead of producing subtly wrong physics.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -16,9 +17,13 @@ import numpy as np
 def check_positive(name: str, value: float, allow_zero: bool = False) -> float:
     """Validate that a scalar parameter is finite and positive (or >= 0).
 
-    NaN and ±inf are refused first: ``nan <= 0`` is False, so a bare sign
-    test would let NaN through to fail later, far from the knob.
+    Refuses ``bool``/``np.bool_`` (silently 1.0 or 0.0), strings, ``None``
+    and any other non-real, as :func:`check_count` does.  NaN and ±inf are
+    refused next: ``nan <= 0`` is False, so a bare sign test would let
+    NaN through to fail later, far from the knob.
     """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")

@@ -147,6 +147,11 @@ class TestInSituAnnealer:
                 acceptance_scale=scale,
             )
 
+    def test_solve_ising_refuses_bool_acceptance_scale(self, small_model):
+        # a bool must not run as a gain of 1.0
+        with pytest.raises(ValueError, match="^acceptance_scale must be a real number, got True$"):
+            solve_ising(small_model, iterations=20, seed=0, acceptance_scale=True)
+
     def test_flip_count_validation(self, small_model):
         with pytest.raises(ValueError):
             InSituAnnealer(small_model, flips_per_iteration=0)

@@ -142,6 +142,12 @@ class TestValidation:
             check_positive("x", 0.0)
         with pytest.raises(ValueError):
             check_positive("x", -1.0, allow_zero=True)
+        assert check_positive("x", np.float32(0.5)) == 0.5
+        assert type(check_positive("x", np.int64(3))) is float
+        # not 1.0/0.0 for a bool, 3.0 for "3" or a bare TypeError for None
+        for bad in (True, False, np.True_, "3", None, 1j, [1.0]):
+            with pytest.raises(ValueError, match=r"^x must be a real number, got "):
+                check_positive("x", bad, allow_zero=True)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("allow_zero", [False, True])
