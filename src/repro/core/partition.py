@@ -24,7 +24,11 @@ costs more in call overhead than in work, so they read the arrays and
 the assign/match/stamp state as Python numbers through zero-copy
 ``memoryview`` objects.  (Python lists ran as fast in a prototype but
 hold a boxed object per entry, which raised the compile's peak RSS.)
-The steps:
+A requeue reads its vertex's per-block neighbour counts and weight sums
+from :class:`_Neighbourhoods`: one scan when first read, then updated
+at each neighbour's move — the count exactly, the two blocks the move
+touches re-summed in list order — so a hub of hundreds of neighbours is
+not rescanned on every one of their moves.  The steps:
 
 1. **Coarsening** — heavy-edge matching: visit vertices in ascending
    degree order, match each with its unmatched neighbour of largest
@@ -58,6 +62,7 @@ picks the same winner on every run.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 
 import numpy as np
@@ -281,16 +286,27 @@ def _greedy_grow(
 # Refinement: boundary FM with gain buckets
 # ----------------------------------------------------------------------
 class _GainBuckets:
-    """Max-gain bucket queue with lazy invalidation.
+    """Max-gain queue of moves: one scored sweep, then the requeues.
 
-    Entries are ``(vertex, target_block, stamp)`` grouped into buckets by
-    exact gain value; a heap over the bucket keys serves the maximum-gain
-    bucket in O(log #gains).  Stale entries (vertex re-stamped or locked
-    since push) are discarded by the caller on pop — the classic FM
-    bucket structure, generalised to float gains.
+    The sweep's ``(gain, vertex, target, stamp)`` entries are sorted once,
+    by (−gain, −vertex), and served from that array; a requeue goes into a
+    bucket by exact gain value, LIFO within it, with a heap over the bucket
+    keys serving the maximum-gain bucket in O(log #gains).  A pop takes the
+    higher gain of the two, a requeue on a tie: the order one set of
+    buckets gives with the sweep pushed first in ascending vertex order,
+    without a push per swept vertex (most are never popped).  Stale
+    entries (vertex re-stamped or locked since) are discarded by the
+    caller on pop — the classic FM bucket structure, generalised to float
+    gains.
     """
 
-    def __init__(self) -> None:
+    def __init__(
+        self, vertices: np.ndarray, gains: np.ndarray, targets: np.ndarray,
+        stamps: np.ndarray,
+    ) -> None:
+        order = np.lexsort((-vertices, -gains))
+        self._swept = [a[order].tolist() for a in (gains, vertices, targets, stamps)]
+        self._next = 0
         self._buckets: dict[float, list[tuple[int, int, int]]] = {}
         self._heap: list[float] = []
 
@@ -302,15 +318,27 @@ class _GainBuckets:
         bucket.append((vertex, target, stamp))
 
     def pop(self) -> tuple[float, int, int, int] | None:
-        """Highest-gain entry (LIFO within a bucket), or ``None``."""
-        while self._heap:
-            gain = -self._heap[0]
-            bucket = self._buckets.get(gain)
-            if bucket:
-                return (gain,) + bucket.pop()
-            heapq.heappop(self._heap)
-            self._buckets.pop(gain, None)
+        """Highest-gain entry, or ``None``."""
+        heap, buckets = self._heap, self._buckets
+        while heap and not buckets[-heap[0]]:
+            del buckets[-heapq.heappop(heap)]
+        i = self._next
+        gains, vertices, targets, stamps = self._swept
+        if i < len(gains) and (not heap or gains[i] > -heap[0]):
+            self._next = i + 1
+            return gains[i], vertices[i], targets[i], stamps[i]
+        if heap:
+            return (-heap[0],) + buckets[-heap[0]].pop()
         return None
+
+
+#: Active tile pairs: ``M[a][b]`` (= ``M[b][a]``) couplings join blocks
+#: ``a`` and ``b``.  Only positive counts are stored, and a block without
+#: an active pair has no row, so a pair is active exactly while present.
+_PairCounts = dict[int, dict[int, int]]
+
+#: The row of a block without an active pair (never written).
+_NO_PAIRS: dict[int, int] = {}
 
 
 def _pair_counts(
@@ -318,13 +346,11 @@ def _pair_counts(
     indices: np.ndarray,
     assign: np.ndarray,
     k: int,
-) -> dict[tuple[int, int], int]:
+) -> _PairCounts:
     """Edge count per unordered block pair — the active-tile bookkeeping.
 
-    ``M[(a, b)]`` (``a <= b``) is the number of couplings between blocks
-    ``a`` and ``b``; a pair is an active tile pair exactly while its
-    count is positive.  Kept as a dict so the cost stays O(active pairs),
-    never O(k²).
+    Kept as nested dicts so the cost stays O(active pairs), never O(k²),
+    and a vertex's lookups go through its own block's row.
     """
     n = assign.shape[0]
     rows = np.repeat(np.arange(n, dtype=np.intp), np.diff(indptr))
@@ -333,9 +359,25 @@ def _pair_counts(
     b = assign[indices[half]]
     keys = np.minimum(a, b) * k + np.maximum(a, b)
     uniq, counts = np.unique(keys, return_counts=True)
-    return {
-        (int(q) // k, int(q) % k): int(c) for q, c in zip(uniq, counts)
-    }
+    M: _PairCounts = {}
+    for key, count in zip(uniq.tolist(), counts.tolist()):
+        a, b = divmod(key, k)
+        M.setdefault(a, {})[b] = count
+        M.setdefault(b, {})[a] = count
+    return M
+
+
+#: A block of a vertex's neighbourhood: the list positions, neighbours and
+#: weights of the vertex's neighbours in that block, in list order.
+_Group = tuple[list[int], list[int], list[float]]
+
+
+def _block_sum(weights: list[float]) -> float:
+    """``weights`` added from 0.0 in list order."""
+    total = 0.0
+    for w in weights:
+        total += w
+    return total
 
 
 def _vertex_conn(
@@ -344,33 +386,104 @@ def _vertex_conn(
     indices: memoryview,
     weights: memoryview,
     assign: memoryview,
-) -> tuple[dict[int, int], dict[int, float]]:
-    """``(counts, weight_sums)`` of v's neighbourhood, keyed by block.
+) -> tuple[dict[int, int], dict[int, float], dict[int, _Group]]:
+    """``(counts, weight_sums, groups)`` of v's neighbourhood, keyed by block.
 
     One pass over the vertex's neighbour list, O(degree).  Each block's
     weights are summed from 0.0 in neighbour-list order, the order the
     pinned layouts were computed in, so every float gain built on them
-    is reproducible to the bit.
+    is reproducible to the bit.  ``groups`` holds each block's
+    :data:`_Group`, which lets :class:`_Neighbourhoods` re-sum one block.
     """
+    groups: dict[int, _Group] = {}
+    lo, hi = indptr[v], indptr[v + 1]
+    for j, u, w in zip(range(lo, hi), indices[lo:hi], weights[lo:hi]):
+        b = assign[u]
+        if b in groups:
+            pos, nbrs, ws = groups[b]
+            pos.append(j)
+            nbrs.append(u)
+            ws.append(w)
+        else:
+            groups[b] = ([j], [u], [w])
     counts: dict[int, int] = {}
     wsums: dict[int, float] = {}
-    lo, hi = indptr[v], indptr[v + 1]
-    for u, w in zip(indices[lo:hi], weights[lo:hi]):
-        b = assign[u]
-        if b in counts:
-            counts[b] += 1
-            wsums[b] += w
-        else:
-            counts[b] = 1
-            wsums[b] = 0.0 + w
-    return counts, wsums
+    for b, (pos, _, ws) in groups.items():
+        counts[b] = len(pos)
+        wsums[b] = _block_sum(ws)
+    return counts, wsums, groups
+
+
+class _Neighbourhoods:
+    """:func:`_vertex_conn` of every vertex a level's refinement reads.
+
+    A vertex's entry is one scan of its neighbour list the first time it
+    is read; :meth:`moved` then updates it in place whenever a neighbour
+    changes block, so it stays current through every FM pass of the level
+    (rollbacks included) and the drain.  A block's count is its group's
+    length, exact, and only the two blocks a move touches are re-summed,
+    from 0.0 in neighbour-list order — so every sum is the float a fresh
+    scan returns (a ±w update would round differently on non-dyadic
+    weights).  Needs the symmetric adjacency the partitioner works on:
+    ``u`` lists ``v`` as often as ``v`` lists ``u``.
+    """
+
+    def __init__(
+        self, indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray,
+        assign: np.ndarray,
+    ) -> None:
+        self._csr = tuple(memoryview(a) for a in (indptr, indices, weights, assign))
+        self._entries: dict[
+            int, tuple[dict[int, int], dict[int, float], dict[int, _Group]]
+        ] = {}
+
+    def __getitem__(self, v: int) -> tuple[dict[int, int], dict[int, float]]:
+        """``(counts, weight_sums)`` of v's neighbourhood, keyed by block."""
+        entry = self._entries.get(v)
+        if entry is None:
+            entry = self._entries[v] = _vertex_conn(v, *self._csr)
+        return entry[0], entry[1]
+
+    def forget(self, v: int) -> None:
+        """Drop v's entry, for a vertex that is never read again."""
+        self._entries.pop(v, None)
+
+    def moved(self, v: int, frm: int, to: int) -> None:
+        """Update the entries of v's neighbours after v moved ``frm`` → ``to``."""
+        indptr, indices = self._csr[:2]
+        entries = self._entries
+        for j in range(indptr[v], indptr[v + 1]):
+            entry = entries.get(indices[j])
+            if entry is None:
+                continue
+            counts, wsums, groups = entry
+            pos, nbrs, ws = groups[frm]
+            i = nbrs.index(v)
+            del nbrs[i]
+            p, w = pos.pop(i), ws.pop(i)
+            if pos:
+                counts[frm] = len(pos)
+                wsums[frm] = _block_sum(ws)
+            else:
+                del counts[frm], wsums[frm], groups[frm]
+            group = groups.get(to)
+            if group is None:
+                counts[to], wsums[to], groups[to] = 1, 0.0 + w, ([p], [v], [w])
+                continue
+            pos, nbrs, ws = group
+            i = bisect.bisect(pos, p)
+            pos.insert(i, p)
+            nbrs.insert(i, v)
+            ws.insert(i, w)
+            counts[to] = len(pos)
+            wsums[to] = _block_sum(ws)
 
 
 def _tile_delta(
     own: int,
     target: int,
     counts: dict[int, int],
-    M: dict[tuple[int, int], int],
+    M: _PairCounts,
 ) -> int:
     """Active-tile gain of moving a vertex ``own`` → ``target``.
 
@@ -380,32 +493,48 @@ def _tile_delta(
     whose pair count drops to zero minus the number newly raised from zero
     (off-diagonal pairs weigh 2 — both triangles are programmed).
     """
+    pairs_own = M.get(own, _NO_PAIRS)
+    pairs_target = M.get(target, _NO_PAIRS)
     gain = 0
     for D, c in counts.items():
         if D == own or D == target:
             continue
         # Only this block moves couplings between (own, D) and (target, D).
-        lost = (own, D) if own < D else (D, own)
-        won = (target, D) if target < D else (D, target)
-        if M.get(lost, 0) == c:
+        if pairs_own.get(D, 0) == c:
             gain += 2
-        if won not in M:
+        if D not in pairs_target:
             gain -= 2
-    # The pairs among own and target collect shifts from both blocks.
+    # The pairs among own and target collect shifts from both blocks:
+    # (own, own) loses c_own couplings, (target, target) gains c_target,
+    # and (own, target) gains c_own and loses c_target.
     c_own = counts.get(own, 0)
     c_target = counts.get(target, 0)
-    pair = (own, target) if own < target else (target, own)
-    for key, d, weight in (
-        ((own, own), -c_own, 1),
-        ((target, target), c_target, 1),
-        (pair, c_own - c_target, 2),
-    ):
-        before = M.get(key, 0)
-        if before > 0 and before + d == 0:
-            gain += weight
-        elif before == 0 and before + d > 0:
-            gain -= weight
+    if c_own and pairs_own.get(own, 0) == c_own:
+        gain += 1
+    if c_target and target not in pairs_target:
+        gain -= 1
+    before = pairs_own.get(target, 0)
+    shift = c_own - c_target
+    if before > 0 and before + shift == 0:
+        gain += 2
+    elif before == 0 and shift > 0:
+        gain -= 2
     return gain
+
+
+def _add_pair(M: _PairCounts, a: int, b: int, d: int) -> None:
+    """Add ``d`` couplings to the block pair ``(a, b)`` in both its rows."""
+    row = M.setdefault(a, {})
+    count = row.get(b, 0) + d
+    if count:
+        row[b] = count
+        M.setdefault(b, {})[a] = count
+        return
+    # The pair empties: it leaves both rows, and a row left empty goes.
+    for x, y in {(a, b), (b, a)}:
+        del M[x][y]
+        if not M[x]:
+            del M[x]
 
 
 def _apply_move(
@@ -413,24 +542,18 @@ def _apply_move(
     target: int,
     counts: dict[int, int],
     assign: memoryview,
-    M: dict[tuple[int, int], int],
+    M: _PairCounts,
 ) -> None:
     """Reassign ``v`` to ``target`` and keep the pair counts exact.
 
     ``counts`` is v's neighbourhood by block (:func:`_vertex_conn`) under
     the current assignment.  Applying the reverse move (in reverse order)
-    restores ``M`` bit for bit, which is what the FM rollback relies on.
+    restores ``M`` exactly, which is what the FM rollback relies on.
     """
     own = assign[v]
     for D, c in counts.items():
-        ka = (own, D) if own <= D else (D, own)
-        kb = (target, D) if target <= D else (D, target)
-        M[ka] = M.get(ka, 0) - c
-        if M[ka] == 0:
-            del M[ka]
-        M[kb] = M.get(kb, 0) + c
-        if M[kb] == 0:
-            del M[kb]
+        _add_pair(M, own, D, -c)
+        _add_pair(M, target, D, c)
     assign[v] = target
 
 
@@ -445,7 +568,7 @@ def _best_target(
     blocks: list[int],
     counts: dict[int, int],
     wsums: dict[int, float],
-    M: dict[tuple[int, int], int],
+    M: _PairCounts,
 ) -> tuple[float, int] | None:
     """``(gain, target)`` of the best move ``own`` → one of ``blocks``.
 
@@ -468,25 +591,22 @@ def _best_target(
 
 
 def _best_move(
-    v: int,
-    indptr: memoryview,
-    indices: memoryview,
-    weights: memoryview,
-    assign: memoryview,
-    vweights: memoryview,
+    own: int,
+    wv: int,
+    counts: dict[int, int],
+    wsums: dict[int, float],
     block_weight: memoryview,
     caps: memoryview,
-    M: dict[tuple[int, int], int],
+    M: _PairCounts,
 ) -> tuple[float, int] | None:
-    """``(gain, target)`` of v's best feasible move, or ``None``.
+    """``(gain, target)`` of the best feasible move of a vertex, or ``None``.
 
-    Gain as in :func:`_best_target`.  Only boundary moves are produced
-    (the target must hold at least one of v's neighbours) and only into
-    blocks with spare capacity.
+    The vertex sits in block ``own``, weighs ``wv`` and has the
+    neighbourhood ``(counts, wsums)`` (:func:`_vertex_conn`).  Gain as in
+    :func:`_best_target`.  Only boundary moves are produced (the target
+    must hold at least one of its neighbours) and only into blocks with
+    spare capacity.
     """
-    counts, wsums = _vertex_conn(v, indptr, indices, weights, assign)
-    own = assign[v]
-    wv = vweights[v]
     blocks = [
         B for B in sorted(counts)
         if B != own and block_weight[B] + wv <= caps[B]
@@ -497,7 +617,7 @@ def _best_move(
 def _sweep_moves(
     scored: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
     weights: np.ndarray, assign: np.ndarray, vweights: np.ndarray,
-    spare: np.ndarray, M: dict[tuple[int, int], int], fallback: bool,
+    spare: np.ndarray, M: _PairCounts, fallback: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(vertices, gains, targets)``: every ``scored`` vertex's best move at once.
 
@@ -534,7 +654,9 @@ def _sweep_moves(
         cg, cb = np.r_[cg, lone], np.r_[cb, np.full(lone.size, np.argmax(spare > 0))]
         cc, cw = np.r_[cc, np.zeros(lone.size, cc.dtype)], np.r_[cw, np.zeros(lone.size)]
     # M as sorted keys a·k + b (a <= b), ended by a k² sentinel.
-    mkeys, mvals = np.array([(a * k + b, c) for (a, b), c in sorted(M.items())] + [(k * k, 0)]).T
+    mkeys, mvals = np.array(sorted(
+        (a * k + b, c) for a, row in M.items() for b, c in row.items() if a <= b
+    ) + [(k * k, 0)]).T
 
     def lookup(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         key = np.minimum(a, b) * k + np.maximum(a, b)
@@ -575,15 +697,16 @@ def _fm_pass(
     assign: np.ndarray,
     block_weight: np.ndarray,
     caps: np.ndarray,
-    M: dict[tuple[int, int], int],
+    M: _PairCounts,
+    conn: _Neighbourhoods,
 ) -> float:
     """One boundary Fiduccia–Mattheyses pass; returns the realised gain.
 
     Applies moves highest-gain first (negative gains allowed, so the pass
     can climb through tile-neutral territory), locking each mover and
     re-queueing its neighbours, and rolls ``assign`` — and the pair
-    counts ``M`` — back to the best prefix seen.  Block weights never
-    exceed ``caps``.
+    counts ``M`` and the neighbourhoods ``conn`` — back to the best prefix
+    seen.  Block weights never exceed ``caps``.
     """
     n = assign.shape[0]
     stamp = np.zeros(n, dtype=np.int64)
@@ -591,17 +714,15 @@ def _fm_pass(
     # Only boundary vertices can move (interior vertices have no target).
     rows = np.repeat(np.arange(n, dtype=np.intp), np.diff(indptr))
     boundary = np.bincount(rows[assign[rows] != assign[indices]], minlength=n) > 0
-    ptr, nbr, wt, vw, asg, bw, cap, st, lock = (
+    ptr, nbr, vw, asg, bw, cap, st, lock = (
         memoryview(a)
         for a in (
-            indptr, indices, weights, vweights, assign, block_weight, caps,
-            stamp, locked,
+            indptr, indices, vweights, assign, block_weight, caps, stamp, locked,
         )
     )
-    buckets = _GainBuckets()
 
     def requeue(v: int) -> None:
-        move = _best_move(v, ptr, nbr, wt, asg, vw, bw, cap, M)
+        move = _best_move(asg[v], vw[v], *conn[v], bw, cap, M)
         if move is not None:
             buckets.push(move[0], v, move[1], st[v])
 
@@ -609,8 +730,7 @@ def _fm_pass(
         boundary, indptr, indices, weights, assign, vweights,
         caps - block_weight, M, fallback=False,
     )
-    for v, gain, target in zip(*(a.tolist() for a in sweep)):
-        buckets.push(gain, v, target, st[v])
+    buckets = _GainBuckets(*sweep, stamp[sweep[0]])
     moves: list[tuple[int, int, int]] = []
     # Prefix quality is tracked lexicographically — tile gain first, the
     # edge-cut tie-break strictly second — so a run of tie-break-positive
@@ -639,13 +759,14 @@ def _fm_pass(
         # shift under moves of non-adjacent vertices), so the prefix
         # ledger books the delta recomputed against the *current* M —
         # that keeps the rollback invariant exact.
-        counts, wsums = _vertex_conn(v, ptr, nbr, wt, asg)
+        counts, wsums = conn[v]
         move_tiles = _tile_delta(frm, target, counts, M)
         wgain = wsums.get(target, 0.0) - wsums.get(frm, 0.0)
         _apply_move(v, target, counts, asg, M)
         bw[frm] -= wv
         bw[target] += wv
         lock[v] = True
+        conn.moved(v, frm, target)
         moves.append((v, frm, target))
         tiles += move_tiles
         tie += _TIE_BREAK_SCALE * (wgain / (1.0 + abs(wgain)))
@@ -664,35 +785,30 @@ def _fm_pass(
     # Undo in reverse order so each reverse move sees the assignment state
     # it was originally applied under — that makes the pair-count rollback
     # exact.
-    for v, frm, _ in reversed(moves[best_len:]):
+    for v, frm, target in reversed(moves[best_len:]):
         wv = vw[v]
-        bw[asg[v]] -= wv
+        bw[target] -= wv
         bw[frm] += wv
-        _apply_move(v, frm, _vertex_conn(v, ptr, nbr, wt, asg)[0], asg, M)
+        _apply_move(v, frm, conn[v][0], asg, M)
+        conn.moved(v, target, frm)
     return best_tiles + best_tie
 
 
 def _best_drain_move(
-    v: int,
-    indptr: memoryview,
-    indices: memoryview,
-    weights: memoryview,
-    assign: memoryview,
+    own: int,
+    counts: dict[int, int],
+    wsums: dict[int, float],
     sizes: memoryview,
     targets: memoryview,
-    M: dict[tuple[int, int], int],
+    M: _PairCounts,
 ) -> tuple[float, int] | None:
-    """Best over→under move for ``v``; ``None`` if its block isn't over-full.
+    """Best move out of block ``own`` into an under-full block, or ``None``.
 
     Same gain as :func:`_best_move` (:func:`_best_target`), but targets
     are restricted to under-full blocks.  When no under-full block touches
-    ``v``'s neighbourhood, the lowest-id under-full block is evaluated
-    anyway — draining must always be able to make progress.
+    the neighbourhood ``(counts, wsums)``, the lowest-id under-full block
+    is evaluated anyway — draining must always be able to make progress.
     """
-    own = assign[v]
-    if sizes[own] <= targets[own]:
-        return None
-    counts, wsums = _vertex_conn(v, indptr, indices, weights, assign)
     blocks = [B for B in sorted(counts) if B != own and sizes[B] < targets[B]]
     if not blocks:
         under = next(
@@ -710,7 +826,8 @@ def _rebalance_exact(
     weights: np.ndarray,
     assign: np.ndarray,
     targets: np.ndarray,
-    M: dict[tuple[int, int], int],
+    M: _PairCounts,
+    conn: _Neighbourhoods,
 ) -> None:
     """Restore the exact block sizes the tile grid requires (finest level).
 
@@ -723,33 +840,38 @@ def _rebalance_exact(
     with ``sizes == targets`` exactly.
 
     The over-full blocks' vertices are scored in one vectorised pass
-    (:func:`_sweep_moves`), a move's neighbours one at a time
-    (:func:`_best_drain_move`).  The drain stops at zero overflow: every
+    (:func:`_sweep_moves`) and served from one sorted array
+    (:class:`_GainBuckets`); a move's neighbours are rescored one at a
+    time (:func:`_best_drain_move`) from their entries in ``conn``, which
+    every move keeps current.  The drain stops at zero overflow: every
     later pop would only bump a stamp local to this call.
     """
     n, k = assign.shape[0], targets.shape[0]
     sizes = np.bincount(assign, minlength=k)
     overflow = int(np.maximum(sizes - targets, 0).sum())
     stamp = np.zeros(n, dtype=np.int64)
-    ptr, nbr, wt, asg, sz, tg, st = (
-        memoryview(a)
-        for a in (indptr, indices, weights, assign, sizes, targets, stamp)
+    ptr, nbr, asg, sz, tg, st = (
+        memoryview(a) for a in (indptr, indices, assign, sizes, targets, stamp)
     )
 
     def requeue(v: int) -> None:
-        move = _best_drain_move(v, ptr, nbr, wt, asg, sz, tg, M)
+        own = asg[v]
+        if sz[own] <= tg[own]:
+            # A block at or below its target never fills up again here,
+            # so v is never read again.
+            conn.forget(v)
+            return
+        move = _best_drain_move(own, *conn[v], sz, tg, M)
         if move is not None:
             buckets.push(move[0], v, move[1], st[v])
 
     while overflow > 0:
-        buckets = _GainBuckets()
         moved = False
         sweep = _sweep_moves(
             sizes[assign] > targets[assign], indptr, indices, weights, assign,
             np.ones(n, dtype=np.intp), targets - sizes, M, fallback=True,
         )
-        for v, gain, target in zip(*(a.tolist() for a in sweep)):
-            buckets.push(gain, v, target, st[v])
+        buckets = _GainBuckets(*sweep, stamp[sweep[0]])
         while overflow > 0:
             entry = buckets.pop()
             if entry is None:
@@ -763,7 +885,9 @@ def _rebalance_exact(
                 st[v] += 1
                 requeue(v)
                 continue
-            _apply_move(v, target, _vertex_conn(v, ptr, nbr, wt, asg)[0], asg, M)
+            _apply_move(v, target, conn[v][0], asg, M)
+            conn.forget(v)
+            conn.moved(v, own, target)
             sz[own] -= 1
             sz[target] += 1
             overflow -= 1
@@ -972,16 +1096,18 @@ def partition_model(model, tile_size: int) -> Partitioning:
             assign, weights=cur[3], minlength=k
         ).astype(np.intp)
         M = _pair_counts(cur[0], cur[1], assign, k)
+        conn = _Neighbourhoods(cur[0], cur[1], cur[2], assign)
         for _ in range(REFINE_PASSES):
             gained = _fm_pass(
-                cur[0], cur[1], cur[2], cur[3], assign, block_weight, caps, M
+                cur[0], cur[1], cur[2], cur[3], assign, block_weight, caps, M,
+                conn,
             )
             if gained <= 0.0:
                 break
 
     # --- exact tile alignment at the finest level ----------------------
-    # M is the finest level's pair-count state after the last FM pass.
-    _rebalance_exact(indptr, indices, weights, assign, targets, M)
+    # M and conn are the finest level's state after the last FM pass.
+    _rebalance_exact(indptr, indices, weights, assign, targets, M, conn)
     return Partitioning(
         assign, s,
         edge_cut=_edge_cut(indptr, indices, weights, assign),

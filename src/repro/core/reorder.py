@@ -12,9 +12,11 @@ greedy degree-ordering fallback, both operating directly on
 :class:`~repro.ising.sparse.SparseIsingModel` CSR arrays — the dense
 ``(n, n)`` matrix is never formed.  A long-diameter graph has thousands
 of BFS levels of a few nodes each, so each level is kept to a handful of
-array calls: the pseudo-peripheral search keeps only each BFS's depth and
-the (degree, id) minimum of its deepest level, and duplicate nodes are
-dropped by a scatter stamp rather than a sort.
+array calls, and duplicate nodes are dropped by a scatter stamp rather
+than a sort.  A component's first BFS is its Cuthill–McKee pass: the
+pseudo-peripheral search reads only its depth and the (degree, id)
+minimum of its deepest level, and keeps its order when the search keeps
+the start, so such a component costs two BFS passes, not three.
 
 The result is a :class:`Permutation` carrying the forward/backward index
 maps, the bandwidth before/after, and an exact
@@ -267,9 +269,9 @@ def _bfs_depth(
 ) -> tuple[int, int, int]:
     """``(depth, end, clock)`` of the BFS from ``start``.
 
-    ``depth`` counts its levels and ``end`` is the (degree, id) minimum of
-    its deepest level — all the pseudo-peripheral search needs, so no level
-    is kept.  A level's new nodes are deduplicated by a scatter stamp:
+    ``depth`` counts its levels and ``end`` is :func:`_lowest` of its
+    deepest level — all the pseudo-peripheral search needs, so no level is
+    kept.  A level's new nodes are deduplicated by a scatter stamp:
     whichever duplicate's write numpy keeps, exactly one copy of each node
     reads its own stamp back, so the level's *set* is fixed.
     """
@@ -288,33 +290,12 @@ def _bfs_depth(
         mark[fresh] = stamps
         frontier = fresh[mark[fresh] == stamps]
         depth += 1
-    end = int(frontier[np.lexsort((frontier, degrees[frontier]))[0]])
-    return depth, end, clock
+    return depth, _lowest(frontier, degrees), clock
 
 
-def _pseudo_peripheral(
-    stops: np.ndarray,
-    indices: np.ndarray,
-    degrees: np.ndarray,
-    start: int,
-    mark: np.ndarray,
-    clock: int,
-) -> tuple[int, int]:
-    """George–Liu pseudo-peripheral vertex of ``start``'s component.
-
-    Repeatedly re-roots the BFS at a minimum-degree vertex of the deepest
-    level until the eccentricity stops growing.  Returns the chosen root
-    and the advanced ``clock``.
-    """
-    depth, end, clock = _bfs_depth(stops, indices, degrees, start, mark, clock)
-    while end != start:
-        new_depth, new_end, clock = _bfs_depth(
-            stops, indices, degrees, end, mark, clock
-        )
-        if new_depth <= depth:
-            break
-        start, depth, end = end, new_depth, new_end
-    return start, clock
+def _lowest(level: np.ndarray, degrees: np.ndarray) -> int:
+    """The (degree, id) minimum of a BFS level: the search's next root."""
+    return int(level[np.lexsort((level, degrees[level]))[0]])
 
 
 def _cm_component(
@@ -324,13 +305,14 @@ def _cm_component(
     root: int,
     mark: np.ndarray,
     clock: int,
-) -> tuple[np.ndarray, int]:
-    """Cuthill–McKee ordering of ``root``'s component, and the new clock.
+) -> tuple[list[np.ndarray], int]:
+    """Cuthill–McKee levels of ``root``'s component, and the new clock.
 
-    Each level's fresh nodes are grouped by the rank of the parent that
-    discovered them (earliest parent wins a shared child) and sorted by
-    ascending degree within a group, with the node id as the deterministic
-    tie-break — the classic CM child order.  Gathered entries come in
+    The levels are the BFS levels from ``root`` as sets, so the last one
+    is the deepest.  Each level's fresh nodes are grouped by the rank of
+    the parent that discovered them (earliest parent wins a shared child)
+    and sorted by ascending degree within a group, with the node id as the
+    deterministic tie-break — the classic CM child order.  Gathered entries come in
     parent order, so a node's earliest parent is its first position:
     ``np.minimum.at`` keeps that stamp whatever the write order.
     """
@@ -343,7 +325,7 @@ def _cm_component(
         nbr, ends = _gather(stops, indices, degrees, frontier)
         pos = (mark[nbr] < base).nonzero()[0]
         if pos.size == 0:
-            return np.concatenate(order), clock
+            return order, clock
         nodes = nbr[pos]
         stamps = pos + clock
         clock += nbr.size
@@ -380,7 +362,9 @@ def rcm_permutation(model) -> Permutation:
     (isolated spins first), each from a George–Liu pseudo-peripheral root;
     the concatenated Cuthill–McKee order is reversed at the end.  Pure
     numpy over the CSR arrays — O(nnz) work per BFS sweep, never a dense
-    matrix.
+    matrix.  CM is deterministic given its root and the unvisited set, so
+    the CM pass from a component's first node doubles as the search's first
+    BFS, and is rerun only when the search moves the root.
     """
     n, indptr, indices, rows, cols = _csr_adjacency(model)
     degrees = np.diff(indptr)
@@ -400,11 +384,20 @@ def rcm_permutation(model) -> Permutation:
             ptr += 1
             continue
         start = int(by_degree[ptr])
-        root, clock = _pseudo_peripheral(
-            stops, indices, degrees, start, mark, clock
-        )
-        piece, clock = _cm_component(stops, indices, degrees, root, mark, clock)
-        pieces.append(piece)
+        levels, clock = _cm_component(stops, indices, degrees, start, mark, clock)
+        # George–Liu: re-root at the deepest level's lowest node while the
+        # eccentricity grows.
+        root, depth, end = start, len(levels), _lowest(levels[-1], degrees)
+        while end != root:
+            new_depth, new_end, clock = _bfs_depth(
+                stops, indices, degrees, end, mark, clock
+            )
+            if new_depth <= depth:
+                break
+            root, depth, end = end, new_depth, new_end
+        if root != start:
+            levels, clock = _cm_component(stops, indices, degrees, root, mark, clock)
+        pieces += levels
     cm = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.intp)
     return _from_order(cm[::-1], (rows, cols), "rcm")
 

@@ -181,7 +181,7 @@ def job_request(
                     f"iterations or replicas each)"
                 )
         if seed is not None:
-            seed = check_count("seed", seed, minimum=0)
+            seed = check_count("seed", seed, minimum=0, maximum=None)
         if backend is not None:
             backend = check_choice(
                 "backend", backend, ("auto", "dense", "sparse", "packed")

@@ -29,18 +29,17 @@ def ensure_rng(seed: RngLike = None) -> np.random.Generator:
     Parameters
     ----------
     seed:
-        ``None`` for OS entropy, a non-negative ``int`` seed (bools are
-        rejected by :func:`~repro.utils.validation.check_count`), a
-        ``SeedSequence``, or an existing ``Generator`` (returned unchanged
-        so callers can share streams).
+        ``None`` for OS entropy, a ``SeedSequence``, an existing
+        ``Generator`` (returned unchanged so callers can share streams),
+        or a non-negative integer seed.  Anything else goes through
+        :func:`~repro.utils.validation.check_count`, which refuses bools,
+        negative and non-integer seeds with one ``ValueError``.
     """
     if isinstance(seed, np.random.Generator):
         return seed
     if seed is None or isinstance(seed, np.random.SeedSequence):
         return np.random.default_rng(seed)
-    if isinstance(seed, (int, np.integer)):
-        return np.random.default_rng(check_count("seed", seed, minimum=0))
-    raise TypeError(f"cannot build a Generator from {type(seed).__name__!r}")
+    return np.random.default_rng(check_count("seed", seed, minimum=0, maximum=None))
 
 
 def spawn_rng(rng: np.random.Generator, count: int) -> list[np.random.Generator]:

@@ -35,13 +35,23 @@ def check_positive(name: str, value: float, allow_zero: bool = False) -> float:
     return value
 
 
-def check_count(name: str, value, minimum: int = 1, hint: str = "") -> int:
+#: The largest count numpy can size or index an array with; a larger
+#: Python int raises ``OverflowError`` deep inside numpy instead.
+_MAX_COUNT = int(np.iinfo(np.intp).max)
+
+
+def check_count(
+    name: str, value, minimum: int = 1, hint: str = "",
+    maximum: int | None = _MAX_COUNT,
+) -> int:
     """Validate an integer count parameter (iterations, replicas, …).
 
     Rejects ``bool`` explicitly — ``True`` is an ``int`` subclass and used
     to slip through ``operator.index`` as a silent count of 1 — and accepts
-    integer-valued floats (``1e4``) for convenience.  Raises ``ValueError``
-    with an actionable message otherwise.
+    integer-valued floats (``1e4``) for convenience.  Counts above
+    ``maximum`` are refused too; seeds pass ``maximum=None``, because numpy
+    takes a seed of any size.  Raises ``ValueError`` with an actionable
+    message otherwise.
     """
     if isinstance(value, bool):
         raise ValueError(
@@ -57,6 +67,8 @@ def check_count(name: str, value, minimum: int = 1, hint: str = "") -> int:
     if value < minimum:
         suffix = f"; {hint}" if hint else ""
         raise ValueError(f"{name} must be >= {minimum}, got {value}{suffix}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be <= {maximum}, got {value}")
     return value
 
 

@@ -12,6 +12,9 @@ objective.  Transparency (bit-identical solves) is pinned in
 
 from __future__ import annotations
 
+import copy
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -28,13 +31,17 @@ from repro.core import (
     solve_ising,
 )
 from repro.core.partition import (
+    FM_STALL_LIMIT,
     _apply_move,
     _best_drain_move,
     _best_move,
+    _fm_pass,
     _GainBuckets,
+    _Neighbourhoods,
     _pair_counts,
     _rebalance_exact,
     _sweep_moves,
+    _tile_delta,
     _vertex_conn,
     _weighted_adjacency,
 )
@@ -247,8 +254,35 @@ def sweep_graph(seed: int):
     return indptr, indices, weights, rng.integers(0, k, size=n), k, rng
 
 
+class LifoBuckets:
+    """The max-gain bucket queue every entry is pushed into, LIFO per gain."""
+
+    def __init__(self) -> None:
+        self._buckets: dict[float, list[tuple[int, int, int]]] = {}
+        self._heap: list[float] = []
+
+    def push(self, gain: float, vertex: int, target: int, stamp: int) -> None:
+        bucket = self._buckets.get(gain)
+        if bucket is None:
+            self._buckets[gain] = bucket = []
+            heapq.heappush(self._heap, -gain)
+        bucket.append((vertex, target, stamp))
+
+    def pop(self) -> tuple[float, int, int, int] | None:
+        while self._heap:
+            gain = -self._heap[0]
+            bucket = self._buckets.get(gain)
+            if bucket:
+                return (gain,) + bucket.pop()
+            heapq.heappop(self._heap)
+            self._buckets.pop(gain, None)
+        return None
+
+
 def reference_rebalance(indptr, indices, weights, assign, targets, M) -> None:
-    """The drain scored vertex by vertex, run until its queue is empty."""
+    """The drain scored vertex by vertex, rescanning every requeued vertex,
+    every entry pushed into :class:`LifoBuckets`, run until its queue is
+    empty."""
     k = targets.shape[0]
     sizes = np.bincount(assign, minlength=k)
     stamp = np.zeros(assign.shape[0], dtype=np.int64)
@@ -258,12 +292,16 @@ def reference_rebalance(indptr, indices, weights, assign, targets, M) -> None:
     )
 
     def requeue(v: int) -> None:
-        move = _best_drain_move(v, ptr, nbr, wt, asg, sz, tg, M)
+        own = asg[v]
+        if sz[own] <= tg[own]:
+            return
+        counts, wsums, _ = _vertex_conn(v, ptr, nbr, wt, asg)
+        move = _best_drain_move(own, counts, wsums, sz, tg, M)
         if move is not None:
             buckets.push(move[0], v, move[1], st_[v])
 
     while int(np.sum(np.maximum(sizes - targets, 0))) > 0:
-        buckets = _GainBuckets()
+        buckets = LifoBuckets()
         moved = False
         for v in memoryview(np.flatnonzero(sizes[assign] > targets[assign])):
             requeue(v)
@@ -291,12 +329,123 @@ def reference_rebalance(indptr, indices, weights, assign, targets, M) -> None:
             break
 
 
+def reference_fm_pass(
+    indptr, indices, weights, vweights, assign, block_weight, caps, M
+) -> float:
+    """The FM pass scored vertex by vertex, rescanning every requeued
+    vertex, every entry pushed into :class:`LifoBuckets`."""
+    n = assign.shape[0]
+    stamp = np.zeros(n, dtype=np.int64)
+    locked = np.zeros(n, dtype=bool)
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    boundary = np.bincount(rows[assign[rows] != assign[indices]], minlength=n) > 0
+    ptr, nbr, wt, vw, asg, bw, cap, st_, lock = (
+        memoryview(a)
+        for a in (
+            indptr, indices, weights, vweights, assign, block_weight, caps,
+            stamp, locked,
+        )
+    )
+    buckets = LifoBuckets()
+
+    def requeue(v: int) -> None:
+        counts, wsums, _ = _vertex_conn(v, ptr, nbr, wt, asg)
+        move = _best_move(asg[v], vw[v], counts, wsums, bw, cap, M)
+        if move is not None:
+            buckets.push(move[0], v, move[1], st_[v])
+
+    for v in np.flatnonzero(boundary).tolist():
+        requeue(v)
+    moves = []
+    tiles, tie, best_tiles, best_tie, best_len = 0, 0.0, 0, 0.0, 0
+    while True:
+        entry = buckets.pop()
+        if entry is None:
+            break
+        _, v, target, pushed = entry
+        if lock[v] or pushed != st_[v]:
+            continue
+        wv = vw[v]
+        if bw[target] + wv > cap[target]:
+            st_[v] += 1
+            requeue(v)
+            continue
+        frm = asg[v]
+        counts, wsums, _ = _vertex_conn(v, ptr, nbr, wt, asg)
+        move_tiles = _tile_delta(frm, target, counts, M)
+        wgain = wsums.get(target, 0.0) - wsums.get(frm, 0.0)
+        _apply_move(v, target, counts, asg, M)
+        bw[frm] -= wv
+        bw[target] += wv
+        lock[v] = True
+        moves.append((v, frm, target))
+        tiles += move_tiles
+        tie += 0.5 * (wgain / (1.0 + abs(wgain)))
+        if tiles > best_tiles or (tiles == best_tiles and tie > best_tie):
+            best_tiles, best_tie, best_len = tiles, tie, len(moves)
+        if len(moves) - best_len > FM_STALL_LIMIT:
+            break
+        for j in range(ptr[v], ptr[v + 1]):
+            u = nbr[j]
+            if not lock[u]:
+                st_[u] += 1
+                requeue(u)
+    for v, frm, _ in reversed(moves[best_len:]):
+        wv = vw[v]
+        bw[asg[v]] -= wv
+        bw[frm] += wv
+        _apply_move(v, frm, _vertex_conn(v, ptr, nbr, wt, asg)[0], asg, M)
+    return best_tiles + best_tie
+
+
+def assert_neighbourhoods_current(conn, indptr, indices, weights, assign) -> None:
+    """Every kept entry's counts, sums (to the bit) and groups equal a
+    fresh :func:`_vertex_conn` scan under ``assign``."""
+    csr = [memoryview(a) for a in (indptr, indices, weights, assign)]
+    for u, (counts, wsums, groups) in conn._entries.items():
+        fresh = _vertex_conn(u, *csr)
+        assert counts == fresh[0]
+        assert {b: repr(w) for b, w in wsums.items()} == {
+            b: repr(w) for b, w in fresh[1].items()
+        }
+        assert groups == fresh[2]
+
+
 def assert_same_moves(got, want) -> None:
     """The sweep's ``(vertices, gains, targets)`` against per-vertex moves."""
     vertices, gains, targets = (a.tolist() for a in got)
     assert vertices == [v for v, _ in want]
     assert targets == [move[1] for _, move in want]
     assert [repr(g) for g in gains] == [repr(move[0]) for _, move in want]
+
+
+#: A ``drain_instance`` seed (42 spins) whose drain pops two requeued
+#: entries at the gain of the sweep's next entry.
+DRAIN_TIE_SEED = 11
+
+
+def drain_instance(seed: int):
+    """``(indptr, indices, weights, assign, targets, M)`` ready for a drain."""
+    indptr, indices, weights, assign, _, rng = sweep_graph(seed)
+    n = assign.shape[0]
+    s = int(rng.integers(2, max(3, n // 2) + 1))
+    k = -(-n // s)
+    targets = np.full(k, s, dtype=np.intp)
+    targets[-1] = n - (k - 1) * s
+    assign = assign % k
+    return indptr, indices, weights, assign, targets, _pair_counts(indptr, indices, assign, k)
+
+
+def assert_drain_matches_reference(indptr, indices, weights, assign, targets, M):
+    want_assign, want_M = assign.copy(), copy.deepcopy(M)
+    reference_rebalance(indptr, indices, weights, want_assign, targets, want_M)
+    _rebalance_exact(
+        indptr, indices, weights, assign, targets, M,
+        _Neighbourhoods(indptr, indices, weights, assign),
+    )
+    assert np.array_equal(np.bincount(assign, minlength=targets.size), targets)
+    assert np.array_equal(assign, want_assign)
+    assert M == want_M == _pair_counts(indptr, indices, assign, targets.size)
 
 
 class TestSweepScorer:
@@ -312,13 +461,13 @@ class TestSweepScorer:
         caps = block_weight + rng.integers(-3, 4, size=k)
         M = _pair_counts(indptr, indices, assign, k)
         scored = rng.random(n) < 0.7
-        views = [
-            memoryview(a)
-            for a in (indptr, indices, weights, assign, vweights, block_weight, caps)
-        ]
+        csr = [memoryview(a) for a in (indptr, indices, weights, assign)]
         want = [
             (v, move) for v in np.flatnonzero(scored).tolist()
-            if (move := _best_move(v, *views, M)) is not None
+            if (move := _best_move(
+                assign[v], vweights[v], *_vertex_conn(v, *csr)[:2],
+                memoryview(block_weight), memoryview(caps), M,
+            )) is not None
         ]
         assert_same_moves(
             _sweep_moves(
@@ -337,13 +486,13 @@ class TestSweepScorer:
         targets = np.maximum(sizes + rng.integers(-3, 4, size=k), 0)
         M = _pair_counts(indptr, indices, assign, k)
         scored = sizes[assign] > targets[assign]
-        views = [
-            memoryview(a)
-            for a in (indptr, indices, weights, assign, sizes, targets)
-        ]
+        csr = [memoryview(a) for a in (indptr, indices, weights, assign)]
         want = [
             (v, move) for v in np.flatnonzero(scored).tolist()
-            if (move := _best_drain_move(v, *views, M)) is not None
+            if (move := _best_drain_move(
+                assign[v], *_vertex_conn(v, *csr)[:2],
+                memoryview(sizes), memoryview(targets), M,
+            )) is not None
         ]
         assert_same_moves(
             _sweep_moves(
@@ -356,20 +505,94 @@ class TestSweepScorer:
     @sweeps
     @given(st.integers(0, 2**32 - 1))
     def test_drain_matches_reference(self, seed):
-        indptr, indices, weights, assign, _, rng = sweep_graph(seed)
+        assert_drain_matches_reference(*drain_instance(seed))
+
+    def test_drain_requeue_ties_a_sweep_entry(self, monkeypatch):
+        """A requeued entry pops before a swept entry of the same gain.
+
+        The instance is one where that happens, which the recording queue
+        checks: the buckets gave LIFO order with the sweep pushed first.
+        """
+        ties = []
+
+        class Recording(_GainBuckets):
+            def pop(self):
+                i = self._next
+                entry = super().pop()
+                gains = self._swept[0]
+                if entry is not None and self._next == i < len(gains):
+                    ties.append(gains[i] == entry[0])
+                return entry
+
+        monkeypatch.setattr("repro.core.partition._GainBuckets", Recording)
+        assert_drain_matches_reference(*drain_instance(DRAIN_TIE_SEED))
+        assert any(ties)
+
+    @sweeps
+    @given(st.integers(0, 2**32 - 1))
+    def test_fm_pass_matches_reference(self, seed):
+        indptr, indices, weights, assign, k, rng = sweep_graph(seed)
         n = assign.shape[0]
-        s = int(rng.integers(2, max(3, n // 2) + 1))
-        k = -(-n // s)
-        targets = np.full(k, s, dtype=np.intp)
-        targets[-1] = n - (k - 1) * s
-        assign = assign % k
+        vweights = rng.integers(1, 4, size=n)
+        block_weight = np.bincount(assign, weights=vweights, minlength=k).astype(np.intp)
+        caps = block_weight + rng.integers(-3, 4, size=k)
         M = _pair_counts(indptr, indices, assign, k)
-        want_assign, want_M = assign.copy(), dict(M)
-        reference_rebalance(indptr, indices, weights, want_assign, targets, want_M)
-        _rebalance_exact(indptr, indices, weights, assign, targets, M)
-        assert np.array_equal(np.bincount(assign, minlength=k), targets)
+        want_assign, want_weight, want_M = assign.copy(), block_weight.copy(), copy.deepcopy(M)
+        want = reference_fm_pass(
+            indptr, indices, weights, vweights, want_assign, want_weight, caps, want_M
+        )
+        conn = _Neighbourhoods(indptr, indices, weights, assign)
+        got = _fm_pass(
+            indptr, indices, weights, vweights, assign, block_weight, caps, M, conn
+        )
+        assert repr(got) == repr(want)
         assert np.array_equal(assign, want_assign)
-        assert M == want_M
+        assert np.array_equal(block_weight, want_weight)
+        assert M == want_M == _pair_counts(indptr, indices, assign, k)
+        assert_neighbourhoods_current(conn, indptr, indices, weights, assign)
+
+
+class TestRefinementState:
+    @sweeps
+    @given(st.integers(0, 2**32 - 1))
+    def test_queue_pops_as_buckets_with_the_sweep_pushed_first(self, seed):
+        rng = ensure_rng(seed)
+        gains_pool = np.array([-1.5, -0.25, 0.0, 0.25, 1.0])
+        m = int(rng.integers(0, 30))
+        vertices = np.sort(rng.choice(500, size=m, replace=False))
+        gains = rng.choice(gains_pool, size=m)
+        targets, stamps = rng.integers(0, 4, size=m), rng.integers(0, 3, size=m)
+        queue, want = _GainBuckets(vertices, gains, targets, stamps), LifoBuckets()
+        for entry in zip(*(a.tolist() for a in (gains, vertices, targets, stamps))):
+            want.push(*entry)
+        for _ in range(3 * m + 10):
+            if rng.random() < 0.4:
+                entry = (
+                    float(rng.choice(gains_pool)), int(rng.integers(500)),
+                    int(rng.integers(4)), int(rng.integers(3)),
+                )
+                queue.push(*entry)
+                want.push(*entry)
+            else:
+                assert queue.pop() == want.pop()
+        while (entry := want.pop()) is not None:
+            assert queue.pop() == entry
+        assert queue.pop() is None
+
+    @sweeps
+    @given(st.integers(0, 2**32 - 1))
+    def test_neighbourhoods_equal_a_fresh_scan_after_moves(self, seed):
+        indptr, indices, weights, assign, k, rng = sweep_graph(seed)
+        n = assign.shape[0]
+        conn = _Neighbourhoods(indptr, indices, weights, assign)
+        for _ in range(40):
+            conn[int(rng.integers(n))]
+            v, to = int(rng.integers(n)), int(rng.integers(k))
+            frm = int(assign[v])
+            if to != frm:
+                assign[v] = to
+                conn.moved(v, frm, to)
+            assert_neighbourhoods_current(conn, indptr, indices, weights, assign)
 
 
 # ----------------------------------------------------------------------

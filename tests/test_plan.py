@@ -365,6 +365,14 @@ class TestBoundaries:
                 permutation=np.arange(model.num_spins),
             )
 
+    @pytest.mark.parametrize("knob", ["replicas", "tile_size"])
+    def test_compile_refuses_counts_numpy_cannot_index(self, knob):
+        """A count past ``intp`` gets one ``ValueError`` naming the knob, at
+        compile time, not an ``OverflowError`` from inside numpy."""
+        model = dyadic_model(1, backend="sparse")
+        with pytest.raises(ValueError, match=f"{knob} must be <= "):
+            compile_plan(model, method="insitu", **{knob: 10**30}).execute(10)
+
     def test_machine_program_kwarg_is_exclusive(self):
         from repro.arch.cim_annealer import InSituCimAnnealer, compile_cim_program
 

@@ -29,6 +29,7 @@ from repro.core import (
     reorder_permutation,
     solve_ising,
 )
+from repro.core.reorder import _bfs_depth, _cm_component, _csr_adjacency, _from_order
 from repro.ising import SparseIsingModel
 from repro.utils.rng import ensure_rng
 from tests.conftest import LAYOUT_PIN_GRAPHS, layout_digest
@@ -454,6 +455,95 @@ class TestReorderBytePins:
         _, strategy, digest = REORDER_PINS[name]
         assert winner.strategy == strategy
         assert layout_digest(winner.forward, winner.strategy) == digest
+
+
+def reference_rcm(model) -> tuple[Permutation, int]:
+    """RCM with three BFS passes per component, and how many components
+    the search re-rooted: George–Liu's pseudo-peripheral search, then the
+    Cuthill–McKee pass from the root it picked."""
+    n, indptr, indices, rows, cols = _csr_adjacency(model)
+    degrees = np.diff(indptr)
+    stops = indptr[1:]
+    mark = np.full(n, -1, dtype=np.int64)
+    clock, moved = 0, 0
+    pieces: list[np.ndarray] = []
+    for start in np.argsort(degrees, kind="stable").tolist():
+        if mark[start] >= 0:
+            continue
+        root = start
+        depth, end, clock = _bfs_depth(stops, indices, degrees, root, mark, clock)
+        while end != root:
+            new_depth, new_end, clock = _bfs_depth(
+                stops, indices, degrees, end, mark, clock
+            )
+            if new_depth <= depth:
+                break
+            root, depth, end = end, new_depth, new_end
+        moved += root != start
+        levels, clock = _cm_component(stops, indices, degrees, root, mark, clock)
+        pieces += levels
+    cm = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.intp)
+    return _from_order(cm[::-1], (rows, cols), "rcm"), moved
+
+
+def rcm_graph(seed: int):
+    """1–4 components — random trees, random graphs and paths with short
+    chords — plus up to 4 isolated spins, labels scrambled, non-dyadic
+    weights; every fifth seed on the dense backend."""
+    rng = ensure_rng(seed)
+    pairs: list[tuple[int, int]] = []
+    n = 0
+    for _ in range(int(rng.integers(1, 5))):
+        size = int(rng.integers(2, 60))
+        kind = int(rng.integers(3))
+        if kind == 0:  # random recursive tree
+            pairs += [(n + int(rng.integers(i)), n + i) for i in range(1, size)]
+        elif kind == 1:  # connected random graph: a tree plus extra edges
+            pairs += [(n + int(rng.integers(i)), n + i) for i in range(1, size)]
+            extra = {
+                tuple(sorted(int(x) for x in rng.choice(size, 2, replace=False)))
+                for _ in range(int(rng.integers(0, 2 * size)))
+            }
+            pairs += [(n + a, n + b) for a, b in extra]
+        else:  # a path with chords of span 2–3
+            pairs += [(n + i, n + i + 1) for i in range(size - 1)]
+            pairs += [
+                (n + i, n + i + span)
+                for i in range(size) for span in (2, 3)
+                if i + span < size and rng.random() < 0.2
+            ]
+        n += size
+    n += int(rng.integers(0, 5))
+    relabel = rng.permutation(n)
+    keys = sorted({(min(a, b), max(a, b)) for a, b in pairs})
+    rows = relabel[[a for a, _ in keys]]
+    cols = relabel[[b for _, b in keys]]
+    model = SparseIsingModel.from_edges(
+        n, rows, cols, rng.choice([-1.3, -0.7, 0.3, 0.9], size=len(keys))
+    )
+    return model.to_dense() if seed % 5 == 0 else model
+
+
+class TestRcmSearch:
+    """The first CM pass doubles as the search's first BFS; the order must
+    equal the three-pass form's byte for byte."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_three_pass_reference(self, seed):
+        model = rcm_graph(seed)
+        want, _ = reference_rcm(model)
+        assert rcm_permutation(model).forward.tobytes() == want.forward.tobytes()
+
+    def test_family_moves_the_root(self):
+        """Trees make the search re-root, so the second CM pass runs."""
+        moved = 0
+        for seed in range(40):
+            model = rcm_graph(seed)
+            want, count = reference_rcm(model)
+            assert rcm_permutation(model).forward.tobytes() == want.forward.tobytes()
+            moved += count
+        assert moved > 0
 
 
 class TestReorderValidation:

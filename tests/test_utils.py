@@ -27,7 +27,7 @@ from repro.utils import (
 )
 from repro.utils.keys import first_repeat, sorted_unique
 from repro.utils.tables import render_series, render_table
-from repro.utils.validation import check_finite, check_initial
+from repro.utils.validation import check_count, check_finite, check_initial
 
 
 class TestRng:
@@ -49,8 +49,26 @@ class TestRng:
         assert ensure_rng(7).integers(1000) == ensure_rng(7).integers(1000)
 
     def test_rejects_bad_seed(self):
-        with pytest.raises(TypeError):
-            ensure_rng("seed")
+        for bad in ("seed", "x", 2.5, [1, 2], 1j):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                ensure_rng(bad)
+
+    @pytest.mark.parametrize("bad", [2.5, "x"])
+    def test_solve_rejects_non_integer_seed(self, bad):
+        from repro.core.solver import solve_ising
+
+        model = SparseIsingModel.random(8, seed=0)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            solve_ising(model, iterations=10, seed=bad)
+
+    def test_seed_range_is_numpy_s(self):
+        """Seeds keep numpy's range (no count cap); an integral float
+        seeds as its int."""
+        for seed in (2**63, 10**30):
+            assert ensure_rng(seed).integers(1000) == (
+                np.random.default_rng(seed).integers(1000)  # repro-lint: disable=RPL002
+            )
+        assert ensure_rng(2.0).integers(1000) == ensure_rng(2).integers(1000)
 
     def test_rejects_bool_and_negative_seeds(self):
         for bad in (True, False):
@@ -135,6 +153,13 @@ class TestUnits:
 
 
 class TestValidation:
+    def test_check_count_stops_at_intp(self):
+        top = int(np.iinfo(np.intp).max)
+        assert check_count("n", top) == top
+        with pytest.raises(ValueError, match=f"n must be <= {top}, got {top + 1}"):
+            check_count("n", top + 1)
+        assert check_count("seed", 10**30, minimum=0, maximum=None) == 10**30
+
     def test_check_positive(self):
         assert check_positive("x", 1.5) == 1.5
         assert check_positive("x", 0.0, allow_zero=True) == 0.0
