@@ -251,7 +251,13 @@ def _cmd_submit(args) -> int:
             print(f"error: {response.get('error')}", file=sys.stderr)
             return 2
         for key, value in response["stats"].items():
-            print(f"{key}: {value}")
+            if key == "pack_keys":
+                # One line per pack key: its jobs, runs and run sizes.
+                print(f"{key}:")
+                for name, runs in value.items():
+                    print(f"  {name}: {runs}")
+            else:
+                print(f"{key}: {value}")
         return 0
     if args.instance is None:
         print("error: provide an instance file (or --stats)", file=sys.stderr)
@@ -377,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="most jobs packed into one block-stacked run")
     serve.add_argument("--gather-window", type=float, default=0.002,
                        metavar="SEC",
-                       help="how long to gather more jobs after the first "
-                            "before launching a batch")
+                       help="how long the oldest pending job waits for "
+                            "jobs of its pack key before its run starts")
     serve.add_argument("--plan-cache-size", type=int, default=32, metavar="N",
                        help="LRU slots of the sb jobs' plan cache")
     serve.set_defaults(func=_cmd_serve)
@@ -405,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("auto", "dense", "sparse", "packed"),
                         default="auto")
     submit.add_argument("--stats", action="store_true",
-                        help="print service/plan-cache counters and exit")
+                        help="print service counters, each pack key's "
+                             "runs and plan-cache counters, and exit")
     submit.set_defaults(func=_cmd_submit)
     return parser
 

@@ -1,10 +1,10 @@
 """Multi-tenant async solver service with cross-request replica packing.
 
 ``repro.serve`` turns the library into a service: concurrent clients
-submit small independent Ising/Max-Cut jobs, a bounded queue applies
-backpressure, and a batching scheduler packs compatible jobs into ONE
-rank-``t`` batch engine run over the block-diagonal union of their
-couplings (:mod:`repro.core.blockstack`).  Per-job results are sliced
+submit small independent Ising/Max-Cut jobs, a bound on pending jobs
+applies backpressure, and a batching scheduler packs compatible jobs
+into ONE rank-``t`` batch engine run over the block-diagonal union of
+their couplings (:mod:`repro.core.blockstack`).  Per-job results are sliced
 back out bit-identically to solo :func:`~repro.core.solver.solve_ising`
 calls — packing is a pure throughput optimisation, never a semantics
 change.
@@ -17,10 +17,11 @@ Layer map
     errors name the job id) — plus the
     :class:`SolveJob`/:class:`JobResult` dataclasses.
 :mod:`repro.serve.service`
-    :class:`SolverService` — bounded ``asyncio`` queue, gather-window
-    batching scheduler, single-worker solve executor, ``sb`` jobs via a
-    shared (thread-safe) :class:`~repro.core.plan.PlanCache`, and a
-    stats surface.
+    :class:`SolverService` — pending jobs held by pack key (bounded by
+    ``max_queue``), a scheduler that runs the key with the oldest job as
+    one stacked run per round, single-worker solve executor, ``sb`` jobs
+    via a shared (thread-safe) :class:`~repro.core.plan.PlanCache`, and
+    a stats surface with each pack key's runs.
 :mod:`repro.serve.protocol`
     JSON-lines TCP front end (``repro serve``) and the tiny client used
     by ``repro submit``.

@@ -6,7 +6,10 @@ shapes as the solve API (``check_count`` / ``check_choice`` /
 ``check_initial``), and every rejection is prefixed with the job id
 so a client multiplexing hundreds of submissions can attribute the
 failure.  Past this boundary the scheduler and the batch runners assume
-well-formed jobs.
+well-formed jobs.  The boundary also decides whether a job may be
+block-stacked (``SolveJob.packable``): a dense job whose sums a stacked
+run would round differently runs alone, so every result stays
+bit-identical to its solo solve.
 
 The per-job replica cap (:data:`MAX_JOB_REPLICAS`) is a fairness knob,
 not an engine limit: one tenant asking for thousands of replicas would
@@ -20,11 +23,13 @@ limits admit the paper's protocol (n=3000, R=64, 100k iterations, t=4).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.blockstack import PACK_METHODS
+from repro.ising.sparse import SparseIsingModel
 from repro.utils.validation import (
     check_choice,
     check_count,
@@ -43,8 +48,8 @@ MAX_JOB_REPLICAS = 64
 MAX_JOB_PROPOSALS = 2**25
 MAX_JOB_WORK = 2**35
 
-#: Methods the service accepts.  ``insitu``/``sa`` are packable
-#: (:data:`~repro.core.blockstack.PACK_METHODS`); ``sb`` always runs
+#: Methods the service accepts.  ``insitu``/``sa`` run as lanes that may
+#: pack (:data:`~repro.core.blockstack.PACK_METHODS`); ``sb`` always runs
 #: solo through the plan cache (it integrates all positions every step,
 #: so block-stacking buys it nothing).
 SERVE_METHODS = ("insitu", "sa", "sb")
@@ -52,7 +57,14 @@ SERVE_METHODS = ("insitu", "sa", "sb")
 
 @dataclass(frozen=True)
 class SolveJob:
-    """One validated unit of work, produced by :func:`job_request`."""
+    """One validated unit of work, produced by :func:`job_request`.
+
+    ``packable`` says whether the scheduler may block-stack the job: its
+    method is in :data:`~repro.core.blockstack.PACK_METHODS` and a
+    stacked run reproduces its solo run bit for bit
+    (:func:`_stacks_exactly`).  An insitu or sa job that may not stack
+    still runs as a lane, alone.
+    """
 
     job_id: str
     model: object
@@ -63,11 +75,7 @@ class SolveJob:
     seed: int | None
     initial: np.ndarray | None
     backend: str | None
-
-    @property
-    def packable(self) -> bool:
-        """Whether the scheduler may block-stack this job."""
-        return self.method in PACK_METHODS
+    packable: bool
 
     @property
     def pack_key(self) -> tuple:
@@ -201,7 +209,39 @@ def job_request(
         job_id=job_id, model=model, method=method, iterations=iterations,
         replicas=replicas, flips_per_iteration=flips_per_iteration,
         seed=seed, initial=initial, backend=backend,
+        packable=method in PACK_METHODS and _stacks_exactly(model, backend),
     )
+
+
+def _stacks_exactly(model, backend: str | None) -> bool:
+    """Whether a stacked run of this job equals its solo run bit for bit.
+
+    The stacked union is sparse (:func:`~repro.core.blockstack.stack_models`),
+    so a job whose own run is sparse or packed sums its couplings in the
+    same order either way.  A job that may run dense (a dense model, or
+    ``backend`` ``"dense"`` or ``"auto"``) sums them in BLAS order alone
+    and in CSR order stacked.  The two agree when every partial sum is
+    exact: all couplings and fields are integer multiples of one power of
+    two, and their absolute sum is below ``2**52`` of it.  ±1 G-set
+    weights qualify; weights such as 0.3 do not.
+    """
+    if backend in ("sparse", "packed") or (
+        backend is None and isinstance(model, SparseIsingModel)
+    ):
+        return True
+    if isinstance(model, SparseIsingModel):
+        couplings = model.csr_arrays()[2]
+    else:
+        J = model.J
+        couplings = J[J != 0.0]
+    values = np.concatenate((couplings, model.h))
+    total = float(np.abs(values).sum())
+    if not math.isfinite(total):
+        return False
+    # Scaled by a power of two so the absolute sum stays below 2**52:
+    # the sums are exact exactly when every scaled value is an integer.
+    scaled = np.ldexp(values, 52 - math.frexp(total)[1])
+    return bool((scaled == np.rint(scaled)).all())
 
 
 __all__ = [

@@ -1,48 +1,55 @@
-"""The batching solver service: bounded queue → scheduler → batch runs.
+"""The batching solver service: pending jobs by pack key → one run per round.
 
 :class:`SolverService` is the asyncio core of ``repro.serve``:
 
-* ``submit`` places a validated :class:`~repro.serve.jobs.SolveJob` on a
-  *bounded* queue — when the queue is full the awaiting submit is the
-  backpressure (``submit_nowait`` raises instead, for clients that
-  prefer load-shedding to waiting);
-* one scheduler task drains the queue in batches: it takes the first
-  job, then gathers more for at most ``gather_window`` seconds (or until
-  ``max_batch_jobs``), groups the packable ones by their
-  :attr:`~repro.serve.jobs.SolveJob.pack_key`, and runs each group as
-  ONE block-stacked batch (:func:`~repro.core.blockstack.run_stacked`);
+* ``submit`` admits a validated :class:`~repro.serve.jobs.SolveJob` into
+  one structure that holds the pending jobs of each
+  :attr:`~repro.serve.jobs.SolveJob.pack_key`, bounded by ``max_queue``
+  in total — past the bound the awaiting submit waits its turn for a
+  slot (backpressure); ``submit_nowait`` raises instead, for clients
+  that prefer load-shedding to waiting;
+* one scheduler task runs one group per round: the key whose oldest job
+  has waited longest, as ONE block-stacked run
+  (:func:`~repro.core.blockstack.run_stacked`) of up to
+  ``max_batch_jobs`` lanes.  A job that may not stack (``sb``, or a
+  dense model whose sums are not exact) runs alone.  When the worker is
+  idle, a round first lets the oldest job wait ``gather_window`` seconds
+  for peers of its key; a job whose future was cancelled is dropped
+  before it compiles;
 * solves execute on a single worker thread
   (``run_in_executor``) so the event loop keeps accepting submissions —
-  jobs arriving *during* a batch run accumulate into the next batch,
-  which is what makes packing effective under sustained load;
-* every packable job runs as a lane: a group of one runs unstacked on
-  its own model, and when a stacked run raises, each of its jobs reruns
-  alone, so only a job whose own run fails reports an error;
+  jobs arriving *during* a run pile up under their keys, so under
+  sustained load each key runs as few, large stacked runs;
+* every insitu or sa job runs as a lane: a group of one runs unstacked
+  on its own model, and when a stacked run raises, each of its jobs
+  reruns alone, so only a job whose own run fails reports an error;
 * ``sb`` jobs (which do not pack) run solo through a shared thread-safe
   :class:`~repro.core.plan.PlanCache`, so repeat instances skip
   compilation; the cache's hit/miss/eviction counters surface in
-  :meth:`SolverService.stats`.
+  :meth:`SolverService.stats`, next to each pack key's runs.
 
-Either way the result handed back for a job is bit-identical to the solo
-``solve_ising(model, method, iterations, seed=seed, replicas=…,
-flips_per_iteration=…)`` call — the packing contract
-:mod:`repro.core.blockstack` verifies.
+Results go back when their run ends, and the result handed back for a
+job is bit-identical to the solo ``solve_ising(model, method,
+iterations, seed=seed, replicas=…, flips_per_iteration=…)`` call — the
+packing contract :mod:`repro.core.blockstack` verifies.
 """
 
 from __future__ import annotations
 
 import asyncio
+import itertools
 import logging
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from repro.core.blockstack import compile_lane, run_stacked
+from repro.core.blockstack import PACK_METHODS, compile_lane, run_stacked
 from repro.core.plan import PlanCache
 from repro.ising.sparse import as_backend
 from repro.serve.jobs import JobResult, SolveJob
 from repro.utils.validation import check_count, check_real
 
-_STOP = object()
 _log = logging.getLogger(__name__)
 
 
@@ -65,9 +72,11 @@ def service_config(
     """Validate service knobs into a :class:`ServiceConfig`.
 
     ``max_queue`` bounds admitted-but-unscheduled jobs (the backpressure
-    depth), ``max_batch_jobs`` caps one batch run, ``gather_window`` is
-    how long (seconds) the scheduler waits for more jobs after the first
-    before launching a batch, and ``plan_cache_size`` sizes the shared
+    depth), ``max_batch_jobs`` caps one stacked run (the jobs of one pack
+    key run in one round), ``gather_window`` is how long (seconds) the
+    oldest pending job waits for peers of its pack key before its run
+    starts (jobs that waited out a busy worker start at once), and
+    ``plan_cache_size`` sizes the shared
     :class:`~repro.core.plan.PlanCache` of the ``sb`` jobs.
     """
     max_queue = check_count(
@@ -76,7 +85,7 @@ def service_config(
     )
     max_batch_jobs = check_count(
         "max_batch_jobs", max_batch_jobs,
-        hint="a batch holds at least one job",
+        hint="a stacked run holds at least one job",
     )
     gather_window = check_real("gather_window", gather_window)
     if gather_window < 0.0:
@@ -94,7 +103,16 @@ def service_config(
 
 
 class ServiceOverloadedError(RuntimeError):
-    """Raised by ``submit_nowait`` when the bounded queue is full."""
+    """Raised by ``submit_nowait`` when ``max_queue`` jobs are pending."""
+
+
+class _Entry(NamedTuple):
+    """An admitted job: its admission order and time, and its future."""
+
+    ticket: int
+    admitted: float
+    job: SolveJob
+    future: asyncio.Future
 
 
 class SolverService:
@@ -102,16 +120,21 @@ class SolverService:
 
     Use as an async context manager (``async with SolverService() as
     svc``) or call :meth:`start`/:meth:`stop` explicitly.  ``submit``
-    returns when the job's batch has run; results resolve out of
-    submission order when batches interleave.
+    returns when the job's run has ended; results resolve out of
+    submission order when pack keys interleave.
     """
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config if config is not None else service_config()
         self.plan_cache = PlanCache(maxsize=self.config.plan_cache_size)
-        self._queue: asyncio.Queue = asyncio.Queue(
-            maxsize=self.config.max_queue
-        )
+        # Pending jobs in admission order, one deque per pack key; key
+        # None holds the jobs that run alone.  At most max_queue in all.
+        self._pending: dict[tuple | None, deque[_Entry]] = {}
+        self._depth = 0
+        # Submits past max_queue, in submit order, until a run frees a slot.
+        self._waiting: deque[_Entry] = deque()
+        self._tickets = itertools.count()
+        self._wake = asyncio.Event()
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-solver"
         )
@@ -122,6 +145,8 @@ class SolverService:
         self._packed_jobs = 0
         self._solo_jobs = 0
         self._failed_jobs = 0
+        self._cancelled_jobs = 0
+        self._runs: dict[tuple, dict] = {}
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> None:
@@ -131,11 +156,11 @@ class SolverService:
             self._scheduler_task = asyncio.ensure_future(self._scheduler())
 
     async def stop(self) -> None:
-        """Reject new submits, drain queued work, stop the scheduler."""
+        """Reject new submits, run every pending job, stop the scheduler."""
         if self._scheduler_task is None:
             return
         self._closed = True
-        await self._queue.put(_STOP)
+        self._wake.set()
         await self._scheduler_task
         self._scheduler_task = None
         self._executor.shutdown(wait=True)
@@ -149,26 +174,28 @@ class SolverService:
 
     # -- submission ----------------------------------------------------
     async def submit(self, job: SolveJob) -> JobResult:
-        """Queue a job and await its result (awaits when the queue is full)."""
-        fut = self._admit(job)
-        await self._queue.put((job, fut))
-        return await fut
+        """Admit a job and await its result (waits for a slot when full)."""
+        entry = self._admit(job)
+        if self._depth < self.config.max_queue:
+            self._enqueue(entry)
+        else:
+            self._waiting.append(entry)
+        return await entry.future
 
     async def submit_nowait(self, job: SolveJob) -> JobResult:
-        """Queue a job, raising :class:`ServiceOverloadedError` when full."""
-        fut = self._admit(job)
-        try:
-            self._queue.put_nowait((job, fut))
-        except asyncio.QueueFull:
-            fut.cancel()
+        """Admit a job, raising :class:`ServiceOverloadedError` when full."""
+        entry = self._admit(job)
+        if self._depth >= self.config.max_queue:
+            entry.future.cancel()
             raise ServiceOverloadedError(
                 f"job {job.job_id!r}: queue is full "
                 f"({self.config.max_queue} jobs); retry later or use "
                 f"submit() for backpressure"
-            ) from None
-        return await fut
+            )
+        self._enqueue(entry)
+        return await entry.future
 
-    def _admit(self, job: SolveJob) -> asyncio.Future:
+    def _admit(self, job: SolveJob) -> _Entry:
         if self._closed or self._scheduler_task is None:
             raise RuntimeError(
                 f"job {job.job_id!r}: service is not running; "
@@ -179,116 +206,171 @@ class SolverService:
             raise ValueError(
                 "submit takes a SolveJob; build one with job_request(...)"
             )
-        return asyncio.get_running_loop().create_future()
+        loop = asyncio.get_running_loop()
+        return _Entry(next(self._tickets), loop.time(), job, loop.create_future())
+
+    def _enqueue(self, entry: _Entry) -> None:
+        key = entry.job.pack_key if entry.job.packable else None
+        self._pending.setdefault(key, deque()).append(entry)
+        self._depth += 1
+        self._wake.set()
 
     # -- observability -------------------------------------------------
     def stats(self) -> dict:
-        """Service counters plus the shared plan cache's counters."""
+        """Service counters, each pack key's runs, and plan-cache counters.
+
+        ``batches`` counts runs: one stacked run, or one job run alone.
+        ``pack_keys`` maps each key (``"<method> iterations=… replicas=…
+        flips=…"``) to its jobs, packed jobs, runs, and ``run_sizes``
+        (jobs per run → runs of that size).
+        """
         return {
             "jobs": self._jobs_done,
             "failed_jobs": self._failed_jobs,
+            "cancelled_jobs": self._cancelled_jobs,
             "batches": self._batches,
             "packed_jobs": self._packed_jobs,
             "solo_jobs": self._solo_jobs,
-            "queue_depth": self._queue.qsize(),
+            "queue_depth": self._depth,
             "max_queue": self.config.max_queue,
             "max_batch_jobs": self.config.max_batch_jobs,
             "gather_window": self.config.gather_window,
+            "pack_keys": {
+                f"{method} iterations={iterations} replicas={replicas} "
+                f"flips={flips}": {
+                    **runs, "run_sizes": dict(sorted(runs["run_sizes"].items())),
+                }
+                for (method, iterations, replicas, flips), runs
+                in sorted(self._runs.items())
+            },
             "plan_cache": self.plan_cache.stats(),
         }
 
     # -- scheduler -----------------------------------------------------
     async def _scheduler(self) -> None:
         loop = asyncio.get_running_loop()
-        stopping = False
-        while not stopping:
-            item = await self._queue.get()
-            if item is _STOP:
-                break
-            batch = [item]
-            deadline = loop.time() + self.config.gather_window
-            while len(batch) < self.config.max_batch_jobs:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    # Window elapsed: still sweep up anything already
-                    # queued — packing them is free.
-                    try:
-                        nxt = self._queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                else:
-                    try:
-                        nxt = await asyncio.wait_for(
-                            self._queue.get(), remaining
-                        )
-                    except asyncio.TimeoutError:
-                        break
-                if nxt is _STOP:
-                    stopping = True
-                    break
-                batch.append(nxt)
-            jobs = [job for job, _ in batch]
-            outcomes = await loop.run_in_executor(
-                self._executor, self._solve_batch, jobs
+        while self._pending or not self._closed:
+            self._wake.clear()
+            if not self._pending:
+                await self._wake.wait()
+                continue
+            # The key whose oldest job has waited longest runs next.
+            key, queue = min(
+                self._pending.items(), key=lambda item: item[1][0].ticket
             )
-            self._batches += 1
-            for (_, fut), outcome in zip(batch, outcomes):
-                self._jobs_done += 1
-                if isinstance(outcome, JobResult):
-                    if outcome.packed:
-                        self._packed_jobs += 1
-                    else:
-                        self._solo_jobs += 1
-                    if not fut.cancelled():
-                        fut.set_result(outcome)
+            wait = queue[0].admitted + self.config.gather_window - loop.time()
+            if (
+                wait > 0 and key is not None and not self._closed
+                and len(queue) < self.config.max_batch_jobs
+            ):
+                # An idle worker: let peers of the oldest job arrive.
+                try:
+                    await asyncio.wait_for(self._wake.wait(), wait)
+                except asyncio.TimeoutError:
+                    pass
+                continue
+            run = self._take(key, queue)
+            if run:
+                await self._run(loop, run)
+
+    def _take(self, key: tuple | None, queue: deque[_Entry]) -> list[_Entry]:
+        """Remove the next run's jobs of ``key``, dropping cancelled ones.
+
+        Each slot a taken job frees admits the next waiting submit at
+        once, so a waiting job of ``key`` can still join this run.
+        """
+        size = 1 if key is None else self.config.max_batch_jobs
+        run: list[_Entry] = []
+        while queue and len(run) < size:
+            entry = queue.popleft()
+            self._depth -= 1
+            self._admit_waiting()
+            if entry.future.cancelled():
+                self._cancelled_jobs += 1
+            else:
+                run.append(entry)
+        if not queue:
+            del self._pending[key]
+        return run
+
+    def _admit_waiting(self) -> None:
+        while self._waiting and self._depth < self.config.max_queue:
+            entry = self._waiting.popleft()
+            if entry.future.cancelled():
+                self._cancelled_jobs += 1
+            else:
+                self._enqueue(entry)
+
+    async def _run(self, loop, run: list[_Entry]) -> None:
+        jobs = [entry.job for entry in run]
+        outcomes = await loop.run_in_executor(
+            self._executor, self._solve_batch, jobs
+        )
+        self._batches += 1
+        packed = 0
+        for entry, outcome in zip(run, outcomes):
+            self._jobs_done += 1
+            fut = entry.future
+            if isinstance(outcome, JobResult):
+                if outcome.packed:
+                    packed += 1
                 else:
-                    self._failed_jobs += 1
-                    if not fut.cancelled():
-                        fut.set_exception(outcome)
+                    self._solo_jobs += 1
+                if not fut.cancelled():
+                    fut.set_result(outcome)
+            else:
+                self._failed_jobs += 1
+                if not fut.cancelled():
+                    fut.set_exception(outcome)
+        self._packed_jobs += packed
+        runs = self._runs.setdefault(
+            jobs[0].pack_key,
+            {"jobs": 0, "packed_jobs": 0, "runs": 0, "run_sizes": {}},
+        )
+        runs["jobs"] += len(jobs)
+        runs["packed_jobs"] += packed
+        runs["runs"] += 1
+        runs["run_sizes"][len(jobs)] = runs["run_sizes"].get(len(jobs), 0) + 1
 
     # -- solving (worker thread) ---------------------------------------
     def _solve_batch(self, jobs: list[SolveJob]) -> list:
-        """Solve one gathered batch; returns JobResult or Exception per job."""
+        """Run one scheduled group; returns JobResult or Exception per job.
+
+        The group is one job that runs alone, or jobs of one pack key,
+        stacked as the lanes of one run.
+        """
+        if jobs[0].method not in PACK_METHODS:
+            return [self._attempt(self._solve_solo, jobs[0])]
         outcomes: list = [None] * len(jobs)
-        groups: dict[tuple, list[int]] = {}
-        solo: list[int] = []
+        lanes = {}
         for i, job in enumerate(jobs):
-            if job.packable:
-                groups.setdefault(job.pack_key, []).append(i)
-            else:
-                solo.append(i)
-        for idxs in groups.values():
-            lanes = {}
-            for i in idxs:
-                try:
-                    lanes[i] = self._compile_lane(jobs[i])
-                except Exception as exc:  # noqa: BLE001 — reported per job
-                    outcomes[i] = exc
-            if len(lanes) < 2:
-                # A group of one (or whose peers failed compile) runs
-                # unstacked, on its own model and backend.
-                for i, lane in lanes.items():
-                    outcomes[i] = self._attempt(self._solve_alone, jobs[i], lane)
-                continue
             try:
-                results = run_stacked(list(lanes.values()))
-            except Exception:  # noqa: BLE001 — each job reruns alone
-                # The failed run may have drawn from these lanes: rerun each
-                # job from a fresh one, so only a job whose own run fails
-                # reports an error.
-                _log.exception(
-                    "stacked run of %d jobs failed; rerunning each alone",
-                    len(lanes),
-                )
-                for i in lanes:
-                    outcomes[i] = self._attempt(self._solve_alone, jobs[i])
-                continue
-            for i, res in zip(lanes, results):
-                outcomes[i] = self._as_result(
-                    jobs[i], res, packed=True, batch_size=len(lanes)
-                )
-        for i in solo:
-            outcomes[i] = self._attempt(self._solve_solo, jobs[i])
+                lanes[i] = self._compile_lane(job)
+            except Exception as exc:  # noqa: BLE001 — reported per job
+                outcomes[i] = exc
+        if len(lanes) < 2:
+            # A group of one (or whose peers failed compile) runs
+            # unstacked, on its own model and backend.
+            for i, lane in lanes.items():
+                outcomes[i] = self._attempt(self._solve_alone, jobs[i], lane)
+            return outcomes
+        try:
+            results = run_stacked(list(lanes.values()))
+        except Exception:  # noqa: BLE001 — each job reruns alone
+            # The failed run may have drawn from these lanes: rerun each
+            # job from a fresh one, so only a job whose own run fails
+            # reports an error.
+            _log.exception(
+                "stacked run of %d jobs failed; rerunning each alone",
+                len(lanes),
+            )
+            for i in lanes:
+                outcomes[i] = self._attempt(self._solve_alone, jobs[i])
+            return outcomes
+        for i, res in zip(lanes, results):
+            outcomes[i] = self._as_result(
+                jobs[i], res, packed=True, batch_size=len(lanes)
+            )
         return outcomes
 
     @staticmethod

@@ -20,8 +20,10 @@ import pytest
 import repro.serve.service as service_module
 from repro.cli import main
 from repro.core import BatchDirectEAnnealer, BatchInSituAnnealer, solve_ising
+from repro.core.blockstack import compile_lane, run_stacked
 from repro.ising import (
     IsingModel,
+    MaxCutProblem,
     SparseIsingModel,
     generate_random,
     parse_gset,
@@ -400,6 +402,416 @@ class TestService:
         asyncio.run(run())
 
 
+RESULT_FIELDS = (
+    "best_energies", "best_sigmas", "final_energies", "final_sigmas", "accepted",
+)
+
+
+def assert_solo(job, res):
+    """``res`` equals the job's solo ``solve_ising`` call bit for bit."""
+    solo = solve_ising(
+        job.model, method=job.method, iterations=job.iterations,
+        seed=job.seed, replicas=job.replicas,
+        flips_per_iteration=job.flips_per_iteration,
+    )
+    for name in RESULT_FIELDS:
+        assert np.array_equal(getattr(solo, name), getattr(res, name)), (
+            job.job_id, name,
+        )
+
+
+class _Gated:
+    """A service whose worker waits at a gate before each run.
+
+    Use as ``async with _Gated(config) as gated``: ``await
+    gated.hold(job)`` submits ``job`` and returns its task once the
+    worker holds it, so the jobs submitted next stay pending until
+    :meth:`release` (or the block ends).  ``depths`` records the pending
+    depth at each run.
+    """
+
+    def __init__(self, config) -> None:
+        self.svc = SolverService(config)
+        self.depths: list[int] = []
+        self._entered = threading.Event()
+        self._gate = threading.Event()
+        solve_batch = self.svc._solve_batch
+
+        def gated(jobs):
+            self.depths.append(self.svc.stats()["queue_depth"])
+            self._entered.set()
+            self._gate.wait(10)
+            return solve_batch(jobs)
+
+        self.svc._solve_batch = gated
+
+    async def hold(self, job):
+        task = asyncio.ensure_future(self.svc.submit(job))
+        while not self._entered.is_set():
+            await asyncio.sleep(0.001)
+        return task
+
+    def release(self) -> None:
+        self._gate.set()
+
+    async def __aenter__(self) -> "_Gated":
+        await self.svc.start()
+        return self
+
+    async def __aexit__(self, exc_type, exc, tb) -> None:
+        self.release()
+        await self.svc.stop()
+
+
+@pytest.fixture
+def stacked_runs(monkeypatch):
+    """The lane model names of each ``run_stacked`` call, in call order."""
+    runs: list[list[str]] = []
+    stacked = service_module.run_stacked
+
+    def recording(lanes):
+        runs.append([lane.model.name for lane in lanes])
+        return stacked(lanes)
+
+    monkeypatch.setattr(service_module, "run_stacked", recording)
+    return runs
+
+
+#: Three pack keys of small dyadic jobs.
+KEYS = {
+    "sa": {"method": "sa", "iterations": 40, "replicas": 2},
+    "t1": {"method": "insitu", "iterations": 30, "replicas": 2},
+    "t4": {
+        "method": "insitu", "iterations": 30, "replicas": 2,
+        "flips_per_iteration": 4,
+    },
+}
+
+
+def keyed_job(key, i):
+    """Job ``i`` of pack key ``key``: model ``m{9 + i % 3}s{seed}``."""
+    seed = 100 * (1 + list(KEYS).index(key)) + i
+    return job_request(
+        f"{key}-{i}", member(9 + i % 3, seed), seed=seed, **KEYS[key]
+    )
+
+
+HEAD = job_request("head", member(8, 1), method="sa", iterations=10, seed=1)
+
+
+class TestScheduling:
+    """Pending jobs by pack key: one stacked run per key per round."""
+
+    def test_three_keys_run_as_three_stacked_runs(self, stacked_runs):
+        counts = {"sa": 2, "t1": 3, "t4": 4}
+        jobs = [
+            keyed_job(key, i) for i in range(4)
+            for key in KEYS if i < counts[key]
+        ]
+
+        async def run():
+            async with _Gated(service_config(gather_window=0.0)) as gated:
+                svc = gated.svc
+                head = await gated.hold(HEAD)
+                tasks = [asyncio.ensure_future(svc.submit(j)) for j in jobs]
+                await asyncio.sleep(0)
+                assert svc.stats()["queue_depth"] == len(jobs)
+                gated.release()
+                return await asyncio.gather(head, *tasks), svc.stats()
+
+        (_, *results), stats = asyncio.run(run())
+        # The held job, then one stacked run per key, oldest key first.
+        assert [len(names) for names in stacked_runs] == [1, 2, 3, 4]
+        assert stacked_runs[1] == [j.model.name for j in jobs if j.method == "sa"]
+        for job, res in zip(jobs, results):
+            assert_solo(job, res)
+            assert res.packed and res.batch_size == counts[job.job_id[:2]]
+        assert stats["batches"] == 4
+        assert stats["packed_jobs"] == 9 and stats["solo_jobs"] == 1
+        assert stats["pack_keys"] == {
+            "insitu iterations=30 replicas=2 flips=1": {
+                "jobs": 3, "packed_jobs": 3, "runs": 1, "run_sizes": {3: 1},
+            },
+            "insitu iterations=30 replicas=2 flips=4": {
+                "jobs": 4, "packed_jobs": 4, "runs": 1, "run_sizes": {4: 1},
+            },
+            "sa iterations=10 replicas=1 flips=1": {
+                "jobs": 1, "packed_jobs": 0, "runs": 1, "run_sizes": {1: 1},
+            },
+            "sa iterations=40 replicas=2 flips=1": {
+                "jobs": 2, "packed_jobs": 2, "runs": 1, "run_sizes": {2: 1},
+            },
+        }
+
+    def test_max_batch_jobs_caps_one_stacked_run(self, stacked_runs):
+        jobs = [keyed_job("t1", i) for i in range(10)]
+
+        async def run():
+            config = service_config(max_batch_jobs=4, gather_window=0.0)
+            async with _Gated(config) as gated:
+                svc = gated.svc
+                head = await gated.hold(HEAD)
+                tasks = [asyncio.ensure_future(svc.submit(j)) for j in jobs]
+                await asyncio.sleep(0)
+                gated.release()
+                return await asyncio.gather(head, *tasks), svc.stats()
+
+        (_, *results), stats = asyncio.run(run())
+        assert [len(names) for names in stacked_runs] == [1, 4, 4, 2]
+        # Admission order within the key: the first four run first.
+        assert stacked_runs[1] == [j.model.name for j in jobs[:4]]
+        assert [r.batch_size for r in results] == [4] * 8 + [2] * 2
+        for job, res in zip(jobs, results):
+            assert_solo(job, res)
+        runs = stats["pack_keys"]["insitu iterations=30 replicas=2 flips=1"]
+        assert runs["run_sizes"] == {2: 1, 4: 2} and runs["runs"] == 3
+
+    @pytest.mark.parametrize("first", ["sa", "t4"])
+    def test_the_key_with_the_oldest_job_runs_first(self, stacked_runs, first):
+        """Also after a capped run leaves jobs of its key pending."""
+        other = "t4" if first == "sa" else "sa"
+        jobs = [
+            keyed_job(first, 0), keyed_job(other, 0), keyed_job(first, 1),
+            keyed_job(first, 2), keyed_job(other, 1),
+        ]
+
+        async def run():
+            config = service_config(max_batch_jobs=2, gather_window=0.0)
+            async with _Gated(config) as gated:
+                svc = gated.svc
+                head = await gated.hold(HEAD)
+                tasks = [asyncio.ensure_future(svc.submit(j)) for j in jobs]
+                await asyncio.sleep(0)
+                gated.release()
+                return await asyncio.gather(head, *tasks)
+
+        _, *results = asyncio.run(run())
+        a0, b0, a1, a2, b1 = (j.model.name for j in jobs)
+        assert stacked_runs[1:] == [[a0, a1], [b0, b1], [a2]]
+        for job, res in zip(jobs, results):
+            assert_solo(job, res)
+
+    def test_gather_window_lets_peers_join_the_oldest_job(self, stacked_runs):
+        jobs = [keyed_job("sa", i) for i in range(2)]
+
+        async def run():
+            async with SolverService(service_config(gather_window=0.2)) as svc:
+                first = asyncio.ensure_future(svc.submit(jobs[0]))
+                await asyncio.sleep(0.02)
+                second = asyncio.ensure_future(svc.submit(jobs[1]))
+                return await asyncio.gather(first, second)
+
+        results = asyncio.run(run())
+        assert stacked_runs == [[j.model.name for j in jobs]]
+        for job, res in zip(jobs, results):
+            assert_solo(job, res)
+
+    def test_pending_jobs_never_exceed_max_queue(self, stacked_runs):
+        """``submit`` waits past ``max_queue`` pending jobs, in submit
+        order, and ``submit_nowait`` raises at exactly that depth."""
+        jobs = [keyed_job("sa", i) for i in range(7)]
+
+        async def run():
+            config = service_config(max_queue=3, max_batch_jobs=2, gather_window=0.0)
+            async with _Gated(config) as gated:
+                svc = gated.svc
+                head = await gated.hold(HEAD)
+                tasks = [asyncio.ensure_future(svc.submit(j)) for j in jobs[:2]]
+                await asyncio.sleep(0)
+                # One slot left: submit_nowait takes it, then sheds load.
+                tasks.append(asyncio.ensure_future(svc.submit_nowait(jobs[2])))
+                await asyncio.sleep(0)
+                assert svc.stats()["queue_depth"] == 3
+                with pytest.raises(ServiceOverloadedError, match="job 'shed'"):
+                    await svc.submit_nowait(
+                        job_request("shed", member(8, 2), method="sa", iterations=10)
+                    )
+                tasks += [asyncio.ensure_future(svc.submit(j)) for j in jobs[3:]]
+                await asyncio.sleep(0.02)
+                assert svc.stats()["queue_depth"] == 3
+                assert not any(task.done() for task in tasks)
+                gated.release()
+                return await asyncio.gather(head, *tasks), gated.depths, svc.stats()
+
+        (_, *results), depths, stats = asyncio.run(run())
+        # Runs of two free two slots; waiting submits take them in order.
+        assert depths == [0, 3, 3, 1, 0]
+        names = [j.model.name for j in jobs]
+        assert stacked_runs[1:] == [names[0:2], names[2:4], names[4:6], names[6:]]
+        assert [r.batch_size for r in results] == [2, 2, 2, 2, 2, 2, 1]
+        for job, res in zip(jobs, results):
+            assert_solo(job, res)
+        assert stats["jobs"] == 8 and stats["queue_depth"] == 0
+
+    def test_waiting_jobs_of_the_running_key_join_its_run(self, stacked_runs):
+        """Each slot a run frees admits a waiting job at once, so all
+        four jobs of one key run together although two of them waited."""
+        jobs = [keyed_job("t4", i) for i in range(4)]
+
+        async def run():
+            async with _Gated(service_config(max_queue=2, gather_window=0.0)) as gated:
+                svc = gated.svc
+                head = await gated.hold(HEAD)
+                tasks = [asyncio.ensure_future(svc.submit(j)) for j in jobs]
+                await asyncio.sleep(0)
+                assert svc.stats()["queue_depth"] == 2
+                gated.release()
+                return await asyncio.gather(head, *tasks)
+
+        _, *results = asyncio.run(run())
+        assert stacked_runs[1:] == [[j.model.name for j in jobs]]
+        for job, res in zip(jobs, results):
+            assert_solo(job, res)
+
+    def test_stop_runs_every_pending_job(self):
+        jobs = [keyed_job("t1", i) for i in range(3)] + [keyed_job("sa", 0)]
+
+        async def run():
+            async with _Gated(service_config(max_queue=2, gather_window=0.0)) as gated:
+                svc = gated.svc
+                head = await gated.hold(HEAD)
+                tasks = [asyncio.ensure_future(svc.submit(j)) for j in jobs]
+                await asyncio.sleep(0)
+                stopping = asyncio.ensure_future(svc.stop())
+                await asyncio.sleep(0)
+                with pytest.raises(RuntimeError, match="job 'late'"):
+                    await svc.submit(
+                        job_request("late", member(8, 3), method="sa", iterations=10)
+                    )
+                gated.release()
+                await stopping
+                return [t.result() for t in (head, *tasks)], svc.stats()
+
+        (_, *results), stats = asyncio.run(run())
+        for job, res in zip(jobs, results):
+            assert_solo(job, res)
+        assert stats["jobs"] == 5 and stats["queue_depth"] == 0
+
+    def test_cancelled_job_is_dropped_before_compile(self, monkeypatch):
+        compiled: list[str] = []
+        compile_lane = service_module.compile_lane
+
+        def recording(model, **knobs):
+            compiled.append(model.name)
+            return compile_lane(model, **knobs)
+
+        monkeypatch.setattr(service_module, "compile_lane", recording)
+        jobs = [keyed_job("sa", i) for i in range(3)]
+
+        async def run():
+            async with _Gated(service_config(gather_window=0.0)) as gated:
+                svc = gated.svc
+                head = await gated.hold(HEAD)
+                tasks = [asyncio.ensure_future(svc.submit(j)) for j in jobs]
+                await asyncio.sleep(0)
+                tasks[1].cancel()
+                gated.release()
+                out = await asyncio.gather(head, *tasks, return_exceptions=True)
+                return out, svc.stats()
+
+        (_, first, cancelled, last), stats = asyncio.run(run())
+        assert isinstance(cancelled, asyncio.CancelledError)
+        assert jobs[1].model.name not in compiled
+        assert compiled == [HEAD.model.name, jobs[0].model.name, jobs[2].model.name]
+        for job, res in ((jobs[0], first), (jobs[2], last)):
+            assert_solo(job, res)
+            assert res.packed and res.batch_size == 2
+        assert stats["cancelled_jobs"] == 1
+        assert stats["jobs"] == 3 and stats["queue_depth"] == 0
+
+
+#: Edge weights whose sums round differently in BLAS and CSR order.
+INEXACT_WEIGHTS = np.array([0.3, -0.7, 1.1, 0.45])
+
+
+def gset_models(kind):
+    """Four dense G-set models of 40–43 spins and 120 edges: ``"pm1"``
+    weights, or ``"inexact"`` ones drawn from :data:`INEXACT_WEIGHTS`."""
+    models = []
+    for i in range(4):
+        base = generate_random(40 + i, 120, weighted=True, seed=20 + i)
+        weights = base.weights if kind == "pm1" else INEXACT_WEIGHTS[
+            ensure_rng(120 + i).integers(4, size=120)
+        ]
+        problem = MaxCutProblem(base.num_nodes, base.edges, weights, name=f"g{i}")
+        models.append(problem.to_ising(backend="auto"))
+    return models
+
+
+class TestExactStacking:
+    """A dense job whose sums a stacked run would round differently runs
+    alone, as its own lane, so its result still equals its solo solve."""
+
+    @staticmethod
+    def serve(models, method, flips):
+        jobs = [
+            job_request(
+                f"g{i}", m, method=method, iterations=200, replicas=4,
+                flips_per_iteration=flips, seed=10 + i,
+            )
+            for i, m in enumerate(models)
+        ]
+
+        async def run():
+            async with SolverService(service_config(gather_window=0.05)) as svc:
+                return await asyncio.gather(*(svc.submit(j) for j in jobs))
+
+        return jobs, asyncio.run(run())
+
+    @pytest.mark.parametrize("method, flips", [("insitu", 1), ("sa", 1), ("insitu", 4)])
+    def test_inexact_dense_jobs_run_alone_bit_identical(self, method, flips):
+        models = gset_models("inexact")
+        assert all(isinstance(m, IsingModel) for m in models)
+        # Stacked, these four would differ from their solo solves.
+        lanes = [
+            compile_lane(m, method=method, iterations=200, replicas=4,
+                         flips_per_iteration=flips, seed=10 + i)
+            for i, m in enumerate(models)
+        ]
+        stacked = run_stacked(lanes)
+        jobs, results = self.serve(models, method, flips)
+        assert not any(job.packable for job in jobs)
+        assert any(
+            not np.array_equal(s.best_energies, r.best_energies)
+            or not np.array_equal(s.final_energies, r.final_energies)
+            for s, r in zip(stacked, results)
+        )
+        for job, res in zip(jobs, results):
+            assert not res.packed
+            assert_solo(job, res)
+
+    def test_pm1_gset_jobs_still_pack(self):
+        jobs, results = self.serve(gset_models("pm1"), "insitu", 4)
+        assert all(job.packable for job in jobs)
+        for job, res in zip(jobs, results):
+            assert res.packed and res.batch_size == 4
+            assert_solo(job, res)
+
+    def test_packable_follows_the_backend_the_job_runs_on(self):
+        dense = gset_models("inexact")[0]
+        sparse = SparseIsingModel.from_ising(dense)
+        assert not job_request("d", dense).packable
+        assert job_request("d", dense, backend="sparse").packable
+        # A sparse run sums in CSR order alone and stacked.
+        assert job_request("s", sparse).packable
+        # A 40-spin model may run dense under "auto".
+        assert not job_request("s", sparse, backend="auto").packable
+        assert not job_request("s", sparse, backend="dense").packable
+        assert not job_request("sb", dense, method="sb").packable
+        assert not job_request("sb", gset_models("pm1")[0], method="sb").packable
+
+    def test_dyadic_values_must_also_sum_within_53_bits(self):
+        J = np.zeros((3, 3))
+        J[0, 1] = J[1, 0] = 2.0**60
+        J[1, 2] = J[2, 1] = 1.0
+        assert not job_request("wide", IsingModel(J)).packable
+        J[0, 1] = J[1, 0] = 2.0**40
+        assert job_request("narrow", IsingModel(J)).packable
+        # Fields count too: 0.1 is not dyadic.
+        assert not job_request("h", IsingModel(J, np.array([0.0, 0.1, 0.0]))).packable
+        assert job_request("h", IsingModel(J, np.array([0.0, 0.375, 0.0]))).packable
+
+
 class _ServerThread:
     """A live service + TCP endpoint on an ephemeral port, off-thread."""
 
@@ -496,7 +908,13 @@ class TestProtocolAndCli:
             assert main(["submit", "--stats", "--port", str(server.port)]) == 0
             out = capsys.readouterr().out
             assert "jobs: 1" in out
+            assert "cancelled_jobs: 0" in out
             assert "plan_cache:" in out
+            # Each pack key's runs on a line of its own.
+            assert (
+                "pack_keys:\n  sa iterations=100 replicas=2 flips=1: "
+                "{'jobs': 1, 'packed_jobs': 0, 'runs': 1, 'run_sizes': {'1': 1}}"
+            ) in out
             rc = main([
                 "submit", str(path), "--port", str(server.port),
                 "--iterations", "0",
