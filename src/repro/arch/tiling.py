@@ -52,6 +52,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.circuits.crossbar import (
+    CROSSBAR_BACKENDS,
     PROGRAM_PULSE_ENERGY,
     ActivationStats,
     DgFefetCrossbar,
@@ -99,7 +100,7 @@ class TiledCrossbar:
             "tile_size", tile_size, minimum=2,
             hint="a physical tile needs at least 2 rows",
         )
-        self.backend = check_choice("backend", backend, ("behavioral", "device"))
+        self.backend = check_choice("backend", backend, CROSSBAR_BACKENDS)
         quantizer = MatrixQuantizer(bits)
         self.bits = quantizer.bits
         if isinstance(matrix, SparseIsingModel):

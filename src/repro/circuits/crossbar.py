@@ -50,7 +50,11 @@ from repro.devices.constants import (
 from repro.devices.dg_fefet import DGFeFET
 from repro.devices.variability import VariationModel
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_in_range
+from repro.utils.validation import check_choice, check_in_range
+
+#: How a crossbar evaluates its cells: ideal behavioural arithmetic, or
+#: every activated cell through the compact device model.
+CROSSBAR_BACKENDS = ("behavioral", "device")
 
 #: One-time program/erase pulse energy (~10 fJ per ±4 V / 1 µs gate pulse
 #: at 22 nm) — shared by every machine's programming-cost bookkeeping.
@@ -328,9 +332,7 @@ class DgFefetCrossbar:
         lsb: float | None = None,
         seed=None,
     ) -> None:
-        if backend not in ("behavioral", "device"):
-            raise ValueError(f"unknown backend {backend!r}")
-        self.backend = backend
+        self.backend = check_choice("backend", backend, CROSSBAR_BACKENDS)
         self.quantizer = MatrixQuantizer(bits)
         if require_symmetric:
             self.quantized: QuantizedMatrix = self.quantizer.quantize(matrix, lsb=lsb)

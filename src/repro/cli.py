@@ -44,12 +44,10 @@ def _cmd_solve(args) -> int:
     reference = None
     if args.reference:
         reference = compute_reference_cut(problem, restarts=2)
-    if args.method == "sb":
-        # SB integrates positions instead of proposing flip sets, so the
-        # flip-count knob does not apply; the variant knob does.
-        solver_kwargs = {"variant": args.sb_variant}
-    else:
-        solver_kwargs = {"flips_per_iteration": args.flips}
+    # Only the knobs the user set reach the plan, which refuses one the
+    # method's engine does not take instead of dropping it.
+    knobs = {"flips_per_iteration": args.flips, "variant": args.sb_variant}
+    solver_kwargs = {k: v for k, v in knobs.items() if v is not None}
     if args.repeat != 1:
         return _solve_repeat(args, problem, reference, solver_kwargs)
     result = solve_maxcut(
@@ -312,9 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "one coupling matvec per step, all spins move "
                             "at once — strongest on dense-ish instances)")
     solve.add_argument("--sb-variant", choices=("ballistic", "discrete"),
-                       default="discrete", metavar="V",
-                       help="SB flavour when --method sb: 'discrete' (dSB, "
-                            "default) feeds the matvec sign readouts, "
+                       default=None, metavar="V",
+                       help="SB flavour, --method sb only: 'discrete' (dSB, "
+                            "the default) feeds the matvec sign readouts, "
                             "'ballistic' (bSB) feeds continuous positions")
     solve.add_argument("--backend", choices=("auto", "dense", "sparse", "packed"),
                        default="auto",
@@ -338,9 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "the winner only when it shrinks the layout); "
                             "solutions are mapped back to the input order")
     solve.add_argument("--iterations", type=int, default=10_000)
-    solve.add_argument("--flips", type=int, default=1,
-                       help="flip-set size t per proposal (sequential and "
-                            "replica-batch paths alike)")
+    solve.add_argument("--flips", type=int, default=None, metavar="T",
+                       help="flip-set size t per proposal, methods insitu, "
+                            "sa and mesa only (default 1; sequential, "
+                            "replica-batch and tiled paths alike)")
     solve.add_argument("--replicas", type=int, default=None, metavar="R",
                        help="run R vectorised annealing replicas at once "
                             "(insitu/sa/sb; reports best and mean cut over "

@@ -20,7 +20,7 @@ from repro.core.schedule import GeometricSchedule
 from repro.ising.model import IsingModel
 from repro.ising.sparse import SparseIsingModel
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_count, check_flips, check_permutation
+from repro.utils.validation import check_count, check_flips, check_permutation, check_real
 
 
 class MesaAnnealer:
@@ -59,10 +59,10 @@ class MesaAnnealer:
         seed=None,
     ) -> None:
         self.epochs = check_count("epochs", epochs)
-        if not 0.0 < epoch_decay <= 1.0:
-            raise ValueError("epoch_decay must be in (0, 1]")
+        self.epoch_decay = check_real("epoch_decay", epoch_decay)
+        if not 0.0 < self.epoch_decay <= 1.0:
+            raise ValueError(f"epoch_decay must be in (0, 1], got {epoch_decay}")
         self.model = model
-        self.epoch_decay = float(epoch_decay)
         self.flips_per_iteration = check_flips(flips_per_iteration, model.num_spins)
         self.permutation = permutation
         if permutation is not None:

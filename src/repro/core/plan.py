@@ -8,8 +8,7 @@ and re-quantized/re-programmed the tile grid.  This module makes the
 split explicit:
 
 * :func:`compile_plan` runs all of the setup once and returns an
-  immutable :class:`SolvePlan` — the resolved backend model, the
-  ancilla-folded work model, the layout
+  immutable :class:`SolvePlan` — the resolved backend model, the layout
   :class:`~repro.core.reorder.Permutation`, and (on the tiled paths) the
   programmed :class:`~repro.arch.tiling.TiledCrossbar` with its
   quantized stored image;
@@ -42,9 +41,12 @@ real hardware would.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
 import threading
 from collections import OrderedDict
+from dataclasses import replace
 
 import numpy as np
 
@@ -54,64 +56,122 @@ from repro.core.mesa import MesaAnnealer
 from repro.core.reorder import REORDER_MODES, Permutation, reorder_permutation
 from repro.core.results import AnnealResult
 from repro.core.sa import DirectEAnnealer
+from repro.core.sb import SbEngine, solve_sb
 from repro.ising.model import IsingModel
 from repro.ising.packed import PackedIsingModel
 from repro.ising.sparse import SparseIsingModel, as_backend
 from repro.utils.validation import check_choice, check_count, check_model
 
-_SOLVERS = {
-    "insitu": InSituAnnealer,
-    "sa": DirectEAnnealer,
-    "mesa": MesaAnnealer,
+#: The engine of each plan shape ``(tiled, batched)`` by method; a method
+#: missing from a shape has no engine of that shape.  The tiled in-situ
+#: machine is named, not imported: repro.arch layers on top of repro.core.
+_ENGINES = {
+    (False, False): {
+        "insitu": InSituAnnealer, "sa": DirectEAnnealer,
+        "mesa": MesaAnnealer, "sb": SbEngine,
+    },
+    (False, True): {**BATCH_ENGINES, "sb": SbEngine},
+    (True, False): {"insitu": "InSituCimAnnealer", "sb": SbEngine},
+    (True, True): {"sb": SbEngine},
 }
 
 #: Every accepted ``method=`` spelling: the sequential flip solvers plus
 #: the simulated-bifurcation family (dispatched through repro.core.sb,
 #: which serves both the single-run and the replica-batch shape).
-SOLVE_METHODS = tuple(sorted([*_SOLVERS, "sb"]))
+SOLVE_METHODS = tuple(sorted(_ENGINES[False, False]))
+
+#: Engine parameters a plan fills in itself, or takes as ``compile_plan``
+#: arguments of its own: never a caller's solver keyword.
+_PLAN_ARGS = frozenset(
+    {"model", "seed", "replicas", "program", "matvec", "backend",
+     "tile_size", "reorder"}
+)
+
+#: The tiled machine's programming knobs, consumed by
+#: ``compile_cim_program`` under the argument names they map to.
+#: ``crossbar_backend`` is renamed on the way in because ``compile_plan``'s
+#: own ``backend`` names the *coupling* backend.
+_PROGRAM_KNOBS = {
+    "config": "config", "variation": "variation",
+    "permutation": "permutation", "crossbar_backend": "backend",
+}
 
 
-def _check_solve_args(model, method: str, iterations) -> int:
-    """Boundary validation shared by the solve entry points.
+@functools.cache
+def _engine_knobs(engine) -> frozenset:
+    """The keywords an engine's constructor takes from a caller."""
+    return frozenset(inspect.signature(engine).parameters) - _PLAN_ARGS
 
-    Returns the validated iteration count.  Raises ``ValueError`` with an
-    actionable message for unknown methods, non-positive / boolean
-    iteration budgets and empty models — the failure modes that previously
-    surfaced as opaque errors (or, for ``iterations=True``, a silent
-    1-iteration run) deep inside the annealer loops.
+
+def plan_engine(method: str, knobs=(), *, tiled=False, batched=False):
+    """Resolve the engine of one plan shape and check the knobs it is given.
+
+    ``tiled`` and ``batched`` say whether the plan has a ``tile_size`` and
+    ``replicas``.  A plan takes exactly its engine's constructor keywords,
+    less what the plan passes itself; the tiled in-situ machine adds its
+    ``crossbar_backend``, and the tiled SB engine anneals in the
+    programmed layout, so it takes no ``permutation``.  Returns the engine
+    class (``SbEngine`` runs through :func:`~repro.core.sb.solve_sb`).
+    Raises one ``ValueError`` for a shape the method has no engine of, or
+    for a knob its engine does not take, naming the knobs it does take.
     """
-    check_choice("method", method, SOLVE_METHODS)
-    iterations = check_count(
-        "iterations", iterations,
-        hint="the annealers need at least one proposal/accept step",
+    shape = _ENGINES[tiled, batched]
+    engine = shape.get(method)
+    if engine is None:
+        kind = "tiled batch" if tiled and batched else "tiled" if tiled else "batch"
+        raise ValueError(
+            f"method={method!r} has no {kind} engine, so it takes no "
+            f"{_shape_knobs(tiled, batched)}; use "
+            + " or ".join(f"method={m!r}" for m in sorted(shape))
+        )
+    if isinstance(engine, str):
+        from repro.arch import cim_annealer
+
+        engine = getattr(cim_annealer, engine)
+    takes = _engine_knobs(engine)
+    if tiled and engine is SbEngine:
+        takes = takes - {"permutation"}
+    elif tiled:
+        takes = takes | {"crossbar_backend"}
+    for knob in knobs:
+        if knob not in takes:
+            where = f" with {_shape_knobs(tiled, batched)}" if tiled or batched else ""
+            raise ValueError(
+                f"method={method!r}{where} takes no {knob}; it takes "
+                f"{sorted(takes)}"
+            )
+    return engine
+
+
+def _shape_knobs(tiled, batched) -> str:
+    """The plan-shape arguments a call gave, for messages."""
+    return " and ".join(
+        name for name, on in (("tile_size", tiled), ("replicas", batched)) if on
     )
-    check_model(model)
-    return iterations
 
 
-def _strip_ancilla(result: AnnealResult) -> AnnealResult:
+def _run_engine(engine, iterations, seed, **kwargs):
+    """One run of an engine class (the tiled machine's run result carries
+    the anneal beside its ledger)."""
+    result = engine(seed=seed, **kwargs).run(iterations)
+    return getattr(result, "anneal", result)
+
+
+def _strip_ancilla(result):
     """Undo the ancilla fold: pin spin 0 to +1 and drop it.
 
-    A global flip leaves a couplings-only energy invariant, so flipping a
-    configuration whose ancilla landed on −1 changes nothing but restores
-    the ``σ_0 = +1`` convention the fold encodes fields under.
+    Multiplying each configuration by its own ancilla sign restores the
+    ``σ_0 = +1`` convention the fold encodes fields under and changes
+    nothing else: a couplings-only energy is invariant under a global
+    flip.  Serves the single-run and the replica-batch result alike.
     """
-    from dataclasses import replace
-
-    sigma = result.sigma if result.sigma[0] == 1 else -result.sigma
-    best = result.best_sigma if result.best_sigma[0] == 1 else -result.best_sigma
-    return replace(result, sigma=sigma[1:], best_sigma=best[1:])
-
-
-def _strip_ancilla_batch(result: BatchAnnealResult) -> BatchAnnealResult:
-    """Per-replica ancilla strip for the batch result shape."""
-    from dataclasses import replace
-
     def pin(sigmas):
-        # Multiplying each row by its own ancilla sign pins σ_0 = +1
-        # (energies are global-flip invariant for couplings-only models).
-        return (sigmas * sigmas[:, :1])[:, 1:]
+        return (sigmas * sigmas[..., :1])[..., 1:]
 
+    if isinstance(result, AnnealResult):
+        return replace(
+            result, sigma=pin(result.sigma), best_sigma=pin(result.best_sigma)
+        )
     return replace(
         result,
         best_sigmas=pin(result.best_sigmas),
@@ -203,13 +263,6 @@ def _plan_fingerprint(
     return h.hexdigest()
 
 
-#: Solver kwargs consumed at compile time on the tiled in-situ path: they
-#: configure the crossbar programming pass, not the per-run annealer.
-#: ``crossbar_backend`` is renamed on the way in because ``solve_ising``'s
-#: own ``backend`` kwarg names the *coupling* backend.
-_PROGRAM_KWARGS = ("config", "variation", "permutation")
-
-
 class SolvePlan:
     """An immutable compiled solve: setup artifacts plus an execute hook.
 
@@ -222,34 +275,34 @@ class SolvePlan:
     ----------
     model:
         The backend-resolved model in the caller's spin order.
-    work:
-        The model the hardware actually stores: ancilla-folded when the
-        input carried external fields (``folded`` is then True).
+    folded:
+        Whether the crossbar stores the model ancilla-folded (it carried
+        external fields); executes then strip the ancilla again.
     permutation:
         The internal layout :class:`~repro.core.reorder.Permutation`, or
         ``None`` for the identity layout.
     run_kwargs:
-        Engine keyword arguments replayed on every execute.
+        Keyword arguments of the engine (:func:`plan_engine`) replayed on
+        every execute: the caller's knobs plus the compiled model or
+        program.
     fingerprint:
         The cache key :class:`PlanCache` files this plan under.
     """
 
     __slots__ = (
-        "method", "model", "work", "folded", "requested_backend",
+        "method", "model", "folded", "requested_backend",
         "resolved_backend", "tile_size", "reorder", "permutation",
-        "replicas", "run_kwargs", "fingerprint",
-        "_kind", "_engine_model", "_program", "_crossbar",
+        "replicas", "run_kwargs", "fingerprint", "_engine", "_run",
+        "_crossbar",
     )
 
     def __init__(
-        self, *, method, model, work, folded, requested_backend,
+        self, *, method, model, folded, requested_backend,
         resolved_backend, tile_size, reorder, permutation, replicas,
-        run_kwargs, fingerprint, kind, engine_model, program=None,
-        crossbar=None,
+        engine, run_kwargs, fingerprint, crossbar=None,
     ) -> None:
         self.method = method
         self.model = model
-        self.work = work
         self.folded = folded
         self.requested_backend = requested_backend
         self.resolved_backend = resolved_backend
@@ -259,16 +312,19 @@ class SolvePlan:
         self.replicas = replicas
         self.run_kwargs = run_kwargs
         self.fingerprint = fingerprint
-        self._kind = kind
-        self._engine_model = engine_model
-        self._program = program
+        self._engine = engine
+        # SbEngine runs through solve_sb, which shapes a single run's result.
+        self._run = solve_sb if engine is SbEngine else functools.partial(
+            _run_engine, engine
+        )
         self._crossbar = crossbar
 
     def __repr__(self) -> str:  # compact: artifacts are heavyweight
         return (
             f"SolvePlan(method={self.method!r}, "
             f"backend={self.resolved_backend!r}, n={self.model.num_spins}, "
-            f"kind={self._kind!r}, fingerprint={self.fingerprint[:12]!r})"
+            f"engine={self._engine.__name__}, "
+            f"fingerprint={self.fingerprint[:12]!r})"
         )
 
     # ------------------------------------------------------------------
@@ -289,47 +345,8 @@ class SolvePlan:
             "iterations", iterations,
             hint="the annealers need at least one proposal/accept step",
         )
-        if self._kind == "tiled-insitu":
-            # Local import: repro.arch layers on top of repro.core.
-            from repro.arch.cim_annealer import InSituCimAnnealer
-
-            machine = InSituCimAnnealer(
-                program=self._program, seed=seed, **self.run_kwargs
-            )
-            result = machine.run(iterations).anneal
-            return _strip_ancilla(result) if self.folded else result
-        if self._kind == "tiled-sb":
-            from repro.core.sb import solve_sb
-
-            result = solve_sb(
-                self._engine_model, iterations, seed=seed,
-                replicas=self.replicas, permutation=self.permutation,
-                matvec=self._crossbar.batch_matvec, **self.run_kwargs
-            )
-            if self.folded:
-                result = (
-                    _strip_ancilla(result)
-                    if self.replicas is None
-                    else _strip_ancilla_batch(result)
-                )
-            return result
-        if self.method == "sb":
-            from repro.core.sb import solve_sb
-
-            return solve_sb(
-                self._engine_model, iterations, seed=seed,
-                replicas=self.replicas, **self.run_kwargs
-            )
-        if self.replicas is not None:
-            engine = BATCH_ENGINES[self.method](
-                self._engine_model, replicas=self.replicas, seed=seed,
-                **self.run_kwargs
-            )
-            return engine.run(iterations)
-        solver = _SOLVERS[self.method](
-            self._engine_model, seed=seed, **self.run_kwargs
-        )
-        return solver.run(iterations)
+        result = self._run(iterations=iterations, seed=seed, **self.run_kwargs)
+        return _strip_ancilla(result) if self.folded else result
 
     # ------------------------------------------------------------------
     def summary(self) -> dict:
@@ -382,22 +399,38 @@ def compile_plan(
     exactly (it is now a thin wrapper over this function); ``seed`` only
     matters here when crossbar programming itself draws randomness
     (``variation=`` or ``crossbar_backend="device"``).
+
+    ``solver_kwargs`` are the knobs of the plan's engine
+    (:func:`plan_engine`): a knob the engine does not take fails here,
+    before any of the setup work.  Their values are checked by the engine
+    constructor, when :meth:`~SolvePlan.execute` builds the engine.
     """
     check_choice("method", method, SOLVE_METHODS)
     check_model(model)
     reorder = check_choice(
         "reorder", "none" if reorder is None else reorder, REORDER_MODES
     )
+    engine = plan_engine(
+        method, solver_kwargs, tiled=tile_size is not None,
+        batched=replicas is not None,
+    )
     if reorder != "none" and "permutation" in solver_kwargs:
         raise ValueError(
             "pass either reorder= or an explicit permutation=, not both"
         )
+    if "crossbar_backend" in solver_kwargs:
+        # Checked under the caller's name before it becomes the
+        # crossbar's own backend.
+        from repro.circuits.crossbar import CROSSBAR_BACKENDS
+
+        check_choice(
+            "crossbar_backend", solver_kwargs["crossbar_backend"],
+            CROSSBAR_BACKENDS,
+        )
     fingerprint = _plan_fingerprint(
         model, method, backend, tile_size, reorder, replicas, solver_kwargs
     )
-    requested_backend = backend
-    if backend is not None:
-        model = as_backend(model, backend)
+    run_kwargs = dict(solver_kwargs)
     if replicas is not None:
         # Validated here at the boundary — a bool or non-integer count
         # used to slip past solve_ising into the engine constructors.
@@ -405,28 +438,12 @@ def compile_plan(
             "replicas", replicas,
             hint="each replica is one independent trajectory",
         )
-        if method != "sb" and method not in BATCH_ENGINES:
-            raise ValueError(
-                f"replicas only applies to methods "
-                f"{sorted([*BATCH_ENGINES, 'sb'])}, got method={method!r} "
-                f"(MESA has no batch engine)"
-            )
-        if tile_size is not None and method != "sb":
-            raise ValueError(
-                "replicas cannot be combined with tile_size; the tiled "
-                "crossbar machine runs one replica per programmed array "
-                "(method='sb' time-multiplexes replicas over the grid)"
-            )
+        run_kwargs["replicas"] = replicas
     if tile_size is not None:
         tile_size = check_count(
             "tile_size", tile_size, minimum=2,
             hint="a physical tile needs at least 2 rows",
         )
-        if method not in ("insitu", "sb"):
-            raise ValueError(
-                f"tile_size is a crossbar-machine knob and only applies to "
-                f"method='insitu' or method='sb', got method={method!r}"
-            )
     elif reorder == "partition":
         # Solve-boundary check (this used to fail deep inside the layout
         # race): the partition layout is defined by the tile grid.
@@ -435,20 +452,17 @@ def compile_plan(
             "grid and needs tile_size=...; pass both knobs together "
             "(or use reorder='rcm'/'auto' for an untiled solve)"
         )
-    resolved_backend = _backend_name(model)
-
+    if backend is not None:
+        model = as_backend(model, backend)
+    folded, crossbar = False, None
     if tile_size is not None:
         # Both crossbar machines (in-situ and the SB sibling) store the
         # folded model on one tile grid, programmed the one way.
         work, folded = fold_fields(model)
-        run_kwargs = dict(solver_kwargs)
-        program_kwargs = {}
-        if method == "insitu":
-            if "crossbar_backend" in run_kwargs:
-                program_kwargs["backend"] = run_kwargs.pop("crossbar_backend")
-            for key in _PROGRAM_KWARGS:
-                if key in run_kwargs:
-                    program_kwargs[key] = run_kwargs.pop(key)
+        program_kwargs = {
+            arg: run_kwargs.pop(knob)
+            for knob, arg in _PROGRAM_KNOBS.items() if knob in run_kwargs
+        }
         # Local import: repro.arch layers on top of repro.core.
         from repro.arch.cim_annealer import compile_cim_program
 
@@ -456,33 +470,27 @@ def compile_plan(
             work, tile_size=tile_size, reorder=reorder, seed=seed,
             **program_kwargs
         )
-        return SolvePlan(
-            method=method, model=model, work=work, folded=folded,
-            requested_backend=requested_backend,
-            resolved_backend=resolved_backend, tile_size=tile_size,
-            reorder=reorder, permutation=program.permutation,
-            replicas=replicas, run_kwargs=run_kwargs,
-            fingerprint=fingerprint, kind=f"tiled-{method}",
-            engine_model=program.annealer_model, program=program,
-            crossbar=program.crossbar,
-        )
-
-    perm = resolve_layout(model, reorder)
-    run_kwargs = dict(solver_kwargs)
-    engine_model = model
-    if perm is not None:
-        # model.permuted(perm) must always travel with permutation=perm
-        # so proposals/results stay in the caller's spin space; shared
-        # by the replica-batch and sequential execute dispatches.
-        engine_model = model.permuted(perm)
-        run_kwargs["permutation"] = perm
+        perm, crossbar = program.permutation, program.crossbar
+        if engine is SbEngine:
+            run_kwargs.update(
+                model=program.annealer_model, permutation=perm,
+                matvec=crossbar.batch_matvec,
+            )
+        else:
+            run_kwargs["program"] = program
+    else:
+        perm = resolve_layout(model, reorder)
+        run_kwargs["model"] = model
+        if perm is not None:
+            # model.permuted(perm) must always travel with permutation=perm
+            # so proposals/results stay in the caller's spin space.
+            run_kwargs.update(model=model.permuted(perm), permutation=perm)
     return SolvePlan(
-        method=method, model=model, work=model, folded=False,
-        requested_backend=requested_backend,
-        resolved_backend=resolved_backend, tile_size=None,
+        method=method, model=model, folded=folded, requested_backend=backend,
+        resolved_backend=_backend_name(model), tile_size=tile_size,
         reorder=reorder, permutation=perm, replicas=replicas,
-        run_kwargs=run_kwargs, fingerprint=fingerprint, kind="software",
-        engine_model=engine_model,
+        engine=engine, run_kwargs=run_kwargs, fingerprint=fingerprint,
+        crossbar=crossbar,
     )
 
 
@@ -590,5 +598,6 @@ __all__ = [
     "PlanCache",
     "compile_plan",
     "fold_fields",
+    "plan_engine",
     "resolve_layout",
 ]

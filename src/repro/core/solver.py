@@ -42,7 +42,6 @@ from __future__ import annotations
 from repro.core.batch import BatchAnnealResult, BatchMaxCutResult
 from repro.core.plan import (  # noqa: F401  (re-exported: historical home)
     SOLVE_METHODS,
-    _check_solve_args,
     compile_plan,
 )
 from repro.core.results import AnnealResult, MaxCutResult
@@ -50,7 +49,7 @@ from repro.ising.maxcut import MaxCutProblem
 from repro.ising.model import IsingModel
 from repro.ising.sparse import SparseIsingModel
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_real
+from repro.utils.validation import check_count, check_real
 
 
 def solve_ising(
@@ -148,9 +147,14 @@ def solve_ising(
         couplings (see :mod:`repro.core.reorder` and
         :mod:`repro.core.partition`).
     solver_kwargs:
-        Forwarded to the solver constructor (e.g. ``flips_per_iteration``).
+        The knobs of the plan's engine (e.g. ``flips_per_iteration``);
+        see :func:`~repro.core.plan.plan_engine`.
     """
-    iterations = _check_solve_args(model, method, iterations)
+    # Checked first: a bad budget never pays for a layout race.
+    iterations = check_count(
+        "iterations", iterations,
+        hint="the annealers need at least one proposal/accept step",
+    )
     # One generator for both phases: compilation consumes programming
     # draws (device backend / variation models) and execution consumes
     # the proposal/accept stream — exactly the historical shared-stream

@@ -23,7 +23,7 @@ import numpy as np
 from repro.ising.model import IsingModel
 from repro.ising.sparse import BACKENDS, SparseIsingModel, recommended_backend
 from repro.utils.keys import first_repeat
-from repro.utils.validation import check_count, check_spin_vector
+from repro.utils.validation import check_choice, check_count, check_spin_vector
 
 if TYPE_CHECKING:
     import networkx as nx
@@ -195,10 +195,7 @@ class MaxCutProblem:
         packed.  All backends define the identical Hamiltonian and (for
         eligible weights) identical fixed-seed trajectories.
         """
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; choose from {sorted(BACKENDS)}"
-            )
+        check_choice("backend", backend, BACKENDS)
         # Local import: repro.ising.packed imports this sub-package's
         # sparse module, so a top-level import would be circular via
         # repro.ising.__init__.

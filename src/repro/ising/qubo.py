@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.ising.model import IsingModel
 from repro.ising.sparse import BACKENDS, SparseIsingModel, recommended_backend
-from repro.utils.validation import check_count, check_square_symmetric
+from repro.utils.validation import check_choice, check_count, check_square_symmetric
 
 
 def _row_sums(n: int, rows, cols, values) -> np.ndarray:
@@ -207,10 +207,7 @@ class QuboModel:
         to converting the dense matrix; otherwise ``h`` and the offset
         agree to a few ulp (summation order differs).
         """
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; choose from {sorted(BACKENDS)}"
-            )
+        check_choice("backend", backend, BACKENDS)
         # Local import: repro.ising.packed imports this sub-package's
         # sparse module, so a top-level import would be circular via
         # repro.ising.__init__.

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.blockstack import PACK_METHODS
-from repro.ising.sparse import SparseIsingModel
+from repro.core.plan import plan_engine
+from repro.ising.sparse import BACKENDS, SparseIsingModel
 from repro.utils.validation import (
     check_choice,
     check_count,
@@ -171,12 +172,8 @@ def job_request(
             )
         n = model.num_spins
         flips_per_iteration = check_flips(flips_per_iteration, n)
-        if method == "sb" and flips_per_iteration != 1:
-            raise ValueError(
-                f"flips_per_iteration only applies to methods "
-                f"{sorted(PACK_METHODS)}; method='sb' integrates every "
-                f"position each step"
-            )
+        if flips_per_iteration != 1:
+            plan_engine(method, ["flips_per_iteration"], batched=True)
         budget = [("n", n, MAX_JOB_WORK)]
         if method in PACK_METHODS:
             budget.insert(0, ("flips_per_iteration", flips_per_iteration, MAX_JOB_PROPOSALS))
@@ -191,9 +188,7 @@ def job_request(
         if seed is not None:
             seed = check_count("seed", seed, minimum=0, maximum=None)
         if backend is not None:
-            backend = check_choice(
-                "backend", backend, ("auto", "dense", "sparse", "packed")
-            )
+            backend = check_choice("backend", backend, BACKENDS)
         if initial is not None:
             if method == "sb":
                 raise ValueError(

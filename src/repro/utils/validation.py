@@ -14,19 +14,29 @@ import operator
 import numpy as np
 
 
-def check_positive(name: str, value: float, allow_zero: bool = False) -> float:
-    """Validate that a scalar parameter is finite and positive (or >= 0).
+def check_real(name: str, value) -> float:
+    """Validate a finite real number and return it as a ``float``.
 
-    Refuses ``bool``/``np.bool_`` (silently 1.0 or 0.0), strings, ``None``
-    and any other non-real, as :func:`check_count` does.  NaN and ±inf are
-    refused next: ``nan <= 0`` is False, so a bare sign test would let
-    NaN through to fail later, far from the knob.
+    The one scalar parse every real-valued check starts from: a
+    ``numbers.Real`` (numpy real scalars included), not a ``bool`` (which
+    would silently act as 0.0 or 1.0; ``np.bool_`` is not a ``Real``), and
+    finite (``nan <= 0`` is False, so a bare range test would let NaN
+    through to fail later, far from the knob).
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def check_positive(name: str, value: float, allow_zero: bool = False) -> float:
+    """Validate that a real parameter is positive (or >= 0); see :func:`check_real`."""
+    value = check_real(name, value)
     if allow_zero:
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
@@ -109,30 +119,6 @@ def check_index(name: str, value, n: int) -> int:
         ) from None
     if not 0 <= value < n:
         raise IndexError(f"{name} must be in [0, {n}), got {value}")
-    return value
-
-
-def check_real(name: str, value) -> float:
-    """Validate a real-number parameter (reference cuts, thresholds, …).
-
-    Mirrors :func:`check_count`'s message shape: rejects ``bool`` (which
-    would silently act as 0.0/1.0), strings and anything else that is not
-    a real number, and rejects non-finite values (a NaN reference would
-    poison every normalised quantity downstream without an error).
-    """
-    if isinstance(value, bool):
-        raise ValueError(
-            f"{name} must be a number, got {value!r} (a bool would silently "
-            f"act as {float(value):g}); pass an explicit value"
-        )
-    if isinstance(value, str) or isinstance(value, complex):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
-    if not np.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
 
@@ -224,15 +210,12 @@ def permutation_maps(perm, n: int) -> tuple[np.ndarray | None, np.ndarray | None
 
 def check_probability(name: str, value: float) -> float:
     """Validate that ``value`` lies in the closed interval [0, 1]."""
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
-    return value
+    return check_in_range(name, value, 0, 1)
 
 
 def check_in_range(name: str, value: float, low: float, high: float) -> float:
-    """Validate that ``value`` lies in the closed interval [low, high]."""
-    value = float(value)
+    """Validate that a real ``value`` lies in the closed interval [low, high]."""
+    value = check_real(name, value)
     if not low <= value <= high:
         raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
     return value

@@ -18,11 +18,7 @@ from repro.cli import build_parser
 from repro.core.solver import solve_ising, solve_maxcut
 from repro.serve.jobs import job_request
 from repro.serve.service import service_config
-from tools.repro_lint.config import (
-    PARITY_CONTRACTS,
-    PARITY_FUNCTIONS,
-    SOLVER_KWARG_FLAGS,
-)
+from tools.repro_lint.config import PARITY_CONTRACTS, SOLVER_KWARG_FLAGS
 
 #: Live callables for every function named in the contracts table (the
 #: lookup below asserts the table and this registry cannot drift).
@@ -34,28 +30,27 @@ CONTRACT_CALLABLES = {
 }
 
 
-def _option_strings(subcommand: str) -> set[str]:
-    """All ``--flag`` option strings of one CLI subcommand."""
+def _actions(subcommand: str) -> list:
+    """The argparse actions of one CLI subcommand."""
     parser = build_parser()
-    sub_parser = next(
+    return next(
         action.choices[subcommand]
         for action in parser._actions
         if isinstance(action, argparse._SubParsersAction)
-    )
-    flags: set[str] = set()
-    for action in sub_parser._actions:
-        flags.update(action.option_strings)
-    return flags
+    )._actions
+
+
+def _option_strings(subcommand: str) -> set[str]:
+    """All ``--flag`` option strings of one CLI subcommand."""
+    return {flag for action in _actions(subcommand) for flag in action.option_strings}
 
 
 def test_contract_functions_are_pinned():
-    # The static rule and this test must audit the same functions, and
-    # the legacy single-contract alias must keep naming the solve pair.
+    # The static rule and this test must audit the same functions.
     contracted = {
         name for contract in PARITY_CONTRACTS for name in contract.functions
     }
     assert contracted == set(CONTRACT_CALLABLES)
-    assert set(PARITY_FUNCTIONS) == {"solve_ising", "solve_maxcut"}
 
 
 def test_every_contracted_kwarg_has_a_cli_flag():
@@ -97,6 +92,28 @@ def test_engine_kwarg_flags_still_exist():
             f"CLI flag {flag} (engine kwarg {kwarg!r}) disappeared from "
             "the solve subcommand"
         )
+
+
+def test_cli_choices_match_the_library_tables():
+    # The CLI spells its choices out, so that ``repro --help`` does not
+    # import the solver stack; they must still be the library's.
+    from repro.core.plan import SOLVE_METHODS
+    from repro.core.reorder import REORDER_MODES
+    from repro.ising.sparse import BACKENDS
+    from repro.serve.jobs import SERVE_METHODS
+
+    for subcommand, flag, table in (
+        ("solve", "--method", SOLVE_METHODS),
+        ("solve", "--backend", BACKENDS),
+        ("solve", "--reorder", REORDER_MODES),
+        ("submit", "--method", SERVE_METHODS),
+        ("submit", "--backend", BACKENDS),
+    ):
+        (choices,) = (
+            action.choices for action in _actions(subcommand)
+            if flag in action.option_strings
+        )
+        assert sorted(choices) == sorted(table), (subcommand, flag)
 
 
 def test_allowlists_stay_minimal():

@@ -192,6 +192,24 @@ class TestCommands:
             main(["solve", instance_file, "--method", "sb",
                   "--sb-variant", "goto"])
 
+    def test_solve_refuses_a_flag_the_method_does_not_take(
+        self, instance_file, capsys
+    ):
+        """A misapplied engine flag fails instead of being dropped."""
+        for argv, knob in (
+            (["--method", "sb", "--flips", "3"], "flips_per_iteration"),
+            (["--method", "insitu", "--sb-variant", "ballistic"], "variant"),
+        ):
+            code = main(["solve", instance_file, "--iterations", "50", *argv])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"takes no {knob};" in err
+            # --repeat compiles through the same plan boundary.
+            assert main(
+                ["solve", instance_file, "--repeat", "2", *argv]
+            ) == 2
+            assert f"takes no {knob};" in capsys.readouterr().err
+
     def test_solve_replicas_rejected_for_mesa(self, instance_file, capsys):
         code = main(
             ["solve", instance_file, "--method", "mesa", "--replicas", "4"]
@@ -314,11 +332,11 @@ class TestSolveBoundaryValidation:
         quantity; strings and NaN only exploded later inside
         ``normalized_cut``.
         """
-        with pytest.raises(ValueError, match="reference_cut must be a number"):
+        with pytest.raises(ValueError, match="reference_cut must be a real number"):
             solve_maxcut(problem, reference_cut=True)
-        with pytest.raises(ValueError, match="reference_cut must be a number"):
+        with pytest.raises(ValueError, match="reference_cut must be a real number"):
             solve_maxcut(problem, reference_cut="1516")
-        with pytest.raises(ValueError, match="reference_cut must be a number"):
+        with pytest.raises(ValueError, match="reference_cut must be a real number"):
             solve_maxcut(problem, reference_cut=[40.0])
         with pytest.raises(ValueError, match="reference_cut must be finite"):
             solve_maxcut(problem, reference_cut=float("nan"))

@@ -58,6 +58,18 @@ def test_serve_loads_no_networkx_or_unittest():
     assert not loaded_after("repro.serve") & {"networkx", "unittest"}
 
 
+def test_plan_and_serve_load_no_hardware_layer():
+    """The plan resolves the tiled machine by name: only a tiled plan
+    imports ``repro.arch`` (and through it ``repro.circuits``)."""
+    for module in ("repro.core.plan", "repro.serve"):
+        loaded = fresh_interpreter(
+            f"import {module}\nimport json, sys\n"
+            "print(json.dumps(sorted({m.split('.')[1] for m in sys.modules "
+            "if m.split('.')[0] == 'repro' and '.' in m})))\n"
+        )
+        assert not {"arch", "circuits"} & set(loaded), (module, loaded)
+
+
 def test_lazily_imported_functions_work_from_a_cold_import():
     got = fresh_interpreter(
         """

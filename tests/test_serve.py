@@ -84,7 +84,9 @@ class TestJobBoundary:
             job_request("j", member(8, 1), flips_per_iteration=9)
 
     def test_sb_rejects_flip_and_initial_knobs(self):
-        with pytest.raises(ValueError, match="only applies to methods"):
+        with pytest.raises(
+            ValueError, match="method='sb' with replicas takes no flips_per_iteration"
+        ):
             job_request("j", member(8, 1), method="sb", flips_per_iteration=2)
         with pytest.raises(ValueError, match="only applies to methods"):
             job_request("j", member(8, 1), method="sb", initial=np.ones(8))

@@ -27,7 +27,7 @@ from repro.utils import (
 )
 from repro.utils.keys import first_repeat, sorted_unique
 from repro.utils.tables import render_series, render_table
-from repro.utils.validation import check_count, check_finite, check_initial
+from repro.utils.validation import check_count, check_finite, check_initial, check_real
 
 
 class TestRng:
@@ -169,10 +169,29 @@ class TestValidation:
             check_positive("x", -1.0, allow_zero=True)
         assert check_positive("x", np.float32(0.5)) == 0.5
         assert type(check_positive("x", np.int64(3))) is float
-        # not 1.0/0.0 for a bool, 3.0 for "3" or a bare TypeError for None
-        for bad in (True, False, np.True_, "3", None, 1j, [1.0]):
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            check_real,
+            check_positive,
+            lambda name, value: check_in_range(name, value, 0.0, 1.0),
+            check_probability,
+        ],
+        ids=["real", "positive", "in_range", "probability"],
+    )
+    def test_every_real_check_parses_one_way(self, check):
+        """Not 1.0/0.0 for a bool, 0.5 for "0.5" or a bare TypeError for
+        None: ``check_in_range`` and ``check_probability`` used to call
+        ``float()`` first."""
+        for bad in (True, False, np.True_, "0.5", None, 1j, [1.0]):
             with pytest.raises(ValueError, match=r"^x must be a real number, got "):
-                check_positive("x", bad, allow_zero=True)
+                check("x", bad)
+        for bad in (np.nan, -np.inf, 10**400):
+            with pytest.raises(ValueError, match=r"^x must be finite, got "):
+                check("x", bad)
+        assert check("x", np.float32(0.5)) == 0.5
+        assert type(check("x", np.int64(1))) is float
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("allow_zero", [False, True])

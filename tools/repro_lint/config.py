@@ -13,7 +13,7 @@ signature-introspection test can never drift apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Modules allowed to densify couplings (RPL001).  ``sparse.py`` *owns*
 #: ``toarray``/``dense_couplings`` — the ban is on calling them from hot
@@ -89,7 +89,6 @@ VALIDATING_SINKS: frozenset[str] = frozenset(
     {
         "solve_ising",
         "solve_sb",
-        "_check_solve_args",
         "compile_plan",
         "reorder_permutation",
     }
@@ -106,7 +105,6 @@ PLAN_SETUP_CALLS: frozenset[str] = frozenset(
         "with_ancilla",
         "reorder_permutation",
         "_strip_ancilla",
-        "_strip_ancilla_batch",
     }
 )
 
@@ -180,13 +178,8 @@ PARITY_CONTRACTS: tuple[ParityContract, ...] = (
     ),
 )
 
-#: Legacy single-contract aliases (kept importable: the runtime parity
-#: test grew up on these names and older suppression docs cite them).
-PARITY_FUNCTIONS: tuple[str, ...] = PARITY_CONTRACTS[0].functions
-PARITY_SOLVER_MODULE: str = PARITY_CONTRACTS[0].module
+#: The CLI module every parity contract's flags live in.
 PARITY_CLI_MODULE: str = "src/repro/cli.py"
-PARITY_FLAG_MAP: dict[str, str] = dict(PARITY_CONTRACTS[0].flag_map)
-PARITY_CLI_LESS: frozenset[str] = PARITY_CONTRACTS[0].cli_less
 
 #: ``**solver_kwargs`` knobs the CLI exposes under bespoke flags.  Not
 #: part of the signatures RPL006 walks, but pinned by the runtime parity
@@ -210,13 +203,7 @@ class LintConfig:
     validating_sinks: frozenset[str] = VALIDATING_SINKS
     owned_calls: tuple[tuple[str, frozenset[str], str], ...] = OWNED_CALLS
     parity_contracts: tuple[ParityContract, ...] = PARITY_CONTRACTS
-    parity_functions: tuple[str, ...] = PARITY_FUNCTIONS
-    parity_solver_module: str = PARITY_SOLVER_MODULE
     parity_cli_module: str = PARITY_CLI_MODULE
-    parity_flag_map: dict[str, str] = field(
-        default_factory=lambda: dict(PARITY_FLAG_MAP)
-    )
-    parity_cli_less: frozenset[str] = PARITY_CLI_LESS
 
     #: Default lint targets when the CLI is invoked without paths.
     default_paths: tuple[str, ...] = ("src", "benchmarks", "tests")
