@@ -52,7 +52,7 @@ from repro.devices.variability import VariationModel
 from repro.ising.model import IsingModel
 from repro.ising.sparse import SparseIsingModel, dense_couplings
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_choice, check_count
+from repro.utils.validation import check_choice, check_iterations
 
 
 @dataclass(frozen=True)
@@ -299,10 +299,7 @@ class CimMachine:
         # Validated at the machine boundary: the counters are sized by
         # `iterations` before the inner annealer would reject a bool/float
         # count.
-        iterations = check_count(
-            "iterations", iterations,
-            hint="the machine needs at least one proposal/accept step",
-        )
+        iterations = check_iterations(iterations)
         # Shared-program machines reuse one crossbar across runs; clear
         # the driver-toggle memory so every run books costs like a cold
         # array (trajectories never depended on it).

@@ -28,7 +28,7 @@ from repro.circuits.exponent_unit import ExponentUnit
 from repro.circuits.interconnect import WireModel
 from repro.circuits.shift_add import ShiftAddUnit
 from repro.utils.units import NANO, PICO
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_count, check_positive
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,7 @@ class HardwareConfig:
     label: str = "hardware"
 
     def __post_init__(self) -> None:
-        if not 1 <= self.quantization_bits <= 16:
-            raise ValueError("quantization_bits must be in [1, 16]")
+        check_count("quantization_bits", self.quantization_bits, maximum=16)
         check_positive("logic_energy", self.logic_energy)
         check_positive("logic_time", self.logic_time)
 

@@ -44,8 +44,7 @@ class WireModel:
     def __post_init__(self) -> None:
         check_positive("resistance_per_cell", self.resistance_per_cell)
         check_positive("capacitance_per_cell", self.capacitance_per_cell)
-        if self.ir_drop_coefficient < 0:
-            raise ValueError("ir_drop_coefficient must be >= 0")
+        check_positive("ir_drop_coefficient", self.ir_drop_coefficient, allow_zero=True)
 
     def line_resistance(self, cells: int) -> float:
         """Total line resistance across ``cells`` pitches."""

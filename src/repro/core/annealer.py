@@ -41,8 +41,8 @@ from repro.ising.sparse import SparseIsingModel
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import (
     check_choice,
-    check_count,
     check_flips,
+    check_iterations,
     check_positive,
     check_spin_vector,
     permutation_maps,
@@ -170,10 +170,7 @@ class SequentialAnnealer:
             Optional starting ±1 configuration (default: uniform random),
             in the caller's original spin space.
         """
-        iterations = check_count(
-            "iterations", iterations,
-            hint="the annealers need at least one proposal/accept step",
-        )
+        iterations = check_iterations(iterations)
         schedule = self._build_schedule(iterations)
         rng = self._rng
         ops = self._ops

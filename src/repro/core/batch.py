@@ -69,6 +69,7 @@ from repro.utils.validation import (
     check_count,
     check_flips,
     check_initial,
+    check_iterations,
     permutation_maps,
 )
 
@@ -471,10 +472,7 @@ class _BatchEngine:
         the schedule is evaluated once, into one accept coefficient per
         iteration, so the loop itself only touches replica state.
         """
-        iterations = check_count(
-            "iterations", iterations,
-            hint="the annealers need at least one proposal/accept step",
-        )
+        iterations = check_iterations(iterations)
         (result,) = run_lanes(self.model, [self._draw_lane(iterations, initial)])
         if self._fwd is not None:
             # Readouts go back to the caller's original ordering.
@@ -627,10 +625,7 @@ def compile_lane(
     engine's own messages.
     """
     check_choice("method", method, BATCH_ENGINES)
-    iterations = check_count(
-        "iterations", iterations,
-        hint="the annealers need at least one proposal/accept step",
-    )
+    iterations = check_iterations(iterations)
     engine = BATCH_ENGINES[method](
         model, replicas=replicas, flips_per_iteration=flips_per_iteration,
         seed=seed,

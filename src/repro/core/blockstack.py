@@ -53,7 +53,6 @@ from repro.core.batch import (
 )
 from repro.ising.packed import PackedIsingModel
 from repro.ising.sparse import SparseIsingModel
-from repro.utils.validation import check_count
 
 #: Methods the block-diagonal union can pack: the two flip-proposal batch
 #: engines.  SB integrates all positions through one matvec per step and
@@ -92,7 +91,7 @@ class BlockStack:
     blocks: tuple[BlockSlice, ...]
 
 
-def stack_models(models, align: int = BLOCK_ALIGN) -> BlockStack:
+def stack_models(models) -> BlockStack:
     """Stack member models into one block-diagonal union.
 
     Members may be dense :class:`~repro.ising.model.IsingModel` (converted
@@ -111,12 +110,11 @@ def stack_models(models, align: int = BLOCK_ALIGN) -> BlockStack:
     ]
     if not members:
         raise ValueError("stack_models needs at least one member model")
-    align = check_count("align", align)
     blocks = []
     pos = 0
     for m in members:
         n = m.num_spins
-        padded = pos + -(-n // align) * align
+        padded = pos + -(-n // BLOCK_ALIGN) * BLOCK_ALIGN
         blocks.append(BlockSlice(start=pos, stop=pos + n, padded_stop=padded))
         pos = padded
     total = pos

@@ -24,19 +24,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.keys import first_repeat
-from repro.utils.validation import check_spin_vector
+from repro.utils.validation import check_flip_set, check_spin_vector
 
 
 def flip_mask(n: int, flip_indices) -> np.ndarray:
     """Build the 0/1 flip mask ``σ_f`` for the index set ``F``."""
-    flips = np.atleast_1d(np.asarray(flip_indices, dtype=np.intp))
-    if flips.size and (flips.min() < 0 or flips.max() >= n):
-        raise IndexError("flip index out of range")
-    if first_repeat(flips) is not None:
-        raise ValueError("flip indices must be unique")
     mask = np.zeros(n, dtype=np.int8)
-    mask[flips] = 1
+    mask[check_flip_set(flip_indices, n)] = 1
     return mask
 
 

@@ -20,7 +20,13 @@ from repro.core.schedule import GeometricSchedule
 from repro.ising.model import IsingModel
 from repro.ising.sparse import SparseIsingModel
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_count, check_flips, check_permutation, check_real
+from repro.utils.validation import (
+    check_count,
+    check_flips,
+    check_iterations,
+    check_permutation,
+    check_real,
+)
 
 
 class MesaAnnealer:
@@ -71,7 +77,7 @@ class MesaAnnealer:
 
     def run(self, iterations: int, initial=None) -> AnnealResult:
         """Run ``epochs`` cooling passes sharing the iteration budget."""
-        iterations = check_count("iterations", iterations)
+        iterations = check_iterations(iterations)
         if iterations < self.epochs:
             raise ValueError("iterations must be >= epochs")
         per_epoch = iterations // self.epochs

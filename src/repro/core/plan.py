@@ -60,7 +60,7 @@ from repro.core.sb import SbEngine, solve_sb
 from repro.ising.model import IsingModel
 from repro.ising.packed import PackedIsingModel
 from repro.ising.sparse import SparseIsingModel, as_backend
-from repro.utils.validation import check_choice, check_count, check_model
+from repro.utils.validation import check_choice, check_count, check_iterations, check_model
 
 #: The engine of each plan shape ``(tiled, batched)`` by method; a method
 #: missing from a shape has no engine of that shape.  The tiled in-situ
@@ -341,10 +341,7 @@ class SolvePlan:
             same seed return bit-identical results on the default
             (draw-free programming) path.
         """
-        iterations = check_count(
-            "iterations", iterations,
-            hint="the annealers need at least one proposal/accept step",
-        )
+        iterations = check_iterations(iterations)
         result = self._run(iterations=iterations, seed=seed, **self.run_kwargs)
         return _strip_ancilla(result) if self.folded else result
 

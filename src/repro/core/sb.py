@@ -56,6 +56,7 @@ from repro.utils.validation import (
     check_choice,
     check_count,
     check_initial,
+    check_iterations,
     check_model,
     check_positive,
     permutation_maps,
@@ -189,10 +190,7 @@ class SbEngine:
 
     def run(self, iterations: int, initial=None) -> BatchAnnealResult:
         """Integrate all replicas for ``iterations`` symplectic steps."""
-        iterations = check_count(
-            "iterations", iterations,
-            hint="the annealers need at least one proposal/accept step",
-        )
+        iterations = check_iterations(iterations)
         rng = self._rng
         R, n = self.replicas, self.n
         h = self.model.h

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.factors import FractionalFactor
 from repro.devices.constants import VBG_MAX, VBG_MIN, VBG_STEP
-from repro.utils.validation import check_count, check_positive
+from repro.utils.validation import check_count, check_index, check_iterations, check_positive
 
 
 class Schedule:
@@ -32,11 +32,10 @@ class Schedule:
     _temperatures: np.ndarray | None = None
 
     def __init__(self, iterations: int) -> None:
-        self.iterations = check_count("iterations", iterations)
+        self.iterations = check_iterations(iterations)
 
-    def _check(self, iteration: int) -> None:
-        if not 0 <= iteration < self.iterations:
-            raise IndexError(f"iteration {iteration} outside schedule")
+    def _check(self, iteration: int) -> int:
+        return check_index("iteration", iteration, self.iterations)
 
     def temperature(self, iteration: int) -> float:
         """Temperature at a (0-based) iteration index.
@@ -44,7 +43,7 @@ class Schedule:
         Indexes one ``profile()`` evaluation, cached on the schedule: O(1)
         after the first read, and equal to the trace the engines read.
         """
-        self._check(iteration)
+        iteration = self._check(iteration)
         if self._temperatures is None:
             self._temperatures = self.profile()
         return float(self._temperatures[iteration])
@@ -78,12 +77,10 @@ class GeometricSchedule(Schedule):
         self, iterations: int, t_start: float, t_end: float, alpha: float | None = None
     ) -> None:
         super().__init__(iterations)
-        check_positive("t_start", t_start)
-        check_positive("t_end", t_end)
-        if t_end > t_start:
+        self.t_start = check_positive("t_start", t_start)
+        self.t_end = check_positive("t_end", t_end)
+        if self.t_end > self.t_start:
             raise ValueError("t_end must not exceed t_start")
-        self.t_start = float(t_start)
-        self.t_end = float(t_end)
         if alpha is None:
             # Reach t_end exactly on the final iteration.
             span = max(self.iterations - 1, 1)
@@ -155,13 +152,12 @@ class VbgStepSchedule(Schedule):
         hold: int | None = None,
     ) -> None:
         super().__init__(iterations)
-        check_positive("step", step)
+        self.step = check_positive("step", step)
         if not v_end <= v_start:
             raise ValueError("v_start must be >= v_end")
         self.factor = factor or FractionalFactor()
         self.v_start = float(v_start)
         self.v_end = float(v_end)
-        self.step = float(step)
         levels = int(round((self.v_start - self.v_end) / self.step)) + 1
         self.num_levels = max(levels, 1)
         if hold is None:
@@ -188,7 +184,7 @@ class VbgStepSchedule(Schedule):
         Indexes one cached :meth:`vbg_profile` evaluation, as
         :meth:`~Schedule.temperature` indexes ``profile()``.
         """
-        self._check(iteration)
+        iteration = self._check(iteration)
         if self._vbgs is None:
             self._vbgs = self.vbg_profile()
         return float(self._vbgs[iteration])

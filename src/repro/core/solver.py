@@ -49,7 +49,7 @@ from repro.ising.maxcut import MaxCutProblem
 from repro.ising.model import IsingModel
 from repro.ising.sparse import SparseIsingModel
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_count, check_real
+from repro.utils.validation import check_iterations, check_real
 
 
 def solve_ising(
@@ -151,10 +151,7 @@ def solve_ising(
         see :func:`~repro.core.plan.plan_engine`.
     """
     # Checked first: a bad budget never pays for a layout race.
-    iterations = check_count(
-        "iterations", iterations,
-        hint="the annealers need at least one proposal/accept step",
-    )
+    iterations = check_iterations(iterations)
     # One generator for both phases: compilation consumes programming
     # draws (device backend / variation models) and execution consumes
     # the proposal/accept stream — exactly the historical shared-stream

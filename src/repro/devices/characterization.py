@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.devices.fefet import FeFET
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_count, check_positive
 
 
 @dataclass(frozen=True)
@@ -135,8 +135,7 @@ class EnduranceModel:
     fatigue_power: float = 0.6
 
     def __post_init__(self) -> None:
-        if self.wake_up_strength < 0:
-            raise ValueError("wake_up_strength must be >= 0")
+        check_positive("wake_up_strength", self.wake_up_strength, allow_zero=True)
         check_positive("fatigue_cycles", self.fatigue_cycles)
         check_positive("fatigue_power", self.fatigue_power)
 
@@ -176,6 +175,5 @@ def annealing_runs_per_lifetime(
     non-destructive); the array therefore survives roughly
     ``cycles_to_fraction(limit)`` problem loads.
     """
-    if reprograms_per_run < 1:
-        raise ValueError("reprograms_per_run must be >= 1")
-    return endurance.cycles_to_fraction(window_fraction_limit) / reprograms_per_run
+    runs = check_count("reprograms_per_run", reprograms_per_run)
+    return endurance.cycles_to_fraction(window_fraction_limit) / runs

@@ -68,8 +68,7 @@ class DGFeFET(FeFET):
             # that V_BG ∈ [0, 0.7] V sweeps the cell from near-off to on.
             vth_mid = 1.08 + DEFAULT_MEMORY_WINDOW / 2.0
         super().__init__(ferroelectric, transistor, memory_window, vth_mid)
-        check_positive("bg_coupling", bg_coupling)
-        self.bg_coupling = float(bg_coupling)
+        self.bg_coupling = check_positive("bg_coupling", bg_coupling)
 
     # ------------------------------------------------------------------
     # Threshold with back-gate action

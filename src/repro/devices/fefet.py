@@ -51,12 +51,11 @@ class FeFET:
         memory_window: float = DEFAULT_MEMORY_WINDOW,
         vth_mid: float | None = None,
     ) -> None:
-        check_positive("memory_window", memory_window)
+        self.memory_window = check_positive("memory_window", memory_window)
         self.ferroelectric = ferroelectric or PreisachFerroelectric()
         # Default current scale puts the low-V_TH ON current near 1e-4 A at
         # V_G = 1.5 V, the envelope of the measured curves in Fig 2b.
         self.transistor = transistor or Transistor(i0=1.0e-6, leakage=1.0e-10)
-        self.memory_window = float(memory_window)
         if vth_mid is None:
             self.vth_mid = (DEFAULT_VTH_LOW + DEFAULT_VTH_HIGH) / 2.0
         else:

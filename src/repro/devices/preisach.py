@@ -61,23 +61,18 @@ class PreisachFerroelectric:
         nls_kt: float = 0.25,
         reference_pulse_width: float = DEFAULT_PROGRAM_WIDTH,
     ) -> None:
-        check_positive("coercive_voltage", coercive_voltage)
-        check_positive("sigma", sigma)
-        check_positive("v_span", v_span)
-        check_positive("saturation_polarization", saturation_polarization)
-        check_positive("reference_pulse_width", reference_pulse_width)
+        self.coercive_voltage = check_positive("coercive_voltage", coercive_voltage)
+        self.sigma = check_positive("sigma", sigma)
+        self.v_span = check_positive("v_span", v_span)
+        self.saturation_polarization = check_positive(
+            "saturation_polarization", saturation_polarization
+        )
+        self.reference_pulse_width = check_positive("reference_pulse_width", reference_pulse_width)
         self.grid_points = check_count(
             "grid_points", grid_points, minimum=8,
             hint="the Preisach triangle needs an 8-point grid or finer",
         )
-        if nls_kt < 0:
-            raise ValueError("nls_kt must be >= 0")
-        self.coercive_voltage = float(coercive_voltage)
-        self.sigma = float(sigma)
-        self.v_span = float(v_span)
-        self.saturation_polarization = float(saturation_polarization)
-        self.nls_kt = float(nls_kt)
-        self.reference_pulse_width = float(reference_pulse_width)
+        self.nls_kt = check_positive("nls_kt", nls_kt, allow_zero=True)
 
         axis = np.linspace(-self.v_span, self.v_span, self.grid_points)
         alpha, beta = np.meshgrid(axis, axis, indexing="ij")

@@ -66,10 +66,8 @@ class Transistor:
         check_positive("thermal_voltage", self.thermal_voltage)
         if self.ideality < 1.0:
             raise ValueError(f"ideality must be >= 1, got {self.ideality}")
-        if self.lambda_out < 0.0:
-            raise ValueError("lambda_out must be >= 0")
-        if self.leakage < 0.0:
-            raise ValueError("leakage must be >= 0")
+        check_positive("lambda_out", self.lambda_out, allow_zero=True)
+        check_positive("leakage", self.leakage, allow_zero=True)
 
     def drain_current(self, v_gs, v_ds, v_th) -> np.ndarray:
         """Drain current for gate-source / drain-source bias and threshold.

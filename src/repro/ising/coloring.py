@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.ising.qubo import QuboModel
+from repro.utils.validation import check_count, check_edges, check_index, check_positive
 
 
 @dataclass
@@ -28,7 +29,7 @@ class GraphColoringProblem:
     num_nodes:
         Number of vertices.
     edges:
-        ``(m, 2)`` endpoint array.
+        ``(m, 2)`` endpoint array; repeated edges sum.
     num_colors:
         Number of available colours ``k``.
     one_hot_weight:
@@ -46,18 +47,11 @@ class GraphColoringProblem:
     _edges: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.num_nodes <= 0:
-            raise ValueError("num_nodes must be positive")
-        if self.num_colors < 1:
-            raise ValueError("num_colors must be >= 1")
-        if self.one_hot_weight <= 0 or self.conflict_weight <= 0:
-            raise ValueError("penalty weights must be positive")
-        e = np.asarray(self.edges, dtype=np.intp).reshape(-1, 2)
-        if e.size and (e.min() < 0 or e.max() >= self.num_nodes):
-            raise ValueError("edge endpoints out of range")
-        if np.any(e[:, 0] == e[:, 1]):
-            raise ValueError("self loops are not allowed")
-        self._edges = e
+        self.num_nodes = check_count("num_nodes", self.num_nodes)
+        self.num_colors = check_count("num_colors", self.num_colors)
+        self.one_hot_weight = check_positive("one_hot_weight", self.one_hot_weight)
+        self.conflict_weight = check_positive("conflict_weight", self.conflict_weight)
+        self._edges = check_edges(self.num_nodes, self.edges, unique=False)
 
     @property
     def num_variables(self) -> int:
@@ -66,11 +60,8 @@ class GraphColoringProblem:
 
     def variable_index(self, vertex: int, color: int) -> int:
         """Flat index of ``x[vertex, color]``."""
-        if not 0 <= vertex < self.num_nodes:
-            raise IndexError(f"vertex {vertex} out of range")
-        if not 0 <= color < self.num_colors:
-            raise IndexError(f"color {color} out of range")
-        return vertex * self.num_colors + color
+        vertex = check_index("vertex", vertex, self.num_nodes)
+        return vertex * self.num_colors + check_index("color", color, self.num_colors)
 
     def to_qubo(self) -> QuboModel:
         """Build the penalty QUBO described in the module docstring.
@@ -81,7 +72,7 @@ class GraphColoringProblem:
         ``B/2`` per edge on every same-colour pair (repeated edges sum).
         """
         k = self.num_colors
-        A, B = float(self.one_hot_weight), float(self.conflict_weight)
+        A, B = self.one_hot_weight, self.conflict_weight
         # A * (1 - sum_c x_vc)^2 = A * (1 - 2 sum x + sum x^2 + 2 sum_{c<c'} x x')
         #                        = A - A sum_c x_vc + 2A sum_{c<c'} x_vc x_vc'.
         first = np.arange(self.num_nodes)[:, None] * k

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.ising.qubo import QuboModel
-from repro.utils.validation import check_count
+from repro.utils.validation import check_count, check_finite, check_positive
 
 
 def _slack_coefficients(capacity: int) -> np.ndarray:
@@ -26,10 +26,6 @@ def _slack_coefficients(capacity: int) -> np.ndarray:
     The last coefficient is trimmed so the register maximum equals the
     capacity (Glover's bounded-coefficient encoding).
     """
-    if capacity < 0:
-        raise ValueError("capacity must be non-negative")
-    if capacity == 0:
-        return np.zeros(0, dtype=np.float64)
     coeffs = []
     remaining = capacity
     power = 1
@@ -69,8 +65,8 @@ class KnapsackProblem:
     _slack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
-        w = np.asarray(self.weights, dtype=np.float64)
+        v = check_finite("values", self.values)
+        w = check_finite("weights", self.weights)
         if v.ndim != 1 or w.shape != v.shape or v.size == 0:
             raise ValueError("values and weights must be equal-length 1-D arrays")
         if np.any(v <= 0) or np.any(w <= 0):
@@ -83,8 +79,8 @@ class KnapsackProblem:
             # Any single unit of constraint violation must cost more than the
             # best possible value gain; v_max + 1 is a safe margin.
             self.penalty = float(v.max()) + 1.0
-        elif self.penalty <= 0:
-            raise ValueError("penalty must be positive")
+        else:
+            self.penalty = check_positive("penalty", self.penalty)
 
     @property
     def num_items(self) -> int:
@@ -105,7 +101,7 @@ class KnapsackProblem:
         """Build the penalty QUBO of the module docstring (minimisation)."""
         n = self.num_items
         coeffs = np.concatenate([self._weights, self._slack])
-        P = float(self.penalty)
+        P = self.penalty
         C = float(self.capacity)
         # P * (coeffs·y - C)^2 = P [ (coeffs·y)^2 - 2C coeffs·y + C² ].
         Q = P * np.outer(coeffs, coeffs)

@@ -22,8 +22,7 @@ import numpy as np
 
 from repro.ising.model import IsingModel
 from repro.ising.sparse import BACKENDS, SparseIsingModel, recommended_backend
-from repro.utils.keys import first_repeat
-from repro.utils.validation import check_choice, check_count, check_spin_vector
+from repro.utils.validation import check_choice, check_count, check_edges, check_spin_vector
 
 if TYPE_CHECKING:
     import networkx as nx
@@ -54,23 +53,7 @@ class MaxCutProblem:
 
     def __post_init__(self) -> None:
         n = check_count("num_nodes", self.num_nodes)
-        e = np.asarray(self.edges, dtype=np.intp)
-        if e.size == 0:
-            e = e.reshape(0, 2)
-        if e.ndim != 2 or e.shape[1] != 2:
-            raise ValueError(f"edges must have shape (m, 2), got {e.shape}")
-        if e.size and (e.min() < 0 or e.max() >= n):
-            raise ValueError("edge endpoints out of range")
-        if np.any(e[:, 0] == e[:, 1]):
-            raise ValueError("self loops are not allowed")
-        lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
-        repeat = first_repeat(lo * n + hi)
-        if repeat is not None:
-            i, j = repeat
-            raise ValueError(
-                f"duplicate edges are not allowed: edge rows {i} and {j} both "
-                f"join nodes {lo[j]} and {hi[j]} (0-based)"
-            )
+        e = check_edges(n, self.edges)
         if self.weights is None:
             w = np.ones(e.shape[0], dtype=np.float64)
         else:

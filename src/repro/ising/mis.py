@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.ising.qubo import QuboModel
+from repro.utils.validation import check_count, check_edges, check_real
 
 
 @dataclass
@@ -27,7 +28,7 @@ class MaxIndependentSetProblem:
     num_nodes:
         Number of vertices.
     edges:
-        ``(m, 2)`` endpoint array.
+        ``(m, 2)`` endpoint array; repeated edges sum.
     penalty:
         Edge-conflict penalty ``P > 1`` (default 2).
     """
@@ -39,16 +40,11 @@ class MaxIndependentSetProblem:
     _edges: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.num_nodes <= 0:
-            raise ValueError("num_nodes must be positive")
+        self.num_nodes = check_count("num_nodes", self.num_nodes)
+        self.penalty = check_real("penalty", self.penalty)
         if self.penalty <= 1.0:
-            raise ValueError("penalty must exceed 1 for exactness")
-        e = np.asarray(self.edges, dtype=np.intp).reshape(-1, 2)
-        if e.size and (e.min() < 0 or e.max() >= self.num_nodes):
-            raise ValueError("edge endpoints out of range")
-        if np.any(e[:, 0] == e[:, 1]):
-            raise ValueError("self loops are not allowed")
-        self._edges = e
+            raise ValueError(f"penalty must exceed 1 for exactness, got {self.penalty}")
+        self._edges = check_edges(self.num_nodes, self.edges, unique=False)
 
     def to_qubo(self) -> QuboModel:
         """Build the penalty QUBO of the module docstring (minimisation).

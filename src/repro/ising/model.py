@@ -27,15 +27,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.utils.keys import first_repeat
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import (
+    check_count,
     check_finite,
+    check_flip_set,
     check_index,
     check_permutation,
+    check_probability,
     check_real,
     check_spin_vector,
     check_square_symmetric,
+    check_vector,
 )
 
 
@@ -69,13 +72,7 @@ class IsingModel:
             check_finite("couplings", self.couplings), "couplings"
         )
         n = self._J.shape[0]
-        if self.fields is None:
-            self._h = np.zeros(n, dtype=np.float64)
-        else:
-            h = np.asarray(self.fields, dtype=np.float64)
-            if h.shape != (n,):
-                raise ValueError(f"fields must have shape ({n},), got {h.shape}")
-            self._h = check_finite("fields", h)
+        self._h = check_vector("fields", self.fields, n)
         self.offset = check_real("offset", self.offset)
 
     # ------------------------------------------------------------------
@@ -169,11 +166,9 @@ class IsingModel:
         costs ``O(n·|F|)`` instead of the ``O(n²)`` direct recomputation.
         """
         s = check_spin_vector(sigma, self.num_spins).astype(np.float64)
-        flips = np.atleast_1d(np.asarray(flip_indices, dtype=np.intp))
+        flips = check_flip_set(flip_indices, self.num_spins)
         if flips.size == 0:
             return 0.0
-        if first_repeat(flips) is not None:
-            raise ValueError("flip_indices must be unique")
         sigma_new = s.copy()
         sigma_new[flips] *= -1.0
         # σ_c: flipped entries of σ_new; σ_r: unflipped entries of σ_new.
@@ -250,10 +245,8 @@ class IsingModel:
         Couplings are drawn uniform in ``[-coupling_scale, coupling_scale]``
         and thinned to the requested ``density``; the diagonal is zero.
         """
-        if n <= 0:
-            raise ValueError("n must be positive")
-        if not 0.0 <= density <= 1.0:
-            raise ValueError("density must be in [0, 1]")
+        n = check_count("n", n)
+        check_probability("density", density)
         rng = ensure_rng(seed)
         upper = rng.uniform(-coupling_scale, coupling_scale, size=(n, n))
         mask = rng.random((n, n)) < density

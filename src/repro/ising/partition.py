@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.ising.model import IsingModel
-from repro.utils.validation import check_spin_vector
+from repro.utils.validation import check_finite, check_spin_vector
 
 
 @dataclass
@@ -38,7 +38,7 @@ class NumberPartitioningProblem:
     _numbers: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        s = np.asarray(self.numbers, dtype=np.float64)
+        s = check_finite("numbers", self.numbers)
         if s.ndim != 1 or s.size < 2:
             raise ValueError("numbers must be a 1-D array with at least 2 entries")
         if np.any(s <= 0):

@@ -22,7 +22,14 @@ import numpy as np
 
 from repro.ising.model import IsingModel
 from repro.ising.sparse import BACKENDS, SparseIsingModel, recommended_backend
-from repro.utils.validation import check_choice, check_count, check_square_symmetric
+from repro.utils.validation import (
+    check_choice,
+    check_count,
+    check_finite,
+    check_real,
+    check_square_symmetric,
+    check_vector,
+)
 
 
 def _row_sums(n: int, rows, cols, values) -> np.ndarray:
@@ -69,7 +76,7 @@ class QuboModel:
         offset: float = 0.0,
         name: str = "qubo",
     ) -> None:
-        Q = check_square_symmetric(quadratic, "quadratic")
+        Q = check_square_symmetric(check_finite("quadratic", quadratic), "quadratic")
         rows, cols, values = _dense_upper_pairs(Q)
         self._assign(
             Q.shape[0], rows, cols, values, np.diag(Q), linear, offset, name
@@ -77,21 +84,16 @@ class QuboModel:
 
     def _assign(self, n, rows, cols, values, diag, linear, offset, name) -> None:
         """Store canonical pairs and fold ``diag`` (``Q[i, i]``) into ``q``."""
-        if linear is None:
-            q = np.zeros(n, dtype=np.float64)
-        else:
-            q = np.asarray(linear, dtype=np.float64)
-            if q.shape != (n,):
-                raise ValueError(f"linear must have shape ({n},), got {q.shape}")
+        q = check_vector("linear", linear, n)
         # For binary variables x_i² = x_i: absorb any diagonal into `linear`.
         if np.any(diag):
             q = q + diag
-        self._n = int(n)
+        self._n = n
         self._rows = rows
         self._cols = cols
         self._values = values
         self._q = q
-        self.offset = float(offset)
+        self.offset = check_real("offset", offset)
         self.name = str(name)
 
     @classmethod
@@ -129,10 +131,7 @@ class QuboModel:
         for label, idx in (("rows", r), ("cols", c)):
             if idx.size and (idx.min() < 0 or idx.max() >= n):
                 raise ValueError(f"{label} must lie in [0, {n})")
-        if not np.all(np.isfinite(v)):
-            raise ValueError(
-                f"values must be finite, found {v[~np.isfinite(v)][:5]!r}"
-            )
+        check_finite("values", v)
         on_diag = r == c
         diag = np.bincount(r[on_diag], weights=v[on_diag], minlength=n)
         lo, hi, v = r[~on_diag], c[~on_diag], v[~on_diag]

@@ -46,11 +46,13 @@ from repro.utils.validation import (
     check_choice,
     check_count,
     check_finite,
+    check_flip_set,
     check_index,
     check_permutation,
     check_real,
     check_spin_vector,
     check_square_symmetric,
+    check_vector,
 )
 
 #: Minimum spin count before the auto heuristic considers the sparse backend.
@@ -147,13 +149,7 @@ class SparseIsingModel:
         on_diag = self._rows == indices
         diag[self._rows[on_diag]] = data[on_diag]
         self._diag = diag
-        if fields is None:
-            self._h = np.zeros(n, dtype=np.float64)
-        else:
-            h = np.asarray(fields, dtype=np.float64)
-            if h.shape != (n,):
-                raise ValueError(f"fields must have shape ({n},), got {h.shape}")
-            self._h = check_finite("fields", h)
+        self._h = check_vector("fields", fields, n)
         self.offset = check_real("offset", offset)
         self.name = str(name)
 
@@ -256,8 +252,7 @@ class SparseIsingModel:
         """
         from repro.ising.gset import random_edge_set  # local import, no cycle
 
-        if n <= 1:
-            raise ValueError("n must be at least 2")
+        n = check_count("n", n, minimum=2)
         m = min(int(round(degree * n / 2.0)), n * (n - 1) // 2)
         rng = ensure_rng(seed)
         edges, _ = random_edge_set(n, m, seed=rng)
@@ -393,13 +388,9 @@ class SparseIsingModel:
         O(Σ degree(f)) over the flipped spins' neighbourhoods.
         """
         s = check_spin_vector(sigma, self._n).astype(np.float64)
-        flips = np.atleast_1d(np.asarray(flip_indices, dtype=np.intp))
+        flips = check_flip_set(flip_indices, self._n)
         if flips.size == 0:
             return 0.0
-        if flips.min() < 0 or flips.max() >= self._n:
-            raise IndexError("flip index out of range")
-        if first_repeat(flips) is not None:
-            raise ValueError("flip_indices must be unique")
         sigma_new = s.copy()
         sigma_new[flips] *= -1.0
         sigma_c = np.zeros_like(s)

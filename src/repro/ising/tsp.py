@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.ising.qubo import QuboModel
+from repro.utils.validation import check_finite, check_index, check_positive
 
 
 @dataclass
@@ -36,7 +37,7 @@ class TravellingSalesmanProblem:
     _D: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        D = np.asarray(self.distances, dtype=np.float64)
+        D = check_finite("distances", self.distances)
         if D.ndim != 2 or D.shape[0] != D.shape[1] or D.shape[0] < 3:
             raise ValueError("distances must be a square matrix with n >= 3")
         if not np.allclose(D, D.T):
@@ -46,8 +47,8 @@ class TravellingSalesmanProblem:
         self._D = D
         if self.penalty is None:
             self.penalty = float(D.max()) * 2.0 + 1.0
-        elif self.penalty <= 0:
-            raise ValueError("penalty must be positive")
+        else:
+            self.penalty = check_positive("penalty", self.penalty)
 
     @property
     def num_cities(self) -> int:
@@ -62,9 +63,7 @@ class TravellingSalesmanProblem:
     def variable_index(self, city: int, position: int) -> int:
         """Flat index of ``x[city, position]``."""
         n = self.num_cities
-        if not 0 <= city < n or not 0 <= position < n:
-            raise IndexError("city/position out of range")
-        return city * n + position
+        return check_index("city", city, n) * n + check_index("position", position, n)
 
     # ------------------------------------------------------------------
     def to_qubo(self) -> QuboModel:
@@ -75,7 +74,7 @@ class TravellingSalesmanProblem:
         ``(x[u, p], x[v, p+1])``.  For ``n ≥ 3`` every pair occurs once.
         """
         n = self.num_cities
-        A = float(self.penalty)
+        A = self.penalty
         var = np.arange(self.num_variables).reshape(n, n)  # var[city, position]
         # A · Σ_v (1 − Σ_p x_vp)² and A · Σ_p (1 − Σ_v x_vp)²: each square
         # expands to A − A Σ x + 2A Σ_{pairs} x x', so q = −2A, offset = 2nA.

@@ -28,6 +28,7 @@ Layer map
 """
 
 from repro.serve.jobs import (
+    MAX_JOB_ENTRIES,
     MAX_JOB_PROPOSALS,
     MAX_JOB_REPLICAS,
     MAX_JOB_WORK,
@@ -39,6 +40,7 @@ from repro.serve.jobs import (
 from repro.serve.service import ServiceConfig, SolverService, service_config
 
 __all__ = [
+    "MAX_JOB_ENTRIES",
     "MAX_JOB_PROPOSALS",
     "MAX_JOB_REPLICAS",
     "MAX_JOB_WORK",

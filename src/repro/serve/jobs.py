@@ -16,9 +16,9 @@ not an engine limit: one tenant asking for thousands of replicas would
 monopolise the shared batch run (every lane in a block-stacked batch
 shares one replica count).  Larger sweeps split across jobs, which the
 scheduler happily packs back together.
-The admission budget (:data:`MAX_JOB_PROPOSALS`, :data:`MAX_JOB_WORK`)
-refuses a job too large for the worker thread before it is queued; both
-limits admit the paper's protocol (n=3000, R=64, 100k iterations, t=4).
+The admission budget (:func:`check_admission`) refuses a job too large
+for the worker thread before it is queued, and the protocol runs it before
+it builds the model.  It admits the paper's protocol (n=3000, R=64, t=4).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from repro.utils.validation import (
     check_count,
     check_flips,
     check_initial,
+    check_iterations,
     check_model,
 )
 
@@ -43,9 +44,11 @@ from repro.utils.validation import (
 #: the cap are rejected at the boundary with an error naming the job id.
 MAX_JOB_REPLICAS = 64
 
-#: Admission budget: iterations × replicas × flips of an insitu/sa job
-#: (its int32 proposal tensor, 128 MiB), and iterations × replicas × n
-#: spin-steps of any job.
+#: Admission budget: replicas × n entries of a job's replica state, and
+#: n × n of a dense job's coupling matrix (float64, so 128 MiB each);
+#: iterations × replicas × flips of an insitu/sa job (its int32 proposal
+#: tensor, 128 MiB); and iterations × replicas × n spin-steps of any job.
+MAX_JOB_ENTRIES = 2**24
 MAX_JOB_PROPOSALS = 2**25
 MAX_JOB_WORK = 2**35
 
@@ -125,6 +128,46 @@ class JobResult:
         return self.best_sigmas[self.best_replica]
 
 
+def check_admission(
+    n: int, method: str = "insitu", iterations: int = 1000, replicas: int = 1,
+    flips_per_iteration: int = 1, dense: bool = False,
+) -> tuple[str, int, int, int]:
+    """Validate a job's knobs and admission budget for an ``n``-spin instance.
+
+    Needs only the size, so the protocol runs it on a request's declared
+    ``n`` before it builds the model; ``dense`` says the job holds an
+    ``n × n`` matrix.  Returns ``(method, iterations, replicas,
+    flips_per_iteration)`` validated.
+    """
+    n = check_count("n", n)
+    method = check_choice("method", method, SERVE_METHODS)
+    iterations = check_iterations(iterations)
+    replicas = check_count(
+        "replicas", replicas, hint="each replica is one independent trajectory"
+    )
+    if replicas > MAX_JOB_REPLICAS:
+        raise ValueError(
+            f"replicas must be at most {MAX_JOB_REPLICAS} per job, "
+            f"got {replicas}; split larger replica sweeps across "
+            f"jobs — the scheduler packs them back into one batch run"
+        )
+    flips_per_iteration = check_flips(flips_per_iteration, n)
+    if flips_per_iteration != 1:
+        plan_engine(method, ["flips_per_iteration"], batched=True)
+    split = "split the job into smaller jobs (fewer iterations or replicas each)"
+    for applies, name, size, limit, hint in (
+        (True, "replicas × n", replicas * n, MAX_JOB_ENTRIES,
+         f"at {replicas} replicas a job holds at most {MAX_JOB_ENTRIES // replicas} spins"),
+        (dense, "n × n", n * n, MAX_JOB_ENTRIES, "backend 'sparse' stores only the couplings"),
+        (method in PACK_METHODS, "iterations × replicas × flips_per_iteration",
+         iterations * replicas * flips_per_iteration, MAX_JOB_PROPOSALS, split),
+        (True, "iterations × replicas × n", iterations * replicas * n, MAX_JOB_WORK, split),
+    ):
+        if applies and size > limit:
+            raise ValueError(f"{name} = {size} exceeds the per-job limit {limit}; {hint}")
+    return method, iterations, replicas, flips_per_iteration
+
+
 def job_request(
     job_id: str,
     model,
@@ -145,50 +188,23 @@ def job_request(
     Parameters mirror :func:`~repro.core.solver.solve_ising` with three
     serve-specific deltas: ``replicas`` is capped at
     :data:`MAX_JOB_REPLICAS` per job, the admission budget
-    (:data:`MAX_JOB_PROPOSALS`, :data:`MAX_JOB_WORK`) refuses jobs too
-    large for one worker, and ``seed`` must be a plain integer (or None)
-    so jobs stay serializable and replayable.
+    (:func:`check_admission`) refuses jobs too large for one worker, and
+    ``seed`` must be a plain integer (or None) so jobs stay serializable
+    and replayable.
     """
     if not isinstance(job_id, str) or not job_id:
-        raise ValueError(
-            f"job_id must be a non-empty string, got {job_id!r}"
-        )
+        raise ValueError(f"job_id must be a non-empty string, got {job_id!r}")
     try:
-        method = check_choice("method", method, SERVE_METHODS)
         check_model(model)
-        iterations = check_count(
-            "iterations", iterations,
-            hint="the annealers need at least one proposal/accept step",
-        )
-        replicas = check_count(
-            "replicas", replicas,
-            hint="each replica is one independent trajectory",
-        )
-        if replicas > MAX_JOB_REPLICAS:
-            raise ValueError(
-                f"replicas must be at most {MAX_JOB_REPLICAS} per job, "
-                f"got {replicas}; split larger replica sweeps across "
-                f"jobs — the scheduler packs them back into one batch run"
-            )
-        n = model.num_spins
-        flips_per_iteration = check_flips(flips_per_iteration, n)
-        if flips_per_iteration != 1:
-            plan_engine(method, ["flips_per_iteration"], batched=True)
-        budget = [("n", n, MAX_JOB_WORK)]
-        if method in PACK_METHODS:
-            budget.insert(0, ("flips_per_iteration", flips_per_iteration, MAX_JOB_PROPOSALS))
-        for name, size, limit in budget:
-            if iterations * replicas * size > limit:
-                raise ValueError(
-                    f"iterations × replicas × {name} = "
-                    f"{iterations * replicas * size} exceeds the per-job "
-                    f"limit {limit}; split the job into smaller jobs (fewer "
-                    f"iterations or replicas each)"
-                )
-        if seed is not None:
-            seed = check_count("seed", seed, minimum=0, maximum=None)
         if backend is not None:
             backend = check_choice("backend", backend, BACKENDS)
+        n = model.num_spins
+        method, iterations, replicas, flips_per_iteration = check_admission(
+            n, method, iterations, replicas, flips_per_iteration,
+            dense=backend == "dense" or not isinstance(model, SparseIsingModel),
+        )
+        if seed is not None:
+            seed = check_count("seed", seed, minimum=0, maximum=None)
         if initial is not None:
             if method == "sb":
                 raise ValueError(
@@ -240,11 +256,13 @@ def _stacks_exactly(model, backend: str | None) -> bool:
 
 
 __all__ = [
+    "MAX_JOB_ENTRIES",
     "MAX_JOB_PROPOSALS",
     "MAX_JOB_REPLICAS",
     "MAX_JOB_WORK",
     "SERVE_METHODS",
     "JobResult",
     "SolveJob",
+    "check_admission",
     "job_request",
 ]

@@ -34,7 +34,7 @@ import logging
 import socket
 
 from repro.ising.gset import parse_gset
-from repro.serve.jobs import job_request
+from repro.serve.jobs import check_admission, job_request
 from repro.serve.service import SolverService
 
 DEFAULT_HOST = "127.0.0.1"
@@ -77,15 +77,17 @@ async def _handle_solve(service: SolverService, payload: dict) -> dict:
                 "(first line 'n m', then 'u v w' edge lines)"
             )
         problem = parse_gset(source, name="gset" if name is None else name)
-        model = problem.to_ising(backend=payload.get("backend", "auto"))
+        backend = payload.get("backend", "auto")
+        knobs = dict(
+            method=payload.get("method", "insitu"), iterations=payload.get("iterations", 1000),
+            replicas=payload.get("replicas", 1), flips_per_iteration=payload.get("flips", 1),
+        )
+        # A 12-byte header can declare 10**9 spins: admit before building.
+        check_admission(problem.num_nodes, dense=backend == "dense", **knobs)
+        model = problem.to_ising(backend=backend)
         job = job_request(
-            "" if name is None else name,
-            model,
-            method=payload.get("method", "insitu"),
-            iterations=payload.get("iterations", 1000),
-            replicas=payload.get("replicas", 1),
-            flips_per_iteration=payload.get("flips", 1),
-            seed=payload.get("seed"),
+            "" if name is None else name, model, seed=payload.get("seed"),
+            **knobs,
         )
         result = await service.submit(job)
         best = result.best_replica
@@ -151,7 +153,9 @@ async def _handle_connection(
                 continue
             try:
                 payload = json.loads(raw)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
+                # Bad JSON, bytes that are not UTF-8, or nesting past the
+                # decoder's recursion limit: one error, and the line is done.
                 await respond_error(
                     writer, write_lock, f"invalid JSON line: {exc}"
                 )

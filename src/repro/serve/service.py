@@ -48,7 +48,7 @@ from repro.core.blockstack import PACK_METHODS, compile_lane, run_stacked
 from repro.core.plan import PlanCache
 from repro.ising.sparse import as_backend
 from repro.serve.jobs import JobResult, SolveJob
-from repro.utils.validation import check_count, check_real
+from repro.utils.validation import check_count, check_positive
 
 _log = logging.getLogger(__name__)
 
@@ -87,11 +87,7 @@ def service_config(
         "max_batch_jobs", max_batch_jobs,
         hint="a stacked run holds at least one job",
     )
-    gather_window = check_real("gather_window", gather_window)
-    if gather_window < 0.0:
-        raise ValueError(
-            f"gather_window must be >= 0 seconds, got {gather_window!r}"
-        )
+    gather_window = check_positive("gather_window", gather_window, allow_zero=True)
     plan_cache_size = check_count(
         "plan_cache_size", plan_cache_size,
         hint="an LRU cache needs at least one slot",

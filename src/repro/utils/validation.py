@@ -13,6 +13,8 @@ import operator
 
 import numpy as np
 
+from repro.utils.keys import first_repeat
+
 
 def check_real(name: str, value) -> float:
     """Validate a finite real number and return it as a ``float``.
@@ -50,36 +52,48 @@ def check_positive(name: str, value: float, allow_zero: bool = False) -> float:
 _MAX_COUNT = int(np.iinfo(np.intp).max)
 
 
+def _parse_int(name: str, value, what: str) -> int:
+    """The one integer parse of :func:`check_count` and :func:`check_index`.
+
+    A ``bool`` is refused (``True`` is an ``int`` and used to run as one
+    iteration or flip spin 1); an integer-valued float (``1e4``) passes.
+    """
+    if isinstance(value, bool):
+        raise ValueError(
+            f"{name} must be {what}, got {value!r} (a bool would silently act as {int(value)})"
+        )
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be {what}, got {value!r}") from None
+
+
 def check_count(
     name: str, value, minimum: int = 1, hint: str = "",
     maximum: int | None = _MAX_COUNT,
 ) -> int:
-    """Validate an integer count parameter (iterations, replicas, …).
+    """Validate an integer count parameter (replicas, tile_size, …).
 
-    Rejects ``bool`` explicitly — ``True`` is an ``int`` subclass and used
-    to slip through ``operator.index`` as a silent count of 1 — and accepts
-    integer-valued floats (``1e4``) for convenience.  Counts above
-    ``maximum`` are refused too; seeds pass ``maximum=None``, because numpy
-    takes a seed of any size.  Raises ``ValueError`` with an actionable
-    message otherwise.
+    The integer parse is :func:`_parse_int`'s.  Counts above ``maximum``
+    are refused too; seeds pass ``maximum=None``, because numpy takes a
+    seed of any size.
     """
-    if isinstance(value, bool):
-        raise ValueError(
-            f"{name} must be an integer, got {value!r} (a bool would silently "
-            f"run as {int(value)}); pass an explicit count"
-        )
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    value = _parse_int(name, value, "an integer")
     if value < minimum:
         suffix = f"; {hint}" if hint else ""
         raise ValueError(f"{name} must be >= {minimum}, got {value}{suffix}")
     if maximum is not None and value > maximum:
         raise ValueError(f"{name} must be <= {maximum}, got {value}")
     return value
+
+
+def check_iterations(iterations) -> int:
+    """Validate an annealing budget: the one check of every entrance taking one."""
+    return check_count(
+        "iterations", iterations, hint="the annealers need at least one proposal/accept step"
+    )
 
 
 def check_flips(value, n: int) -> int:
@@ -97,29 +111,74 @@ def check_flips(value, n: int) -> int:
 def check_index(name: str, value, n: int) -> int:
     """Validate a spin/array index parameter against ``[0, n)``.
 
-    Same bool/non-integer rejection as :func:`check_count` — ``True``
-    used to slip through ``0 <= index < n`` and silently flip spin 1 —
-    but with the half-open range bound of an index rather than a count's
-    minimum.  Type misuse raises ``ValueError`` (matching the other
-    ``check_*`` helpers); an integer outside ``[0, n)`` raises
-    ``IndexError`` (matching Python indexing semantics).
+    The integer parse is :func:`check_count`'s; type misuse raises
+    ``ValueError``, an integer outside ``[0, n)`` ``IndexError``.
     """
-    if isinstance(value, bool):
-        raise ValueError(
-            f"{name} must be an integer index, got {value!r} (a bool would "
-            f"silently act as index {int(value)}); pass an explicit index"
-        )
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(
-            f"{name} must be an integer index, got {value!r}"
-        ) from None
+    value = _parse_int(name, value, "an integer index")
     if not 0 <= value < n:
         raise IndexError(f"{name} must be in [0, {n}), got {value}")
     return value
+
+
+def _integer_array(name: str, values, what: str) -> np.ndarray:
+    """``values`` as an intp array; integer-valued floats pass, others are refused."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu" and arr.size and not (
+        arr.dtype.kind == "f" and np.isfinite(arr).all() and (arr == np.rint(arr)).all()
+    ):
+        raise ValueError(f"{name} must hold integer {what}, got {arr.dtype} entries")
+    return arr.astype(np.intp, copy=False)
+
+
+def check_flip_set(flip_indices, n: int) -> np.ndarray:
+    """Validate a flip set ``F`` of distinct spins in ``[0, n)``; return it as 1-D intp.
+
+    Eq. 9 needs distinct spins, and a negative index would wrap to spin
+    ``n − 1``.  A scalar is a one-spin set.  An index out of range raises
+    ``IndexError``, any other fault ``ValueError``.
+    """
+    arr = _integer_array("flip_indices", np.atleast_1d(flip_indices), "spin indices")
+    if arr.ndim != 1:
+        raise ValueError(f"flip_indices must be 1-D, got shape {arr.shape}")
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        k = int(np.argmax((arr < 0) | (arr >= n)))
+        raise IndexError(f"flip_indices must lie in [0, {n}), got {arr[k]} at position {k}")
+    repeat = first_repeat(arr)
+    if repeat is not None:
+        i, j = repeat
+        raise ValueError(f"flip_indices must be unique; spin {arr[j]} is at positions {i} and {j}")
+    return arr
+
+
+def check_edges(n: int, edges, unique: bool = True) -> np.ndarray:
+    """Validate an edge list over ``n`` nodes; return it as an ``(m, 2)`` intp array.
+
+    Endpoints lie in ``[0, n)`` and differ.  With ``unique`` no undirected
+    pair repeats: Max-Cut weighs each edge row, while the colouring and
+    MIS builders sum repeated edges (``unique=False``).  The first bad
+    row is named (0-based).
+    """
+    e = _integer_array("edges", edges, "node indices")
+    if e.size == 0:
+        return e.reshape(0, 2)
+    if e.ndim != 2 or e.shape[1] != 2:
+        raise ValueError(f"edges must have shape (m, 2), got {e.shape}")
+    lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
+    for fault, rows in (
+        (f"edge endpoints out of range [0, {n})", (lo < 0) | (hi >= n)),
+        ("self loops are not allowed", lo == hi),
+    ):
+        if rows.any():
+            k = int(np.argmax(rows))
+            raise ValueError(f"{fault}: edge row {k} is {e[k].tolist()}")
+    repeat = first_repeat(lo * n + hi) if unique else None
+    if repeat is not None:
+        i, j = repeat
+        raise ValueError(
+            f"duplicate edges are not allowed: edge rows {i} and {j} both "
+            f"join nodes {lo[j]} and {hi[j]} (0-based)"
+        )
+    return e
 
 
 def check_finite(name: str, values, coords=None) -> np.ndarray:
@@ -142,6 +201,16 @@ def check_finite(name: str, values, coords=None) -> np.ndarray:
         where = ", ".join(str(int(i)) for i in at)
         raise ValueError(f"{name} must be finite, got {arr.flat[k]} at [{where}]")
     return arr
+
+
+def check_vector(name: str, values, n: int) -> np.ndarray:
+    """A finite length-``n`` float64 vector (fields, linear terms); ``None`` is zeros."""
+    if values is None:
+        return np.zeros(n, dtype=np.float64)
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
+    return check_finite(name, arr)
 
 
 def check_choice(name: str, value, choices) -> str:

@@ -16,6 +16,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro.serve.service as service_module
 from repro.cli import main
@@ -30,6 +32,7 @@ from repro.ising import (
     write_gset,
 )
 from repro.serve import (
+    MAX_JOB_ENTRIES,
     MAX_JOB_PROPOSALS,
     MAX_JOB_REPLICAS,
     MAX_JOB_WORK,
@@ -37,6 +40,7 @@ from repro.serve import (
     job_request,
     service_config,
 )
+from repro.serve.jobs import check_admission
 from repro.serve.protocol import (
     MAX_REQUEST_BYTES,
     handle_request,
@@ -1048,3 +1052,171 @@ class TestRequestSizeLimit:
         # The next reply is the ping's: no second error for the rest of
         # the oversized line, and the connection is still served.
         assert replies[2] == {"ok": True}
+
+
+#: A 12-byte header declaring 10**9 spins (about 23 GB of model on the
+#: ``auto`` backend) and a dense 60 000-spin request (a 29 GB matrix).
+#: Both are refused on their declared size; never send them unguarded.
+HOSTILE = (
+    ({"job_id": "wide", "gset": "1000000000 0"}, "replicas × n = 1000000000 exceeds"),
+    (
+        {"job_id": "square", "gset": "60000 0", "backend": "dense"},
+        f"n × n = 3600000000 exceeds the per-job limit {MAX_JOB_ENTRIES}",
+    ),
+)
+
+
+def _refuse_build(problem, *args, **kwargs):
+    raise RuntimeError(f"built a model of {problem.num_nodes} spins")
+
+
+class TestAdmissionBeforeBuild:
+    """The protocol checks the declared size before it builds the model."""
+
+    def test_hostile_sizes_get_one_error_each(self, monkeypatch):
+        # With model builds failing, a hostile size cannot allocate even
+        # where admission runs after the build.
+        monkeypatch.setattr(MaxCutProblem, "to_ising", _refuse_build)
+        lines = [_line({"op": "solve", **fields}) for fields, _ in HOSTILE]
+        with _ServerThread() as server:
+            replies = _exchange(server.port, [*lines, _line({"op": "ping"})], 3)
+            stats = request({"op": "stats"}, port=server.port)
+        assert {"ok": True} in replies
+        errors = {r["job_id"]: r["error"] for r in replies if not r["ok"]}
+        for fields, expected in HOSTILE:
+            message = errors.pop(fields["job_id"])
+            assert message.startswith(f"job {fields['job_id']!r}: {expected}")
+            assert message.count("job '") == 1
+        assert not errors
+        assert stats["stats"]["jobs"] == 0
+
+    def test_paper_protocol_is_admitted_dense_too(self):
+        assert check_admission(
+            3000, iterations=100_000, replicas=64, flips_per_iteration=4,
+            dense=True,
+        ) == ("insitu", 100_000, 64, 4)
+
+    def test_dense_storage_bound(self):
+        side = int(MAX_JOB_ENTRIES**0.5)
+        check_admission(side, dense=True)
+        with pytest.raises(ValueError, match=r"^n × n = \d+ exceeds the per-job limit"):
+            check_admission(side + 1, dense=True)
+        # A sparse model asked to run dense is bounded as dense.
+        wide = member(side + 1, 1)
+        assert job_request("s", wide, iterations=1).backend is None
+        with pytest.raises(ValueError, match=r"^job 'd': n × n = "):
+            job_request("d", wide, iterations=1, backend="dense")
+
+    def test_replica_state_bound(self):
+        check_admission(MAX_JOB_ENTRIES // 4, iterations=1, replicas=4)
+        with pytest.raises(ValueError, match=r"^replicas × n = \d+ exceeds"):
+            check_admission(MAX_JOB_ENTRIES // 4 + 1, iterations=1, replicas=4)
+
+
+_SOLVE_FIELDS = (
+    "job_id", "gset", "method", "iterations", "replicas", "flips", "seed", "backend",
+)
+
+#: Values of the wrong type (or out of range) for any field; none of them
+#: is an integer count that would admit a long job.
+_WRONG = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([0.5, -1.0, 1e300, float("nan"), float("inf"), -0.0]),
+    st.integers(max_value=0),
+    st.integers(min_value=2**63),
+    st.text(max_size=6),
+    st.lists(st.integers(0, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2),
+)
+
+
+@st.composite
+def _gset_texts(draw):
+    """A tiny G-set instance, possibly cut short anywhere."""
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    text = f"{n} {len(edges)}\n" + "".join(f"{u} {v} 1\n" for u, v in edges)
+    return text[: draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
+
+
+@st.composite
+def _solve_requests(draw):
+    """A solve whose fields are each valid (and tiny) or of a wrong type."""
+    valid = {
+        "job_id": st.text(min_size=1, max_size=8),
+        "gset": _gset_texts(),
+        "method": st.sampled_from(["insitu", "sa", "sb"]),
+        "iterations": st.integers(1, 50),
+        "replicas": st.integers(1, 3),
+        "flips": st.integers(1, 2),
+        "seed": st.integers(0, 99),
+        "backend": st.sampled_from(["auto", "dense", "sparse", "packed"]),
+    }
+    payload = {"op": "solve"}
+    for name in _SOLVE_FIELDS:
+        choice = draw(st.sampled_from(["valid", "wrong", "absent"]))
+        if choice != "absent":
+            payload[name] = draw(valid[name] if choice == "valid" else _WRONG)
+    return json.dumps(payload).encode()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+#: One request line, without its newline; never blank (a blank line gets
+#: no answer by design).
+_LINES = st.one_of(
+    _solve_requests(),
+    _JSON.map(lambda value: json.dumps(value).encode()),
+    st.binary(min_size=1, max_size=40),
+).map(lambda line: line.replace(b"\n", b" ")).filter(lambda line: line.strip())
+
+_OVERSIZED = b"[" * (MAX_REQUEST_BYTES + 1)
+
+
+@pytest.fixture(scope="module")
+def live_server():
+    with _ServerThread() as server:
+        yield server
+
+
+class TestProtocolFuzz:
+    """Random lines on one connection: one JSON answer each, then ping."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(lines=st.lists(_LINES, min_size=1, max_size=6), last_newline=st.booleans())
+    @example(lines=[b"[" * 100_000, b"\xff\xfe{}"], last_newline=True)
+    @example(lines=[b'{"op": "ping"}', _OVERSIZED, b'{"op": "ping"}'], last_newline=False)
+    @example(
+        lines=[json.dumps({"op": "solve", **fields}).encode() for fields, _ in HOSTILE],
+        last_newline=True,
+    )
+    def test_one_answer_per_line(self, live_server, lines, last_newline):
+        with pytest.MonkeyPatch.context() as patch:
+            if any(b"1000000000 0" in line or b"60000 0" in line for line in lines):
+                patch.setattr(MaxCutProblem, "to_ising", _refuse_build)
+            replies = _exchange_to_eof(live_server.port, lines, last_newline)
+        assert len(replies) == len(lines)
+        for reply in replies:
+            assert isinstance(reply["ok"], bool)
+            if "job_id" in reply and not reply["ok"]:
+                job_id = reply["job_id"]
+                name = None if job_id is None else str(job_id)
+                assert reply["error"].startswith(f"job {name!r}: ")
+        assert request({"op": "ping"}, port=live_server.port) == {"ok": True}
+
+
+def _exchange_to_eof(port: int, lines: list[bytes], last_newline: bool) -> list[dict]:
+    """Send ``lines`` on one connection, half-close, and read every answer."""
+    payload = b"\n".join(lines) + (b"\n" if last_newline else b"")
+    with socket.create_connection(("127.0.0.1", port), timeout=60) as conn:
+        conn.sendall(payload)
+        conn.shutdown(socket.SHUT_WR)
+        with conn.makefile("rb") as stream:
+            return [json.loads(line) for line in stream]
