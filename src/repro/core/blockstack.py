@@ -105,7 +105,7 @@ def stack_models(models) -> BlockStack:
     adds each job's own offset to its energy column.
     """
     members = [
-        m if isinstance(m, SparseIsingModel) else SparseIsingModel.from_ising(m)
+        SparseIsingModel.from_ising(m) if m.backend == "dense" else m
         for m in models
     ]
     if not members:
@@ -146,9 +146,8 @@ def stack_models(models) -> BlockStack:
     )
 
     name = f"blockstack-{len(members)}x"
-    all_packed = all(isinstance(m, PackedIsingModel) for m in members)
-    scales = {m.scale for m in members if isinstance(m, PackedIsingModel)}
-    if all_packed and len(scales) == 1:
+    all_packed = all(m.backend == "packed" for m in members)
+    if all_packed and len({m.scale for m in members}) == 1:
         try:
             model: SparseIsingModel = PackedIsingModel(
                 union_indptr, union_indices, union_data, fields, 0.0, name

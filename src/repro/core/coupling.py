@@ -32,23 +32,28 @@ bit-packed :class:`~repro.core.packed.PackedBatchState` on the packed
 backend) through which the engine locates proposed spins, gathers them,
 applies accepted flips, and snapshots per-replica bests.
 
-:func:`coupling_ops` wraps a model in the matching adapter:
-:class:`DenseCouplingOps` reproduces the seed's dense numpy expressions
-verbatim, :class:`SparseCouplingOps` evaluates the same formulas over CSR
-neighbour lists in O(degree) per flip, and
-:class:`~repro.core.packed.PackedCouplingOps` runs popcount/XOR kernels
-over bit-packed ±1 couplings.  Because all adapters compute the
-identical mathematical expressions (and identical floating-point values
-whenever sums are exactly representable), a solver is backend-transparent:
-hand it any model type and fixed-seed trajectories coincide.
+:func:`coupling_ops` wraps a model in the adapter its ``backend`` names.
+The adapters share one base that writes the backend-independent half
+once: ``diag``, ``local_fields`` (= ``matvec``), ``batch_local_fields``
+(= ``batch_matvec``), the rank-1 cross-term slot, ``batch_cross_term``
+(the slot sum) and the float ``make_batch_state``.  Each backend supplies
+the rest: :class:`DenseCouplingOps` the seed's dense numpy expressions,
+:class:`SparseCouplingOps` the same formulas over CSR neighbour lists in
+O(degree) per flip, and :class:`~repro.core.packed.PackedCouplingOps`
+the sparse kernels plus a bit-packed replica state.  Because all
+adapters compute the identical mathematical expressions (and identical
+floating-point values whenever sums are exactly representable), a solver
+is backend-transparent: hand it any model type and fixed-seed
+trajectories coincide.
 """
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
+
 import numpy as np
 
 from repro.ising.model import IsingModel
-from repro.ising.packed import PackedIsingModel
 from repro.ising.sparse import SparseIsingModel
 
 
@@ -162,51 +167,65 @@ def _csr_positions(counts: np.ndarray, row_ends: np.ndarray) -> np.ndarray:
     return (row_ends - ends).repeat(counts) + np.arange(total)
 
 
-class DenseCouplingOps:
-    """Coupling operations over a dense symmetric matrix (the seed's path)."""
+class _CouplingOpsBase(ABC):
+    """The formulas every coupling adapter shares.
 
-    kind = "dense"
+    A backend supplies ``matvec``/``batch_matvec`` and the flip sets'
+    coupling sub-products ``_flip_sub``/``_batch_flip_sub`` (plus its
+    field updates); the diagonal, the field producers, the rank-1 cross
+    term, the slot sum and the float replica state are written once here,
+    so every backend evaluates the same expressions.
+    """
 
-    def __init__(self, model: IsingModel) -> None:
-        self._J = model.J
-        self._diag = np.diag(self._J).copy()
+    kind: str
+
+    def __init__(self, model) -> None:
+        self._diag: np.ndarray = model.coupling_diagonal()
 
     def diag(self) -> np.ndarray:
         """``diag(J)`` as a dense vector."""
         return self._diag
 
-    def local_fields(self, sigma: np.ndarray) -> np.ndarray:
-        """``g = J σ`` (O(n²))."""
-        return self._J @ sigma
-
+    @abstractmethod
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``J x`` for an arbitrary real vector (O(n²)).
+        """``J x`` for an arbitrary real vector.
 
         Unlike :meth:`local_fields` the input is not restricted to ±1 spin
         vectors — the simulated-bifurcation engines drive this with
         continuous positions (bSB) as well as sign readouts (dSB).
         """
-        return self._J @ x
 
+    @abstractmethod
     def batch_matvec(self, x: np.ndarray) -> np.ndarray:
-        """``(R, n)`` products ``J x_r`` for a batch of real vectors."""
-        return x @ self._J  # J symmetric, so the row-major product works
+        """``(R, n)`` products ``J x_r`` for a batch of real vectors (C order)."""
+
+    @abstractmethod
+    def _flip_sub(self, flips: np.ndarray, sig_f: np.ndarray) -> np.ndarray:
+        """``sub[k] = Σ_l J[f_k, f_l] σ_F[l]`` over one flip set ``F``."""
+
+    @abstractmethod
+    def _batch_flip_sub(self, idx: np.ndarray, sig_f: np.ndarray) -> np.ndarray:
+        """``(R, t)`` :meth:`_flip_sub` of every replica's flip set ``idx[r]``."""
+
+    def local_fields(self, sigma: np.ndarray) -> np.ndarray:
+        """``g = J σ``: :meth:`matvec` on a ±1 spin vector."""
+        return self.matvec(sigma)
+
+    def batch_local_fields(self, sigma: np.ndarray) -> np.ndarray:
+        """``(R, n)`` local fields for a replica batch: :meth:`batch_matvec`."""
+        return self.batch_matvec(sigma)
 
     def cross_term(self, g: np.ndarray, flips: np.ndarray, sig_f: np.ndarray) -> float:
-        """``σ_rᵀ J σ_c`` from the cached local fields (O(n·|F|))."""
+        """``σ_rᵀ J σ_c`` from the cached local fields.
+
+        For each flipped spin the contribution of the *other* flipped
+        spins is subtracted from its cached field; a single flip needs
+        only the diagonal.
+        """
         if flips.shape[0] == 1:
             j0 = int(flips[0])
             return float(-sig_f[0] * (g[j0] - self._diag[j0] * sig_f[0]))
-        sub = self._J[np.ix_(flips, flips)] @ sig_f
-        return float(-(sig_f * (g[flips] - sub)).sum())
-
-    def update_fields(self, g: np.ndarray, flips: np.ndarray, sig_f: np.ndarray) -> None:
-        """In-place ``g ← g − 2 J[:, F] σ_F`` after an accepted flip."""
-        g -= 2.0 * (self._J[:, flips] @ sig_f)
-
-    def batch_local_fields(self, sigma: np.ndarray) -> np.ndarray:
-        """``(R, n)`` local fields ``σ J`` for a replica batch."""
-        return sigma @ self._J  # J symmetric, so the row-major product works
+        return float(-(sig_f * (g[flips] - self._flip_sub(flips, sig_f))).sum())
 
     def batch_cross_term(
         self, g: np.ndarray, idx: np.ndarray, sig_f: np.ndarray
@@ -216,7 +235,7 @@ class DenseCouplingOps:
         ``idx`` and ``sig_f`` are ``(R, t)``: replica ``r`` proposes the
         flip set ``idx[r]`` (unique indices) currently valued ``sig_f[r]``.
         Same formula as :meth:`cross_term` per replica, evaluated
-        array-wide; the ``t == 1`` fast path reuses the cached diagonal.
+        array-wide.
         """
         return self.batch_cross_term_slots(g, idx, sig_f).sum(axis=1)
 
@@ -229,16 +248,51 @@ class DenseCouplingOps:
         negation is exact and sign-symmetric under rounding, so negating
         per slot and summing matches negating the sum bit-for-bit).  The
         block-stacked runner consumes the unsummed slots to regroup them
-        per member block.
+        per member block: for flip sets whose members live in mutually
+        uncoupled column blocks, each slot's ``sub`` only sees flips of
+        its own block, so regrouped per-block sums reproduce the member
+        models' solo cross terms.
         """
-        rows = np.arange(idx.shape[0])[:, None]
-        g_f = g[rows, idx]
+        g_f = g[np.arange(idx.shape[0])[:, None], idx]
         if idx.shape[1] == 1:
-            return -(sig_f * (g_f - self._diag[idx] * sig_f))
-        sub = np.einsum(
+            sub = self._diag[idx] * sig_f
+        else:
+            sub = self._batch_flip_sub(idx, sig_f)
+        return -(sig_f * (g_f - sub))
+
+    def make_batch_state(self, sigma: np.ndarray) -> FloatBatchState:
+        """Replica spin-state adapter for the batch engine (int8 spins)."""
+        return FloatBatchState(self, sigma)
+
+
+class DenseCouplingOps(_CouplingOpsBase):
+    """Coupling operations over a dense symmetric matrix (the seed's path)."""
+
+    kind = "dense"
+
+    def __init__(self, model: IsingModel) -> None:
+        super().__init__(model)
+        self._J = model.J
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """``J x`` (O(n²))."""
+        return self._J @ x
+
+    def batch_matvec(self, x: np.ndarray) -> np.ndarray:
+        """``(R, n)`` products ``J x_r`` for a batch of real vectors."""
+        return x @ self._J  # J symmetric, so the row-major product works
+
+    def _flip_sub(self, flips: np.ndarray, sig_f: np.ndarray) -> np.ndarray:
+        return self._J[np.ix_(flips, flips)] @ sig_f
+
+    def _batch_flip_sub(self, idx: np.ndarray, sig_f: np.ndarray) -> np.ndarray:
+        return np.einsum(
             "rkl,rl->rk", self._J[idx[:, :, None], idx[:, None, :]], sig_f
         )
-        return -(sig_f * (g_f - sub))
+
+    def update_fields(self, g: np.ndarray, flips: np.ndarray, sig_f: np.ndarray) -> None:
+        """In-place ``g ← g − 2 J[:, F] σ_F`` after an accepted flip."""
+        g -= 2.0 * (self._J[:, flips] @ sig_f)
 
     def batch_update_fields(
         self, g: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
@@ -279,42 +333,29 @@ class DenseCouplingOps:
         n = self._J.shape[0]
         return np.abs(self._J[~np.eye(n, dtype=bool)])
 
-    def make_batch_state(self, sigma: np.ndarray) -> FloatBatchState:
-        """Replica spin-state adapter for the batch engine (int8 spins)."""
-        return FloatBatchState(self, sigma)
-
     def memory_bytes(self) -> int:
         """Bytes held by the coupling storage."""
         return int(self._J.nbytes)
 
 
-class SparseCouplingOps:
+class SparseCouplingOps(_CouplingOpsBase):
     """Coupling operations over CSR storage: O(degree) per flipped spin."""
 
     kind = "sparse"
 
     def __init__(self, model: SparseIsingModel) -> None:
+        super().__init__(model)
         self._model = model
         self._indptr, self._indices, self._data = model.csr_arrays()
         self._degree = np.diff(self._indptr)
-        self._diag = model.coupling_diagonal()
         self._n = model.num_spins
-
-    def diag(self) -> np.ndarray:
-        """``diag(J)`` as a dense vector."""
-        return self._diag
-
-    def local_fields(self, sigma: np.ndarray) -> np.ndarray:
-        """``g = J σ`` (O(nnz))."""
-        return self._model._matvec(sigma)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``J x`` via the CSR ``bincount`` SpMV (O(nnz), no densification).
 
-        The kernel places no ±1 restriction on ``x``, so the SB engines'
-        continuous positions go through the same code path as spin
-        readouts; for dyadic couplings *and* dyadic inputs every partial
-        sum is exact and the result is bit-identical to the dense product.
+        The kernel places no ±1 restriction on ``x``; for dyadic couplings
+        *and* dyadic inputs every partial sum is exact and the result is
+        bit-identical to the dense product.
         """
         return self._model._matvec(x)
 
@@ -343,13 +384,9 @@ class SparseCouplingOps:
         pos = _csr_positions(counts, self._indptr[1:][spins])
         return counts, self._indices[pos], self._data[pos]
 
-    def cross_term(self, g: np.ndarray, flips: np.ndarray, sig_f: np.ndarray) -> float:
-        """``σ_rᵀ J σ_c`` from the cached local fields (O(Σ degree))."""
-        if flips.shape[0] == 1:
-            j0 = int(flips[0])
-            return float(-sig_f[0] * (g[j0] - self._diag[j0] * sig_f[0]))
-        # sub[k] = Σ_l J[f_k, f_l] σ_F[l]: intersect each flipped row's
-        # neighbour list with the flip set via binary search.
+    def _flip_sub(self, flips: np.ndarray, sig_f: np.ndarray) -> np.ndarray:
+        # Intersect each flipped row's neighbour list with the flip set
+        # via binary search (O(Σ degree · log t)).
         t = flips.shape[0]
         order = np.argsort(flips)
         sorted_flips = flips[order]
@@ -362,7 +399,7 @@ class SparseCouplingOps:
             hit = sorted_flips[loc] == nbr
             if hit.any():
                 sub[k] = self._data[lo:hi][hit] @ sig_f[order[loc[hit]]]
-        return float(-(sig_f * (g[flips] - sub)).sum())
+        return sub
 
     def update_fields(self, g: np.ndarray, flips: np.ndarray, sig_f: np.ndarray) -> None:
         """In-place rank-``|F|`` field update touching only neighbours."""
@@ -370,46 +407,13 @@ class SparseCouplingOps:
             lo, hi = self._indptr[j], self._indptr[j + 1]
             g[self._indices[lo:hi]] -= 2.0 * (self._data[lo:hi] * s)
 
-    def batch_local_fields(self, sigma: np.ndarray) -> np.ndarray:
-        """``(R, n)`` local fields for a replica batch (O(R·nnz)).
-
-        The per-replica SpMV of :meth:`batch_matvec` on ±1 rows, so the
-        field cache is C-contiguous.
-        """
-        return self.batch_matvec(sigma)
-
-    def batch_cross_term(
-        self, g: np.ndarray, idx: np.ndarray, sig_f: np.ndarray
-    ) -> np.ndarray:
-        """``(R,)`` cross terms for per-replica rank-``t`` flip sets.
-
-        Same mathematics as :meth:`cross_term` per replica: for each
-        flipped spin, the contribution of *other* flipped spins in the same
-        replica is subtracted from the cached field.  The flip-set
-        intersection runs as one global binary search — each replica's flip
-        set is sorted and keyed by ``r·n + spin``, so every gathered
-        neighbour of every flipped spin resolves against a single sorted
-        key array.  O(Σ degree · log t) time, O(Σ degree) memory; the
-        coupling matrix is never densified.
-        """
-        return self.batch_cross_term_slots(g, idx, sig_f).sum(axis=1)
-
-    def batch_cross_term_slots(
-        self, g: np.ndarray, idx: np.ndarray, sig_f: np.ndarray
-    ) -> np.ndarray:
-        """``(R, t)`` per-slot cross-term contributions, before the sum.
-
-        Same split as the dense twin: :meth:`batch_cross_term` is exactly
-        ``slots.sum(axis=1)``.  For flip sets whose members live in
-        mutually uncoupled column blocks (the block-stacked union), each
-        slot's ``sub`` only sees flips of its own block, so regrouped
-        per-block sums reproduce the member models' solo cross terms.
-        """
+    def _batch_flip_sub(self, idx: np.ndarray, sig_f: np.ndarray) -> np.ndarray:
+        # One global binary search: each replica's flip set is sorted and
+        # keyed by r·n + spin, so every gathered neighbour of every flipped
+        # spin resolves against a single sorted key array.  O(Σ degree ·
+        # log t) time, O(Σ degree) memory; J is never densified.
         R, t = idx.shape
         rows = np.arange(R)[:, None]
-        g_f = g[rows, idx]
-        if t == 1:
-            return -(sig_f * (g_f - self._diag[idx] * sig_f))
         order = np.argsort(idx, axis=1)
         sorted_idx = np.take_along_axis(idx, order, axis=1)
         sorted_sig = np.take_along_axis(sig_f, order, axis=1).ravel()
@@ -428,7 +432,7 @@ class SparseCouplingOps:
                     weights=w[hit] * sorted_sig[loc[hit]],
                     minlength=R * t,
                 )
-        return -(sig_f * (g_f - sub.reshape(R, t)))
+        return sub.reshape(R, t)
 
     def batch_update_fields(
         self, g: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
@@ -491,26 +495,23 @@ class SparseCouplingOps:
         """|J_ij| of all stored off-diagonal entries (both triangles)."""
         return self._model.offdiag_abs_values()
 
-    def make_batch_state(self, sigma: np.ndarray) -> FloatBatchState:
-        """Replica spin-state adapter for the batch engine (int8 spins)."""
-        return FloatBatchState(self, sigma)
-
     def memory_bytes(self) -> int:
         """Bytes held by the coupling storage."""
         return self._model.memory_bytes()
 
 
 def coupling_ops(model):
-    """Wrap ``model`` in the coupling-operation adapter for its backend."""
-    if isinstance(model, PackedIsingModel):
+    """Wrap ``model`` in the coupling-operation adapter its ``backend`` names."""
+    backend = getattr(model, "backend", None)
+    if backend == "packed":
         # Local import: repro.core.packed subclasses SparseCouplingOps,
         # so a module-level import would be circular.
         from repro.core.packed import PackedCouplingOps
 
         return PackedCouplingOps(model)
-    if isinstance(model, SparseIsingModel):
+    if backend == "sparse":
         return SparseCouplingOps(model)
-    if isinstance(model, IsingModel) or getattr(model, "J", None) is not None:
+    if backend == "dense":
         return DenseCouplingOps(model)
     raise TypeError(
         f"expected an IsingModel or SparseIsingModel, got {type(model).__name__}"

@@ -1,29 +1,25 @@
-"""Popcount/XOR coupling kernels over the bit-packed ±1 backend.
+"""Bit-packed replica spin state for the ±1 backend.
 
 :class:`PackedCouplingOps` plugs a
 :class:`~repro.ising.packed.PackedIsingModel` into the
 :func:`~repro.core.coupling.coupling_ops` contract.  It inherits every
-O(degree) incremental kernel from
-:class:`~repro.core.coupling.SparseCouplingOps` — the model legitimately
-retains its float CSR arrays, and those kernels touch O(Σ degree) data
-per iteration, which profiling shows is *not* where replica time goes —
-and replaces the two places the full spin state is traversed:
+kernel from :class:`~repro.core.coupling.SparseCouplingOps` — the model
+legitimately retains its float CSR arrays, and the incremental kernels
+touch O(Σ degree) data per iteration, which profiling shows is *not*
+where replica time goes — and replaces only ``make_batch_state``: the
+batch engine gets a :class:`PackedBatchState` holding the replica spin
+tensor as uint64 words.  Its initial fields run the cumulative-popcount
+kernel (:meth:`~repro.ising.packed.PackedIsingModel.packed_fields`)
+over the packed spin rows, flips become XOR masks and best-state
+snapshots copy word rows, 8× less state traffic than the int8 rows of
+:class:`~repro.core.coupling.FloatBatchState`.  Best-state row copies
+dominate the replica engine at scale: when the float state still held
+float64 rows, they took ~6.5 of 8.4 seconds per 500 iterations at
+n=100k, R=100.  With int8 rows the float engine runs that protocol ~8×
+faster, and the packed state keeps a ~2× lead
+(``benchmarks/bench_batch_multiflip.py``).
 
-* ``local_fields`` / ``batch_local_fields`` run the cumulative-popcount
-  kernel (:meth:`~repro.ising.packed.PackedIsingModel.packed_fields`)
-  over bit-packed spin rows instead of a float ``bincount`` SpMV;
-* ``make_batch_state`` hands the batch engine a
-  :class:`PackedBatchState` holding the replica spin tensor as uint64
-  words — flips become XOR masks and best-state snapshots copy word
-  rows, 8× less state traffic than the int8 rows of
-  :class:`~repro.core.coupling.FloatBatchState`.  Best-state row copies
-  dominate the replica engine at scale: when the float state still held
-  float64 rows, they took ~6.5 of 8.4 seconds per 500 iterations at
-  n=100k, R=100.  With int8 rows the float engine runs that protocol
-  ~8× faster, and the packed state keeps a ~2× lead
-  (``benchmarks/bench_batch_multiflip.py``).
-
-Both replacements compute exactly the floats the sparse kernels compute
+The popcount fields are exactly the floats the sparse kernels compute
 (every value is a small-integer multiple of the shared dyadic magnitude
 ``c`` — see :mod:`repro.ising.packed`), so fixed-seed trajectories stay
 bit-identical to the sparse backend.
@@ -34,11 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.coupling import SparseCouplingOps
-from repro.ising.packed import (
-    PackedIsingModel,
-    pack_spin_rows,
-    unpack_spin_rows,
-)
+from repro.ising.packed import PackedIsingModel, pack_spin_rows, unpack_spin_rows
 
 _U64_ONE = np.uint64(1)
 
@@ -168,48 +160,14 @@ class PackedBatchState:
 class PackedCouplingOps(SparseCouplingOps):
     """Coupling operations over the bit-packed sign-only backend.
 
-    The incremental kernels (``cross_term`` / ``update_fields`` and their
-    batch variants, ``matvec`` / ``batch_matvec`` for the SB engines,
-    ``diag`` / ``offdiag_abs_values``) are inherited from
-    :class:`~repro.core.coupling.SparseCouplingOps` and stay exact on the
-    retained float CSR arrays; the full-state traversals dispatch to the
-    popcount kernel and the packed replica state.
+    Every kernel (fields, cross terms, field updates, ``matvec``) is
+    inherited from :class:`~repro.core.coupling.SparseCouplingOps` and
+    stays exact on the retained float CSR arrays; only the replica spin
+    state is packed.
     """
 
     kind = "packed"
 
-    def __init__(self, model: PackedIsingModel) -> None:
-        super().__init__(model)
-        self._packed = model
-
-    def local_fields(self, sigma: np.ndarray) -> np.ndarray:
-        """``g = J σ`` via cumulative popcount (O(nnz) bit traffic).
-
-        ``sigma`` must be a ±1 spin vector (the ``local_fields``
-        contract); arbitrary real inputs go through the inherited
-        :meth:`~repro.core.coupling.SparseCouplingOps.matvec`.
-        """
-        words = pack_spin_rows(np.asarray(sigma)[None, :])[0]
-        out = np.empty(self._n, dtype=np.float64)
-        return self._packed.packed_fields(words, out)
-
-    def batch_local_fields(self, sigma: np.ndarray) -> np.ndarray:
-        """``(R, n)`` local fields via per-replica popcount.
-
-        Returns a C-contiguous tensor (same producer contract as the
-        sparse kernels: the field-update scatter aliases it through
-        ``reshape(-1)``).
-        """
-        words = pack_spin_rows(sigma)
-        g = np.empty(sigma.shape, dtype=np.float64)
-        for r in range(sigma.shape[0]):
-            self._packed.packed_fields(words[r], g[r])
-        return g
-
     def make_batch_state(self, sigma: np.ndarray) -> PackedBatchState:
         """Bit-packed replica spin state for the batch engine."""
-        return PackedBatchState(self._packed, sigma)
-
-    def memory_bytes(self) -> int:
-        """Bytes held by the coupling storage incl. packed structures."""
-        return self._packed.memory_bytes()
+        return PackedBatchState(self._model, sigma)

@@ -58,7 +58,6 @@ from repro.core.results import AnnealResult
 from repro.core.sa import DirectEAnnealer
 from repro.core.sb import SbEngine, solve_sb
 from repro.ising.model import IsingModel
-from repro.ising.packed import PackedIsingModel
 from repro.ising.sparse import SparseIsingModel, as_backend
 from repro.utils.validation import check_choice, check_count, check_iterations, check_model
 
@@ -204,15 +203,6 @@ def resolve_layout(model, reorder, tile_size=None):
     if reorder is None or reorder == "none":
         return None
     return reorder_permutation(model, reorder, tile_size=tile_size)
-
-
-def _backend_name(model) -> str:
-    """The coupling-backend spelling of a model's concrete class."""
-    if isinstance(model, PackedIsingModel):
-        return "packed"
-    if isinstance(model, SparseIsingModel):
-        return "sparse"
-    return "dense"
 
 
 def _freeze(value):
@@ -484,7 +474,7 @@ def compile_plan(
             run_kwargs.update(model=model.permuted(perm), permutation=perm)
     return SolvePlan(
         method=method, model=model, folded=folded, requested_backend=backend,
-        resolved_backend=_backend_name(model), tile_size=tile_size,
+        resolved_backend=model.backend, tile_size=tile_size,
         reorder=reorder, permutation=perm, replicas=replicas,
         engine=engine, run_kwargs=run_kwargs, fingerprint=fingerprint,
         crossbar=crossbar,

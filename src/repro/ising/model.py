@@ -17,13 +17,16 @@ The central identity of the paper's incremental-E transformation (Eq. 5-9) is
 where ``σ_c`` keeps the flipped entries of ``σ_new`` (others zeroed) and
 ``σ_r`` keeps the unflipped entries.  :meth:`delta_energy_flips` implements it
 and the test-suite verifies it against brute-force recomputation for random
-models and flip sets.
+models and flip sets.  It is written once, in the base that the dense
+:class:`IsingModel` shares with the sparse and packed backends
+(:mod:`repro.ising.sparse`, :mod:`repro.ising.packed`).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,6 +37,7 @@ from repro.utils.validation import (
     check_flip_set,
     check_index,
     check_permutation,
+    check_positive,
     check_probability,
     check_real,
     check_spin_vector,
@@ -42,8 +46,124 @@ from repro.utils.validation import (
 )
 
 
+class _IsingBase:
+    """The half of every coupling backend that does not depend on storage.
+
+    Each model names its backend in ``backend`` (``"dense"``, ``"sparse"``
+    or ``"packed"``), the name :func:`~repro.core.coupling.coupling_ops`,
+    :func:`~repro.ising.sparse.as_backend` and the solve plan dispatch on,
+    and supplies the primitives over its own storage of ``J``:
+
+    * ``_matvec(s)`` — ``J s``;
+    * ``_row_field(s, i)`` — the single field ``(J s)_i``;
+    * ``_flip_product(σ_c, F)`` — ``J σ_c`` for a ``σ_c`` that is zero
+      off the flip set ``F``;
+    * ``coupling_diagonal()`` — ``diag(J)``;
+    * ``_digest_parts()`` — the header tags and coupling arrays
+      :meth:`content_fingerprint` hashes.
+
+    The formulas built on them are written once here, so every backend
+    evaluates the same expressions, and for couplings whose partial sums
+    are exact (integer or dyadic weights) the same floats.  ``energy``
+    stays per backend: the dense ``σᵀJσ`` rounds differently from the
+    CSR ``σᵀ(Jσ)``.
+    """
+
+    backend: ClassVar[str]
+    _h: np.ndarray
+    offset: float
+    num_spins: int
+
+    @property
+    def h(self) -> np.ndarray:
+        """The validated external-field vector (do not mutate)."""
+        return self._h
+
+    @property
+    def has_fields(self) -> bool:
+        """Whether any external field is non-zero."""
+        return bool(np.any(self._h))
+
+    def content_fingerprint(self) -> str:
+        """Content digest of the problem data (couplings, fields, offset).
+
+        Two models hash equal iff they carry byte-identical numbers on the
+        same coupling backend; the display ``name`` is deliberately
+        excluded.  This is the model half of the
+        :class:`~repro.core.plan.PlanCache` key — backends hash
+        differently on purpose, because the compiled artifacts differ.
+        """
+        tags, arrays = self._digest_parts()
+        header = ":".join(
+            (type(self).__name__, str(self.num_spins), *tags, repr(self.offset))
+        )
+        digest = hashlib.sha256(header.encode())
+        for arr in (*arrays, self._h):
+            digest.update(np.ascontiguousarray(arr).tobytes())
+        return digest.hexdigest()
+
+    def local_fields(self, sigma) -> np.ndarray:
+        """Return ``g = J σ`` for the given configuration.
+
+        ``g`` lets single-flip increments be evaluated in O(1) per spin and is
+        the state the software annealers keep incrementally up to date.
+        """
+        s = check_spin_vector(sigma, self.num_spins).astype(np.float64)
+        return self._matvec(s)
+
+    def delta_energy_single(self, sigma, index: int, g: np.ndarray | None = None) -> float:
+        """Energy change from flipping the single spin ``index``.
+
+        Parameters
+        ----------
+        sigma:
+            Current ±1 configuration.
+        index:
+            Spin to flip.
+        g:
+            Optional precomputed local fields ``J σ`` (without them one
+            row's field is computed: O(n) dense, O(degree) sparse).
+        """
+        n = self.num_spins
+        s = check_spin_vector(sigma, n)
+        index = check_index("index", index, n)
+        si = float(s[index])
+        gi = self._row_field(s, index) if g is None else float(g[index])
+        # Diagonal term does not change under a flip; remove its contribution
+        # from the local field before applying the rank-1 update formula.
+        gi_off = gi - self.coupling_diagonal()[index] * si
+        return -4.0 * si * gi_off - 2.0 * self._h[index] * si
+
+    def delta_energy_flips(self, sigma, flip_indices) -> float:
+        """Energy change from flipping the set ``flip_indices`` simultaneously.
+
+        Implements the paper's incremental identity
+        ``ΔE = 4 σ_rᵀ J σ_c + 2 hᵀ σ_c`` (Eq. 9 extended with fields), which
+        costs ``O(n·|F|)`` dense and ``O(Σ degree(f))`` sparse instead of
+        the ``O(n²)`` direct recomputation.
+        """
+        s = check_spin_vector(sigma, self.num_spins).astype(np.float64)
+        flips = check_flip_set(flip_indices, self.num_spins)
+        if flips.size == 0:
+            return 0.0
+        sigma_new = s.copy()
+        sigma_new[flips] *= -1.0
+        # σ_c: flipped entries of σ_new; σ_r: unflipped entries of σ_new.
+        sigma_c = np.zeros_like(s)
+        sigma_c[flips] = sigma_new[flips]
+        sigma_r = sigma_new.copy()
+        sigma_r[flips] = 0.0
+        cross = float(sigma_r @ self._flip_product(sigma_c, flips))
+        return 4.0 * cross + 2.0 * float(self._h @ sigma_c)
+
+    def random_configuration(self, seed=None) -> np.ndarray:
+        """Draw a uniform random ±1 configuration of the right length."""
+        rng = ensure_rng(seed)
+        return rng.choice(np.array([-1, 1], dtype=np.int8), size=self.num_spins)
+
+
 @dataclass
-class IsingModel:
+class IsingModel(_IsingBase):
     """An Ising Hamiltonian ``E(σ) = σᵀJσ + hᵀσ + offset``.
 
     Parameters
@@ -59,6 +179,8 @@ class IsingModel:
     name:
         Free-form label used in reports.
     """
+
+    backend = "dense"
 
     couplings: np.ndarray
     fields: np.ndarray | None = None
@@ -88,32 +210,12 @@ class IsingModel:
         """The validated symmetric coupling matrix (do not mutate)."""
         return self._J
 
-    @property
-    def h(self) -> np.ndarray:
-        """The validated external-field vector (do not mutate)."""
-        return self._h
+    def coupling_diagonal(self) -> np.ndarray:
+        """``diag(J)``, a read-only view of the matrix."""
+        return np.diag(self._J)
 
-    @property
-    def has_fields(self) -> bool:
-        """Whether any external field is non-zero."""
-        return bool(np.any(self._h))
-
-    def content_fingerprint(self) -> str:
-        """Content digest of the problem data (couplings, fields, offset).
-
-        Two models hash equal iff they carry byte-identical numbers on the
-        same coupling backend; the display ``name`` is deliberately
-        excluded.  This is the model half of the
-        :class:`~repro.core.plan.PlanCache` key — backends hash
-        differently on purpose, because the compiled artifacts differ.
-        """
-        h = hashlib.sha256()
-        h.update(
-            f"{type(self).__name__}:{self.num_spins}:{self.offset!r}".encode()
-        )
-        h.update(np.ascontiguousarray(self._J).tobytes())
-        h.update(np.ascontiguousarray(self._h).tobytes())
-        return h.hexdigest()
+    def _digest_parts(self) -> tuple[tuple[str, ...], tuple[np.ndarray, ...]]:
+        return (), (self._J,)
 
     # ------------------------------------------------------------------
     # Energies
@@ -123,61 +225,14 @@ class IsingModel:
         s = check_spin_vector(sigma, self.num_spins).astype(np.float64)
         return float(s @ self._J @ s + self._h @ s) + self.offset
 
-    def local_fields(self, sigma) -> np.ndarray:
-        """Return ``g = J σ`` for the given configuration.
-
-        ``g`` lets single-flip increments be evaluated in O(1) per spin and is
-        the state the software annealers keep incrementally up to date.
-        """
-        s = check_spin_vector(sigma, self.num_spins).astype(np.float64)
+    def _matvec(self, s: np.ndarray) -> np.ndarray:
         return self._J @ s
 
-    def delta_energy_single(self, sigma, index: int, g: np.ndarray | None = None) -> float:
-        """Energy change from flipping the single spin ``index``.
+    def _row_field(self, s: np.ndarray, index: int) -> float:
+        return float(self._J[index] @ s.astype(np.float64))
 
-        Parameters
-        ----------
-        sigma:
-            Current ±1 configuration.
-        index:
-            Spin to flip.
-        g:
-            Optional precomputed local fields ``J σ`` (avoids the O(n·n)
-            matrix-vector product when the caller maintains them).
-        """
-        n = self.num_spins
-        s = check_spin_vector(sigma, n)
-        index = check_index("index", index, n)
-        si = float(s[index])
-        if g is None:
-            gi = float(self._J[index] @ s.astype(np.float64))
-        else:
-            gi = float(g[index])
-        # Diagonal term does not change under a flip; remove its contribution
-        # from the local field before applying the rank-1 update formula.
-        gi_off = gi - self._J[index, index] * si
-        return -4.0 * si * gi_off - 2.0 * self._h[index] * si
-
-    def delta_energy_flips(self, sigma, flip_indices) -> float:
-        """Energy change from flipping the set ``flip_indices`` simultaneously.
-
-        Implements the paper's incremental identity
-        ``ΔE = 4 σ_rᵀ J σ_c + 2 hᵀ σ_c`` (Eq. 9 extended with fields), which
-        costs ``O(n·|F|)`` instead of the ``O(n²)`` direct recomputation.
-        """
-        s = check_spin_vector(sigma, self.num_spins).astype(np.float64)
-        flips = check_flip_set(flip_indices, self.num_spins)
-        if flips.size == 0:
-            return 0.0
-        sigma_new = s.copy()
-        sigma_new[flips] *= -1.0
-        # σ_c: flipped entries of σ_new; σ_r: unflipped entries of σ_new.
-        sigma_c = np.zeros_like(s)
-        sigma_c[flips] = sigma_new[flips]
-        sigma_r = sigma_new.copy()
-        sigma_r[flips] = 0.0
-        cross = float(sigma_r @ (self._J @ sigma_c))
-        return 4.0 * cross + 2.0 * float(self._h @ sigma_c)
+    def _flip_product(self, sigma_c: np.ndarray, flips: np.ndarray) -> np.ndarray:
+        return self._J @ sigma_c
 
     # ------------------------------------------------------------------
     # Transformations
@@ -247,6 +302,7 @@ class IsingModel:
         """
         n = check_count("n", n)
         check_probability("density", density)
+        coupling_scale = check_positive("coupling_scale", coupling_scale)
         rng = ensure_rng(seed)
         upper = rng.uniform(-coupling_scale, coupling_scale, size=(n, n))
         mask = rng.random((n, n)) < density
@@ -254,11 +310,6 @@ class IsingModel:
         J = upper + upper.T
         h = rng.uniform(-coupling_scale, coupling_scale, size=n) if with_fields else None
         return cls(J, h, name=f"random-{n}")
-
-    def random_configuration(self, seed=None) -> np.ndarray:
-        """Draw a uniform random ±1 configuration of the right length."""
-        rng = ensure_rng(seed)
-        return rng.choice(np.array([-1, 1], dtype=np.int8), size=self.num_spins)
 
     def brute_force_minimum(self) -> tuple[np.ndarray, float]:
         """Exhaustively minimise the Hamiltonian (only for ``n <= 20``).

@@ -42,8 +42,6 @@ The popcounts run through :func:`repro.utils.bits.popcount_bytes`
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from repro.ising.sparse import SparseIsingModel
@@ -143,17 +141,11 @@ def packed_scale(model) -> float | None:
     values.  External fields do not matter — the packed kernels only
     replace coupling traffic and ``h`` stays a dense float vector.
     """
-    if isinstance(model, SparseIsingModel):
-        if np.any(model.coupling_diagonal()):
-            return None
-        _, _, data = model.csr_arrays()
-        return dyadic_uniform_scale(data)
-    J = getattr(model, "J", None)
-    if J is None:
+    if np.any(model.coupling_diagonal()):
         return None
-    if np.any(np.diag(J)):
-        return None
-    return dyadic_uniform_scale(J[J != 0.0])
+    if model.backend == "dense":
+        return dyadic_uniform_scale(model.J[model.J != 0.0])
+    return dyadic_uniform_scale(model.csr_arrays()[2])
 
 
 class PackedIsingModel(SparseIsingModel):
@@ -163,7 +155,7 @@ class PackedIsingModel(SparseIsingModel):
     quantization, ancilla folds all keep working on the float arrays);
     on top of it the constructor validates packed eligibility and
     precomputes the bit-level structures the
-    :class:`repro.core.packed.PackedCouplingOps` kernels traverse:
+    :class:`repro.core.packed.PackedBatchState` kernels traverse:
 
     * :attr:`sign_words` / :attr:`sign_bytes` — the per-slot neighbour
       sign mask, bit-packed in CSR slot order;
@@ -174,6 +166,8 @@ class PackedIsingModel(SparseIsingModel):
     "packed")``) to convert an existing model; ineligible couplings
     raise ``ValueError`` with the offending property named.
     """
+
+    backend = "packed"
 
     def __init__(
         self,
@@ -231,23 +225,10 @@ class PackedIsingModel(SparseIsingModel):
         """uint64 words per packed spin row, ``ceil(n / 64)``."""
         return self._num_words
 
-    def content_fingerprint(self) -> str:
-        """Content digest from the packed representation itself.
-
-        Same contract as the sparse base, ~64× less value data hashed:
-        the ``±c`` entries are fully determined by the shared scale plus
-        the sign-bit words, so the float64 CSR data array is skipped.
-        The class tag keeps packed/sparse twins distinct on purpose —
-        the :class:`~repro.core.plan.PlanCache` compiles per backend.
-        """
-        h = hashlib.sha256()
-        h.update(
-            f"{type(self).__name__}:{self._n}:{self._scale!r}:"
-            f"{self.offset!r}".encode()
-        )
-        for arr in (self._indptr, self._indices, self._sign_words, self._h):
-            h.update(np.ascontiguousarray(arr).tobytes())
-        return h.hexdigest()
+    def _digest_parts(self) -> tuple[tuple[str, ...], tuple[np.ndarray, ...]]:
+        # The ±c entries are fully determined by the scale plus the sign
+        # words, so the float64 data array (64× larger) is not hashed.
+        return (repr(self._scale),), (self._indptr, self._indices, self._sign_words)
 
     def packed_fields(self, spin_words: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Local fields ``g = J σ`` of one packed spin row, via popcount.

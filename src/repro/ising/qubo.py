@@ -23,6 +23,7 @@ import numpy as np
 from repro.ising.model import IsingModel
 from repro.ising.sparse import BACKENDS, SparseIsingModel, recommended_backend
 from repro.utils.validation import (
+    _integer_array,
     check_choice,
     check_count,
     check_finite,
@@ -116,12 +117,13 @@ class QuboModel:
         for bit), pairs that sum to zero are dropped, and a diagonal entry
         ``(i, i, w)`` is ``Q[i, i] = w``, which adds ``w`` to ``q[i]``.
 
-        Raises ``ValueError`` naming the argument for ``n < 1``, indices
-        outside ``[0, n)``, non-finite values or mismatched lengths.
+        Raises ``ValueError`` naming the argument for ``n < 1``, fractional
+        indices or ones outside ``[0, n)``, non-finite values or
+        mismatched lengths.
         """
         n = check_count("n", n)
-        r = np.atleast_1d(np.asarray(rows, dtype=np.intp))
-        c = np.atleast_1d(np.asarray(cols, dtype=np.intp))
+        r = np.atleast_1d(_integer_array("rows", rows, "variable indices"))
+        c = np.atleast_1d(_integer_array("cols", cols, "variable indices"))
         v = np.atleast_1d(np.asarray(values, dtype=np.float64))
         if not (r.shape == c.shape == v.shape) or r.ndim != 1:
             raise ValueError(
@@ -247,7 +249,7 @@ class QuboModel:
         densifies one).  The diagonal of ``J`` contributes only the
         constant ``trace(J)`` because ``σ_i² = 1``.
         """
-        if isinstance(model, SparseIsingModel):
+        if model.backend != "dense":
             indptr, indices, data = model.csr_arrays()
             r = np.repeat(np.arange(model.num_spins, dtype=np.intp), np.diff(indptr))
             upper = r < indices

@@ -8,17 +8,21 @@ O(n²) memory and makes every local-field update an O(n) column gather.
 matrix — so memory is O(nnz) and a single-spin flip touches only the spin's
 neighbours.
 
-The class implements the same public contract as
-:class:`~repro.ising.model.IsingModel` (``energy``, ``local_fields``,
-``delta_energy_single``, ``delta_energy_flips``, ``with_ancilla``,
-``scaled``, ``max_abs_coupling``, ``random_configuration``, …), and every
-formula mirrors the dense implementation term for term.  For couplings whose
-values and partial sums are exactly representable in binary floating point
-(integer or dyadic-rational weights — which covers the ±1-weighted Gset
-families, where ``J = W/4``) the two backends agree **bit for bit**, so
-fixed-seed annealing trajectories coincide exactly; the equivalence suite in
-``tests/test_sparse_model.py`` pins this down.  For general float couplings
-agreement is to normal floating-point tolerance (summation order differs).
+The class shares its base with :class:`~repro.ising.model.IsingModel`:
+``local_fields``, ``delta_energy_single``, ``delta_energy_flips``,
+``content_fingerprint``, ``random_configuration`` and the field accessors
+are written once there, over primitives this class evaluates on neighbour
+lists (``_matvec``, ``_row_field``, ``_flip_product``,
+``coupling_diagonal``, ``_digest_parts``).  ``energy``, ``with_ancilla``,
+``scaled``, ``permuted`` and ``max_abs_coupling`` follow the dense
+formulas term for term.  For couplings whose values and partial sums are
+exactly representable in binary floating point (integer or
+dyadic-rational weights — which covers the ±1-weighted Gset families,
+where ``J = W/4``) the two backends agree **bit for bit**, so fixed-seed
+annealing trajectories coincide exactly; the equivalence suite in
+``tests/test_sparse_model.py`` pins this down.  For general float
+couplings agreement is to normal floating-point tolerance (summation
+order differs).
 
 Backend selection
 -----------------
@@ -36,19 +40,18 @@ a physical array).
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
+from repro.ising.model import _IsingBase
 from repro.utils.keys import first_repeat
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import (
+    _integer_array,
     check_choice,
     check_count,
     check_finite,
-    check_flip_set,
-    check_index,
     check_permutation,
+    check_positive,
     check_real,
     check_spin_vector,
     check_square_symmetric,
@@ -94,7 +97,7 @@ def recommended_backend(
     return "packed" if (uniform_signs and num_pairs > 0) else "sparse"
 
 
-class SparseIsingModel:
+class SparseIsingModel(_IsingBase):
     """An Ising Hamiltonian ``E(σ) = σᵀJσ + hᵀσ + offset`` in CSR storage.
 
     Use the constructors :meth:`from_edges` (COO pair list, each undirected
@@ -114,6 +117,8 @@ class SparseIsingModel:
     name:
         Free-form label used in reports.
     """
+
+    backend = "sparse"
 
     def __init__(
         self,
@@ -175,8 +180,8 @@ class SparseIsingModel:
         acceptance-gain heuristic).
         """
         n = check_count("n", n)
-        r = np.atleast_1d(np.asarray(rows, dtype=np.intp))
-        c = np.atleast_1d(np.asarray(cols, dtype=np.intp))
+        r = np.atleast_1d(_integer_array("rows", rows, "spin indices"))
+        c = np.atleast_1d(_integer_array("cols", cols, "spin indices"))
         v = np.atleast_1d(np.asarray(values, dtype=np.float64))
         if not (r.shape == c.shape == v.shape) or r.ndim != 1:
             raise ValueError("rows, cols and values must be matching 1-D arrays")
@@ -253,6 +258,8 @@ class SparseIsingModel:
         from repro.ising.gset import random_edge_set  # local import, no cycle
 
         n = check_count("n", n, minimum=2)
+        degree = check_positive("degree", degree)
+        coupling_scale = check_positive("coupling_scale", coupling_scale)
         m = min(int(round(degree * n / 2.0)), n * (n - 1) // 2)
         rng = ensure_rng(seed)
         edges, _ = random_edge_set(n, m, seed=rng)
@@ -269,16 +276,6 @@ class SparseIsingModel:
     def num_spins(self) -> int:
         """Number of spins ``n``."""
         return self._n
-
-    @property
-    def h(self) -> np.ndarray:
-        """The validated external-field vector (do not mutate)."""
-        return self._h
-
-    @property
-    def has_fields(self) -> bool:
-        """Whether any external field is non-zero."""
-        return bool(np.any(self._h))
 
     @property
     def nnz(self) -> int:
@@ -300,22 +297,8 @@ class SparseIsingModel:
         """The raw ``(indptr, indices, data)`` CSR arrays (do not mutate)."""
         return self._indptr, self._indices, self._data
 
-    def content_fingerprint(self) -> str:
-        """Content digest of the problem data (CSR arrays, fields, offset).
-
-        O(nnz), never densifies.  Same contract as
-        :meth:`repro.ising.model.IsingModel.content_fingerprint`: equal
-        iff the stored numbers are byte-identical on the same backend
-        (the display ``name`` is excluded); the model half of the
-        :class:`~repro.core.plan.PlanCache` key.
-        """
-        h = hashlib.sha256()
-        h.update(
-            f"{type(self).__name__}:{self._n}:{self.offset!r}".encode()
-        )
-        for arr in (self._indptr, self._indices, self._data, self._h):
-            h.update(np.ascontiguousarray(arr).tobytes())
-        return h.hexdigest()
+    def _digest_parts(self) -> tuple[tuple[str, ...], tuple[np.ndarray, ...]]:
+        return (), (self._indptr, self._indices, self._data)
 
     def max_abs_entry(self) -> float:
         """Largest |J_ij| over *all* stored entries (diagonal included).
@@ -356,54 +339,17 @@ class SparseIsingModel:
         s = check_spin_vector(sigma, self._n).astype(np.float64)
         return float(s @ self._matvec(s) + self._h @ s) + self.offset
 
-    def local_fields(self, sigma) -> np.ndarray:
-        """Return ``g = J σ`` for the given configuration (O(nnz))."""
-        s = check_spin_vector(sigma, self._n).astype(np.float64)
-        return self._matvec(s)
+    def _row_field(self, s: np.ndarray, index: int) -> float:
+        lo, hi = self._indptr[index], self._indptr[index + 1]
+        return float(self._data[lo:hi] @ s[self._indices[lo:hi]].astype(np.float64))
 
-    def delta_energy_single(self, sigma, index: int, g: np.ndarray | None = None) -> float:
-        """Energy change from flipping the single spin ``index``.
-
-        Mirrors :meth:`IsingModel.delta_energy_single`; without a cached
-        ``g`` the cost is O(degree) instead of O(n).
-        """
-        s = check_spin_vector(sigma, self._n)
-        index = check_index("index", index, self._n)
-        si = float(s[index])
-        if g is None:
-            lo, hi = self._indptr[index], self._indptr[index + 1]
-            gi = float(
-                self._data[lo:hi] @ s[self._indices[lo:hi]].astype(np.float64)
-            )
-        else:
-            gi = float(g[index])
-        gi_off = gi - self._diag[index] * si
-        return -4.0 * si * gi_off - 2.0 * self._h[index] * si
-
-    def delta_energy_flips(self, sigma, flip_indices) -> float:
-        """Energy change from flipping the set ``flip_indices`` simultaneously.
-
-        Same incremental identity as the dense model
-        (``ΔE = 4 σ_rᵀ J σ_c + 2 hᵀ σ_c``), evaluated in
-        O(Σ degree(f)) over the flipped spins' neighbourhoods.
-        """
-        s = check_spin_vector(sigma, self._n).astype(np.float64)
-        flips = check_flip_set(flip_indices, self._n)
-        if flips.size == 0:
-            return 0.0
-        sigma_new = s.copy()
-        sigma_new[flips] *= -1.0
-        sigma_c = np.zeros_like(s)
-        sigma_c[flips] = sigma_new[flips]
-        sigma_r = sigma_new.copy()
-        sigma_r[flips] = 0.0
-        # y = J σ_c touches only the flipped spins' neighbour lists.
+    def _flip_product(self, sigma_c: np.ndarray, flips: np.ndarray) -> np.ndarray:
+        """``J σ_c`` from the flipped spins' neighbour lists (O(Σ degree))."""
         y = np.zeros(self._n, dtype=np.float64)
         for j in flips:
             lo, hi = self._indptr[j], self._indptr[j + 1]
             y[self._indices[lo:hi]] += self._data[lo:hi] * sigma_c[j]
-        cross = float(sigma_r @ y)
-        return 4.0 * cross + 2.0 * float(self._h @ sigma_c)
+        return y
 
     # ------------------------------------------------------------------
     # Transformations
@@ -496,14 +442,6 @@ class SparseIsingModel:
         J[self._rows, self._indices] = self._data
         return J
 
-    # ------------------------------------------------------------------
-    # Misc. contract parity
-    # ------------------------------------------------------------------
-    def random_configuration(self, seed=None) -> np.ndarray:
-        """Draw a uniform random ±1 configuration of the right length."""
-        rng = ensure_rng(seed)
-        return rng.choice(np.array([-1, 1], dtype=np.int8), size=self._n)
-
     def brute_force_minimum(self) -> tuple[np.ndarray, float]:
         """Exhaustively minimise the Hamiltonian (only for ``n <= 20``)."""
         return self.to_dense().brute_force_minimum()
@@ -533,29 +471,23 @@ def as_backend(model, backend: str = "auto"):
     # module-level import here would be circular.
     from repro.ising.packed import PackedIsingModel, packed_scale
 
-    is_packed = isinstance(model, PackedIsingModel)
-    is_sparse = isinstance(model, SparseIsingModel)
     if backend == "auto":
-        if is_sparse:
-            pairs = model.num_interactions
-        else:
+        if model.backend == "dense":
             J = model.J
-            off = np.count_nonzero(J) - np.count_nonzero(np.diag(J))
-            pairs = off // 2
+            pairs = (np.count_nonzero(J) - np.count_nonzero(np.diag(J))) // 2
+        else:
+            pairs = model.num_interactions
         backend = recommended_backend(
             model.num_spins, pairs, uniform_signs=packed_scale(model) is not None
         )
-    if backend == "packed":
-        if is_packed:
-            return model
-        return PackedIsingModel.from_sparse(
-            model if is_sparse else SparseIsingModel.from_ising(model)
-        )
-    if backend == "sparse":
-        if is_packed:
-            return model.to_sparse()
-        return model if is_sparse else SparseIsingModel.from_ising(model)
-    return model.to_dense() if is_sparse else model
+    if backend == model.backend:
+        return model
+    if backend == "dense":
+        return model.to_dense()
+    if model.backend == "packed":
+        return model.to_sparse()
+    sparse = SparseIsingModel.from_ising(model) if model.backend == "dense" else model
+    return sparse if backend == "sparse" else PackedIsingModel.from_sparse(sparse)
 
 
 def dense_couplings(model) -> np.ndarray:

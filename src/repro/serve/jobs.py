@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.blockstack import PACK_METHODS
 from repro.core.plan import plan_engine
-from repro.ising.sparse import BACKENDS, SparseIsingModel
+from repro.ising.sparse import BACKENDS
 from repro.utils.validation import (
     check_choice,
     check_count,
@@ -201,7 +201,7 @@ def job_request(
         n = model.num_spins
         method, iterations, replicas, flips_per_iteration = check_admission(
             n, method, iterations, replicas, flips_per_iteration,
-            dense=backend == "dense" or not isinstance(model, SparseIsingModel),
+            dense="dense" in (backend, model.backend),
         )
         if seed is not None:
             seed = check_count("seed", seed, minimum=0, maximum=None)
@@ -236,15 +236,12 @@ def _stacks_exactly(model, backend: str | None) -> bool:
     two, and their absolute sum is below ``2**52`` of it.  ±1 G-set
     weights qualify; weights such as 0.3 do not.
     """
-    if backend in ("sparse", "packed") or (
-        backend is None and isinstance(model, SparseIsingModel)
-    ):
+    if (backend or model.backend) in ("sparse", "packed"):
         return True
-    if isinstance(model, SparseIsingModel):
-        couplings = model.csr_arrays()[2]
+    if model.backend == "dense":
+        couplings = model.J[model.J != 0.0]
     else:
-        J = model.J
-        couplings = J[J != 0.0]
+        couplings = model.csr_arrays()[2]
     values = np.concatenate((couplings, model.h))
     total = float(np.abs(values).sum())
     if not math.isfinite(total):

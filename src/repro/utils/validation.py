@@ -230,12 +230,13 @@ def check_choice(name: str, value, choices) -> str:
 def check_model(model) -> None:
     """Validate that ``model`` is a non-empty Ising model of any backend.
 
-    Duck-typed on ``num_spins`` (dense, sparse and packed models all carry
-    it), so this module stays free of model imports.  Shared by the solve
+    Duck-typed on ``num_spins`` and the ``backend`` name that dense,
+    sparse and packed models all carry (the name every dispatch reads),
+    so this module stays free of model imports.  Shared by the solve
     API's plan compiler and the service's request boundary.
     """
     num_spins = getattr(model, "num_spins", None)
-    if num_spins is None:
+    if num_spins is None or getattr(model, "backend", None) is None:
         raise ValueError(
             f"model must be an IsingModel or SparseIsingModel, got "
             f"{type(model).__name__}"

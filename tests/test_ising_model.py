@@ -63,6 +63,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             IsingModel.random(5, density=1.5)
 
+    @pytest.mark.parametrize(
+        "scale, match",
+        [(-1.0, "> 0, got -1.0"), (np.nan, "finite, got nan"), (True, "a real number, got True")],
+    )
+    def test_random_refuses_bad_coupling_scale(self, scale, match):
+        with pytest.raises(ValueError, match=f"^coupling_scale must be {match}$"):
+            IsingModel.random(5, coupling_scale=scale)
+
 
 class TestEnergy:
     def test_energy_of_known_model(self):

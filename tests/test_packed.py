@@ -220,28 +220,31 @@ class TestFieldExactness:
     @relaxed
     @given(seed=st.integers(0, 10_000))
     def test_local_fields_bit_identical(self, seed):
+        """The popcount kernel's callers reproduce the sparse SpMV exactly."""
         rng = ensure_rng(seed)
         n = int(rng.integers(2, 150))
         m = int(rng.integers(1, n * (n - 1) // 2 + 1))
         sparse, packed = eligible_models(n, m, seed=seed)
-        ops_s, ops_p = coupling_ops(sparse), coupling_ops(packed)
-        assert isinstance(ops_p, PackedCouplingOps)
-        sigma = sparse.random_configuration(rng)
-        assert np.array_equal(ops_p.local_fields(sigma), ops_s.local_fields(sigma))
         batch = rng.choice(np.array([-1, 1], dtype=np.int8), size=(5, n))
-        gp = ops_p.batch_local_fields(batch)
-        gs = ops_s.batch_local_fields(batch)
-        assert np.array_equal(gp, gs)
-        assert gp.flags["C_CONTIGUOUS"]
+        gs = coupling_ops(sparse).batch_local_fields(batch)
+        ops_p = coupling_ops(packed)
+        assert isinstance(ops_p, PackedCouplingOps)
+        state = ops_p.make_batch_state(batch)
+        assert isinstance(state, PackedBatchState)
+        assert np.array_equal(state.fields, gs)
+        assert state.fields.flags["C_CONTIGUOUS"]
+        row = packed.packed_fields(pack_spin_rows(batch[:1])[0], np.empty(n))
+        assert np.array_equal(row, gs[0])
 
     def test_empty_coupling_fields_are_zero(self):
         empty = PackedIsingModel.from_sparse(
             SparseIsingModel.from_dense(np.zeros((5, 5)))
         )
-        sigma = np.ones(5, dtype=np.int8)
-        assert np.array_equal(
-            coupling_ops(empty).local_fields(sigma), np.zeros(5)
-        )
+        sigma = np.ones((2, 5), dtype=np.int8)
+        state = coupling_ops(empty).make_batch_state(sigma)
+        assert np.array_equal(state.fields, np.zeros((2, 5)))
+        row = empty.packed_fields(pack_spin_rows(sigma)[0], np.full(5, np.nan))
+        assert np.array_equal(row, np.zeros(5))
 
     def test_batch_state_protocol_matches_float_twin(self):
         """gather / flip / record_best / readout agree step for step."""

@@ -178,6 +178,15 @@ class TestFromPairs:
         with pytest.raises(ValueError, match=match):
             QuboModel.from_pairs(*args)
 
+    def test_fractional_indices_refused(self):
+        """A fractional index is refused, not truncated onto another variable."""
+        with pytest.raises(ValueError, match="^rows must hold integer variable indices"):
+            QuboModel.from_pairs(3, [0.7], [2.2], [1.0])
+        with pytest.raises(ValueError, match="^cols must hold integer variable indices"):
+            QuboModel.from_pairs(3, [0], [2.2], [1.0])
+        integral = QuboModel.from_pairs(3, [0.0], [2.0], [1.0])
+        assert integral.value([1, 0, 1]) == 2.0
+
     def test_linear_shape_checked(self):
         with pytest.raises(ValueError, match=r"linear must have shape \(3,\)"):
             QuboModel.from_pairs(3, [0], [1], [1.0], linear=[1.0, 2.0])

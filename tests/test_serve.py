@@ -13,6 +13,7 @@ import asyncio
 import json
 import socket
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -94,6 +95,15 @@ class TestJobBoundary:
             job_request("j", member(8, 1), method="sb", flips_per_iteration=2)
         with pytest.raises(ValueError, match="only applies to methods"):
             job_request("j", member(8, 1), method="sb", initial=np.ones(8))
+
+    def test_object_naming_no_backend_names_the_job(self):
+        """A matrix holder without a backend name is refused, not guessed dense."""
+        stub = SimpleNamespace(num_spins=8, J=np.zeros((8, 8)), h=np.zeros(8))
+        with pytest.raises(
+            ValueError,
+            match="^job 'x': model must be an IsingModel or SparseIsingModel, got SimpleNamespace$",
+        ):
+            job_request("x", stub)
 
     def test_seed_must_be_serializable(self):
         with pytest.raises(ValueError, match="seed must be an integer"):

@@ -11,6 +11,8 @@ backends for every solver family and both batch engines.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,6 +22,7 @@ from repro.core import (
     BatchDirectEAnnealer,
     BatchInSituAnnealer,
     auto_acceptance_scale,
+    compile_plan,
     coupling_ops,
     delta_energy,
     solve_ising,
@@ -32,6 +35,7 @@ from repro.ising import (
     SparseIsingModel,
     as_backend,
     dense_couplings,
+    generate_random,
     recommended_backend,
 )
 from repro.utils.rng import ensure_rng
@@ -135,6 +139,19 @@ class TestModelEquivalence:
         with pytest.raises(TypeError, match="IsingModel"):
             coupling_ops(object())
         assert coupling_ops(sparse).memory_bytes() < coupling_ops(dense).memory_bytes()
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse", "packed"])
+    def test_backend_name_is_the_dispatch_key(self, backend):
+        """The adapter, the plan and as_backend all read ``model.backend``."""
+        dense = generate_random(40, 100, weighted=True, seed=3).to_ising("dense")
+        model = as_backend(dense, backend)
+        assert model.backend == backend
+        assert coupling_ops(model).kind == backend
+        assert compile_plan(model).summary()["backend"] == backend
+        assert as_backend(model, model.backend) is model
+        # A matrix alone names no backend: no adapter is guessed for it.
+        with pytest.raises(TypeError, match="expected an IsingModel or SparseIsingModel"):
+            coupling_ops(SimpleNamespace(J=dense.J, num_spins=40))
 
 
 class TestTrajectoryEquivalence:
@@ -262,6 +279,15 @@ class TestConstructionAndSelection:
         with pytest.raises(ValueError, match="n must be >= 1, got 0"):
             SparseIsingModel.from_edges(0, [], [], [])
 
+    def test_from_edges_refuses_fractional_indices(self):
+        """A fractional index is refused, not truncated onto another spin."""
+        with pytest.raises(ValueError, match="^rows must hold integer spin indices"):
+            SparseIsingModel.from_edges(3, [0.7], [1.9], [1.0])
+        with pytest.raises(ValueError, match="^cols must hold integer spin indices"):
+            SparseIsingModel.from_edges(3, [0], [1.9], [1.0])
+        integral = SparseIsingModel.from_edges(3, [1.0], [2.0], [1.0])
+        assert integral.csr_arrays()[1].tolist() == [2, 1]
+
     def test_non_finite_entries_refused(self):
         """Every constructor path names the bad entry; packed inherits it."""
         with pytest.raises(ValueError, match=r"^couplings must be finite, got nan at \[0, 2\]$"):
@@ -338,6 +364,20 @@ class TestConstructionAndSelection:
         assert isinstance(as_backend(sparse, "auto"), IsingModel)
         with pytest.raises(ValueError, match="backend"):
             as_backend(dense, "bogus")
+
+    @pytest.mark.parametrize(
+        "knobs, match",
+        [
+            ({"degree": -1.0}, "^degree must be > 0, got -1.0$"),
+            ({"degree": True}, "^degree must be a real number, got True$"),
+            ({"coupling_scale": -2.0}, "^coupling_scale must be > 0, got -2.0$"),
+            ({"coupling_scale": np.nan}, "^coupling_scale must be finite, got nan$"),
+            ({"coupling_scale": True}, "^coupling_scale must be a real number, got True$"),
+        ],
+    )
+    def test_sparse_random_refuses_bad_knobs(self, knobs, match):
+        with pytest.raises(ValueError, match=match):
+            SparseIsingModel.random(10, **knobs)
 
     def test_sparse_random_constructor(self):
         m = SparseIsingModel.random(100, degree=6.0, with_fields=True, seed=4)
